@@ -102,6 +102,16 @@ class Cluster:
                     )
         object.__setattr__(self, "parents", parents)
         object.__setattr__(self, "targets", targets)
+        # adjacency read by the kernels below; plain attributes, not fields,
+        # so equality, hashing, repr and serialization see only the above
+        proximate: List[List[int]] = [[] for _ in parents]
+        children: List[List[int]] = [[] for _ in parents]
+        for b in range(1, len(parents)):
+            for a in targets[b]:
+                proximate[a].append(b)
+            children[parents[b]].append(b)
+        object.__setattr__(self, "_proximate", tuple(map(tuple, proximate)))
+        object.__setattr__(self, "_children", tuple(map(tuple, children)))
 
     def __len__(self) -> int:
         return len(self.parents)
@@ -112,7 +122,7 @@ class Cluster:
 
     def proximate_to(self, alpha: int) -> List[int]:
         """Points proximate to P_alpha (they all come after it)."""
-        return [b for b in range(alpha + 1, len(self)) if alpha in self.targets[b]]
+        return list(self._proximate[alpha])
 
     def is_free(self, alpha: int) -> bool:
         return len(self.targets[alpha]) < 2
@@ -127,7 +137,7 @@ class Cluster:
         return t[0] if t[1] == self.parents[alpha] else t[1]
 
     def children(self, alpha: int) -> List[int]:
-        return [b for b in range(len(self)) if self.parents[b] == alpha]
+        return list(self._children[alpha])
 
     def restrict(self, keep: Sequence[int]) -> "Cluster":
         """Sub-cluster on the given (sorted) indices, which must be closed
@@ -245,13 +255,13 @@ def _strict_from_total(c: Cluster, w: Sequence[int]) -> List[int]:
 
 
 def _branch_from_total(c: Cluster, w: Sequence[int]) -> List[int]:
-    return [w[a] - sum(w[b] for b in c.proximate_to(a)) for a in range(len(c))]
+    return [w[a] - sum(w[b] for b in c._proximate[a]) for a in range(len(c))]
 
 
 def _total_from_branch(c: Cluster, b: Sequence[int]) -> List[int]:
     w = [0] * len(c)
     for a in range(len(c) - 1, -1, -1):
-        w[a] = b[a] + sum(w[x] for x in c.proximate_to(a))
+        w[a] = b[a] + sum(w[x] for x in c._proximate[a])
     return w
 
 
@@ -313,7 +323,7 @@ def unload(
     c = kl.cluster
     w = list(kl.weights)
     e = _strict_from_total(c, w)
-    prox_to = [c.proximate_to(a) for a in range(len(c))]
+    prox_to = c._proximate
     for _ in range(max_steps):
         violated = [
             a for a in range(len(c)) if w[a] - sum(w[b] for b in prox_to[a]) < 0
@@ -344,7 +354,7 @@ def _complete_strict(
     e = [max(d, 0) for d in demand]
     if warm is not None:
         e = [max(a, b) for a, b in zip(e, warm)]
-    prox_to = [c.proximate_to(a) for a in range(r)]
+    prox_to = c._proximate
     diag = [1 + len(p) for p in prox_to]
     for _ in range(100_000):
         w = _total_from_strict(c, e)
@@ -357,9 +367,8 @@ def _complete_strict(
                 e[a] += t
                 # keep w consistent with the bump
                 w[a] += t
-                for b in range(a + 1, r):
-                    if a in c.targets[b]:
-                        w[b] -= t
+                for b in prox_to[a]:
+                    w[b] -= t
                 clean = False
         if clean:
             return e
@@ -410,9 +419,15 @@ def jumping_numbers_curve(kl: WeightedCluster, bound: Fraction) -> List[Fraction
     """Jumping numbers of the curve divisor in (0, bound], bound <= 1;
     the integer jump at 1 (the strict transform's contribution) is excluded.
 
-    Candidates are (k+j)/e with j >= 1 over the cluster points; each is kept
-    iff the multiplier cluster actually changes there, which is decided by
-    comparing completions just below and at the candidate value.
+    Next-jump iteration (Alberich-Carramiñana, Àlvarez Montaner and
+    Dachs-Cadefau, "Multiplier ideals in two-dimensional local rings with
+    rational singularities", Michigan Math. J. 2016).  Let d be the
+    completed strict vector of the multiplier ideal at the last jump (d = 0
+    for the trivial ideal).  The demand floor(xi * e_a) - k_a stays <= d_a
+    exactly while xi < (k_a + d_a + 1) / e_a, so the multiplier cluster is
+    constant up to xi = min_a (k_a + d_a + 1) / e_a and changes there: that
+    value is the next jump, and no jump lies before it.  Each jump costs one
+    completion, warm-started from d.
     """
     bound = Fraction(bound)
     if bound > 1:
@@ -422,31 +437,19 @@ def jumping_numbers_curve(kl: WeightedCluster, bound: Fraction) -> List[Fraction
     if not is_unloaded(kl):
         raise ClusterError("curve cluster must satisfy the proximity relations")
     c = kl.cluster
+    r = len(c)
+    if not r:
+        return []
     e = _strict_from_total(c, kl.weights)
     k = log_discrepancies(c).entries
-    candidates = set()
-    for a in range(len(c)):
-        j = 1
-        while True:
-            xi = Fraction(k[a] + j, e[a])
-            if xi > bound or xi >= 1:
-                break
-            candidates.add(xi)
-            j += 1
-    r = len(c)
-
-    def demand_at(xi: Fraction) -> List[int]:
-        return [(xi * e[a]).__floor__() - k[a] for a in range(r)]
-
-    jumps = []
-    prev_e = [0] * r
-    prev_xi = Fraction(0)
-    for xi in sorted(candidates):
-        mid = (prev_xi + xi) / 2
-        between = _complete_strict(c, demand_at(mid), warm=prev_e)
-        assert between == prev_e, "multiplier cluster changed off the candidate grid"
-        at = _complete_strict(c, demand_at(xi), warm=between)
-        if at != prev_e:
-            jumps.append(xi)
-        prev_e, prev_xi = at, xi
-    return jumps
+    jumps: List[Fraction] = []
+    d = [0] * r
+    while True:
+        xi = min(Fraction(k[a] + d[a] + 1, e[a]) for a in range(r))
+        if xi > bound or xi >= 1:
+            return jumps
+        jumps.append(xi)
+        n, m = xi.numerator, xi.denominator
+        at = _complete_strict(c, [n * e[a] // m - k[a] for a in range(r)], warm=d)
+        assert at != d, "multiplier cluster did not change at the next jump"
+        d = at

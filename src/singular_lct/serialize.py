@@ -56,15 +56,47 @@ def cluster_to_json(kl: WeightedCluster) -> dict:
     return {"points": points, "weights": list(kl.weights)}
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+_JSON_TYPES = {
+    "an array": lambda x: isinstance(x, list),
+    "an integer": _is_int,
+    "an integer or null": lambda x: x is None or _is_int(x),
+    "a string or null": lambda x: x is None or isinstance(x, str),
+    "an array of integers": lambda x: isinstance(x, list) and all(map(_is_int, x)),
+}
+
+
+def _field(obj, key: str, kind: str, where: str):
+    """obj[key] checked against a JSON type in _JSON_TYPES; ValueError
+    naming the field when obj is not an object, or the field is missing or
+    ill-typed."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    if key not in obj:
+        raise ValueError(f"{where} lacks the field {key!r}")
+    if not _JSON_TYPES[kind](obj[key]):
+        raise ValueError(f"{where}: field {key!r} must be {kind}")
+    return obj[key]
+
+
 def cluster_from_json(data) -> WeightedCluster:
-    points = sorted(data["points"], key=lambda p: p["id"])
+    points = _field(data, "points", "an array", "cluster")
+    weights = _field(data, "weights", "an array of integers", "cluster")
+    for n, p in enumerate(points, 1):
+        _field(p, "id", "an integer", f"cluster point {n}")
+        _field(p, "parent", "an integer or null", f"cluster point {n}")
+        _field(p, "prox", "an array of integers", f"cluster point {n}")
+    points = sorted(points, key=lambda p: p["id"])
     ids = [p["id"] for p in points]
     if ids != list(range(1, len(ids) + 1)):
         raise ValueError("cluster ids must be 1..r")
     parents = [None if p["parent"] is None else p["parent"] - 1 for p in points]
     targets = [tuple(a - 1 for a in p["prox"]) for p in points]
     cluster = Cluster(parents, targets)
-    return WeightedCluster(cluster, data["weights"])
+    return WeightedCluster(cluster, weights)
 
 
 def diagram_to_json(d: EnriquesDiagram) -> dict:
@@ -86,12 +118,21 @@ def diagram_to_json(d: EnriquesDiagram) -> dict:
 
 
 def diagram_from_json(data) -> EnriquesDiagram:
-    vertices = sorted(data["vertices"], key=lambda v: v["id"])
+    vertices = _field(data, "vertices", "an array", "diagram")
+    x_side = []
+    if "x_side" in data:
+        x_side = _field(data, "x_side", "an array of integers", "diagram")
+    for n, v in enumerate(vertices, 1):
+        _field(v, "id", "an integer", f"diagram vertex {n}")
+        _field(v, "parent", "an integer or null", f"diagram vertex {n}")
+        _field(v, "kind", "a string or null", f"diagram vertex {n}")
+        _field(v, "weight", "an integer", f"diagram vertex {n}")
+    vertices = sorted(vertices, key=lambda v: v["id"])
     ids = [v["id"] for v in vertices]
     if ids != list(range(1, len(ids) + 1)):
         raise ValueError("diagram ids must be 1..r")
     parents = [None if v["parent"] is None else v["parent"] - 1 for v in vertices]
     kinds = [v["kind"] for v in vertices]
     weights = [v["weight"] for v in vertices]
-    marks = frozenset(v - 1 for v in data.get("x_side", ()))
+    marks = frozenset(v - 1 for v in x_side)
     return EnriquesDiagram(EnriquesTree(parents, kinds, marks), weights)

@@ -4,10 +4,23 @@ Everything here avoids the library's facet machinery: membership in the
 Newton polyhedron is decided by exhibiting a convex combination of two
 generators dominated by the point (Caratheodory in the plane, plus the
 recession orthant), with exact Fraction arithmetic throughout.
+
+`curve_jumps_by_candidate_scan` is the reference for the next-jump
+iteration of `jumping_numbers_curve`: it tests every candidate (k+j)/e,
+comparing completions just below and at it, and asserts that the
+multiplier cluster never changes between candidates.
 """
 
 from fractions import Fraction
 from math import ceil
+
+from singular_lct.cluster import (
+    ClusterError,
+    _complete_strict,
+    _strict_from_total,
+    is_unloaded,
+    log_discrepancies,
+)
 
 
 def _feasible(gens, point, strict):
@@ -129,3 +142,48 @@ def staircase_slices_from_valuations(x_vals, y_vals, e_vals):
         rows.append(width)
         j += 1
     return tuple(rows)
+
+
+def curve_jumps_by_candidate_scan(kl, bound):
+    """Curve jumping numbers in (0, bound] by the candidate scan.
+
+    Candidates are (k+j)/e with j >= 1 over the cluster points; each is kept
+    iff the multiplier cluster actually changes there, which is decided by
+    comparing completions just below and at the candidate value.
+    """
+    bound = Fraction(bound)
+    if bound > 1:
+        raise ClusterError("curve jumping numbers are only computed up to 1")
+    if bound <= 0:
+        raise ClusterError("bound must be positive")
+    if not is_unloaded(kl):
+        raise ClusterError("curve cluster must satisfy the proximity relations")
+    c = kl.cluster
+    e = _strict_from_total(c, kl.weights)
+    k = log_discrepancies(c).entries
+    candidates = set()
+    for a in range(len(c)):
+        j = 1
+        while True:
+            xi = Fraction(k[a] + j, e[a])
+            if xi > bound or xi >= 1:
+                break
+            candidates.add(xi)
+            j += 1
+    r = len(c)
+
+    def demand_at(xi: Fraction):
+        return [(xi * e[a]).__floor__() - k[a] for a in range(r)]
+
+    jumps = []
+    prev_e = [0] * r
+    prev_xi = Fraction(0)
+    for xi in sorted(candidates):
+        mid = (prev_xi + xi) / 2
+        between = _complete_strict(c, demand_at(mid), warm=prev_e)
+        assert between == prev_e, "multiplier cluster changed off the candidate grid"
+        at = _complete_strict(c, demand_at(xi), warm=between)
+        if at != prev_e:
+            jumps.append(xi)
+        prev_e, prev_xi = at, xi
+    return jumps

@@ -197,3 +197,24 @@ def test_cli_resolve_json_roundtrip(capsys):
     assert kl.weights == (4, 2, 2, 1, 1)
     d = serialize.diagram_from_json(data["diagram"])
     assert [k for k in d.tree.kinds] == [None, "s", "h", "s", "h"]
+
+
+def test_cli_malformed_json_missing_top_level_key_exit_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"foo": 1}))
+    code, _, err = run_cli(capsys, "unload", "--file", str(path))
+    assert code == 2 and "'points'" in err
+    code, _, err = run_cli(capsys, "union", str(path))
+    assert code == 2 and "'vertices'" in err
+
+
+def test_cli_malformed_json_point_without_parent_exit_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    data = {"points": [{"id": 1, "prox": []}], "weights": [2]}
+    path.write_text(json.dumps(data))
+    code, _, err = run_cli(capsys, "unload", "--file", str(path))
+    assert code == 2 and "point 1" in err and "'parent'" in err
+    vertex = {"id": 1, "parent": None, "kind": None, "weight": "2"}
+    path.write_text(json.dumps({"vertices": [vertex]}))
+    code, _, err = run_cli(capsys, "union", str(path))
+    assert code == 2 and "vertex 1" in err and "'weight'" in err

@@ -1,14 +1,17 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
+import oracles
 from singular_lct import (
     BRANCH,
     LOGDISC,
     STRICT,
     TOTAL,
     BasisVector,
+    BivariatePolynomial,
     Cluster,
     ClusterError,
     MonomialIdeal,
@@ -23,11 +26,15 @@ from singular_lct import (
     log_discrepancies,
     multiplier_cluster,
     proximity_matrix,
+    resolve_curve,
     t_pq,
     tree_to_cluster,
     unload,
 )
-from singular_lct.cluster import pi_inverse
+from singular_lct import serialize
+from singular_lct.cli import main
+from singular_lct.cluster import EMPTY_CLUSTER, pi_inverse
+from singular_lct.corpus import coprime_pairs, corpus_curves
 
 F = Fraction
 
@@ -362,6 +369,88 @@ def test_lct_is_first_curve_jump():
         WeightedCluster(t23_cluster(), (2, 1, 1)),
     ):
         assert jumping_numbers_curve(kl, F(1))[0] == lct_cluster(kl)[0]
+
+
+def test_jumping_smooth_germs_and_empty_cluster(capsys):
+    germs = ("y", "x", "y - x^2", "x*y")
+    clusters = [resolve_curve(BivariatePolynomial.parse(g))[0] for g in germs]
+    assert [len(kl.cluster) for kl in clusters] == [0, 0, 0, 1]
+    for kl in clusters + [WeightedCluster(EMPTY_CLUSTER, ())]:
+        for bound in (F(1), F(1, 2)):
+            assert jumping_numbers_curve(kl, bound) == []
+    assert main(["jumping", "--curve", "y", "--bound", "1"]) == 0
+    assert capsys.readouterr().out.strip() == ""
+
+
+def test_next_jump_matches_candidate_scan():
+    resolved = lambda expr: resolve_curve(BivariatePolynomial.parse(expr))[0]
+    cases = [
+        (resolved(f"x^{p} - y^{q}"), bound)
+        for p, q in coprime_pairs(20)
+        for bound in (F(1), F(1, 2))
+    ]
+    cases += [(resolved(expr), F(1)) for _, expr in corpus_curves(12)]
+    assert len(cases) == 2 * 108 + len(corpus_curves(12))
+    for kl, bound in cases:
+        expected = oracles.curve_jumps_by_candidate_scan(kl, bound)
+        assert jumping_numbers_curve(kl, bound) == expected, (kl, bound)
+
+
+def sub_clusters(c: Cluster):
+    """c itself, each proper prefix, and for every point a the restriction
+    to the points whose proximity closure avoids a (renumbered)."""
+    yield c
+    for n in range(1, len(c)):
+        yield c.restrict(range(n))
+    for a in range(len(c)):
+        dropped = {a}
+        for b in range(a + 1, len(c)):
+            if dropped.intersection(c.targets[b]):
+                dropped.add(b)
+        keep = [b for b in range(len(c)) if b not in dropped]
+        if keep:
+            yield c.restrict(keep)
+
+
+def test_cached_adjacency_matches_scans():
+    rng = random.Random(47)
+    clusters = [
+        resolve_curve(BivariatePolynomial.parse(expr))[0].cluster
+        for _, expr in corpus_curves(12)
+    ]
+    clusters += [random_cluster(rng) for _ in range(40)]
+    seen = 0
+    for cluster in clusters:
+        for c in sub_clusters(cluster):
+            r = len(c)
+            for a in range(r):
+                assert c.proximate_to(a) == [b for b in range(r) if a in c.targets[b]]
+                assert c.children(a) == [b for b in range(r) if c.parents[b] == a]
+            seen += 1
+    assert seen > 500
+
+
+def test_cached_adjacency_stays_out_of_the_value():
+    kl, _ = resolve_curve(BivariatePolynomial.parse("(x^3 - y^2)^2 - x^5*y"))
+    c = kl.cluster
+    assert [f.name for f in dataclasses.fields(Cluster)] == ["parents", "targets"]
+    twin = Cluster(list(c.parents), [list(t) for t in c.targets])
+    assert twin == c and hash(twin) == hash(c) == hash((c.parents, c.targets))
+    assert repr(c) == f"Cluster(parents={c.parents!r}, targets={c.targets!r})"
+    assert serialize.cluster_to_json(kl) == {
+        "points": [
+            {"id": 1, "parent": None, "prox": []},
+            {"id": 2, "parent": 1, "prox": [1]},
+            {"id": 3, "parent": 2, "prox": [1, 2]},
+            {"id": 4, "parent": 3, "prox": [3]},
+            {"id": 5, "parent": 4, "prox": [3, 4]},
+        ],
+        "weights": [4, 2, 2, 1, 1],
+    }
+    c.proximate_to(0).append(99)
+    c.children(0).clear()
+    assert c.proximate_to(0) == [1, 2] and c.children(0) == [1]
+    assert c == twin
 
 
 # -- cluster validation ---------------------------------------------------------------

@@ -17,15 +17,17 @@ bases, and the dictionary is
 
 Unloading repairs a weight vector that violates a proximity inequality by
 moving weight onto the violated point; it preserves the complete ideal cut
-out by the cluster and terminates in the unique weight vector whose branch
-coordinates are all non-negative.
+out by the cluster and terminates in the least weight vector above the
+start whose branch coordinates are all non-negative.  One kernel,
+`_complete_strict`, computes that fixed point for `unload`, the multiplier
+clusters and the jumping numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 TOTAL = "total"
 STRICT = "strict"
@@ -176,26 +178,18 @@ class WeightedCluster:
     def trimmed(self) -> "WeightedCluster":
         """Drop zero-weight points that no remaining point is proximate to;
         they impose no condition on the ideal."""
-        keep = list(range(len(self.cluster)))
-        weights = list(self.weights)
-        changed = True
-        while changed:
-            changed = False
-            needed = set()
-            for i in keep:
-                for a in self.cluster.targets[i]:
-                    needed.add(a)
-            for i in reversed(keep):
-                if weights[i] == 0 and i not in needed:
-                    keep.remove(i)
-                    changed = True
-                    break
+        proximate = self.cluster._proximate
+        kept = [False] * len(self.cluster)
+        # every point proximate to i comes after it, so one reverse pass
+        for i in range(len(kept) - 1, -1, -1):
+            kept[i] = self.weights[i] != 0 or any(kept[b] for b in proximate[i])
+        keep = [i for i, k in enumerate(kept) if k]
         if len(keep) == len(self.cluster):
             return self
         if not keep:
             return WeightedCluster(EMPTY_CLUSTER, ())
         sub = self.cluster.restrict(keep)
-        return WeightedCluster(sub, tuple(weights[i] for i in keep))
+        return WeightedCluster(sub, tuple(self.weights[i] for i in keep))
 
 
 # -- proximity matrix and exact linear algebra --------------------------------
@@ -210,34 +204,6 @@ def proximity_matrix(c: Cluster) -> Tuple[Tuple[int, ...], ...]:
         for a in c.targets[b]:
             rows[a][b] = -1
     return tuple(tuple(row) for row in rows)
-
-
-def pi_inverse(c: Cluster) -> Tuple[Tuple[int, ...], ...]:
-    """Inverse of the proximity matrix (unipotent, entrywise >= 0)."""
-    pi = proximity_matrix(c)
-    r = len(c)
-    inv = [[0] * r for _ in range(r)]
-    for j in range(r):
-        col = [0] * r
-        col[j] = 1
-        for i in range(j - 1, -1, -1):
-            s = sum(pi[i][k] * col[k] for k in range(i + 1, j + 1))
-            col[i] = -s
-        for i in range(r):
-            inv[i][j] = col[i]
-    return tuple(tuple(row) for row in inv)
-
-
-def intersection_inverse(c: Cluster) -> Tuple[Tuple[int, ...], ...]:
-    """(Pi . Pi^t)^{-1}; entry (alpha, beta) is the strict-basis coordinate
-    e_beta of the branch divisor B_alpha."""
-    inv = pi_inverse(c)
-    r = len(c)
-    out = [[0] * r for _ in range(r)]
-    for i in range(r):
-        for j in range(r):
-            out[i][j] = sum(inv[k][i] * inv[k][j] for k in range(r))
-    return tuple(tuple(row) for row in out)
 
 
 # -- basis changes -------------------------------------------------------------
@@ -291,10 +257,27 @@ def log_discrepancies(c: Cluster) -> BasisVector:
     """Coefficients of the relative canonical divisor on the strict
     transforms: k_alpha = 1 + sum of k over the points P_alpha is proximate
     to; equivalently k . Pi = (1, ..., 1)."""
-    k: List[int] = []
-    for a in range(len(c)):
-        k.append(1 + sum(k[g] for g in c.targets[a]))
-    return BasisVector(k, LOGDISC)
+    return BasisVector(_strict_from_total(c, [1] * len(c)), LOGDISC)
+
+
+def pi_inverse(c: Cluster) -> Tuple[Tuple[int, ...], ...]:
+    """Inverse of the proximity matrix (unipotent, entrywise >= 0); row i
+    is the strict vector of the total transform of E_i."""
+    r = len(c)
+    return tuple(
+        tuple(_strict_from_total(c, [int(j == i) for j in range(r)]))
+        for i in range(r)
+    )
+
+
+def intersection_inverse(c: Cluster) -> Tuple[Tuple[int, ...], ...]:
+    """(Pi . Pi^t)^{-1}; entry (alpha, beta) is the strict-basis coordinate
+    e_beta of the branch divisor B_alpha."""
+    r = len(c)
+    units = ([int(j == a) for j in range(r)] for a in range(r))
+    return tuple(
+        tuple(_strict_from_total(c, _total_from_branch(c, u))) for u in units
+    )
 
 
 # -- unloading ------------------------------------------------------------------
@@ -307,40 +290,19 @@ def is_unloaded(kl: WeightedCluster) -> bool:
     return all(x >= 0 for x in b)
 
 
-def unload(
-    kl: WeightedCluster,
-    max_steps: int = 100_000,
-    choose: Optional[Callable[[List[int]], int]] = None,
-) -> WeightedCluster:
-    """Run the unloading procedure to its fixed point.
+def unload(kl: WeightedCluster) -> WeightedCluster:
+    """Least unloaded weights above the given ones: the fixed point of the
+    unloading procedure, which does not depend on the order of its steps.
 
-    Each step picks a point with negative branch coordinate, adds 1 to its
-    weight and subtracts 1 from the weight of every point proximate to it;
-    the associated divisor grows by one strict transform, which is asserted
-    at every step.  The default picks the smallest violated index; the
-    fixed point does not depend on this choice.
+    Runs on the completion kernel with the strict coordinates of the
+    weights as demand; the kernel asserts that every bump adds whole strict
+    transforms.  The clamp to non-negative strict coordinates there changes
+    nothing, since every vector with non-negative branch coordinates is
+    non-negative in the strict basis.
     """
     c = kl.cluster
-    w = list(kl.weights)
-    e = _strict_from_total(c, w)
-    prox_to = c._proximate
-    for _ in range(max_steps):
-        violated = [
-            a for a in range(len(c)) if w[a] - sum(w[b] for b in prox_to[a]) < 0
-        ]
-        if not violated:
-            return WeightedCluster(c, w)
-        a = violated[0] if choose is None else choose(violated)
-        w[a] += 1
-        for b in prox_to[a]:
-            w[b] -= 1
-        new_e = _strict_from_total(c, w)
-        diff = [x - y for x, y in zip(new_e, e)]
-        assert diff == [1 if i == a else 0 for i in range(len(c))], (
-            "unloading step must add exactly one strict transform"
-        )
-        e = new_e
-    raise UnloadingError(f"no fixed point after {max_steps} steps")
+    e = _complete_strict(c, _strict_from_total(c, kl.weights))
+    return WeightedCluster(c, _total_from_strict(c, e))
 
 
 def _complete_strict(
@@ -348,16 +310,18 @@ def _complete_strict(
 ) -> List[int]:
     """Least non-negative strict vector e >= demand whose branch coordinates
     are non-negative: the strict coordinates of the complete ideal with the
-    demanded valuations.  Multi-step unloading; `warm` may give a known
-    lower bound for the fixed point (e.g. the result at a smaller scale)."""
+    demanded valuations.  Batched unloading: each sweep raises every
+    violated e[a] by the least amount that repairs it on its own.  `warm`
+    may give a known lower bound for the fixed point (e.g. the result at a
+    smaller scale)."""
     r = len(c)
     e = [max(d, 0) for d in demand]
     if warm is not None:
         e = [max(a, b) for a, b in zip(e, warm)]
     prox_to = c._proximate
     diag = [1 + len(p) for p in prox_to]
+    w = _total_from_strict(c, e)
     for _ in range(100_000):
-        w = _total_from_strict(c, e)
         clean = True
         for a in range(r):
             excess = w[a] - sum(w[b] for b in prox_to[a])
@@ -372,6 +336,9 @@ def _complete_strict(
                 clean = False
         if clean:
             return e
+        assert w == _total_from_strict(c, e), (
+            "unloading bumps must add whole strict transforms"
+        )
     raise UnloadingError("completion did not stabilize")
 
 

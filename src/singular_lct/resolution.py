@@ -67,10 +67,13 @@ def _to_sympy(f: BivariatePolynomial):
 
 
 def _require_reduced(f: BivariatePolynomial):
+    """Reject a repeated factor through the origin.  g = gcd(f, f_x, f_y) is
+    the product of the repeated factors (each to one power less), so the
+    germ is reduced exactly when g is a unit there, i.e. g(0, 0) != 0."""
     p = _to_sympy(f)
-    g = sympy.gcd(sympy.gcd(p, p.diff(_X)), p.diff(_Y))
-    if sympy.Poly(g, _X, _Y).total_degree() > 0:
-        raise NonReducedError(f"repeated factor {g} in {f}")
+    g = sympy.Poly(sympy.gcd(sympy.gcd(p, p.diff(_X)), p.diff(_Y)), _X, _Y)
+    if g.total_degree() > 0 and g.eval({_X: 0, _Y: 0}) == 0:
+        raise NonReducedError(f"repeated factor {g.as_expr()} in {f}")
 
 
 def _tangent_roots(form: BivariatePolynomial) -> Tuple[List[Tuple[Fraction, int]], int]:

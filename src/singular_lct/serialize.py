@@ -30,8 +30,19 @@ def ideal_to_json(a: MonomialIdeal) -> List[List[int]]:
     return [[m, n] for m, n in a.generators]
 
 
+def _exponent_pairs(data, what: str):
+    """[[m, n], ...] as integer pairs; ValueError naming the first entry
+    that is not a pair of integers."""
+    if not _JSON_TYPES["an array"](data):
+        raise ValueError(f"{what} must be an array of [m, n] pairs")
+    for n, pair in enumerate(data, 1):
+        if not (_JSON_TYPES["an array of integers"](pair) and len(pair) == 2):
+            raise ValueError(f"{what} entry {n} must be a pair of integers: {pair!r}")
+    return tuple((m, n) for m, n in data)
+
+
 def ideal_from_json(data) -> MonomialIdeal:
-    return MonomialIdeal(tuple((int(m), int(n)) for m, n in data))
+    return MonomialIdeal(_exponent_pairs(data, "ideal"))
 
 
 def staircase_to_json(s: Staircase) -> List[List[int]]:
@@ -39,7 +50,7 @@ def staircase_to_json(s: Staircase) -> List[List[int]]:
 
 
 def staircase_from_json(data) -> Staircase:
-    return Staircase(tuple((int(m), int(n)) for m, n in data))
+    return Staircase(_exponent_pairs(data, "staircase"))
 
 
 def cluster_to_json(kl: WeightedCluster) -> dict:

@@ -9,17 +9,25 @@ recession orthant), with exact Fraction arithmetic throughout.
 iteration of `jumping_numbers_curve`: it tests every candidate (k+j)/e,
 comparing completions just below and at it, and asserts that the
 multiplier cluster never changes between candidates.
+
+`unload_by_unit_steps`, `dense_pi_inverse`, `dense_intersection_inverse`
+and `trimmed_by_fixed_point_loop` are the earlier step-by-step forms of
+`unload`, the two matrix inverses and `WeightedCluster.trimmed`.
 """
 
 from fractions import Fraction
 from math import ceil
 
 from singular_lct.cluster import (
+    EMPTY_CLUSTER,
     ClusterError,
+    UnloadingError,
+    WeightedCluster,
     _complete_strict,
     _strict_from_total,
     is_unloaded,
     log_discrepancies,
+    proximity_matrix,
 )
 
 
@@ -187,3 +195,88 @@ def curve_jumps_by_candidate_scan(kl, bound):
             jumps.append(xi)
         prev_e, prev_xi = at, xi
     return jumps
+
+
+def unload_by_unit_steps(kl, max_steps=100_000, choose=None):
+    """Run the unloading procedure to its fixed point.
+
+    Each step picks a point with negative branch coordinate, adds 1 to its
+    weight and subtracts 1 from the weight of every point proximate to it;
+    the associated divisor grows by one strict transform, which is asserted
+    at every step.  The default picks the smallest violated index; the
+    fixed point does not depend on this choice.
+    """
+    c = kl.cluster
+    w = list(kl.weights)
+    e = _strict_from_total(c, w)
+    prox_to = c._proximate
+    for _ in range(max_steps):
+        violated = [
+            a for a in range(len(c)) if w[a] - sum(w[b] for b in prox_to[a]) < 0
+        ]
+        if not violated:
+            return WeightedCluster(c, w)
+        a = violated[0] if choose is None else choose(violated)
+        w[a] += 1
+        for b in prox_to[a]:
+            w[b] -= 1
+        new_e = _strict_from_total(c, w)
+        diff = [x - y for x, y in zip(new_e, e)]
+        assert diff == [1 if i == a else 0 for i in range(len(c))], (
+            "unloading step must add exactly one strict transform"
+        )
+        e = new_e
+    raise UnloadingError(f"no fixed point after {max_steps} steps")
+
+
+def dense_pi_inverse(c):
+    """Inverse of the proximity matrix by back-substitution, column by
+    column."""
+    pi = proximity_matrix(c)
+    r = len(c)
+    inv = [[0] * r for _ in range(r)]
+    for j in range(r):
+        col = [0] * r
+        col[j] = 1
+        for i in range(j - 1, -1, -1):
+            s = sum(pi[i][k] * col[k] for k in range(i + 1, j + 1))
+            col[i] = -s
+        for i in range(r):
+            inv[i][j] = col[i]
+    return tuple(tuple(row) for row in inv)
+
+
+def dense_intersection_inverse(c):
+    """(Pi . Pi^t)^{-1} as the product Pi^{-t} . Pi^{-1}."""
+    inv = dense_pi_inverse(c)
+    r = len(c)
+    out = [[0] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(r):
+            out[i][j] = sum(inv[k][i] * inv[k][j] for k in range(r))
+    return tuple(tuple(row) for row in out)
+
+
+def trimmed_by_fixed_point_loop(kl):
+    """Drop zero-weight points that no remaining point is proximate to, one
+    at a time from the end, until nothing changes."""
+    keep = list(range(len(kl.cluster)))
+    weights = list(kl.weights)
+    changed = True
+    while changed:
+        changed = False
+        needed = set()
+        for i in keep:
+            for a in kl.cluster.targets[i]:
+                needed.add(a)
+        for i in reversed(keep):
+            if weights[i] == 0 and i not in needed:
+                keep.remove(i)
+                changed = True
+                break
+    if len(keep) == len(kl.cluster):
+        return kl
+    if not keep:
+        return WeightedCluster(EMPTY_CLUSTER, ())
+    sub = kl.cluster.restrict(keep)
+    return WeightedCluster(sub, tuple(weights[i] for i in keep))

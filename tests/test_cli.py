@@ -1,7 +1,10 @@
 import json
 
+import pytest
+
 from singular_lct import (
     BivariatePolynomial,
+    Cluster,
     MonomialIdeal,
     Staircase,
     WeightedCluster,
@@ -122,6 +125,17 @@ def test_cli_unload(tmp_path, capsys):
     assert data["branch"] == [0, 1, 0, 1, 0]
 
 
+def test_cli_unload_large_weights(tmp_path, capsys):
+    chain = WeightedCluster(Cluster((None, 0), ((), (0,))), (0, 10**6))
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(serialize.cluster_to_json(chain)))
+    code, out, _ = run_cli(capsys, "unload", "--file", str(path), "--json")
+    data = json.loads(out)
+    assert code == 0
+    assert data["cluster"]["weights"] == [500000, 500000]
+    assert data["branch"] == [0, 500000] and data["was_unloaded"] is False
+
+
 def test_cli_union_and_dot(tmp_path, capsys):
     paths = []
     for i, d in enumerate((t_pq(5, 7), t_pq(4, 7), t_pq(3, 4))):
@@ -218,3 +232,27 @@ def test_cli_malformed_json_point_without_parent_exit_2(tmp_path, capsys):
     path.write_text(json.dumps({"vertices": [vertex]}))
     code, _, err = run_cli(capsys, "union", str(path))
     assert code == 2 and "vertex 1" in err and "'weight'" in err
+
+
+def test_cli_ideal_json_is_type_checked(tmp_path, capsys):
+    path = tmp_path / "ideal.json"
+    bad = {
+        "null": "ideal must be an array",
+        "5": "ideal must be an array",
+        "[[2.7, 0], [0, 3]]": "entry 1",
+        '[[2, 0], [0, "3"]]': "entry 2",
+        "[[2, 0], [0, 3, 1]]": "entry 2",
+        "[[2, 0], [true, 3]]": "entry 2",
+    }
+    for text, message in bad.items():
+        path.write_text(text)
+        for argv in (["monomial-lct"], ["jumping", "--bound", "1"]):
+            code, out, err = run_cli(capsys, *argv, "--file", str(path))
+            assert code == 2 and message in err and out == "", (text, argv)
+    path.write_text("[[2, 0], [0, 3]]")
+    assert run_cli(capsys, "monomial-lct", "--file", str(path))[:2] == (0, "5/6\n")
+    code, out, _ = run_cli(capsys, "jumping", "--file", str(path), "--bound", "1")
+    assert code == 0 and out == "5/6\n"
+    for text, message in bad.items():
+        with pytest.raises(ValueError, match=message.replace("ideal", "staircase")):
+            serialize.staircase_from_json(json.loads(text))

@@ -33,7 +33,7 @@ from singular_lct import (
 )
 from singular_lct import serialize
 from singular_lct.cli import main
-from singular_lct.cluster import EMPTY_CLUSTER, pi_inverse
+from singular_lct.cluster import EMPTY_CLUSTER, intersection_inverse, pi_inverse
 from singular_lct.corpus import coprime_pairs, corpus_curves
 
 F = Fraction
@@ -114,6 +114,26 @@ def test_matrix_invariants_random():
                     a in c.targets[g] and b in c.targets[g] for g in range(r)
                 )
                 assert ppt[a][b] == (-1 if meets else 0)
+
+
+def corpus_clusters():
+    return [
+        resolve_curve(BivariatePolynomial.parse(expr))[0].cluster
+        for _, expr in corpus_curves(12)
+    ]
+
+
+def test_inverses_match_dense_back_substitution():
+    rng = random.Random(55)
+    clusters = corpus_clusters() + [EMPTY_CLUSTER, Cluster((None,), ((),))]
+    clusters += [tree_to_cluster(t_pq(p, q).tree) for p, q in coprime_pairs(12)]
+    clusters += [random_cluster(rng, max_points=12) for _ in range(80)]
+    for c in clusters:
+        inv = oracles.dense_pi_inverse(c)
+        assert pi_inverse(c) == inv
+        assert intersection_inverse(c) == oracles.dense_intersection_inverse(c)
+        # k = (1, ..., 1) . Pi^{-1}: the column sums
+        assert log_discrepancies(c).entries == tuple(map(sum, zip(*inv)))
 
 
 # -- basis changes ------------------------------------------------------------------
@@ -211,16 +231,28 @@ def test_unload_t23_single_step():
 
 def test_unload_order_independent_random():
     rng = random.Random(21)
-    for _ in range(200):
-        c = random_cluster(rng)
-        weights = tuple(rng.randint(0, 6) for _ in range(len(c)))
+    clusters = [random_cluster(rng) for _ in range(400)] + corpus_clusters()
+    for c in clusters:
+        weights = tuple(rng.randint(-6, 9) for _ in range(len(c)))
         kl = WeightedCluster(c, weights)
         reference = unload(kl)
         chooser = lambda violated: rng.choice(violated)
-        assert unload(kl, choose=chooser).weights == reference.weights
+        assert oracles.unload_by_unit_steps(kl, choose=chooser) == reference
+        assert oracles.unload_by_unit_steps(kl) == reference
         assert is_unloaded(reference)
         assert all(w >= 0 for w in reference.weights)
         assert unload(reference).weights == reference.weights
+
+
+def test_unload_large_weights():
+    chain = Cluster((None, 0), ((), (0,)))
+    assert unload(WeightedCluster(chain, (0, 10**6))).weights == (500000, 500000)
+    assert unload(WeightedCluster(chain, (-(10**6), 0))).weights == (0, 0)
+    for n in (1, 7, 600):
+        kl = WeightedCluster(cusp57_cluster(), (0, 0, 0, 0, n))
+        assert unload(kl) == oracles.unload_by_unit_steps(kl)
+    out = unload(WeightedCluster(cusp57_cluster(), (0, 0, 0, 0, 10**9)))
+    assert is_unloaded(out) and unload(out) == out
 
 
 # -- lct ----------------------------------------------------------------------------
@@ -328,6 +360,22 @@ def test_multiplier_cluster_resolution_independent():
                 assert a.cluster == b.cluster
 
 
+def test_trimmed_matches_fixed_point_loop():
+    rng = random.Random(61)
+    cases = []
+    for _ in range(300):
+        c = random_cluster(rng, max_points=12)
+        weights = [rng.choice((0, 0, 0, 1, 2)) for _ in range(len(c))]
+        cases.append(WeightedCluster(c, weights))
+    for _, expr in corpus_curves(12):
+        kl = resolve_curve(BivariatePolynomial.parse(expr))[0]
+        if kl.weights:
+            cases += [multiplier_cluster(kl, F(j, 7)) for j in range(1, 7)]
+    for kl in cases:
+        assert kl.trimmed() == oracles.trimmed_by_fixed_point_loop(kl)
+    assert any(0 < len(kl.trimmed().weights) < len(kl.weights) for kl in cases)
+
+
 # -- curve jumping numbers -----------------------------------------------------------
 
 
@@ -414,11 +462,7 @@ def sub_clusters(c: Cluster):
 
 def test_cached_adjacency_matches_scans():
     rng = random.Random(47)
-    clusters = [
-        resolve_curve(BivariatePolynomial.parse(expr))[0].cluster
-        for _, expr in corpus_curves(12)
-    ]
-    clusters += [random_cluster(rng) for _ in range(40)]
+    clusters = corpus_clusters() + [random_cluster(rng) for _ in range(40)]
     seen = 0
     for cluster in clusters:
         for c in sub_clusters(cluster):

@@ -8,6 +8,7 @@ from singular_lct import (
     NonRationalTangentError,
     NonReducedError,
     ResolutionError,
+    check_main_theorem,
     connected_sum,
     is_unloaded,
     jumping_numbers_curve,
@@ -18,6 +19,7 @@ from singular_lct import (
     resolve_curve,
     t_pq,
 )
+from singular_lct.cli import main
 from singular_lct.cluster import _strict_from_total
 from singular_lct.corpus import coprime_pairs, corpus_curves
 
@@ -86,9 +88,22 @@ def test_exceptional_multiplicities_consistent():
 
 
 def test_non_reduced_rejected():
-    for expr in ("(x + y)^2", "x^2*y", "(y^2 - x^3)^2"):
+    for expr in ("(x + y)^2", "x^2*y", "(y^2 - x^3)^2", "(x^2-y^3)*(y-x^2)^2"):
         with pytest.raises(NonReducedError):
             resolve_curve(P(expr))
+
+
+def test_repeated_factor_off_the_origin_is_reduced_at_the_germ(capsys):
+    # the repeated factor is a unit at the origin: the germ is a reduced cusp
+    for expr in ("(x^2-y^3)*(x-1)^2", "(x^2-y^3)*(1+x+y)^3"):
+        kl, d = resolve_curve(P(expr))
+        assert lct_cluster(kl)[0] == F(5, 6)
+        report = check_main_theorem(d)
+        assert report.equal and report.lct_direct == F(5, 6)
+        assert main(["lct", "--curve", expr]) == 0
+        assert capsys.readouterr().out.strip() == "5/6"
+        assert main(["check-theorem", "--curve", expr]) == 0
+        assert "lct (term ideals) = 5/6" in capsys.readouterr().out
 
 
 def test_curve_missing_origin_rejected():

@@ -166,7 +166,10 @@ class WeightedCluster:
     weights: Tuple[int, ...]
 
     def __init__(self, cluster: Cluster, weights):
-        weights = tuple(int(w) for w in weights)
+        weights = tuple(weights)
+        for i, w in enumerate(weights):
+            if type(w) is not int:
+                raise ClusterError(f"weight {i} must be an integer, not {w!r}")
         if len(weights) != len(cluster):
             raise ClusterError("weight vector length does not match the cluster")
         object.__setattr__(self, "cluster", cluster)

@@ -6,15 +6,23 @@ Everything here is immutable by convention and all arithmetic is exact.
 
 The text grammar accepts integer or rational coefficients, the variables
 x and y, the operators + - * ^, parentheses, and implicit multiplication
-("x^5y" means x^5 * y).
+("x^5y" means x^5 * y).  Powers are bounded before they are expanded: an
+exponent is at most MAX_EXPONENT, and a power of a sum of two or more
+terms has degree at most MAX_POWER_DEGREE (its expansion grows like the
+square of the degree and costs about its fourth power); a larger one is a
+ParseError at the exponent.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Tuple
+from math import gcd, isqrt, lcm
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 Term = Tuple[int, int]
+
+MAX_EXPONENT = 1000
+MAX_POWER_DEGREE = 40
 
 
 class PolynomialError(ValueError):
@@ -184,6 +192,12 @@ class BivariatePolynomial:
                 power *= c
         return BivariatePolynomial(data)
 
+    def derivative(self, var: str) -> "BivariatePolynomial":
+        """Partial derivative with respect to "x" or "y"."""
+        if var == "x":
+            return BivariatePolynomial({(m - 1, n): m * c for (m, n), c in self._terms.items() if m})
+        return BivariatePolynomial({(m, n - 1): n * c for (m, n), c in self._terms.items() if n})
+
     def swap_xy(self) -> "BivariatePolynomial":
         return BivariatePolynomial({(n, m): c for (m, n), c in self._terms.items()})
 
@@ -287,7 +301,17 @@ class _Parser:
         base = self._base()
         if self._peek() == "^":
             self.pos += 1
+            self._skip_ws()
+            at = self.pos
             exp = self._integer("exponent expected")
+            if exp > MAX_EXPONENT:
+                raise ParseError(f"exponent exceeds {MAX_EXPONENT}", self.text, at)
+            if len(base._terms) > 1 and base.degree() * exp > MAX_POWER_DEGREE:
+                raise ParseError(
+                    f"power of degree {base.degree() * exp} exceeds {MAX_POWER_DEGREE}",
+                    self.text,
+                    at,
+                )
             return base**exp
         return base
 
@@ -325,8 +349,331 @@ class _Parser:
             self.pos += 1
         if start == self.pos:
             raise ParseError(message, self.text, self.pos)
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # past the interpreter's limit on digits
+            raise ParseError("number too long", self.text, start) from None
 
 
 def parse_polynomial(text: str) -> BivariatePolynomial:
     return BivariatePolynomial.parse(text)
+
+
+# -- exact gcd and rational roots over the integers ---------------------------
+#
+# A dense polynomial of level u >= 0 is a list of level u-1 coefficients,
+# lowest degree first and without a trailing zero; level -1 is the integers.
+# Level 0 is Z[t]; level 1 is Z[y][x], one row in y per degree in x.
+
+_HEU_GCD_ATTEMPTS = 6  # evaluation points tried before the PRS fallback
+
+
+def _trim(f: list) -> list:
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def _lead(f, u: int) -> int:
+    """The integer leading coefficient (main variable first)."""
+    return f if u < 0 else _lead(f[-1], u - 1)
+
+
+def _norm(f, u: int) -> int:
+    if u <= 0:
+        return abs(f) if u < 0 else max(map(abs, f), default=0)
+    return max((_norm(a, u - 1) for a in f), default=0)
+
+
+def _icontent(f, u: int) -> int:
+    if u < 0:
+        return abs(f)
+    return gcd(*f) if u == 0 else gcd(*(_icontent(a, u - 1) for a in f))
+
+
+def _imul(f, c: int, u: int):
+    if u < 0:
+        return f * c
+    if not c:
+        return []
+    return [a * c for a in f] if u == 0 else [_imul(a, c, u - 1) for a in f]
+
+
+def _iquo(f, c: int, u: int):
+    """Exact division of every integer coefficient by c."""
+    if u < 0:
+        return f // c
+    return [a // c for a in f] if u == 0 else [_iquo(a, c, u - 1) for a in f]
+
+
+def _add(f, g, u: int):
+    if u < 0:
+        return f + g
+    if len(f) < len(g):
+        f, g = g, f
+    if u == 0:
+        return _trim([a + b for a, b in zip(f, g)] + f[len(g) :])
+    return _trim([_add(a, b, u - 1) for a, b in zip(f, g)] + f[len(g) :])
+
+
+def _sub(f, g, u: int):
+    return _add(f, _imul(g, -1, u), u)
+
+
+def _mul(f, g, u: int):
+    if u < 0:
+        return f * g
+    if not f or not g:
+        return []
+    out = [0 if u == 0 else []] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if not a:
+            continue
+        for j, b in enumerate(g):
+            if u == 0:
+                out[i + j] += a * b
+            elif b:
+                out[i + j] = _add(out[i + j], _mul(a, b, u - 1), u - 1)
+    return _trim(out)
+
+
+def _quo(f, g, u: int):
+    """The exact quotient f / g, or None when g does not divide f."""
+    if u < 0:
+        q, r = divmod(f, g)
+        return None if r else q
+    if len(g) == 1:
+        q = [_quo(a, g[0], u - 1) for a in f]
+        return None if None in q else q
+    r, dg, lc = list(f), len(g) - 1, g[-1]
+    q = [0 if u == 0 else []] * max(len(f) - dg, 0)
+    for k in range(len(f) - 1 - dg, -1, -1):
+        if not r[k + dg]:
+            continue
+        c = _quo(r[k + dg], lc, u - 1)
+        if c is None:
+            return None
+        q[k] = c
+        for j, b in enumerate(g):
+            r[k + j] = _sub(r[k + j], _mul(c, b, u - 1), u - 1)
+    return None if any(r[:dg]) else _trim(q)
+
+
+def _prem(f, g, u: int):
+    """Pseudo-remainder: lc(g)^(deg f - deg g + 1) f modulo g."""
+    r, dg, lc = list(f), len(g) - 1, g[-1]
+    for k in range(len(f) - 1 - dg, -1, -1):
+        top = r[k + dg] if k + dg < len(r) else None
+        r = [_mul(a, lc, u - 1) for a in r]
+        if top:
+            for j, b in enumerate(g):
+                r[k + j] = _sub(r[k + j], _mul(top, b, u - 1), u - 1)
+        _trim(r)
+    return r
+
+
+def _diff(f: list) -> list:
+    return [i * a for i, a in enumerate(f)][1:]
+
+
+def _eval(f, xi: int, u: int):
+    """f at main variable = xi, a polynomial of level u - 1."""
+    acc = 0 if u == 0 else []
+    for a in reversed(f):
+        acc = _add(_imul(acc, xi, u - 1), a, u - 1)
+    return acc
+
+
+def _symmetric(h, xi: int, u: int):
+    """Every integer coefficient of h reduced into (-xi/2, xi/2]."""
+    if u < 0:
+        r = h % xi
+        return r - xi if 2 * r > xi else r
+    return _trim([_symmetric(a, xi, u - 1) for a in h])
+
+
+def _interpolate(h, xi: int, u: int):
+    """The level-u polynomial whose symmetric base-xi digits give h."""
+    out = []
+    while h:
+        d = _symmetric(h, xi, u - 1)
+        out.append(d)
+        h = _iquo(_sub(h, d, u - 1), xi, u - 1)
+    return _trim(out)
+
+
+def _normal(f, u: int):
+    return _imul(f, -1, u) if f and _lead(f, u) < 0 else f
+
+
+def _gcd(f, g, u: int):
+    """gcd in Z[...] with a positive integer leading coefficient."""
+    if u < 0:
+        return gcd(f, g)
+    if not f or not g:
+        return _normal(f or g, u)
+    cf, cg = _icontent(f, u), _icontent(g, u)
+    f, g = _iquo(f, cf, u), _iquo(g, cg, u)
+    h = _heu_gcd(f, g, u)
+    if h is None:
+        h = _prs_gcd(f, g, u)
+    return _imul(h, gcd(cf, cg), u)
+
+
+def _heu_gcd(f, g, u: int):
+    """Heuristic gcd of Char, Geddes and Gonnet (J. Symbolic Comput. 1989)
+    for primitive f, g: evaluate the main variable at xi, take the gcd one
+    level down, rebuild from symmetric base-xi digits.  With
+    xi > 2 min(|f|, |g|) + 1, a primitive part that divides both is the gcd;
+    None after the last attempt."""
+    xi = 2 * min(_norm(f, u), _norm(g, u)) + 29
+    for _ in range(_HEU_GCD_ATTEMPTS):
+        ff, gg = _eval(f, xi, u), _eval(g, xi, u)
+        if ff and gg:
+            h = _interpolate(_gcd(ff, gg, u - 1), xi, u)
+            h = _normal(_iquo(h, _icontent(h, u), u), u)
+            if _quo(f, h, u) is not None and _quo(g, h, u) is not None:
+                return h
+        xi = xi * 73794 * isqrt(isqrt(xi)) // 27011
+    return None
+
+
+def _prs_gcd(f, g, u: int):
+    """gcd of primitive f, g by the primitive polynomial remainder sequence
+    over the coefficient ring Z[...] of level u - 1."""
+
+    def content(p):
+        c = p[0]
+        for a in p[1:]:
+            c = _gcd(c, a, u - 1)
+        return c
+
+    def primitive(p):
+        c = content(p)
+        return [_quo(a, c, u - 1) for a in p]
+
+    c = _gcd(content(f), content(g), u - 1)
+    f, g = primitive(f), primitive(g)
+    if len(f) < len(g):
+        f, g = g, f
+    while g:
+        r = _prem(f, g, u)
+        f, g = g, (primitive(r) if r else r)
+    return _normal([_mul(a, c, u - 1) for a in primitive(f)], u)
+
+
+def _dense(f: BivariatePolynomial) -> list:
+    """f times the least common denominator, as a level-1 polynomial."""
+    if not f:
+        return []
+    den = lcm(*(c.denominator for c in f._terms.values()))
+    rows = [[0] * (1 + max(n for _, n in f._terms)) for _ in range(1 + max(m for m, _ in f._terms))]
+    for (m, n), c in f._terms.items():
+        rows[m][n] = c.numerator * (den // c.denominator)
+    return _trim([_trim(row) for row in rows])
+
+
+def polynomial_gcd(*polys: BivariatePolynomial) -> BivariatePolynomial:
+    """gcd over Q, scaled to integer coefficients with content 1 and a
+    positive leading coefficient (highest power of x, then of y).  The gcd
+    of zero polynomials is 0."""
+    h: list = []
+    for f in polys:
+        h = _gcd(h, _dense(f), 1)
+    h = _iquo(h, _icontent(h, 1), 1) if h else h
+    return BivariatePolynomial(
+        {(m, n): Fraction(c) for m, row in enumerate(h) for n, c in enumerate(row) if c}
+    )
+
+
+def _squarefree_parts(f: list) -> list:
+    """Yun's squarefree decomposition (SYMSAC 1976) of a primitive f in
+    Z[t]: the primitive squarefree a_1, ..., a_k with f = ±a_1 a_2^2 ... a_k^k."""
+    df = _diff(f)
+    a = _gcd(f, df, 0)
+    b, c = _quo(f, a, 0), _quo(df, a, 0)
+    d = _sub(c, _diff(b), 0)
+    parts = []
+    while len(b) > 1:
+        a = _gcd(b, d, 0)
+        parts.append(a)
+        b, c = _quo(b, a, 0), _quo(d, a, 0)
+        d = _sub(c, _diff(b), 0)
+    return parts
+
+
+def _sign_at(p: list, x: Fraction) -> int:
+    """Sign of p(x), by Horner on p(x) den^deg in integers."""
+    num, den = x.numerator, x.denominator
+    v, w = 0, 1
+    for c in reversed(p):
+        v = v * num + c * w
+        w *= den
+    return (v > 0) - (v < 0)
+
+
+def _sturm_rational_roots(p: list) -> List[Fraction]:
+    """The rational roots of a squarefree p in Z[t].  A Sturm sequence
+    isolates the real roots on the grid (2j+1)/(4a^2), a = |lc(p)|; no grid
+    point is a root, as its denominator carries more 2s than a does.  Each
+    rational root u/v has v | a, and two such fractions lie 1/a^2 apart, so
+    the only candidate in a cell of width 1/(2a^2) is its midpoint's best
+    approximation with denominator <= a; it counts if it lies in the cell
+    and is a root by exact evaluation."""
+    if len(p) == 2:
+        return [Fraction(-p[0], p[1])]
+    seq = [p, _diff(p)]
+    while len(seq[-1]) > 1:
+        a, b = seq[-2], seq[-1]
+        # -rem(a, b) times a positive number; prem multiplies by lc(b)^(d+1)
+        r = _prem(a, b, 0)
+        if b[-1] > 0 or (len(a) - len(b)) % 2:
+            r = _imul(r, -1, 0)
+        seq.append(_iquo(r, _icontent(r, 0), 0))
+    a = abs(p[-1])
+    grid = 4 * a * a
+    bound = 2 + max(abs(c) for c in p) // a  # every real root lies in (-bound, bound)
+    variations = {}
+
+    def sign_changes(j: int) -> int:
+        if j not in variations:
+            x = Fraction(2 * j + 1, grid)
+            signs = [s for s in (_sign_at(q, x) for q in seq) if s]
+            variations[j] = sum(s != t for s, t in zip(signs, signs[1:]))
+        return variations[j]
+
+    roots: List[Fraction] = []
+    stack = [(-bound * grid // 2 - 1, bound * grid // 2)]
+    while stack:
+        lo, hi = stack.pop()
+        if sign_changes(lo) == sign_changes(hi):
+            continue
+        if hi - lo == 1:
+            x = Fraction(2 * lo + 2, grid).limit_denominator(a)
+            if 2 * lo + 1 < x * grid < 2 * lo + 3 and _sign_at(p, x) == 0:
+                roots.append(x)
+            continue
+        mid = (lo + hi) // 2
+        stack += [(lo, mid), (mid, hi)]
+    return sorted(roots)
+
+
+def rational_roots(coeffs: Sequence):
+    """Rational roots of the nonzero polynomial sum coeffs[i] t^i (rational
+    coefficients), with their multiplicities, in increasing order; and the
+    squarefree parts left without rational roots, as pairs (primitive
+    integer coefficient list, multiplicity)."""
+    den = lcm(*(Fraction(c).denominator for c in coeffs))
+    f = _trim([int(c * den) for c in coeffs])
+    f = _iquo(f, _icontent(f, 0), 0)
+    roots: List[Tuple[Fraction, int]] = []
+    rest: List[Tuple[list, int]] = []
+    for mult, part in enumerate(_squarefree_parts(f), 1):
+        if len(part) < 2:
+            continue
+        for x in _sturm_rational_roots(part):
+            roots.append((x, mult))
+            part = _quo(part, [-x.numerator, x.denominator], 0)
+        if len(part) > 1:
+            rest.append((part, mult))
+    return sorted(roots), rest

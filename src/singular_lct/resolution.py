@@ -2,11 +2,12 @@
 by iterated point blowups, over the rationals.
 
 Each blowup is followed in the two affine charts (x, y) -> (x, x y) and
-(x, y) -> (x y, y); rational tangent directions are found by factoring the
-tangent cone over Q and the chart is recentered there.  The recursion stops
-at a point once the strict transform is smooth and meets the exceptional
-locus transversally at a smooth point of it; a point lying on two
-exceptional components, or tangent to one, gets one more blowup, which
+(x, y) -> (x y, y); the rational tangent directions are the rational roots
+of the tangent cone, found by Yun's squarefree split and Sturm isolation
+(`poly.rational_roots`), and the chart is recentered there.  The recursion
+stops at a point once the strict transform is smooth and meets the
+exceptional locus transversally at a smooth point of it; a point lying on
+two exceptional components, or tangent to one, gets one more blowup, which
 yields the minimal log resolution.
 
 Branches whose tangent direction is irrational are only tolerated while
@@ -21,13 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-import sympy
-
 from .cluster import Cluster, WeightedCluster, _strict_from_total, is_unloaded
 from .enriques import EnriquesDiagram, cluster_to_tree
-from .poly import BivariatePolynomial
-
-_X, _Y, _T = sympy.symbols("x y t")
+from .poly import BivariatePolynomial, polynomial_gcd, rational_roots
 
 
 class ResolutionError(ValueError):
@@ -35,13 +32,21 @@ class ResolutionError(ValueError):
 
 
 class NonReducedError(ResolutionError):
-    """The curve has a repeated factor; its resolution never terminates."""
+    """The curve has a repeated factor through the origin; its resolution
+    never terminates.  `factor` is the repeated part gcd(f, f_x, f_y)."""
+
+    def __init__(self, factor: BivariatePolynomial, curve: BivariatePolynomial):
+        self.factor = factor
+        self.curve = curve
+        super().__init__(f"repeated factor {factor} in {curve}")
 
 
 class NonRationalTangentError(ResolutionError):
-    """The resolution needs a blowup at a point with irrational coordinates."""
+    """The resolution needs a blowup at a point with irrational coordinates.
+    `factor` is the binary form, a factor of the tangent cone `form`, whose
+    squarefree part of multiplicity >= 2 has no rational root."""
 
-    def __init__(self, form: BivariatePolynomial, factor):
+    def __init__(self, form: BivariatePolynomial, factor: BivariatePolynomial):
         self.form = form
         self.factor = factor
         super().__init__(
@@ -57,23 +62,13 @@ def multiplicity(f: BivariatePolynomial) -> int:
     return f.multiplicity()
 
 
-def _to_sympy(f: BivariatePolynomial):
-    return sympy.Poly.from_dict(
-        {t: sympy.Rational(c.numerator, c.denominator) for t, c in f.terms.items()},
-        _X,
-        _Y,
-        domain="QQ",
-    )
-
-
 def _require_reduced(f: BivariatePolynomial):
     """Reject a repeated factor through the origin.  g = gcd(f, f_x, f_y) is
     the product of the repeated factors (each to one power less), so the
     germ is reduced exactly when g is a unit there, i.e. g(0, 0) != 0."""
-    p = _to_sympy(f)
-    g = sympy.Poly(sympy.gcd(sympy.gcd(p, p.diff(_X)), p.diff(_Y)), _X, _Y)
-    if g.total_degree() > 0 and g.eval({_X: 0, _Y: 0}) == 0:
-        raise NonReducedError(f"repeated factor {g.as_expr()} in {f}")
+    g = polynomial_gcd(f, f.derivative("x"), f.derivative("y"))
+    if g.degree() > 0 and not g.coefficient(0, 0):
+        raise NonReducedError(g, f)
 
 
 def _tangent_roots(form: BivariatePolynomial) -> Tuple[List[Tuple[Fraction, int]], int]:
@@ -81,23 +76,22 @@ def _tangent_roots(form: BivariatePolynomial) -> Tuple[List[Tuple[Fraction, int]
     F, plus the multiplicity of the direction x = 0 (the t = infinity root).
     A repeated irrational factor aborts: it would force blowups at
     irrational points."""
-    inf_mult = min(m for m, _ in form.support())
-    coeffs: Dict[int, sympy.Rational] = {}
-    for (m, n), c in form.terms.items():
-        coeffs[n] = sympy.Rational(c.numerator, c.denominator)
-    phi = sympy.Poly([coeffs.get(j, 0) for j in range(max(coeffs), -1, -1)], _T, domain="QQ")
-    roots: List[Tuple[Fraction, int]] = []
-    _, factors = phi.factor_list()
-    for fac, exp in factors:
-        if fac.degree() == 1:
-            c1, c0 = fac.all_coeffs()
-            root = sympy.Rational(-c0, c1)
-            roots.append((Fraction(int(root.p), int(root.q)), exp))
-        elif exp >= 2:
-            raise NonRationalTangentError(form, fac.as_expr())
+    support = form.support()
+    inf_mult = min(m for m, _ in support)
+    zero_mult = min(n for _, n in support)  # F(1, t) = t^zero_mult phi(t)
+    roots = [(Fraction(0), zero_mult)] if zero_mult else []
+    if len(support) == 1:
+        return roots, inf_mult
+    d = form.degree()
+    phi = [form.coefficient(d - n, n) for n in range(zero_mult, d - inf_mult + 1)]
+    found, irrational = rational_roots(phi)
+    for part, mult in irrational:
+        if mult >= 2:
+            k = len(part) - 1
+            factor = BivariatePolynomial({(k - j, j): a for j, a in enumerate(part) if a})
+            raise NonRationalTangentError(form, factor)
         # simple irrational factors: smooth transverse branches, no blowup
-    roots.sort()
-    return roots, inf_mult
+    return sorted(roots + found), inf_mult
 
 
 @dataclass

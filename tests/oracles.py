@@ -13,10 +13,15 @@ multiplier cluster never changes between candidates.
 `unload_by_unit_steps`, `dense_pi_inverse`, `dense_intersection_inverse`
 and `trimmed_by_fixed_point_loop` are the earlier step-by-step forms of
 `unload`, the two matrix inverses and `WeightedCluster.trimmed`.
+
+`require_reduced_by_sympy` and `tangent_roots_by_sympy` are the earlier
+sympy forms of the reducedness check and of the tangent-cone roots of
+`resolution`; sympy is imported inside them, so only the tests need it.
 """
 
 from fractions import Fraction
 from math import ceil
+from typing import Dict, List, Tuple
 
 from singular_lct.cluster import (
     EMPTY_CLUSTER,
@@ -29,6 +34,8 @@ from singular_lct.cluster import (
     log_discrepancies,
     proximity_matrix,
 )
+from singular_lct.poly import BivariatePolynomial
+from singular_lct.resolution import NonRationalTangentError, NonReducedError
 
 
 def _feasible(gens, point, strict):
@@ -280,3 +287,69 @@ def trimmed_by_fixed_point_loop(kl):
         return WeightedCluster(EMPTY_CLUSTER, ())
     sub = kl.cluster.restrict(keep)
     return WeightedCluster(sub, tuple(weights[i] for i in keep))
+
+
+def _to_sympy(f: BivariatePolynomial):
+    import sympy
+
+    _X, _Y = sympy.symbols("x y")
+    return sympy.Poly.from_dict(
+        {t: sympy.Rational(c.numerator, c.denominator) for t, c in f.terms.items()},
+        _X,
+        _Y,
+        domain="QQ",
+    )
+
+
+def from_sympy(g) -> BivariatePolynomial:
+    return BivariatePolynomial(
+        {t: Fraction(int(c.p), int(c.q)) for t, c in g.as_dict().items()}
+    )
+
+
+def reducedness_gcd_by_sympy(f: BivariatePolynomial):
+    """gcd(f, f_x, f_y) over Q as a sympy Poly in x, y (monic in lex order)."""
+    import sympy
+
+    _X, _Y = sympy.symbols("x y")
+    p = _to_sympy(f)
+    return sympy.Poly(sympy.gcd(sympy.gcd(p, p.diff(_X)), p.diff(_Y)), _X, _Y)
+
+
+def require_reduced_by_sympy(f: BivariatePolynomial):
+    """Reject a repeated factor through the origin.  g = gcd(f, f_x, f_y) is
+    the product of the repeated factors (each to one power less), so the
+    germ is reduced exactly when g is a unit there, i.e. g(0, 0) != 0."""
+    import sympy
+
+    _X, _Y = sympy.symbols("x y")
+    g = reducedness_gcd_by_sympy(f)
+    if g.total_degree() > 0 and g.eval({_X: 0, _Y: 0}) == 0:
+        raise NonReducedError(from_sympy(g), f)
+
+
+def tangent_roots_by_sympy(form: BivariatePolynomial) -> Tuple[List[Tuple[Fraction, int]], int]:
+    """Rational roots (with multiplicity) of F(1, t) for a homogeneous form
+    F, plus the multiplicity of the direction x = 0 (the t = infinity root).
+    A repeated irrational factor aborts: it would force blowups at
+    irrational points."""
+    import sympy
+
+    _T = sympy.symbols("t")
+    inf_mult = min(m for m, _ in form.support())
+    coeffs: Dict[int, sympy.Rational] = {}
+    for (m, n), c in form.terms.items():
+        coeffs[n] = sympy.Rational(c.numerator, c.denominator)
+    phi = sympy.Poly([coeffs.get(j, 0) for j in range(max(coeffs), -1, -1)], _T, domain="QQ")
+    roots: List[Tuple[Fraction, int]] = []
+    _, factors = phi.factor_list()
+    for fac, exp in factors:
+        if fac.degree() == 1:
+            c1, c0 = fac.all_coeffs()
+            root = sympy.Rational(-c0, c1)
+            roots.append((Fraction(int(root.p), int(root.q)), exp))
+        elif exp >= 2:
+            raise NonRationalTangentError(form, fac.as_expr())
+        # simple irrational factors: smooth transverse branches, no blowup
+    roots.sort()
+    return roots, inf_mult

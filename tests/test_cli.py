@@ -256,3 +256,25 @@ def test_cli_ideal_json_is_type_checked(tmp_path, capsys):
     for text, message in bad.items():
         with pytest.raises(ValueError, match=message.replace("ideal", "staircase")):
             serialize.staircase_from_json(json.loads(text))
+
+
+def test_cli_runs_without_sympy():
+    # a cold CLI call loads no sympy: the library runs on the stdlib alone
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    script = (
+        "import sys\n"
+        "import singular_lct.cli as cli\n"
+        "code = cli.main(['lct', '--curve', 'x^2 - y^3'])\n"
+        "assert code == 0, code\n"
+        "assert 'sympy' not in sys.modules, 'sympy was imported'\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "5/6"

@@ -517,3 +517,14 @@ def test_cluster_tree_roundtrip_random():
     for _ in range(60):
         c = random_cluster(rng)
         assert tree_to_cluster(cluster_to_tree(c)) == c
+
+
+def test_weighted_cluster_accepts_only_integer_weights():
+    point = Cluster((None,), ((),))
+    for bad in (2.7, 2.0, "3", Fraction(3), True, None):
+        with pytest.raises(ClusterError, match="weight 0"):
+            WeightedCluster(point, (bad,))
+    with pytest.raises(ClusterError, match=r"weight 1 .*'1'"):
+        WeightedCluster(Cluster((None, 0), ((), (0,))), (2, "1"))
+    assert WeightedCluster(point, [3]).weights == (3,)
+    assert WeightedCluster(point, (-(10**30),)).weights == (-(10**30),)

@@ -76,3 +76,34 @@ def test_arithmetic():
     assert f * g == P("x^2 - y^2")
     assert (f + g) == P("2*x")
     assert f**3 == P("x^3 + 3*x^2*y + 3*x*y^2 + y^3")
+
+
+def test_powers_are_bounded_before_expanding():
+    from singular_lct.poly import MAX_EXPONENT, MAX_POWER_DEGREE
+
+    for text, pos in (
+        (f"x^{MAX_EXPONENT + 1}", 2),
+        (f"x - (y)^ {10**40}", 9),
+        (f"(x+y+1)^{MAX_POWER_DEGREE + 1}", 8),
+        ("x*(x^3 - y^2)^14", 14),
+        ("((x + y)^20)^3", 13),
+        ("x^" + "9" * 5000, 2),
+    ):
+        with pytest.raises(ParseError) as err:
+            P(text)
+        assert err.value.pos == pos, text
+    # at the limits, and any power of a single term
+    assert P(f"x^{MAX_EXPONENT}") == BivariatePolynomial.monomial(MAX_EXPONENT, 0)
+    assert P(f"(2*x*y)^{MAX_EXPONENT}").coefficient(MAX_EXPONENT, MAX_EXPONENT) == 2**MAX_EXPONENT
+    assert len(P(f"(x + y)^{MAX_POWER_DEGREE}").terms) == MAX_POWER_DEGREE + 1
+    assert P("(x^3 - y^2)^13") == P("x^3 - y^2") ** 13
+
+
+def test_every_shipped_input_parses_within_the_limits():
+    from singular_lct.corpus import coprime_pairs, corpus_curves
+
+    for _, text in corpus_curves(40):
+        P(text)
+    for p, q in coprime_pairs(37):
+        P(f"x^{p} - y^{q}")
+    P("(x + 2*y^2)^9 * (y^9 - (-2/3)*(x + 2*y^2)^8)")

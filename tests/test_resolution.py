@@ -147,3 +147,33 @@ def test_cusp_family_jumping_numbers_match_howald():
         curve = jumping_numbers_curve(kl, F(1))
         mono = jumping_numbers_monomial(MonomialIdeal(((p, 0), (0, q))), F(1))
         assert curve == [x for x in mono if x < 1]
+
+
+def test_errors_name_the_factor_in_the_polynomial_grammar(capsys):
+    from singular_lct import parse_polynomial
+
+    with pytest.raises(NonReducedError) as err:
+        resolve_curve(P("(x^2-y^3)*(y^2-2*x^2)^2"))
+    g = err.value.factor
+    assert isinstance(g, BivariatePolynomial)
+    assert g == P("2*x^2 - y^2")
+    message = str(err.value)
+    assert message.startswith(f"repeated factor {g} in ")
+    assert parse_polynomial(message[len("repeated factor ") :].split(" in ")[0]) == g
+    assert parse_polynomial(message.split(" in ", 1)[1]) == P("(x^2-y^3)*(y^2-2*x^2)^2")
+
+    with pytest.raises(NonRationalTangentError) as err:
+        resolve_curve(P("(y^2-2*x^2)^2 - x^5"))
+    factor = err.value.factor
+    assert isinstance(factor, BivariatePolynomial)
+    assert str(factor) == "y^2 - 2*x^2"
+    assert parse_polynomial(str(factor)) == factor
+    assert f"factor {factor} of the tangent cone {err.value.form}" in str(err.value)
+    assert parse_polynomial(str(err.value.form)) == P("(y^2-2*x^2)^2")
+
+    for expr, phrase in (
+        ("(x^2-y^3)*(y^2-2*x^2)^2", "repeated factor -y^2 + 2*x^2"),
+        ("(y^2-2*x^2)^2 - x^5", "factor y^2 - 2*x^2 of the tangent cone"),
+    ):
+        assert main(["lct", "--curve", expr]) == 2
+        assert phrase in capsys.readouterr().err

@@ -3,6 +3,8 @@ plane curve singularities and monomial ideals, through clusters of
 infinitely near points, Enriques diagrams, unloading, and Newton-polygon
 combinatorics."""
 
+from types import ModuleType as _ModuleType
+
 from .poly import BivariatePolynomial, ParseError, parse_polynomial
 from .newton import (
     MonomialIdeal,
@@ -76,4 +78,9 @@ from .engine import (
     nondegenerate_part,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names, without the submodules that the imports above bind
+__all__ = [
+    name
+    for name, value in sorted(globals().items())
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]

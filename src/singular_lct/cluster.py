@@ -118,10 +118,6 @@ class Cluster:
     def __len__(self) -> int:
         return len(self.parents)
 
-    @property
-    def size(self) -> int:
-        return len(self.parents)
-
     def proximate_to(self, alpha: int) -> List[int]:
         """Points proximate to P_alpha (they all come after it)."""
         return list(self._proximate[alpha])

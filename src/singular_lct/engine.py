@@ -24,8 +24,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .cluster import lct_cluster
-from .enriques import EnriquesDiagram, classify
-from .enriques import diagram_to_staircase
+from .enriques import EnriquesDiagram, _free_path, classify, diagram_to_staircase
 from .newton import Staircase, lct_monomial
 
 
@@ -86,15 +85,6 @@ class TheoremReport:
         return "\n".join(lines)
 
 
-def _free_path_vertices(d: EnriquesDiagram) -> List[bool]:
-    t = d.tree
-    out = [False] * len(t)
-    for v in range(len(t)):
-        p = t.parents[v]
-        out[v] = t.is_free(v) and (p is None or out[p])
-    return out
-
-
 def nondegenerate_part(d: EnriquesDiagram) -> EnriquesDiagram:
     """Maximal subdiagram whose free vertices all have all-free root paths:
     free vertices behind a satellite are cut, satellites are kept as long
@@ -102,7 +92,7 @@ def nondegenerate_part(d: EnriquesDiagram) -> EnriquesDiagram:
     if len(d) == 0:
         return d
     t = d.tree
-    free_path = _free_path_vertices(d)
+    free_path = _free_path(t)
     keep = [False] * len(t)
     for v in range(len(t)):
         p = t.parents[v]
@@ -118,23 +108,23 @@ def adapted_candidates(d: EnriquesDiagram) -> List[AdaptedCandidate]:
             AdaptedCandidate(None, d, Staircase.empty(), Fraction(1))
         ]
     t = d.tree
-    free_path = _free_path_vertices(d)
+    children = t.cluster._children
+    free_path = _free_path(t)
     endpoints = [
         v
-        for v in range(len(t))
-        if free_path[v] and not any(free_path[k] for k in t.children(v))
+        for v, kids in enumerate(children)
+        if free_path[v] and not any(free_path[k] for k in kids)
     ]
     out = []
     for rho in endpoints:
-        keep = set()
+        keep = []
         v: Optional[int] = rho
         while v is not None:
-            keep.add(v)
+            keep.append(v)
             v = t.parents[v]
-        for w in range(len(t)):
-            if w not in keep and t.is_satellite(w) and t.parents[w] in keep:
-                keep.add(w)
-        sub = d.restrict(sorted(keep))
+        for u in keep:  # grows: the satellites hanging off the kept points
+            keep.extend(k for k in children[u] if t.is_satellite(k))
+        sub = d.restrict(keep)
         assert classify(sub.tree).binary, "adapted subdiagram must be binary"
         stair = diagram_to_staircase(sub)
         out.append(
@@ -159,7 +149,7 @@ def _path_to_leaf_through(d: EnriquesDiagram, witness: int) -> List[List[int]]:
     paths = []
 
     def walk(path: List[int]):
-        kids = t.children(path[-1])
+        kids = t.cluster._children[path[-1]]
         if not kids:
             paths.append(list(path))
             return

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -62,6 +63,10 @@ class EnriquesTree:
     is the kind of the edge ending at vertex i (None for the root).
     x_side marks root children whose satellite-free slant chain lies on the
     x-axis of the monomial realization.
+
+    The proximity cluster the tree determines is the attribute `cluster`,
+    built on first use and not a field; every walk over the tree reads its
+    cached children.
     """
 
     parents: Tuple[Optional[int], ...]
@@ -99,14 +104,14 @@ class EnriquesTree:
                 )
         object.__setattr__(self, "parents", parents)
         object.__setattr__(self, "kinds", kinds)
-        object.__setattr__(self, "x_side", self._normalize_marks(parents, kinds, x_side))
+        object.__setattr__(self, "x_side", self._normalize_marks(x_side))
 
-    def _normalize_marks(self, parents, kinds, x_side) -> frozenset:
+    def _normalize_marks(self, x_side) -> frozenset:
         keep = set()
         for v in x_side:
-            if not (1 <= v < len(parents)) or parents[v] != 0:
+            if not (1 <= v < len(self.parents)) or self.parents[v] != 0:
                 raise EnriquesError(f"x_side mark {v} is not a root child")
-            flavor = _subtree_flavor(parents, kinds, v)
+            flavor = _subtree_flavor(self, v)
             if flavor is None:
                 keep.add(v)
             elif flavor == "V":
@@ -120,12 +125,24 @@ class EnriquesTree:
     def __len__(self) -> int:
         return len(self.parents)
 
-    @property
-    def size(self) -> int:
-        return len(self.parents)
+    @cached_property
+    def cluster(self) -> Cluster:
+        """Proximities read off the tree: parent always, plus the L-branch
+        target for satellites, i.e. the parent of the top of the maximal
+        run of same-kind edges ending at the point.  No satellite hangs off
+        the root, so that top is never the root."""
+        targets = [()] if self.parents else []
+        for v in range(1, len(self.parents)):
+            p, k = self.parents[v], self.kinds[v]
+            if k == SLANT:
+                targets.append((p,))
+            else:  # a run through p passes p's target on; else it starts at p
+                second = targets[p][0] if self.kinds[p] == k else self.parents[p]
+                targets.append((second, p))
+        return Cluster(self.parents, targets)
 
     def children(self, v: int) -> List[int]:
-        return [i for i in range(len(self.parents)) if self.parents[i] == v]
+        return list(self.cluster._children[v])
 
     def is_free(self, v: int) -> bool:
         return self.kinds[v] in (None, SLANT)
@@ -133,22 +150,8 @@ class EnriquesTree:
     def is_satellite(self, v: int) -> bool:
         return self.kinds[v] in (HORIZONTAL, VERTICAL)
 
-    def leaves(self) -> List[int]:
-        has_child = set(p for p in self.parents if p is not None)
-        return [v for v in range(len(self.parents)) if v not in has_child]
-
     def is_path(self) -> bool:
-        return all(len(self.children(v)) <= 1 for v in range(len(self.parents)))
-
-    def second_target(self, v: int) -> Optional[int]:
-        """The non-parent point a satellite is proximate to."""
-        k = self.kinds[v]
-        if k not in (HORIZONTAL, VERTICAL):
-            return None
-        cur = self.parents[v]
-        while self.kinds[cur] == k:
-            cur = self.parents[cur]
-        return self.parents[cur]
+        return all(len(kids) <= 1 for kids in self.cluster._children)
 
     def restrict(self, keep: Sequence[int]) -> "EnriquesTree":
         keep = sorted(keep)
@@ -167,18 +170,16 @@ class EnriquesTree:
     def mirrored(self) -> "EnriquesTree":
         """Swap the horizontal and vertical edge kinds (x <-> y)."""
         flip = {None: None, SLANT: SLANT, HORIZONTAL: VERTICAL, VERTICAL: HORIZONTAL}
+        roots = self.cluster._children[0] if self.parents else ()
         marks = frozenset(
-            v for v in range(1, len(self.parents))
-            if self.parents[v] == 0
-            and v not in self.x_side
-            and _subtree_flavor(self.parents, self.kinds, v) is None
+            v for v in roots if v not in self.x_side and _subtree_flavor(self, v) is None
         )
         return EnriquesTree(self.parents, tuple(flip[k] for k in self.kinds), marks)
 
     def _key(self, v: int, weights=None):
         mark = 1 if (self.parents[v] == 0 and v in self.x_side) else 0
         w = 0 if weights is None else weights[v]
-        kids = tuple(sorted(self._key(c, weights) for c in self.children(v)))
+        kids = tuple(sorted(self._key(c, weights) for c in self.cluster._children[v]))
         return (_KIND_RANK[self.kinds[v]], mark, w, kids)
 
     def __eq__(self, other) -> bool:
@@ -194,19 +195,26 @@ class EnriquesTree:
         return hash(self._key(0)) if len(self) else hash(())
 
 
-def _subtree_flavor(parents, kinds, child) -> Optional[str]:
+def _subtree_flavor(t: EnriquesTree, child: int) -> Optional[str]:
     """Which axis the free chain from a root child lies on, read off the
     first satellite hanging on it: 'V' (y-axis) for horizontal satellites,
     'H' (x-axis) for vertical ones, None for a bare chain."""
     stack = [child]
     while stack:
-        cur = stack.pop()
-        kids = [i for i in range(len(parents)) if parents[i] == cur]
-        sats = [i for i in kids if kinds[i] in (HORIZONTAL, VERTICAL)]
+        kids = t.cluster._children[stack.pop()]
+        sats = [i for i in kids if t.is_satellite(i)]
         if sats:
-            return "V" if kinds[sats[0]] == HORIZONTAL else "H"
-        stack.extend(i for i in kids if kinds[i] == SLANT)
+            return "V" if t.kinds[sats[0]] == HORIZONTAL else "H"
+        stack.extend(i for i in kids if t.kinds[i] == SLANT)
     return None
+
+
+def _free_path(t: EnriquesTree) -> List[bool]:
+    """Whether each vertex and all its ancestors are free points."""
+    out = [False] * len(t)
+    for v, p in enumerate(t.parents):
+        out[v] = t.is_free(v) and (p is None or out[p])
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,7 +225,10 @@ class EnriquesDiagram:
     weights: Tuple[int, ...]
 
     def __init__(self, tree: EnriquesTree, weights):
-        weights = tuple(int(w) for w in weights)
+        weights = tuple(weights)
+        for i, w in enumerate(weights):
+            if type(w) is not int:
+                raise EnriquesError(f"weight {i} must be an integer, not {w!r}")
         if len(weights) != len(tree):
             raise EnriquesError("weight vector length does not match the tree")
         if any(w < 0 for w in weights):
@@ -229,7 +240,7 @@ class EnriquesDiagram:
         return len(self.tree)
 
     def to_weighted_cluster(self) -> WeightedCluster:
-        return WeightedCluster(tree_to_cluster(self.tree), self.weights)
+        return WeightedCluster(self.tree.cluster, self.weights)
 
     def restrict(self, keep: Sequence[int]) -> "EnriquesDiagram":
         keep = sorted(keep)
@@ -254,21 +265,8 @@ class EnriquesDiagram:
 
 
 def tree_to_cluster(t: EnriquesTree) -> Cluster:
-    """Proximities read off the tree: parent always, plus the L-branch
-    target for satellites."""
-    targets = []
-    for v in range(len(t)):
-        if t.parents[v] is None:
-            targets.append(())
-            continue
-        if t.is_free(v):
-            targets.append((t.parents[v],))
-            continue
-        second = t.second_target(v)
-        if second is None:
-            raise EnriquesError(f"vertex {v}: satellite run reaches the root")
-        targets.append(tuple(sorted((t.parents[v], second))))
-    return Cluster(t.parents, targets)
+    """The proximity cluster of the tree, `t.cluster`."""
+    return t.cluster
 
 
 def cluster_to_tree(c: Cluster) -> EnriquesTree:
@@ -315,10 +313,8 @@ def classify(t: EnriquesTree) -> TreeClassification:
     n = len(t)
     free = tuple(t.is_free(v) for v in range(n))
     witnesses: Dict[str, int] = {}
-    free_path = [False] * n
-    for v in range(n):
-        p = t.parents[v]
-        free_path[v] = free[v] and (p is None or free_path[p])
+    free_path = _free_path(t)
+    children = t.cluster._children
     non_deg = True
     for v in range(n):
         if free[v] and not free_path[v]:
@@ -327,8 +323,7 @@ def classify(t: EnriquesTree) -> TreeClassification:
             break
     binary = non_deg
     if binary:
-        for v in range(n):
-            kids = t.children(v)
+        for v, kids in enumerate(children):
             if len(kids) > 2:
                 binary = False
                 witnesses["outdegree"] = v
@@ -340,7 +335,7 @@ def classify(t: EnriquesTree) -> TreeClassification:
     unibranch = t.is_path()
     if not unibranch:
         witnesses["branching_vertex"] = next(
-            v for v in range(n) if len(t.children(v)) > 1
+            v for v, kids in enumerate(children) if len(kids) > 1
         )
     return TreeClassification(free, non_deg, binary, unibranch, witnesses)
 
@@ -420,22 +415,16 @@ def t_pq(p: int, q: int, *, scale: int = 1, mirror: bool = False) -> EnriquesDia
     data = euclid_data(p, q)
     n = sum(data.a)
     kinds: List[Optional[str]] = [None]
-    weights: List[int] = []
-    block_of_edge = []
-    block_of_vertex = []
-    for j, aj in enumerate(data.a, start=1):
-        block_of_edge.extend([j] * aj)
-        block_of_vertex.extend([j] * aj)
+    block = [j for j, aj in enumerate(data.a, start=1) for _ in range(aj)]
     for i in range(1, n):
-        j = block_of_edge[i - 1]  # edge into vertex i is edge number i
+        j = block[i - 1]  # edge into vertex i is edge number i
         if j == 1:
             kinds.append(SLANT)
         elif j % 2 == 0:
             kinds.append(HORIZONTAL if not mirror else VERTICAL)
         else:
             kinds.append(VERTICAL if not mirror else HORIZONTAL)
-    for i in range(n):
-        weights.append(scale * data.r[block_of_vertex[i] - 1])
+    weights = [scale * data.r[j - 1] for j in block]
     parents = [None] + list(range(n - 1))
     tree = EnriquesTree(parents, kinds)
     if mirror and p == 1:
@@ -446,41 +435,51 @@ def t_pq(p: int, q: int, *, scale: int = 1, mirror: bool = False) -> EnriquesDia
 # -- union and connected sum -----------------------------------------------------
 
 
+# the parents, kinds, weights and x-side marks of a diagram being built
+_Parts = Tuple[List[Optional[int]], List[Optional[str]], List[int], set]
+
+
+def _copy_subtree(d: EnriquesDiagram, v: int, parent: int, out: _Parts) -> None:
+    """Append the subtree of d at v, in preorder, below vertex `parent`."""
+    parents, kinds, weights, marks = out
+    idx = len(parents)
+    parents.append(parent)
+    kinds.append(d.tree.kinds[v])
+    weights.append(d.weights[v])
+    if parent == 0 and v in d.tree.x_side:
+        marks.add(idx)
+    for k in d.tree.cluster._children[v]:
+        _copy_subtree(d, k, idx, out)
+
+
+def _assemble(out: _Parts) -> EnriquesDiagram:
+    parents, kinds, weights, marks = out
+    return EnriquesDiagram(EnriquesTree(parents, kinds, frozenset(marks)), weights)
+
+
 def union(d1: EnriquesDiagram, d2: EnriquesDiagram) -> EnriquesDiagram:
     """Union of two diagrams whose roots have degree <= 1: the maximal
     common subtrees are glued, weights adding on the shared part.  The
     merge is a greedy recursive match of children by edge kind, which is
     the unique maximal gluing because siblings carry distinct kinds."""
     for d in (d1, d2):
-        if len(d) and len(d.tree.children(0)) > 1:
+        if len(d) and len(d.tree.cluster._children[0]) > 1:
             raise EnriquesError("union needs roots of degree at most 1")
     if len(d1) == 0:
         return d2
     if len(d2) == 0:
         return d1
-    parents: List[Optional[int]] = []
-    kinds: List[Optional[str]] = []
-    weights: List[int] = []
-    marks = set()
+    out: _Parts = ([], [], [], set())
+    parents, kinds, weights, marks = out
 
     def kids_by_kind(d: EnriquesDiagram, v: int) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for k in d.tree.children(v):
+        by_kind: Dict[str, int] = {}
+        for k in d.tree.cluster._children[v]:
             kind = d.tree.kinds[k]
-            if kind in out:
+            if kind in by_kind:
                 raise EnriquesError("union input has equal-kind siblings")
-            out[kind] = k
-        return out
-
-    def copy(d: EnriquesDiagram, v: int, parent: Optional[int], kind):
-        idx = len(parents)
-        parents.append(parent)
-        kinds.append(kind)
-        weights.append(d.weights[v])
-        if parent == 0 and v in d.tree.x_side:
-            marks.add(idx)
-        for k in d.tree.children(v):
-            copy(d, k, idx, d.tree.kinds[k])
+            by_kind[kind] = k
+        return by_kind
 
     def merge(v1: int, v2: int, parent: Optional[int], kind):
         idx = len(parents)
@@ -494,12 +493,12 @@ def union(d1: EnriquesDiagram, d2: EnriquesDiagram) -> EnriquesDiagram:
             if kind_ in k1 and kind_ in k2:
                 merge(k1[kind_], k2[kind_], idx, kind_)
             elif kind_ in k1:
-                copy(d1, k1[kind_], idx, kind_)
+                _copy_subtree(d1, k1[kind_], idx, out)
             elif kind_ in k2:
-                copy(d2, k2[kind_], idx, kind_)
+                _copy_subtree(d2, k2[kind_], idx, out)
 
     merge(0, 0, None, None)
-    return EnriquesDiagram(EnriquesTree(parents, kinds, frozenset(marks)), weights)
+    return _assemble(out)
 
 
 def connected_sum(t1: EnriquesTree, t2: EnriquesTree) -> EnriquesTree:
@@ -605,7 +604,7 @@ def verify_main_inequality(t: EnriquesTree, p2: int, q2: int) -> MainInequalityR
             "the first factor has no proper L-shaped branch (no satellite)"
         )
     s = connected_sum(t, t_pq(p2, q2).tree)
-    c = tree_to_cluster(s)
+    c = s.cluster
     m = intersection_inverse(c)  # m[alpha][beta] = e_beta(B_alpha)
     k = log_discrepancies(c).entries
     r = len(t) - 1  # junction, 0-based
@@ -644,7 +643,21 @@ def diagram_to_staircase(d: EnriquesDiagram) -> Staircase:
     t, w = d.tree, d.weights
 
     def split(v: int, role: str) -> Tuple[Optional[int], Optional[int]]:
-        kids = t.children(v)
+        kids = t.cluster._children[v]
+        if v == 0:
+            # a root child lies on the x-axis if marked so, else on the axis
+            # its first satellite says; bare chains take the free axes, y first
+            axis = {k: "H" if k in t.x_side else _subtree_flavor(t, k) for k in kids}
+            free_axes = [a for a in ("V", "H") if a not in axis.values()]
+            for k in kids:
+                if axis[k] is None:
+                    if not free_axes:
+                        raise OrientationError("both root chains claim the same axis")
+                    axis[k] = free_axes.pop(0)
+            if len(set(axis.values())) != len(kids):
+                raise OrientationError("both root children lie on the same axis")
+            child_on = {a: k for k, a in axis.items()}
+            return child_on.get("V"), child_on.get("H")
         if t.is_free(v):
             slant = next((k for k in kids if t.kinds[k] == SLANT), None)
             sat = next((k for k in kids if t.kinds[k] != SLANT), None)
@@ -674,43 +687,7 @@ def diagram_to_staircase(d: EnriquesDiagram) -> Staircase:
         base = triangle(c)
         return staircase_sum(staircase_sum(base, sv, "vertical"), sh, "horizontal")
 
-    if len(d) == 0:
-        return Staircase.empty()
-
-    # classify the root children into the y-side and x-side subschemes
-    kids = t.children(0)
-    flavors = {}
-    for v in kids:
-        if v in t.x_side:
-            flavors[v] = "H"
-        else:
-            flavors[v] = {"V": "V", "H": "H", None: None}[
-                _subtree_flavor(t.parents, t.kinds, v)
-            ]
-    assigned = dict(flavors)
-    free_slots = [s for s in ("V", "H") if s not in assigned.values()]
-    for v in kids:
-        if assigned[v] is None:
-            if not free_slots:
-                raise OrientationError("both root chains claim the same axis")
-            assigned[v] = free_slots.pop(0)
-    values = [assigned[v] for v in kids]
-    if len(values) != len(set(values)):
-        raise OrientationError("both root children lie on the same axis")
-    vchild = next((v for v in kids if assigned[v] == "V"), None)
-    hchild = next((v for v in kids if assigned[v] == "H"), None)
-
-    c = w[0]
-    sv, sh = stair(vchild, "V"), stair(hchild, "H")
-    if c == 0:
-        if not (sv.is_empty() and sh.is_empty()):
-            raise EnriquesError("root weight zero above positive weights")
-        return Staircase.empty()
-    return staircase_sum(
-        staircase_sum(triangle(c), sv, "vertical"),
-        sh,
-        "horizontal",
-    )
+    return stair(0, "V") if len(d) else Staircase.empty()
 
 
 def staircase_to_diagram(s: Staircase) -> EnriquesDiagram:
@@ -755,8 +732,8 @@ def _union_all(parts: List[EnriquesDiagram]) -> Optional[EnriquesDiagram]:
 
 def _mark_chain_children(d: EnriquesDiagram) -> EnriquesDiagram:
     marks = set(d.tree.x_side)
-    for v in d.tree.children(0):
-        if _subtree_flavor(d.tree.parents, d.tree.kinds, v) is None:
+    for v in d.tree.cluster._children[0]:
+        if _subtree_flavor(d.tree, v) is None:
             marks.add(v)
     t = EnriquesTree(d.tree.parents, d.tree.kinds, frozenset(marks))
     return EnriquesDiagram(t, d.weights)
@@ -764,23 +741,8 @@ def _mark_chain_children(d: EnriquesDiagram) -> EnriquesDiagram:
 
 def _glue_at_root(dv: EnriquesDiagram, dh: EnriquesDiagram) -> EnriquesDiagram:
     dh = _mark_chain_children(dh)
-    parents: List[Optional[int]] = [None]
-    kinds: List[Optional[str]] = [None]
-    weights: List[int] = [dv.weights[0] + dh.weights[0]]
-    marks = set()
-
-    def copy(d: EnriquesDiagram, v: int, parent: int):
-        idx = len(parents)
-        parents.append(parent)
-        kinds.append(d.tree.kinds[v])
-        weights.append(d.weights[v])
-        if parent == 0 and v in d.tree.x_side:
-            marks.add(idx)
-        for k in d.tree.children(v):
-            copy(d, k, idx)
-
-    for k in dv.tree.children(0):
-        copy(dv, k, 0)
-    for k in dh.tree.children(0):
-        copy(dh, k, 0)
-    return EnriquesDiagram(EnriquesTree(parents, kinds, frozenset(marks)), weights)
+    out: _Parts = ([None], [None], [dv.weights[0] + dh.weights[0]], set())
+    for d in (dv, dh):
+        for k in d.tree.cluster._children[0]:
+            _copy_subtree(d, k, 0, out)
+    return _assemble(out)

@@ -126,14 +126,6 @@ class NewtonFacet:
         return Fraction(self.q * m + self.p * n, self.level)
 
     @property
-    def coefficient_m(self) -> Fraction:
-        return Fraction(self.q, self.level)
-
-    @property
-    def coefficient_n(self) -> Fraction:
-        return Fraction(self.p, self.level)
-
-    @property
     def slope(self) -> Fraction:
         return Fraction(-self.q, self.p)
 

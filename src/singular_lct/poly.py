@@ -198,16 +198,6 @@ class BivariatePolynomial:
             return BivariatePolynomial({(m - 1, n): m * c for (m, n), c in self._terms.items() if m})
         return BivariatePolynomial({(m, n - 1): n * c for (m, n), c in self._terms.items() if n})
 
-    def swap_xy(self) -> "BivariatePolynomial":
-        return BivariatePolynomial({(n, m): c for (m, n), c in self._terms.items()})
-
-    def divide_monomial(self, m: int, n: int) -> "BivariatePolynomial":
-        """Exact division by x^m y^n; fails if a term is not divisible."""
-        for (a, b) in self._terms:
-            if a < m or b < n:
-                raise PolynomialError(f"not divisible by x^{m} y^{n}")
-        return BivariatePolynomial({(a - m, b - n): c for (a, b), c in self._terms.items()})
-
     # -- printing ----------------------------------------------------------
 
     def __str__(self) -> str:

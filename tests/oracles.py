@@ -14,6 +14,10 @@ multiplier cluster never changes between candidates.
 and `trimmed_by_fixed_point_loop` are the earlier step-by-step forms of
 `unload`, the two matrix inverses and `WeightedCluster.trimmed`.
 
+`tree_to_cluster_by_scan` and `subtree_flavor_by_scan` are the earlier
+forms of `EnriquesTree.cluster` and of the free-chain flavor of a root
+child, which find children and L-branch targets by scanning the parent list.
+
 `require_reduced_by_sympy` and `tangent_roots_by_sympy` are the earlier
 sympy forms of the reducedness check and of the tangent-cone roots of
 `resolution`; sympy is imported inside them, so only the tests need it.
@@ -25,6 +29,7 @@ from typing import Dict, List, Tuple
 
 from singular_lct.cluster import (
     EMPTY_CLUSTER,
+    Cluster,
     ClusterError,
     UnloadingError,
     WeightedCluster,
@@ -34,6 +39,7 @@ from singular_lct.cluster import (
     log_discrepancies,
     proximity_matrix,
 )
+from singular_lct.enriques import HORIZONTAL, SLANT, VERTICAL, EnriquesError
 from singular_lct.poly import BivariatePolynomial
 from singular_lct.resolution import NonRationalTangentError, NonReducedError
 
@@ -287,6 +293,50 @@ def trimmed_by_fixed_point_loop(kl):
         return WeightedCluster(EMPTY_CLUSTER, ())
     sub = kl.cluster.restrict(keep)
     return WeightedCluster(sub, tuple(weights[i] for i in keep))
+
+
+def second_target_by_scan(t, v):
+    """The non-parent point a satellite is proximate to."""
+    k = t.kinds[v]
+    if k not in (HORIZONTAL, VERTICAL):
+        return None
+    cur = t.parents[v]
+    while t.kinds[cur] == k:
+        cur = t.parents[cur]
+    return t.parents[cur]
+
+
+def tree_to_cluster_by_scan(t):
+    """Proximities read off the tree: parent always, plus the L-branch
+    target for satellites."""
+    targets = []
+    for v in range(len(t)):
+        if t.parents[v] is None:
+            targets.append(())
+            continue
+        if t.is_free(v):
+            targets.append((t.parents[v],))
+            continue
+        second = second_target_by_scan(t, v)
+        if second is None:
+            raise EnriquesError(f"vertex {v}: satellite run reaches the root")
+        targets.append(tuple(sorted((t.parents[v], second))))
+    return Cluster(t.parents, targets)
+
+
+def subtree_flavor_by_scan(parents, kinds, child):
+    """Which axis the free chain from a root child lies on, read off the
+    first satellite hanging on it: 'V' (y-axis) for horizontal satellites,
+    'H' (x-axis) for vertical ones, None for a bare chain."""
+    stack = [child]
+    while stack:
+        cur = stack.pop()
+        kids = [i for i in range(len(parents)) if parents[i] == cur]
+        sats = [i for i in kids if kinds[i] in (HORIZONTAL, VERTICAL)]
+        if sats:
+            return "V" if kinds[sats[0]] == HORIZONTAL else "H"
+        stack.extend(i for i in kids if kinds[i] == SLANT)
+    return None
 
 
 def _to_sympy(f: BivariatePolynomial):

@@ -278,3 +278,21 @@ def test_cli_runs_without_sympy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "5/6"
+
+
+def test_star_import_binds_no_submodule():
+    import types
+
+    import singular_lct
+
+    assert not [
+        name
+        for name in singular_lct.__all__
+        if isinstance(getattr(singular_lct, name), types.ModuleType)
+    ]
+    namespace = {"cluster": "mine"}
+    exec("from singular_lct import *", namespace)
+    assert namespace["cluster"] == "mine"
+    assert {"Cluster", "EnriquesTree", "check_main_theorem", "tree_to_cluster"} <= set(
+        singular_lct.__all__
+    )

@@ -125,7 +125,8 @@ def test_candidate_through_path_core_endpoint_attains_minimum():
     # along any root-to-leaf path through a witness vertex, the last vertex
     # of the all-free prefix points at an adapted candidate computing the
     # threshold
-    from singular_lct.engine import _free_path_vertices, _path_to_leaf_through
+    from singular_lct.engine import _path_to_leaf_through
+    from singular_lct.enriques import _free_path
 
     for name, expr in corpus_curves(10):
         _, d = resolve_curve(P(expr))
@@ -133,7 +134,7 @@ def test_candidate_through_path_core_endpoint_attains_minimum():
             continue
         direct, witnesses = lct_cluster(d.to_weighted_cluster())
         candidates = adapted_candidates(d)
-        free_path = _free_path_vertices(d)
+        free_path = _free_path(d.tree)
         for w in witnesses:
             for path in _path_to_leaf_through(d, w):
                 endpoint = max(v for v in path if free_path[v])

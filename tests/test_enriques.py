@@ -13,6 +13,7 @@ from singular_lct import (
     Staircase,
     branch_coefficients,
     classify,
+    cluster_to_tree,
     connected_sum,
     diagram_to_staircase,
     euclid_data,
@@ -33,8 +34,10 @@ from singular_lct.cluster import (
     pi_inverse,
 )
 from singular_lct.corpus import coprime_pairs
+from singular_lct.poly import BivariatePolynomial
 
 F = Fraction
+P = BivariatePolynomial.parse
 
 
 # -- random generators -------------------------------------------------------------
@@ -458,7 +461,7 @@ def test_staircase_against_valuation_oracle():
 
         kids = t.children(0)
         flavors = {
-            v: ("H" if v in t.x_side else _subtree_flavor(t.parents, t.kinds, v))
+            v: ("H" if v in t.x_side else _subtree_flavor(t, v))
             for v in kids
         }
         unassigned = [v for v in kids if flavors[v] is None]
@@ -516,3 +519,104 @@ def test_mirrored_involution():
         d = random_binary_diagram(rng)
         t = d.tree
         assert t.mirrored().mirrored() == t
+
+
+# -- the tree's own proximity cluster against the parent scans ----------------------
+
+
+def _trees_with_diagrams():
+    """Trees, with their diagram where there is one: the corpus, random
+    binary diagrams with their restrictions, mirrors, unions and staircase
+    round trips, and the trees of random clusters."""
+    from singular_lct.corpus import corpus_curves
+    from singular_lct.resolution import resolve_curve
+    from test_cluster import random_cluster
+
+    diagrams = [resolve_curve(P(expr))[1] for _, expr in corpus_curves(12)]
+    rng = random.Random(71)
+    previous = None
+    for _ in range(200):
+        d = random_binary_diagram(rng)
+        keep = [0]
+        for v in range(1, len(d)):
+            if d.tree.parents[v] in keep and rng.random() < 0.8:
+                keep.append(v)
+        diagrams += [d, d.restrict(keep), staircase_to_diagram(diagram_to_staircase(d))]
+        # the first root chain alone: union needs a root of degree 1
+        chain = [0]
+        for v in range(1, len(d)):
+            if d.tree.parents[v] in chain[1:] or v == d.tree.children(0)[0]:
+                chain.append(v)
+        first = d.restrict(chain)
+        diagrams.append(union(first, first))
+        if previous is not None:
+            try:
+                diagrams.append(union(first, previous))
+            except EnriquesError:  # the two chains cannot share a root
+                pass
+        previous = first
+    out = [(d.tree, d) for d in diagrams]
+    out += [(d.tree.mirrored(), None) for d in diagrams]
+    out += [(cluster_to_tree(random_cluster(rng)), None) for _ in range(200)]
+    return out
+
+
+def test_tree_cluster_matches_parent_scans():
+    from singular_lct.enriques import _subtree_flavor
+
+    seen = 0
+    for t, d in _trees_with_diagrams():
+        n = len(t)
+        assert tree_to_cluster(t) is t.cluster
+        assert t.cluster == oracles.tree_to_cluster_by_scan(t)
+        for v in range(n):
+            assert t.children(v) == [i for i in range(n) if t.parents[i] == v]
+            assert _subtree_flavor(t, v) == oracles.subtree_flavor_by_scan(
+                t.parents, t.kinds, v
+            )
+        if d is not None:
+            assert d.to_weighted_cluster().cluster is d.tree.cluster
+        seen += 1
+    assert seen > 1500
+
+
+def test_tree_cluster_stays_out_of_the_value():
+    import dataclasses
+
+    def key_by_scan(t, v, weights=None):
+        kids = [i for i in range(len(t)) if t.parents[i] == v]
+        mark = 1 if (t.parents[v] == 0 and v in t.x_side) else 0
+        w = 0 if weights is None else weights[v]
+        rank = {None: 0, "s": 0, "h": 1, "v": 2}[t.kinds[v]]
+        return (rank, mark, w, tuple(sorted(key_by_scan(t, k, weights) for k in kids)))
+
+    assert [f.name for f in dataclasses.fields(EnriquesTree)] == [
+        "parents",
+        "kinds",
+        "x_side",
+    ]
+    rng = random.Random(73)
+    for _ in range(60):
+        d = random_binary_diagram(rng)
+        t = d.tree
+        twin = EnriquesTree(list(t.parents), list(t.kinds), set(t.x_side))
+        # built on first use; only an x-side mark reads it at construction
+        assert "cluster" not in vars(EnriquesTree(t.parents, t.kinds))
+        assert repr(twin) == repr(t) == (
+            f"EnriquesTree(parents={t.parents!r}, kinds={t.kinds!r}, "
+            f"x_side={t.x_side!r})"
+        )
+        assert twin == t and hash(twin) == hash(t) == hash(key_by_scan(t, 0))
+        assert hash(d) == hash(key_by_scan(t, 0, d.weights))
+        assert EnriquesDiagram(twin, d.weights) == d
+    assert hash(EnriquesTree((), ())) == hash(())
+
+
+def test_diagram_accepts_only_integer_weights():
+    tree = t_pq(2, 3).tree
+    for bad in (2.7, 2.0, "3", Fraction(3), True, None):
+        with pytest.raises(EnriquesError, match="weight 0"):
+            EnriquesDiagram(tree, (bad, 1, 1))
+    with pytest.raises(EnriquesError, match=r"weight 2 .*True"):
+        EnriquesDiagram(tree, (2, 1, True))
+    assert EnriquesDiagram(tree, [2, 1, 1]).weights == (2, 1, 1)

@@ -11,7 +11,6 @@ from .newton import (
     MonomialIdealError,
     NewtonFacet,
     Staircase,
-    CosupportError,
     InfiniteStaircaseError,
     UnitIdealError,
     howald_multiplier,

@@ -5,16 +5,19 @@ threshold can be computed two independent ways:
 
   * directly on the cluster as min (k+1)/e over the blown-up points;
   * as the minimum, over the finitely many adapted coordinate choices, of
-    the threshold of the corresponding monomial (term) ideal.
+    the threshold of a monomial ideal read off the diagram.
 
 An adapted choice is indexed by the endpoint rho of a maximal chain of
 free points: the associated subdiagram is the largest binary subdiagram
-whose free vertices lie on the root-to-rho path, its staircase is the
-integral closure of the term ideal in coordinates aligned with that chain,
-and its threshold comes from the Newton polygon.  check_main_theorem
-verifies the two routes agree exactly and also recomputes the threshold
-along a root-to-leaf path through a witness vertex and along the
-non-degenerate part of that path; all values must coincide.
+whose free vertices lie on the root-to-rho path, and its staircase's
+Newton polygon gives the candidate's threshold.  That threshold is at
+least the lct and the minimum over the candidates equals it, but one
+candidate may lie above the term ideal's value: on the curve
+(x^2 + y^5)*(x^4 - (1/2)*y^5)*(y^3 - 2*x^4), rho = P2 gives 2/9 and the
+term ideal 3/14.  check_main_theorem verifies that the minimum and the cluster route agree
+exactly and also recomputes the threshold along a root-to-leaf path
+through a witness vertex and along the non-degenerate part of that path;
+all values must coincide.
 """
 
 from __future__ import annotations
@@ -42,8 +45,9 @@ class MainTheoremViolation(AssertionError):
 @dataclass(frozen=True)
 class AdaptedCandidate:
     """One adapted coordinate choice: the highest free point rho on the
-    second coordinate curve, the binary subdiagram it spans, and the
-    staircase and threshold of the associated monomial ideal."""
+    second coordinate curve, the binary subdiagram it spans, its staircase,
+    and the lct of that staircase's monomial ideal, which is at least the
+    lct of the curve."""
 
     rho: Optional[int]
     subdiagram: EnriquesDiagram

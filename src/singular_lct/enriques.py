@@ -271,7 +271,8 @@ def tree_to_cluster(t: EnriquesTree) -> Cluster:
 
 def cluster_to_tree(c: Cluster) -> EnriquesTree:
     """Canonical Enriques tree of a cluster: free points get slant edges,
-    and an edge from a free point to a satellite is horizontal."""
+    and an edge from a free point to a satellite is horizontal.  The checks
+    make the L-branch rule give back c, so the tree keeps c as its cluster."""
     kinds: List[Optional[str]] = []
     for v in range(len(c)):
         p = c.parents[v]
@@ -295,7 +296,9 @@ def cluster_to_tree(c: Cluster) -> EnriquesTree:
                 raise EnriquesError(
                     f"point {v}: satellite target not an L-branch start"
                 )
-    return EnriquesTree(c.parents, kinds)
+    t = EnriquesTree(c.parents, kinds)
+    t.__dict__["cluster"] = c  # seeds the cached_property
+    return t
 
 
 @dataclass(frozen=True)

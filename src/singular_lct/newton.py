@@ -2,25 +2,24 @@
 combinatorial multiplier-ideal calculus.
 
 A monomial ideal is identified with the set of exponents of its monomials;
-it is stored by its minimal generators, a finite antichain in N^2.  The
-Newton polygon is the convex hull of the exponent set, i.e. the hull of the
-generators plus the first quadrant.  Its compact facets carry support
-functions g normalized to 1 on the facet, and the multiplier ideal of
-xi * a is spanned by the monomials whose exponent vector v satisfies
-v + (1,1) strictly inside xi * Newt(a) (Howald's description).
-
-Most operations that evaluate support functions require the cosupport of
-the ideal to be the origin, i.e. the ideal must contain a pure power of x
-and a pure power of y; then the polygon is cut out in the first quadrant by
-the facet inequalities alone.  Unit and principal ideals are rejected with
-distinct errors where the theory degenerates.
+it is stored by its minimal generators, a finite antichain in N^2.  Its
+Newton polygon Newt(a), the hull of the generators plus the first quadrant,
+is cut out by rows c*m + d*n >= level: the compact facets and the unbounded
+faces off the axes.  The lct, the integral closure, the multiplier ideals
+and the jumping numbers all read one Newton function nu(v) = max{t : v in
+t * Newt(a)}, the least row ratio; the multiplier ideal of xi * a is
+spanned by the v with nu(v + (1,1)) > xi (Howald, "Multiplier ideals of
+monomial ideals").  So every proper nonzero monomial ideal gets its values,
+whether or not it contains a pure power of each variable; only the unit
+ideal, which has no rows, is rejected.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, gcd
+from itertools import count
+from math import gcd
 from typing import List, Sequence, Tuple
 
 from .poly import BivariatePolynomial
@@ -34,10 +33,6 @@ class MonomialIdealError(ValueError):
 
 class UnitIdealError(MonomialIdealError):
     """The unit ideal was passed where a proper ideal is required."""
-
-
-class CosupportError(MonomialIdealError):
-    """The ideal's cosupport is not the origin (no pure power on an axis)."""
 
 
 class InfiniteStaircaseError(MonomialIdealError):
@@ -84,10 +79,6 @@ class MonomialIdeal:
             min(m for m, _ in self.generators),
             min(n for _, n in self.generators),
         )
-
-    def cosupport_at_origin(self) -> bool:
-        """True iff the ideal contains pure powers x^a and y^b."""
-        return self.min_exponents() == (0, 0)
 
     def __str__(self) -> str:
         def mono(m, n):
@@ -137,25 +128,17 @@ def term_ideal(f: BivariatePolynomial) -> MonomialIdeal:
     return MonomialIdeal(f.support())
 
 
-def _hull_vertices(gens: Sequence[Point]) -> List[Point]:
-    """Vertices of the lower-left boundary of conv(gens) + R_{>=0}^2."""
-    pts = sorted(gens)  # m ascending; minimal antichain gives n descending
-    hull: List[Point] = []
-    for p in pts:
-        while len(hull) >= 2:
-            (ax, ay), (bx, by) = hull[-2], hull[-1]
-            cross = (bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax)
-            if cross <= 0:  # non-convex or collinear: drop the middle point
-                hull.pop()
-            else:
-                break
-        hull.append(p)
-    return hull
-
-
 def newton_facets(a: MonomialIdeal) -> List[NewtonFacet]:
-    """Compact facets of Newt(a), steepest slope first."""
-    verts = _hull_vertices(a.generators)
+    """Compact facets of Newt(a), steepest slope first: the edges of the
+    lower-left hull of the generators (m ascending, so n descending)."""
+    verts: List[Point] = []
+    for p in a.generators:
+        while len(verts) >= 2:
+            (ax, ay), (bx, by) = verts[-2], verts[-1]
+            if (bx - ax) * (p[1] - ay) > (by - ay) * (p[0] - ax):
+                break
+            verts.pop()  # non-convex or collinear: drop the middle point
+        verts.append(p)
     facets = []
     for (m0, n0), (m1, n1) in zip(verts, verts[1:]):
         dm, dn = m1 - m0, n0 - n1
@@ -164,109 +147,101 @@ def newton_facets(a: MonomialIdeal) -> List[NewtonFacet]:
     return facets
 
 
-def integral_closure(a: MonomialIdeal) -> MonomialIdeal:
-    """Minimal generators of the monomials lying in Newt(a)."""
-    facets = newton_facets(a)
+def _rows(a: MonomialIdeal) -> List[Tuple[int, int, int]]:
+    """Rows (c, d, level) with v in Newt(a) iff c*m + d*n >= level on each:
+    the compact facets, then the unbounded faces off the axes."""
     m_min, n_min = a.min_exponents()
-    n_top = max(n for _, n in a.generators)
+    rows = [(f.q, f.p, f.level) for f in newton_facets(a)]
+    return rows + [r for r in ((1, 0, m_min), (0, 1, n_min)) if r[2]]
 
-    def row_start(n: int) -> int:
-        m = m_min
-        for f in facets:
-            # least m with q*m + p*n >= level
-            need = f.level - f.p * n
-            if need > 0:
-                m = max(m, -(-need // f.q))
-        return m
 
-    gens = []
-    prev = None
-    for n in range(n_min, n_top + 1):
-        m = row_start(n)
-        if prev is None or m < prev:
-            gens.append((m, n))
-            prev = m
+def _nu(rows, m: int, n: int) -> Tuple[int, int]:
+    """nu(m, n), the least row ratio by cross-multiplying, as a reduced
+    (numerator, denominator)."""
+    top, bottom = rows[0][0] * m + rows[0][1] * n, rows[0][2]
+    for c, d, level in rows[1:]:
+        if (c * m + d * n) * bottom < top * level:
+            top, bottom = c * m + d * n, level
+    g = gcd(top, bottom)
+    return top // g, bottom // g
+
+
+def row_start(rows, n: int, xi: Fraction, strict: bool):
+    """Least m >= 0 with nu(m, n) >= xi (> xi if strict), or None when an
+    unbounded face with c = 0 rules out the whole row n."""
+    m = 0
+    for c, d, level in rows:
+        # den*(c*m + d*n) >= num*level, or > by one more on integers
+        need = xi.numerator * level - xi.denominator * d * n + strict
+        if need > 0:
+            if not c:
+                return None
+            m = max(m, -(-need // (xi.denominator * c)))
+    return m
+
+
+def _level_set(a: MonomialIdeal, xi: Fraction, strict: bool, shift: int, last: int):
+    """Generators of {v : nu(v + (shift, shift)) >= xi (> if strict)}, read
+    row by row up to row `last`, from which on the vertical face decides."""
+    rows, gens = _rows(a), []
+    for n in range(last + 1):
+        m = row_start(rows, n + shift, xi, strict)
+        if m is not None and (not gens or max(m - shift, 0) < gens[-1][0]):
+            gens.append((max(m - shift, 0), n))
     return MonomialIdeal(gens)
 
 
+def integral_closure(a: MonomialIdeal) -> MonomialIdeal:
+    """Minimal generators of the monomials lying in Newt(a): nu(v) >= 1."""
+    return _level_set(a, Fraction(1), False, 0, a.max_exponents()[1])
+
+
 def lct_monomial(a: MonomialIdeal) -> Fraction:
-    """Log-canonical threshold of a monomial ideal with 0-dimensional
-    cosupport: the minimum of the facet support functions at (1, 1)."""
+    """Log-canonical threshold of a proper monomial ideal: nu(1, 1)."""
     if a.is_unit():
         raise UnitIdealError("the unit ideal has no log-canonical threshold")
-    if not a.cosupport_at_origin():
-        raise CosupportError(
-            f"cosupport of {a} is not the origin; a pure power of each "
-            "variable is required"
-        )
-    return min(f.support(1, 1) for f in newton_facets(a))
+    return Fraction(*_nu(_rows(a), 1, 1))
 
 
 def howald_multiplier(a: MonomialIdeal, xi: Fraction) -> MonomialIdeal:
     """Multiplier ideal of xi * a: monomials v with v + (1,1) in the strict
-    interior of xi * Newt(a).  Boundary points are excluded, which makes the
-    threshold itself a jumping number."""
+    interior of xi * Newt(a), i.e. nu(v + (1,1)) > xi.  Boundary points are
+    excluded, which makes the threshold itself a jumping number."""
     xi = Fraction(xi)
     if xi <= 0:
         raise MonomialIdealError("scaling factor must be positive")
-    num, den = xi.numerator, xi.denominator
-    facets = newton_facets(a)
-    m_min, n_min = a.min_exponents()
-
-    # strict inequalities, integer cross-multiplied:
-    #   den*(m+1) > num*m_min,   den*(n+1) > num*n_min,
-    #   den*(q*(m+1) + p*(n+1)) > num*level        for every facet
-    n_floor = (num * n_min) // den  # least n with den*(n+1) > num*n_min
-    m_floor = (num * m_min) // den
-
-    def row_start(n: int) -> int:
-        m1 = m_floor + 1  # minimal m+1 from the vertical constraint
-        for f in facets:
-            rhs = num * f.level - den * f.p * (n + 1)
-            if rhs >= 0:
-                m1 = max(m1, rhs // (den * f.q) + 1)
-        return m1 - 1
-
-    gens = []
-    prev = None
-    n = n_floor
-    while True:
-        m = row_start(n)
-        if prev is None or m < prev:
-            gens.append((m, n))
-            prev = m
-        if m == m_floor:  # the vertical-ray bound: rows stay here forever
-            break
-        n += 1
-    return MonomialIdeal(gens)
+    # from n + 1 > xi * n_top on, only the vertical face binds
+    return _level_set(a, xi, True, 1, xi.numerator * a.max_exponents()[1] // xi.denominator)
 
 
 def jumping_numbers_monomial(a: MonomialIdeal, bound: Fraction) -> List[Fraction]:
     """All jumping numbers of the monomial ideal up to and including bound.
 
-    Candidates are the values g(v + (1,1)) of the facet support functions
-    over lattice points v of a bounding box; the membership threshold of v
-    is the minimum over the facets, and the multiplier ideal strictly
-    shrinks exactly when some threshold is attained (monomial membership is
-    monotone in xi), so the attained minima are precisely the jumps.
+    The multiplier ideal loses v exactly at xi = nu(v + (1,1)), so the jumps
+    are these values.  Rows n + 1 = 1, 2, ... are read up to the row start
+    for bound; a row held down by the horizontal face (no row start) is read
+    until its value stops changing.  Values only grow with n, so the scan
+    ends at an empty row or at a row equal to the one before it, whose
+    values the vertical face holds from then on.
     """
     bound = Fraction(bound)
     if bound <= 0:
         raise MonomialIdealError("bound must be positive")
     if a.is_unit():
         raise UnitIdealError("the unit ideal has no jumping numbers")
-    if not a.cosupport_at_origin():
-        raise CosupportError(f"cosupport of {a} is not the origin")
-    facets = newton_facets(a)
-    max_exp = max(a.max_exponents())
-    size = max_exp + ceil(bound * max_exp)
-    jumps = set()
-    for m in range(size + 1):
-        for n in range(size + 1):
-            xi = min(f.support(m + 1, n + 1) for f in facets)
-            if xi <= bound:
-                jumps.add(xi)
-    return sorted(jumps)
+    rows, jumps, previous = _rows(a), set(), None
+    for n in count(1):
+        end = row_start(rows, n, bound, True)
+        row: List[Tuple[int, int]] = []
+        for m in count(1) if end is None else range(1, end):
+            value = _nu(rows, m, n)
+            if row and value == row[-1]:  # held by the horizontal face from here
+                break
+            row.append(value)
+        if not row or row == previous:
+            return sorted(Fraction(*v) for v in jumps)
+        jumps.update(row)
+        previous = row
 
 
 @dataclass(frozen=True)
@@ -312,7 +287,7 @@ class Staircase:
         return MonomialIdeal(self.generators)
 
     def is_finite(self) -> bool:
-        return MonomialIdeal(self.generators).cosupport_at_origin() or self.is_empty()
+        return self.is_empty() or MonomialIdeal(self.generators).min_exponents() == (0, 0)
 
     def is_empty(self) -> bool:
         return self.generators == ((0, 0),)

@@ -10,7 +10,10 @@ x and y, the operators + - * ^, parentheses, and implicit multiplication
 exponent is at most MAX_EXPONENT, and a power of a sum of two or more
 terms has degree at most MAX_POWER_DEGREE (its expansion grows like the
 square of the degree and costs about its fourth power); a larger one is a
-ParseError at the exponent.
+ParseError at the exponent.  Likewise, before each multiplication in a
+product, the term counts of the product so far and of the next factor may
+multiply to at most that of (x+y+1)^MAX_POWER_DEGREE, else the product is a
+ParseError at that factor.
 """
 
 from __future__ import annotations
@@ -275,17 +278,25 @@ class _Parser:
                 return result
 
     def _term(self) -> BivariatePolynomial:
+        # the term count of the largest power of a sum that _factor accepts
+        limit = (MAX_POWER_DEGREE + 1) * (MAX_POWER_DEGREE + 2) // 2
         result = self._factor()
         while True:
             ch = self._peek()
             if ch == "*":
                 self.pos += 1
-                result = result * self._factor()
-            elif ch and (ch.isdigit() or ch in "xy("):
-                # implicit multiplication, e.g. "x^5y" or "2(x+y)"
-                result = result * self._factor()
-            else:
+            elif not ch or not (ch.isdigit() or ch in "xy("):
                 return result
+            # an explicit '*', or implicit multiplication as in "x^5y" or "2(x+y)"
+            self._skip_ws()
+            at = self.pos
+            factor = self._factor()
+            terms = len(result._terms) * len(factor._terms)
+            if terms > limit:
+                raise ParseError(
+                    f"product of {terms} term pairs exceeds {limit}", self.text, at
+                )
+            result = result * factor
 
     def _factor(self) -> BivariatePolynomial:
         base = self._base()

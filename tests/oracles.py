@@ -5,6 +5,12 @@ Newton polyhedron is decided by exhibiting a convex combination of two
 generators dominated by the point (Caratheodory in the plane, plus the
 recession orthant), with exact Fraction arithmetic throughout.
 
+`integral_closure_by_facets`, `lct_monomial_by_facets`,
+`howald_multiplier_by_facets` and `jumping_numbers_monomial_by_box_scan`
+are the earlier forms of the Newton-function kernel of `newton`: one
+Fraction support value per facet, and per point of a box for the jumps.
+The lct and the jumps there require a pure power of each variable.
+
 `curve_jumps_by_candidate_scan` is the reference for the next-jump
 iteration of `jumping_numbers_curve`: it tests every candidate (k+j)/e,
 comparing completions just below and at it, and asserts that the
@@ -40,6 +46,12 @@ from singular_lct.cluster import (
     proximity_matrix,
 )
 from singular_lct.enriques import HORIZONTAL, SLANT, VERTICAL, EnriquesError
+from singular_lct.newton import (
+    MonomialIdeal,
+    MonomialIdealError,
+    UnitIdealError,
+    newton_facets,
+)
 from singular_lct.poly import BivariatePolynomial
 from singular_lct.resolution import NonRationalTangentError, NonReducedError
 
@@ -123,11 +135,12 @@ def multiplier_gens(gens, xi):
 
 def jumping_numbers(gens, bound):
     """Jumping numbers by filtering candidate values through actual change
-    of the multiplier ideal (evaluated just below and at each candidate)."""
-    from singular_lct import MonomialIdeal, newton_facets
-
+    of the multiplier ideal (evaluated just below and at each candidate).
+    The candidates are the facet support values at v + (1,1) over a box,
+    plus k/m_min and k/n_min for the unbounded faces off the axes."""
     bound = Fraction(bound)
     facets = newton_facets(MonomialIdeal(gens))
+    m_min, n_min = MonomialIdeal(gens).min_exponents()
     mx = max(max(m for m, _ in gens), max(n for _, n in gens))
     size = mx + ceil(bound * mx)
     candidates = set()
@@ -137,6 +150,9 @@ def jumping_numbers(gens, bound):
                 value = f.support(m + 1, n + 1)
                 if value <= bound:
                     candidates.add(value)
+    for low in (m_min, n_min):
+        if low:
+            candidates.update(Fraction(k, low) for k in range(1, int(bound * low) + 1))
     jumps = []
     previous = None
     for xi in sorted(candidates):
@@ -146,6 +162,115 @@ def jumping_numbers(gens, bound):
             jumps.append(xi)
         previous = xi
     return jumps
+
+
+class CosupportError(MonomialIdealError):
+    """The ideal's cosupport is not the origin (no pure power on an axis)."""
+
+
+def integral_closure_by_facets(a: MonomialIdeal) -> MonomialIdeal:
+    """Minimal generators of the monomials lying in Newt(a)."""
+    facets = newton_facets(a)
+    m_min, n_min = a.min_exponents()
+    n_top = max(n for _, n in a.generators)
+
+    def row_start(n: int) -> int:
+        m = m_min
+        for f in facets:
+            # least m with q*m + p*n >= level
+            need = f.level - f.p * n
+            if need > 0:
+                m = max(m, -(-need // f.q))
+        return m
+
+    gens = []
+    prev = None
+    for n in range(n_min, n_top + 1):
+        m = row_start(n)
+        if prev is None or m < prev:
+            gens.append((m, n))
+            prev = m
+    return MonomialIdeal(gens)
+
+
+def lct_monomial_by_facets(a: MonomialIdeal) -> Fraction:
+    """Log-canonical threshold of a monomial ideal with 0-dimensional
+    cosupport: the minimum of the facet support functions at (1, 1)."""
+    if a.is_unit():
+        raise UnitIdealError("the unit ideal has no log-canonical threshold")
+    if a.min_exponents() != (0, 0):
+        raise CosupportError(
+            f"cosupport of {a} is not the origin; a pure power of each "
+            "variable is required"
+        )
+    return min(f.support(1, 1) for f in newton_facets(a))
+
+
+def howald_multiplier_by_facets(a: MonomialIdeal, xi: Fraction) -> MonomialIdeal:
+    """Multiplier ideal of xi * a: monomials v with v + (1,1) in the strict
+    interior of xi * Newt(a).  Boundary points are excluded, which makes the
+    threshold itself a jumping number."""
+    xi = Fraction(xi)
+    if xi <= 0:
+        raise MonomialIdealError("scaling factor must be positive")
+    num, den = xi.numerator, xi.denominator
+    facets = newton_facets(a)
+    m_min, n_min = a.min_exponents()
+
+    # strict inequalities, integer cross-multiplied:
+    #   den*(m+1) > num*m_min,   den*(n+1) > num*n_min,
+    #   den*(q*(m+1) + p*(n+1)) > num*level        for every facet
+    n_floor = (num * n_min) // den  # least n with den*(n+1) > num*n_min
+    m_floor = (num * m_min) // den
+
+    def row_start(n: int) -> int:
+        m1 = m_floor + 1  # minimal m+1 from the vertical constraint
+        for f in facets:
+            rhs = num * f.level - den * f.p * (n + 1)
+            if rhs >= 0:
+                m1 = max(m1, rhs // (den * f.q) + 1)
+        return m1 - 1
+
+    gens = []
+    prev = None
+    n = n_floor
+    while True:
+        m = row_start(n)
+        if prev is None or m < prev:
+            gens.append((m, n))
+            prev = m
+        if m == m_floor:  # the vertical-ray bound: rows stay here forever
+            break
+        n += 1
+    return MonomialIdeal(gens)
+
+
+def jumping_numbers_monomial_by_box_scan(a: MonomialIdeal, bound: Fraction) -> List[Fraction]:
+    """All jumping numbers of the monomial ideal up to and including bound.
+
+    Candidates are the values g(v + (1,1)) of the facet support functions
+    over lattice points v of a bounding box; the membership threshold of v
+    is the minimum over the facets, and the multiplier ideal strictly
+    shrinks exactly when some threshold is attained (monomial membership is
+    monotone in xi), so the attained minima are precisely the jumps.
+    """
+    bound = Fraction(bound)
+    if bound <= 0:
+        raise MonomialIdealError("bound must be positive")
+    if a.is_unit():
+        raise UnitIdealError("the unit ideal has no jumping numbers")
+    if a.min_exponents() != (0, 0):
+        raise CosupportError(f"cosupport of {a} is not the origin")
+    facets = newton_facets(a)
+    max_exp = max(a.max_exponents())
+    size = max_exp + ceil(bound * max_exp)
+    jumps = set()
+    for m in range(size + 1):
+        for n in range(size + 1):
+            xi = min(f.support(m + 1, n + 1) for f in facets)
+            if xi <= bound:
+                jumps.add(xi)
+    return sorted(jumps)
 
 
 def staircase_slices_from_valuations(x_vals, y_vals, e_vals):

@@ -113,6 +113,17 @@ def test_cli_newton(capsys):
     ]
 
 
+def test_cli_monomial_commands_accept_non_convenient_term_ideals(capsys):
+    # y^2 + x^2*y has no pure power of x: Howald's value, as for the curve
+    assert run_cli(capsys, "monomial-lct", "--poly", "y^2 + x^2*y")[:2] == (0, "3/4\n")
+    assert run_cli(capsys, "lct", "--curve", "y^2 + x^2*y")[:2] == (0, "3/4\n")
+    assert run_cli(capsys, "monomial-lct", "--poly", "x*y")[:2] == (0, "1\n")
+    code, out, _ = run_cli(capsys, "newton", "--poly", "x^2*y + y^3", "--json")
+    assert code == 0 and json.loads(out)["lct"] == "2/3"
+    code, out, _ = run_cli(capsys, "jumping", "--monomial", "y^2 + x^2*y", "--bound", "1")
+    assert (code, out) == (0, "3/4, 1\n")
+
+
 def test_cli_unload(tmp_path, capsys):
     kl, _ = resolve_curve(BivariatePolynomial.parse("x^5 - y^7"))
     loaded = WeightedCluster(kl.cluster, (4, 2, 0, 2, 1))

@@ -6,16 +6,17 @@ import pytest
 import oracles
 from singular_lct import (
     BivariatePolynomial,
-    CosupportError,
     MonomialIdeal,
     MonomialIdealError,
     Staircase,
     UnitIdealError,
     howald_multiplier,
     integral_closure,
+    jumping_numbers_curve,
     jumping_numbers_monomial,
     lct_monomial,
     newton_facets,
+    resolve_curve,
     staircase_sum,
     term_ideal,
     triangle,
@@ -147,16 +148,15 @@ def test_lct_maximal_ideal():
 def test_lct_rejects_unit_and_principal():
     with pytest.raises(UnitIdealError):
         lct_monomial(ideal((0, 0)))
-    with pytest.raises(CosupportError):
-        lct_monomial(ideal((3, 0)))
-    with pytest.raises(CosupportError):
-        lct_monomial(ideal((3, 0), (2, 1)))
+    # principal and non-convenient ideals get Howald's values
+    assert lct_monomial(ideal((3, 0))) == F(1, 3)
+    assert lct_monomial(ideal((3, 0), (2, 1))) == F(1, 2)
 
 
 def test_lct_is_first_jumping_number_random():
     rng = random.Random(23)
-    for _ in range(25):
-        a = random_ideal(rng, max_exp=8, origin_cosupport=True)
+    for i in range(50):
+        a = random_ideal(rng, max_exp=8, origin_cosupport=i % 2 == 0)
         jumps = jumping_numbers_monomial(a, F(3))
         assert jumps[0] == lct_monomial(a)
 
@@ -187,7 +187,7 @@ def test_howald_boundary_points_are_excluded():
     # (0,0) + (1,1) sits on the boundary of (5/12) Newt: excluded, so the
     # threshold itself is a jumping number
     a = ideal((8, 0), (3, 2), (0, 4))
-    assert not howald_multiplier(a, F(5, 12)).is_unit() or True
+    assert not howald_multiplier(a, F(5, 12)).is_unit()
     assert not howald_multiplier(a, F(5, 12)).contains(0, 0)
     assert howald_multiplier(a, F(5, 12) - F(1, 1000)).contains(0, 0)
 
@@ -253,12 +253,95 @@ def test_jumping_maximal_ideal():
 
 def test_jumping_matches_change_filter_oracle_random():
     rng = random.Random(29)
-    for _ in range(10):
-        a = random_ideal(rng, max_gens=4, max_exp=6, origin_cosupport=True)
+    for i in range(20):
+        a = random_ideal(rng, max_gens=4, max_exp=6, origin_cosupport=i % 2 == 0)
         bound = F(rng.randint(1, 5), 4)
         assert jumping_numbers_monomial(a, bound) == oracles.jumping_numbers(
             a.generators, bound
         )
+
+
+# -- the Newton-function kernel against its earlier forms ---------------------------
+
+
+def _convenient(a):
+    return a.min_exponents() == (0, 0)
+
+
+def _kernel_ideals():
+    from singular_lct.corpus import coprime_pairs, corpus_curves
+
+    for p, q in coprime_pairs(20):
+        yield ideal((p, 0), (0, q))
+    for _, text in corpus_curves(12):
+        yield term_ideal(P(text))
+
+
+def test_kernel_matches_facet_oracles_on_convenient_ideals():
+    rng = random.Random(41)
+    ideals = [a for a in _kernel_ideals() if _convenient(a)]
+    ideals += [random_ideal(rng, max_exp=10, origin_cosupport=True) for _ in range(300)]
+    assert len(ideals) > 400
+    for a in ideals:
+        assert lct_monomial(a) == oracles.lct_monomial_by_facets(a)
+        assert integral_closure(a) == oracles.integral_closure_by_facets(a)
+        for xi in (F(1, 3), lct_monomial(a), F(1), F(rng.randint(1, 60), rng.randint(1, 20))):
+            assert howald_multiplier(a, xi) == oracles.howald_multiplier_by_facets(a, xi)
+        for bound in (F(1), F(rng.randint(1, 8), 4)):
+            assert jumping_numbers_monomial(
+                a, bound
+            ) == oracles.jumping_numbers_monomial_by_box_scan(a, bound)
+
+
+def test_kernel_on_non_convenient_ideals():
+    rng = random.Random(43)
+    ideals = [a for a in _kernel_ideals() if not _convenient(a)]
+    assert len(ideals) >= 5  # x*y, the triple point, the lines with curves
+    while len(ideals) < 300:
+        a = random_ideal(rng, max_exp=10)
+        if not _convenient(a):
+            ideals.append(a)
+    for a in ideals:
+        assert integral_closure(a) == oracles.integral_closure_by_facets(a)
+        for xi in (F(1, 3), F(1), F(rng.randint(1, 60), rng.randint(1, 20))):
+            assert howald_multiplier(a, xi) == oracles.howald_multiplier_by_facets(a, xi)
+        jumps = jumping_numbers_monomial(a, F(2))
+        assert jumps[0] == lct_monomial(a)
+        assert not howald_multiplier(a, lct_monomial(a)).is_unit()
+        assert howald_multiplier(a, lct_monomial(a) - F(1, 1000)).is_unit()
+    for a in ideals[:12]:
+        assert integral_closure(a).generators == tuple(oracles.closure_gens(a.generators))
+        assert jumping_numbers_monomial(a, F(1)) == oracles.jumping_numbers(
+            a.generators, F(1)
+        )
+
+
+def test_kernel_hand_checked_values():
+    assert lct_monomial(ideal((0, 1))) == 1
+    assert jumping_numbers_monomial(ideal((0, 1)), F(3)) == [1, 2, 3]
+    assert jumping_numbers_monomial(ideal((1, 0)), F(3)) == [1, 2, 3]
+    assert lct_monomial(ideal((1, 1))) == 1
+    assert lct_monomial(ideal((0, 2), (2, 1))) == F(3, 4)
+    assert jumping_numbers_monomial(ideal((0, 2), (2, 1)), F(1)) == [F(3, 4), 1]
+    assert lct_monomial(ideal((2, 1), (0, 3))) == F(2, 3)
+    with pytest.raises(UnitIdealError):
+        jumping_numbers_monomial(ideal((0, 0)), F(1))
+
+
+def test_curve_jumps_equal_term_ideal_jumps_when_non_degenerate():
+    # Howald: for a germ non-degenerate with respect to its Newton polygon,
+    # the jumps below 1 are those of its term ideal, convenient or not
+    for text in ("y^2 + x^2*y", "x^2*y + y^3", "x*y*(x+y)", "y*(y^2 - x^5)",
+                 "x*(y^2 - x^3)", "x*y"):
+        f = P(text)
+        kl, _ = resolve_curve(f)
+        mono = [x for x in jumping_numbers_monomial(term_ideal(f), F(1)) if x < 1]
+        assert jumping_numbers_curve(kl, F(1)) == mono, text
+    # control: a degenerate germ, whose principal part is a square
+    f = P("(y - x^2)^2 - x^5")
+    kl, _ = resolve_curve(f)
+    assert jumping_numbers_curve(kl, F(1)) == [F(7, 10), F(9, 10)]
+    assert jumping_numbers_monomial(term_ideal(f), F(1)) == [F(3, 4), 1]
 
 
 # -- staircases -------------------------------------------------------------------

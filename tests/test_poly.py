@@ -99,6 +99,40 @@ def test_powers_are_bounded_before_expanding():
     assert P("(x^3 - y^2)^13") == P("x^3 - y^2") ** 13
 
 
+def test_products_are_bounded_before_multiplying():
+    import time
+
+    from singular_lct.poly import MAX_POWER_DEGREE
+
+    limit = (MAX_POWER_DEGREE + 1) * (MAX_POWER_DEGREE + 2) // 2
+    assert limit == 861  # the term count of (x+y+1)^MAX_POWER_DEGREE
+    start = time.perf_counter()
+    P("(x+y+1)^20")
+    first = time.perf_counter() - start
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        P("(x+y+1)^20*(x+y+1)^20*(x+y+1)^20")
+    # it stops before multiplying: about the cost of the first factor (an
+    # unbounded product takes ten times that)
+    assert time.perf_counter() - start < 2 * first + 0.1
+    assert err.value.pos == 11 and "53361" in str(err.value)
+    for text, pos in (
+        ("(x+y+1)^20 * (x+y+1)^2", 13),  # 231 * 6 term pairs
+        ("(x+y+1)^20(x+y+1)^2", 10),  # implicit multiplication
+        ("(x+y)^20*(x+y)^20*(x+y)^21", 18),  # 41 * 22 at the third factor
+    ):
+        with pytest.raises(ParseError) as err:
+            P(text)
+        assert err.value.pos == pos, text
+    # at the limit, many small factors, and a germ-theorem input whose
+    # factors' term counts multiply to 900 but whose multiplications stay
+    # at 90 and 352 term pairs
+    assert len(P("(x+y)^20*(x+y)^20*(x+y)^20").terms) == 61
+    assert P("(x+1)" * 12) == P("(x+1)^12")
+    assert P("x" * 50) == BivariatePolynomial.monomial(50, 0)
+    P("((x + 1*y^1)^8 - (-2/3)*y^9)*(y^4 - (-2/3)*(x + 1*y^1)^7)*(y^5 - (-3)*(x + 1*y^1)^8)")
+
+
 def test_every_shipped_input_parses_within_the_limits():
     from singular_lct.corpus import coprime_pairs, corpus_curves
 

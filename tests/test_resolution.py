@@ -177,3 +177,13 @@ def test_errors_name_the_factor_in_the_polynomial_grammar(capsys):
     ):
         assert main(["lct", "--curve", expr]) == 2
         assert phrase in capsys.readouterr().err
+
+
+def test_diagram_tree_keeps_the_resolved_cluster():
+    import oracles
+
+    for _, text in corpus_curves(12):
+        kl, d = resolve_curve(P(text))
+        assert d.tree.cluster is kl.cluster
+        assert d.to_weighted_cluster() == kl
+        assert kl.cluster == oracles.tree_to_cluster_by_scan(d.tree)

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from . import serialize
 from .cluster import (
@@ -19,6 +19,7 @@ from .cluster import (
     BasisVector,
     BRANCH,
     TOTAL,
+    WeightedCluster,
     is_unloaded,
     jumping_numbers_curve,
     lct_cluster,
@@ -38,6 +39,8 @@ from .poly import BivariatePolynomial, ParseError
 from .resolution import resolve_curve
 from .corpus import corpus_curves
 
+_fts = serialize.fraction_to_str
+
 
 class _UsageError(Exception):
     pass
@@ -49,59 +52,63 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _frac(s: str) -> Fraction:
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:  # argparse reports only ValueError/TypeError
+        raise ValueError(s) from None
 
 
 def build_parser() -> _Parser:
     p = _Parser(prog="singular-lct", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, **kw):
+    def add(name, handler, **kw):
         sp = sub.add_parser(name, **kw)
         sp.add_argument("--json", action="store_true", help="machine JSON output")
+        sp.set_defaults(handler=handler)
         return sp
 
-    sp = add("lct", help="log-canonical threshold of a curve at the origin")
+    sp = add("lct", _lct, help="log-canonical threshold of a curve at the origin")
     sp.add_argument("--curve", required=True, metavar="POLY")
 
-    sp = add("monomial-lct", help="lct of a monomial ideal / term ideal")
+    sp = add("monomial-lct", _monomial_lct, help="lct of a monomial ideal / term ideal")
     src = sp.add_mutually_exclusive_group(required=True)
     src.add_argument("--poly", metavar="POLY", help="use the term ideal of POLY")
     src.add_argument("--file", metavar="PATH", help="ideal as JSON [[m,n],...]")
 
-    sp = add("newton", help="term ideal, closure, facets and lct")
+    sp = add("newton", _newton, help="term ideal, closure, facets and lct")
     sp.add_argument("--poly", required=True, metavar="POLY")
 
-    sp = add("jumping", help="jumping numbers")
+    sp = add("jumping", _jumping, help="jumping numbers")
     src = sp.add_mutually_exclusive_group(required=True)
     src.add_argument("--curve", metavar="POLY")
-    src.add_argument("--monomial", metavar="POLY", help="term ideal of POLY")
+    src.add_argument("--monomial", dest="poly", metavar="POLY", help="term ideal of POLY")
     src.add_argument("--file", metavar="PATH", help="ideal as JSON [[m,n],...]")
     sp.add_argument("--bound", type=_frac, required=True)
 
-    sp = add("resolve", help="minimal log resolution cluster and diagram")
+    sp = add("resolve", _resolve, help="minimal log resolution cluster and diagram")
     sp.add_argument("--curve", required=True, metavar="POLY")
 
-    sp = add("unload", help="unload a weighted cluster (JSON file)")
+    sp = add("unload", _unload, help="unload a weighted cluster (JSON file)")
     sp.add_argument("--file", required=True, metavar="PATH")
 
-    sp = add("tpq", help="staircase tree of x^p - y^q")
+    sp = add("tpq", _tpq, help="staircase tree of x^p - y^q")
     sp.add_argument("p", type=int)
     sp.add_argument("q", type=int)
     sp.add_argument("--dot", metavar="PATH")
 
-    sp = add("union", help="union of diagrams (JSON files)")
+    sp = add("union", _union, help="union of diagrams (JSON files)")
     sp.add_argument("files", nargs="+", metavar="PATH")
     sp.add_argument("--dot", metavar="PATH")
 
-    sp = add("diagram", help="Enriques diagram of a curve, with DOT export")
+    sp = add("diagram", _diagram, help="Enriques diagram of a curve, with DOT export")
     sp.add_argument("--curve", required=True, metavar="POLY")
     sp.add_argument("--dot", metavar="PATH")
 
-    sp = add("check-theorem", help="compare the two lct computations")
+    sp = add("check-theorem", _check_theorem, help="compare the two lct computations")
     sp.add_argument("--curve", required=True, metavar="POLY")
 
-    sp = add("corpus", help="run the built-in curve corpus")
+    sp = add("corpus", _corpus, help="run the built-in curve corpus")
     sp.add_argument("--cusp-limit", type=int, default=12)
     return p
 
@@ -136,207 +143,182 @@ def export_dot(d: EnriquesDiagram, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _load_ideal(args) -> MonomialIdeal:
-    if getattr(args, "poly", None):
+def _read_json(path: str):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def _curve(args) -> Tuple[WeightedCluster, EnriquesDiagram]:
+    return resolve_curve(BivariatePolynomial.parse(args.curve))
+
+
+def _ideal(args) -> MonomialIdeal:
+    """The term ideal of --poly (or --monomial), else the ideal in --file."""
+    if args.poly:
         return term_ideal(BivariatePolynomial.parse(args.poly))
-    if getattr(args, "monomial", None):
-        return term_ideal(BivariatePolynomial.parse(args.monomial))
-    with open(args.file) as fh:
-        return serialize.ideal_from_json(json.load(fh))
+    return serialize.ideal_from_json(_read_json(args.file))
 
 
-def _emit(args, payload: dict, text: str) -> None:
-    if args.json:
-        payload = {"schema": serialize.SCHEMA, **payload}
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(text)
+def _drawn(args, d: EnriquesDiagram, text: str) -> Tuple[dict, str]:
+    if args.dot:
+        export_dot(d, args.dot)
+    return {"diagram": serialize.diagram_to_json(d)}, text
 
 
-def _run(args) -> int:
-    fts = serialize.fraction_to_str
-    if args.command == "lct":
-        kl, _ = resolve_curve(BivariatePolynomial.parse(args.curve))
-        if kl.is_empty():
-            value = Fraction(1)  # smooth at the origin
-        else:
-            value, _ = lct_cluster(kl)
-        _emit(args, {"lct": fts(value)}, fts(value))
-        return 0
+def _weights_and_kinds(d: EnriquesDiagram) -> str:
+    return f"weights {list(d.weights)}  kinds {list(d.tree.kinds[1:])}"
 
-    if args.command == "monomial-lct":
-        value = lct_monomial(_load_ideal(args))
-        _emit(args, {"lct": fts(value)}, fts(value))
-        return 0
 
-    if args.command == "newton":
-        a = term_ideal(BivariatePolynomial.parse(args.poly))
-        closure = integral_closure(a)
-        facets = [
+# Each handler serves one subcommand and returns its (JSON payload, text).
+
+
+def _lct(args):
+    kl, _ = _curve(args)
+    value = Fraction(1) if kl.is_empty() else lct_cluster(kl)[0]  # 1 if smooth
+    return {"lct": _fts(value)}, _fts(value)
+
+
+def _monomial_lct(args):
+    value = lct_monomial(_ideal(args))
+    return {"lct": _fts(value)}, _fts(value)
+
+
+def _newton(args):
+    a = _ideal(args)
+    closure = integral_closure(a)
+    facets = newton_facets(a)
+    value = lct_monomial(a)
+    payload = {
+        "term_ideal": serialize.ideal_to_json(a),
+        "integral_closure": serialize.ideal_to_json(closure),
+        "facets": [
             {"p": f.p, "q": f.q, "d": f.d, "start": list(f.start), "end": list(f.end)}
-            for f in newton_facets(a)
+            for f in facets
+        ],
+        "lct": _fts(value),
+    }
+    text = "\n".join(
+        [
+            f"term ideal       {a}",
+            f"integral closure {closure}",
+            "facets           "
+            + ", ".join(f"(p={f.p}, q={f.q}, d={f.d})" for f in facets),
+            f"lct              {_fts(value)}",
         ]
-        value = lct_monomial(a)
-        payload = {
-            "term_ideal": serialize.ideal_to_json(a),
-            "integral_closure": serialize.ideal_to_json(closure),
-            "facets": facets,
-            "lct": fts(value),
-        }
-        text = "\n".join(
-            [
-                f"term ideal       {a}",
-                f"integral closure {closure}",
-                "facets           "
-                + ", ".join(f"(p={f.p}, q={f.q}, d={f.d})" for f in newton_facets(a)),
-                f"lct              {fts(value)}",
-            ]
+    )
+    return payload, text
+
+
+def _jumping(args):
+    if args.curve:
+        jumps = jumping_numbers_curve(_curve(args)[0], args.bound)
+    else:
+        jumps = jumping_numbers_monomial(_ideal(args), args.bound)
+    values = [_fts(x) for x in jumps]
+    return {"jumping_numbers": values}, ", ".join(values)
+
+
+def _resolve(args):
+    kl, diagram = _curve(args)
+    payload = {
+        "cluster": serialize.cluster_to_json(kl),
+        "diagram": serialize.diagram_to_json(diagram),
+    }
+    lines = [f"{len(kl.cluster)} infinitely near points"]
+    for i in range(len(kl.cluster)):
+        prox = ",".join(f"P{a + 1}" for a in kl.cluster.targets[i])
+        lines.append(
+            f"  P{i + 1}: weight {kl.weights[i]}"
+            + (f", proximate to {prox}" if prox else " (proper point)")
         )
-        _emit(args, payload, text)
-        return 0
+    return payload, "\n".join(lines)
 
-    if args.command == "jumping":
-        if args.curve:
-            kl, _ = resolve_curve(BivariatePolynomial.parse(args.curve))
-            jumps = jumping_numbers_curve(kl, args.bound)
-        else:
-            jumps = jumping_numbers_monomial(_load_ideal(args), args.bound)
-        _emit(
-            args,
-            {"jumping_numbers": [fts(x) for x in jumps]},
-            ", ".join(fts(x) for x in jumps),
-        )
-        return 0
 
-    if args.command == "resolve":
-        kl, diagram = resolve_curve(BivariatePolynomial.parse(args.curve))
-        payload = {
-            "cluster": serialize.cluster_to_json(kl),
-            "diagram": serialize.diagram_to_json(diagram),
-        }
-        lines = [f"{len(kl.cluster)} infinitely near points"]
-        for i in range(len(kl.cluster)):
-            prox = ",".join(f"P{a + 1}" for a in kl.cluster.targets[i])
-            lines.append(
-                f"  P{i + 1}: weight {kl.weights[i]}"
-                + (f", proximate to {prox}" if prox else " (proper point)")
-            )
-        _emit(args, payload, "\n".join(lines))
-        return 0
+def _unload(args):
+    kl = serialize.cluster_from_json(_read_json(args.file))
+    result = unload(kl)
+    branch = change_basis(BasisVector(result.weights, TOTAL), BRANCH, result.cluster)
+    payload = {
+        "cluster": serialize.cluster_to_json(result),
+        "branch": list(branch.entries),
+        "was_unloaded": is_unloaded(kl),
+    }
+    return payload, f"weights {list(result.weights)}  branch {list(branch.entries)}"
 
-    if args.command == "unload":
-        with open(args.file) as fh:
-            kl = serialize.cluster_from_json(json.load(fh))
-        result = unload(kl)
-        branch = change_basis(
-            BasisVector(result.weights, TOTAL), BRANCH, result.cluster
-        )
-        payload = {
-            "cluster": serialize.cluster_to_json(result),
-            "branch": list(branch.entries),
-            "was_unloaded": is_unloaded(kl),
-        }
-        _emit(
-            args,
-            payload,
-            f"weights {list(result.weights)}  branch {list(branch.entries)}",
-        )
-        return 0
 
-    if args.command == "tpq":
-        d = t_pq(args.p, args.q)
-        if args.dot:
-            export_dot(d, args.dot)
-        _emit(
-            args,
-            {"diagram": serialize.diagram_to_json(d)},
-            f"weights {list(d.weights)}  kinds {[k for k in d.tree.kinds[1:]]}",
-        )
-        return 0
+def _tpq(args):
+    d = t_pq(args.p, args.q)
+    return _drawn(args, d, _weights_and_kinds(d))
 
-    if args.command == "union":
-        diagrams = []
-        for path in args.files:
-            with open(path) as fh:
-                diagrams.append(serialize.diagram_from_json(json.load(fh)))
-        out = diagrams[0]
-        for d in diagrams[1:]:
-            out = union(out, d)
-        if args.dot:
-            export_dot(out, args.dot)
-        _emit(
-            args,
-            {"diagram": serialize.diagram_to_json(out)},
-            f"weights {list(out.weights)}",
-        )
-        return 0
 
-    if args.command == "diagram":
-        _, d = resolve_curve(BivariatePolynomial.parse(args.curve))
-        if args.dot:
-            export_dot(d, args.dot)
-        _emit(
-            args,
-            {"diagram": serialize.diagram_to_json(d)},
-            f"weights {list(d.weights)}  kinds {[k for k in d.tree.kinds[1:]]}",
-        )
-        return 0
+def _union(args):
+    diagrams = [serialize.diagram_from_json(_read_json(path)) for path in args.files]
+    out = diagrams[0]
+    for d in diagrams[1:]:
+        out = union(out, d)
+    return _drawn(args, out, f"weights {list(out.weights)}")
 
-    if args.command == "check-theorem":
-        _, d = resolve_curve(BivariatePolynomial.parse(args.curve))
-        report = check_main_theorem(d)
-        payload = {
-            "lct_direct": fts(report.lct_direct),
-            "lct_term": fts(report.lct_term),
-            "equal": report.equal,
-            "witness_vertices": [v + 1 for v in report.witness_vertices],
-            "candidates": [
-                {
-                    "rho": None if c.rho is None else c.rho + 1,
-                    "lct": fts(c.lct),
-                    "staircase": serialize.staircase_to_json(c.staircase),
-                }
-                for c in report.candidates
-            ],
-        }
-        _emit(args, payload, str(report))
-        return 0
 
-    if args.command == "corpus":
-        rows = []
-        failures = 0
-        for name, curve in corpus_curves(args.cusp_limit):
-            try:
-                _, d = resolve_curve(BivariatePolynomial.parse(curve))
-                report = check_main_theorem(d)
-                rows.append((name, curve, fts(report.lct_direct), "ok"))
-            except MainTheoremViolation:
-                failures += 1
-                rows.append((name, curve, "-", "THEOREM VIOLATION"))
-        width = max(len(r[0]) for r in rows)
-        text = "\n".join(
-            f"{name:<{width}}  {status:<4}  lct={value}  {curve}"
-            for name, curve, value, status in rows
-        )
-        text += f"\n{len(rows)} curves, {failures} failures"
-        payload = {
-            "curves": [
-                {"name": n, "curve": c, "lct": v, "status": s}
-                for n, c, v, s in rows
-            ],
-            "failures": failures,
-        }
-        _emit(args, payload, text)
-        return 3 if failures else 0
+def _diagram(args):
+    _, d = _curve(args)
+    return _drawn(args, d, _weights_and_kinds(d))
 
-    raise _UsageError(f"unknown command {args.command}")
+
+def _check_theorem(args):
+    _, d = _curve(args)
+    report = check_main_theorem(d)
+    payload = {
+        "lct_direct": _fts(report.lct_direct),
+        "lct_term": _fts(report.lct_term),
+        "equal": report.equal,
+        "witness_vertices": [v + 1 for v in report.witness_vertices],
+        "candidates": [
+            {
+                "rho": None if c.rho is None else c.rho + 1,
+                "lct": _fts(c.lct),
+                "staircase": serialize.staircase_to_json(c.staircase),
+            }
+            for c in report.candidates
+        ],
+    }
+    return payload, str(report)
+
+
+def _corpus(args):
+    rows = []
+    failures = 0
+    for name, curve in corpus_curves(args.cusp_limit):
+        try:
+            _, d = resolve_curve(BivariatePolynomial.parse(curve))
+            report = check_main_theorem(d)
+            rows.append((name, curve, _fts(report.lct_direct), "ok"))
+        except MainTheoremViolation:
+            failures += 1
+            rows.append((name, curve, "-", "THEOREM VIOLATION"))
+    width = max(len(r[0]) for r in rows)
+    text = "\n".join(
+        f"{name:<{width}}  {status:<4}  lct={value}  {curve}"
+        for name, curve, value, status in rows
+    )
+    text += f"\n{len(rows)} curves, {failures} failures"
+    payload = {
+        "curves": [
+            {"name": n, "curve": c, "lct": v, "status": s} for n, c, v, s in rows
+        ],
+        "failures": failures,
+    }
+    return payload, text
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return _run(args)
+        args = build_parser().parse_args(argv)
+        payload, text = args.handler(args)
+        if args.json:
+            payload = {"schema": serialize.SCHEMA, **payload}
+            text = json.dumps(payload, indent=2, sort_keys=True)
+        print(text)
+        return 3 if payload.get("failures") else 0  # corpus counts violations
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

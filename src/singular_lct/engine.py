@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .cluster import lct_cluster
-from .enriques import EnriquesDiagram, _free_path, classify, diagram_to_staircase
+from .enriques import EnriquesDiagram, _free_path, diagram_to_staircase
 from .newton import Staircase, lct_monomial
 
 
@@ -129,7 +129,6 @@ def adapted_candidates(d: EnriquesDiagram) -> List[AdaptedCandidate]:
         for u in keep:  # grows: the satellites hanging off the kept points
             keep.extend(k for k in children[u] if t.is_satellite(k))
         sub = d.restrict(keep)
-        assert classify(sub.tree).binary, "adapted subdiagram must be binary"
         stair = diagram_to_staircase(sub)
         out.append(
             AdaptedCandidate(rho, sub, stair, lct_monomial(stair.to_ideal()))

@@ -4,8 +4,8 @@ by iterated point blowups, over the rationals.
 Each blowup is followed in the two affine charts (x, y) -> (x, x y) and
 (x, y) -> (x y, y); the rational tangent directions are the rational roots
 of the tangent cone, found by Yun's squarefree split and Sturm isolation
-(`poly.rational_roots`), and the chart is recentered there.  The recursion
-stops at a point once the strict transform is smooth and meets the
+(`poly.rational_roots`), and the chart is recentered there.  The blowups
+stop at a point once the strict transform is smooth and meets the
 exceptional locus transversally at a smooth point of it; a point lying on
 two exceptional components, or tangent to one, gets one more blowup, which
 yields the minimal log resolution.
@@ -18,11 +18,16 @@ NonRationalTangentError, naming the offending form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from .cluster import Cluster, WeightedCluster, _strict_from_total, is_unloaded
+from .cluster import (
+    EMPTY_CLUSTER,
+    Cluster,
+    WeightedCluster,
+    _strict_from_total,
+    is_unloaded,
+)
 from .enriques import EnriquesDiagram, cluster_to_tree
 from .poly import BivariatePolynomial, polynomial_gcd, rational_roots
 
@@ -94,18 +99,6 @@ def _tangent_roots(form: BivariatePolynomial) -> Tuple[List[Tuple[Fraction, int]
     return sorted(roots + found), inf_mult
 
 
-@dataclass
-class _Chart:
-    """Strict transform local to one infinitely near point, with the
-    exceptional components through it: axis -> (ancestor index, multiplicity
-    of that component in the total transform of the curve)."""
-
-    f: BivariatePolynomial
-    axes: Dict[str, Tuple[int, int]]
-    parent: Optional[int]
-    parent_smooth_measure: Optional[Tuple[int, int]] = None
-
-
 def _smooth_measure(f: BivariatePolynomial, axes) -> Tuple[int, int]:
     """Progress measure at a smooth point of the strict transform: the
     intersection order with the exceptional components through the point,
@@ -119,6 +112,16 @@ def _smooth_measure(f: BivariatePolynomial, axes) -> Tuple[int, int]:
         else:  # {y = 0}: order of f(x, 0)
             contact += min(m for m, n in f.support() if n == 0)
     return (contact, 2 - len(axes))
+
+
+def _needs_blowup(g: BivariatePolynomial, axes) -> bool:
+    """Is the point of the strict transform g, on the exceptional components
+    `axes`, still unresolved?  A singular point or a corner of two components
+    is; a smooth branch on a single component only when tangent to it."""
+    if g.multiplicity() >= 2 or len(axes) == 2:
+        return True
+    a, b = g.coefficient(1, 0), g.coefficient(0, 1)
+    return ("x" in axes and b == 0) or ("y" in axes and a == 0)
 
 
 def resolve_curve(
@@ -136,63 +139,51 @@ def resolve_curve(
         raise ResolutionError("the curve does not pass through the origin")
     _require_reduced(f)
 
+    # one entry per point still to blow up: its local equation, the
+    # exceptional components through it (axis -> (ancestor index,
+    # multiplicity of that component in the total transform of the curve)),
+    # its parent and the parent's smooth measure; popped in preorder
+    todo = [(f, {}, None, None)] if f.multiplicity() >= 2 else []
     parents: List[Optional[int]] = []
     targets: List[Tuple[int, ...]] = []
     weights: List[int] = []
     exc_mult: List[int] = []  # multiplicity of E_i in the total transform
-
-    def process(chart: _Chart):
+    while todo:
+        g, axes, parent, parent_measure = todo.pop()
         if len(parents) >= max_points:
             raise ResolutionError(f"resolution exceeded {max_points} blowups")
-        m = chart.f.multiplicity()
-        if chart.parent is not None:
-            assert m <= weights[chart.parent], "multiplicity grew under blowup"
-        measure = _smooth_measure(chart.f, chart.axes) if m == 1 else None
-        if measure is not None and chart.parent_smooth_measure is not None:
-            assert measure < chart.parent_smooth_measure, (
+        m = g.multiplicity()
+        if parent is not None:
+            assert m <= weights[parent], "multiplicity grew under blowup"
+        measure = _smooth_measure(g, axes) if m == 1 else None
+        if measure is not None and parent_measure is not None:
+            assert measure < parent_measure, (
                 "no progress along a smooth chain of blowups"
             )
         idx = len(parents)
-        parents.append(chart.parent)
-        targets.append(tuple(sorted(anc for anc, _ in chart.axes.values())))
+        parents.append(parent)
+        targets.append(tuple(sorted(anc for anc, _ in axes.values())))
         weights.append(m)
-        e_here = m + sum(mult for _, mult in chart.axes.values())
+        e_here = m + sum(mult for _, mult in axes.values())
         exc_mult.append(e_here)
 
-        form = chart.f.leading_form()
-        roots, inf_mult = _tangent_roots(form)
+        roots, inf_mult = _tangent_roots(g.leading_form())
+        children = []
         for t, _ in roots:
-            g = chart.f.blowup_x_chart().shift_y(t)
-            axes: Dict[str, Tuple[int, int]] = {"x": (idx, e_here)}
-            if t == 0 and "y" in chart.axes:
-                axes["y"] = chart.axes["y"]
-            _descend(g, axes, idx, measure)
+            child_axes = {"x": (idx, e_here)}
+            if t == 0 and "y" in axes:
+                child_axes["y"] = axes["y"]
+            children.append((g.blowup_x_chart().shift_y(t), child_axes))
         if inf_mult:
-            g = chart.f.blowup_y_chart()
-            axes = {"y": (idx, e_here)}
-            if "x" in chart.axes:
-                axes["x"] = chart.axes["x"]
-            _descend(g, axes, idx, measure)
-
-    def _descend(g: BivariatePolynomial, axes, idx: int, measure):
-        m = g.multiplicity()
-        if m >= 2 or len(axes) == 2:
-            process(_Chart(g, axes, idx, measure))
-            return
-        # smooth branch on a single exceptional component: blow up only
-        # when tangent to it
-        a, b = g.coefficient(1, 0), g.coefficient(0, 1)
-        tangent_to_exceptional = ("x" in axes and b == 0) or ("y" in axes and a == 0)
-        if tangent_to_exceptional:
-            process(_Chart(g, axes, idx, measure))
-
-    mult0 = f.multiplicity()
-    if mult0 >= 2:
-        process(_Chart(f, {}, None))
+            child_axes = {"y": (idx, e_here)}
+            if "x" in axes:
+                child_axes["x"] = axes["x"]
+            children.append((g.blowup_y_chart(), child_axes))
+        for h, child_axes in reversed(children):
+            if _needs_blowup(h, child_axes):
+                todo.append((h, child_axes, idx, measure))
 
     if not parents:
-        from .cluster import EMPTY_CLUSTER
-
         empty = WeightedCluster(EMPTY_CLUSTER, ())
         return empty, EnriquesDiagram(cluster_to_tree(EMPTY_CLUSTER), ())
 

@@ -24,14 +24,19 @@ and `trimmed_by_fixed_point_loop` are the earlier step-by-step forms of
 forms of `EnriquesTree.cluster` and of the free-chain flavor of a root
 child, which find children and L-branch targets by scanning the parent list.
 
+`resolve_curve_by_recursion` is the earlier form of `resolve_curve`: two
+mutually recursive closures, two Python frames per infinitely near point,
+where the library walks one worklist.
+
 `require_reduced_by_sympy` and `tangent_roots_by_sympy` are the earlier
 sympy forms of the reducedness check and of the tangent-cone roots of
 `resolution`; sympy is imported inside them, so only the tests need it.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from singular_lct.cluster import (
     EMPTY_CLUSTER,
@@ -45,7 +50,14 @@ from singular_lct.cluster import (
     log_discrepancies,
     proximity_matrix,
 )
-from singular_lct.enriques import HORIZONTAL, SLANT, VERTICAL, EnriquesError
+from singular_lct.enriques import (
+    HORIZONTAL,
+    SLANT,
+    VERTICAL,
+    EnriquesDiagram,
+    EnriquesError,
+    cluster_to_tree,
+)
 from singular_lct.newton import (
     MonomialIdeal,
     MonomialIdealError,
@@ -53,7 +65,14 @@ from singular_lct.newton import (
     newton_facets,
 )
 from singular_lct.poly import BivariatePolynomial
-from singular_lct.resolution import NonRationalTangentError, NonReducedError
+from singular_lct.resolution import (
+    NonRationalTangentError,
+    NonReducedError,
+    ResolutionError,
+    _require_reduced,
+    _smooth_measure,
+    _tangent_roots,
+)
 
 
 def _feasible(gens, point, strict):
@@ -528,3 +547,98 @@ def tangent_roots_by_sympy(form: BivariatePolynomial) -> Tuple[List[Tuple[Fracti
         # simple irrational factors: smooth transverse branches, no blowup
     roots.sort()
     return roots, inf_mult
+
+
+@dataclass
+class _Chart:
+    """Strict transform local to one infinitely near point, with the
+    exceptional components through it: axis -> (ancestor index, multiplicity
+    of that component in the total transform of the curve)."""
+
+    f: BivariatePolynomial
+    axes: Dict[str, Tuple[int, int]]
+    parent: Optional[int]
+    parent_smooth_measure: Optional[Tuple[int, int]] = None
+
+
+def resolve_curve_by_recursion(
+    f: BivariatePolynomial, max_points: int = 500
+) -> Tuple[WeightedCluster, EnriquesDiagram]:
+    """Weighted cluster and Enriques diagram of the minimal log resolution.
+
+    Weights are the multiplicities of the strict transform at the blown-up
+    points; they always satisfy the proximity relations.  A smooth curve
+    needs no blowup and yields the empty cluster.
+    """
+    if f.is_zero():
+        raise ResolutionError("cannot resolve the zero curve")
+    if f.coefficient(0, 0):
+        raise ResolutionError("the curve does not pass through the origin")
+    _require_reduced(f)
+
+    parents: List[Optional[int]] = []
+    targets: List[Tuple[int, ...]] = []
+    weights: List[int] = []
+    exc_mult: List[int] = []  # multiplicity of E_i in the total transform
+
+    def process(chart: _Chart):
+        if len(parents) >= max_points:
+            raise ResolutionError(f"resolution exceeded {max_points} blowups")
+        m = chart.f.multiplicity()
+        if chart.parent is not None:
+            assert m <= weights[chart.parent], "multiplicity grew under blowup"
+        measure = _smooth_measure(chart.f, chart.axes) if m == 1 else None
+        if measure is not None and chart.parent_smooth_measure is not None:
+            assert measure < chart.parent_smooth_measure, (
+                "no progress along a smooth chain of blowups"
+            )
+        idx = len(parents)
+        parents.append(chart.parent)
+        targets.append(tuple(sorted(anc for anc, _ in chart.axes.values())))
+        weights.append(m)
+        e_here = m + sum(mult for _, mult in chart.axes.values())
+        exc_mult.append(e_here)
+
+        form = chart.f.leading_form()
+        roots, inf_mult = _tangent_roots(form)
+        for t, _ in roots:
+            g = chart.f.blowup_x_chart().shift_y(t)
+            axes: Dict[str, Tuple[int, int]] = {"x": (idx, e_here)}
+            if t == 0 and "y" in chart.axes:
+                axes["y"] = chart.axes["y"]
+            _descend(g, axes, idx, measure)
+        if inf_mult:
+            g = chart.f.blowup_y_chart()
+            axes = {"y": (idx, e_here)}
+            if "x" in chart.axes:
+                axes["x"] = chart.axes["x"]
+            _descend(g, axes, idx, measure)
+
+    def _descend(g: BivariatePolynomial, axes, idx: int, measure):
+        m = g.multiplicity()
+        if m >= 2 or len(axes) == 2:
+            process(_Chart(g, axes, idx, measure))
+            return
+        # smooth branch on a single exceptional component: blow up only
+        # when tangent to it
+        a, b = g.coefficient(1, 0), g.coefficient(0, 1)
+        tangent_to_exceptional = ("x" in axes and b == 0) or ("y" in axes and a == 0)
+        if tangent_to_exceptional:
+            process(_Chart(g, axes, idx, measure))
+
+    mult0 = f.multiplicity()
+    if mult0 >= 2:
+        process(_Chart(f, {}, None))
+
+    if not parents:
+        empty = WeightedCluster(EMPTY_CLUSTER, ())
+        return empty, EnriquesDiagram(cluster_to_tree(EMPTY_CLUSTER), ())
+
+    cluster = Cluster(parents, targets)
+    kl = WeightedCluster(cluster, weights)
+    assert is_unloaded(kl), "curve multiplicities violated a proximity relation"
+    assert _strict_from_total(cluster, weights) == exc_mult, (
+        "chart bookkeeping disagrees with the proximity recursion"
+    )
+    diagram = EnriquesDiagram(cluster_to_tree(cluster), weights)
+    return kl, diagram

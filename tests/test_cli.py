@@ -307,3 +307,65 @@ def test_star_import_binds_no_submodule():
     assert {"Cluster", "EnriquesTree", "check_main_theorem", "tree_to_cluster"} <= set(
         singular_lct.__all__
     )
+
+
+def test_cli_bound_with_zero_denominator_is_a_usage_error(capsys):
+    for bound in ("1/0", "abc"):
+        code, out, err = run_cli(capsys, "jumping", "--curve", "x^2-y^3", "--bound", bound)
+        assert (code, out) == (1, "")
+        assert err == f"usage error: argument --bound: invalid _frac value: '{bound}'\n"
+
+
+def test_every_subcommand_has_its_own_handler():
+    import argparse
+
+    from singular_lct.cli import build_parser
+
+    (commands,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    handlers = {name: sp.get_default("handler") for name, sp in commands.choices.items()}
+    assert len(handlers) == 11
+    assert all(callable(h) for h in handlers.values())
+    assert len(set(handlers.values())) == len(handlers)
+
+
+def test_readme_command_line_examples_run(tmp_path, monkeypatch, capsys):
+    import shlex
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    examples = [shlex.split(line, comments=True) for line in block.strip().splitlines()]
+    assert len(examples) == 11 and all(argv[0] == "singular-lct" for argv in examples)
+    monkeypatch.chdir(tmp_path)
+    kl, _ = resolve_curve(BivariatePolynomial.parse("x^5 - y^7"))
+    (tmp_path / "cluster.json").write_text(json.dumps(serialize.cluster_to_json(kl)))
+    for name, (p, q) in (("d1.json", (5, 7)), ("d2.json", (4, 7))):
+        (tmp_path / name).write_text(json.dumps(serialize.diagram_to_json(t_pq(p, q))))
+    for argv in examples:
+        assert run_cli(capsys, *argv[1:])[0] == 0, argv
+        flags = [] if "--json" in argv else ["--json"]
+        code, out, _ = run_cli(capsys, *argv[1:], *flags)
+        assert code == 0 and json.loads(out)["schema"] == "singular-lct/1", argv
+    # union reads bare diagrams, the "diagram" value of a --json document
+    code, out, _ = run_cli(capsys, "tpq", "5", "7", "--json")
+    (tmp_path / "whole.json").write_text(out)
+    (tmp_path / "bare.json").write_text(json.dumps(json.loads(out)["diagram"]))
+    assert run_cli(capsys, "union", "bare.json", "d2.json")[0] == 0
+    code, _, err = run_cli(capsys, "union", "whole.json", "d2.json")
+    assert code == 2 and "diagram lacks the field 'vertices'" in err
+
+
+def test_cli_corpus_exit_3_counts_theorem_violations(capsys, monkeypatch):
+    import singular_lct.cli as cli_mod
+    from singular_lct import MainTheoremViolation, check_main_theorem
+
+    def sabotage(d):
+        raise MainTheoremViolation(check_main_theorem(d))
+
+    monkeypatch.setattr(cli_mod, "check_main_theorem", sabotage)
+    code, out, _ = run_cli(capsys, "corpus", "--cusp-limit", "3", "--json")
+    data = json.loads(out)
+    assert code == 3 and data["failures"] == len(data["curves"]) > 0
+    assert {row["status"] for row in data["curves"]} == {"THEOREM VIOLATION"}

@@ -187,3 +187,33 @@ def test_diagram_tree_keeps_the_resolved_cluster():
         assert d.tree.cluster is kl.cluster
         assert d.to_weighted_cluster() == kl
         assert kl.cluster == oracles.tree_to_cluster_by_scan(d.tree)
+
+
+def test_deep_resolutions_do_not_depend_on_the_recursion_limit(capsys):
+    import json
+    import sys
+
+    import oracles
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        # y^2 - x^997 needs 500 points, exactly max_points: one loop
+        # resolves it, while two frames per point overflow the stack
+        kl, d = resolve_curve(P("y^2 - x^997"))
+        assert len(kl.cluster) == 500 and kl.weights[498:] == (1, 1)
+        with pytest.raises(RecursionError):
+            oracles.resolve_curve_by_recursion(P("y^2 - x^997"))
+        assert main(["lct", "--curve", "y^2 - x^997"]) == 0
+        assert capsys.readouterr().out == "999/1994\n"
+        assert main(["check-theorem", "--curve", "y^2 - x^997", "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["equal"] and data["lct_direct"] == data["lct_term"] == "999/1994"
+        # one point more than max_points: a typed error, exit 2
+        with pytest.raises(ResolutionError, match="resolution exceeded 500 blowups"):
+            resolve_curve(P("y^2 - x^999"))
+        assert main(["lct", "--curve", "y^2 - x^999"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: resolution exceeded 500 blowups\n")
+    finally:
+        sys.setrecursionlimit(limit)

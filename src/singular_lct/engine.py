@@ -150,16 +150,13 @@ def _path_to_leaf_through(d: EnriquesDiagram, witness: int) -> List[List[int]]:
         v = t.parents[v]
     up.reverse()
     paths = []
-
-    def walk(path: List[int]):
+    stack = [up]  # first child on top, so the paths come out in preorder
+    while stack:
+        path = stack.pop()
         kids = t.cluster._children[path[-1]]
         if not kids:
-            paths.append(list(path))
-            return
-        for k in kids:
-            walk(path + [k])
-
-    walk(up)
+            paths.append(path)
+        stack.extend(path + [k] for k in reversed(kids))
     return paths
 
 

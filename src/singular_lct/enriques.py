@@ -176,23 +176,33 @@ class EnriquesTree:
         )
         return EnriquesTree(self.parents, tuple(flip[k] for k in self.kinds), marks)
 
-    def _key(self, v: int, weights=None):
-        mark = 1 if (self.parents[v] == 0 and v in self.x_side) else 0
-        w = 0 if weights is None else weights[v]
-        kids = tuple(sorted(self._key(c, weights) for c in self.cluster._children[v]))
-        return (_KIND_RANK[self.kinds[v]], mark, w, kids)
+    def _key(self, weights=None) -> tuple:
+        """Flat canonical form up to isomorphism: the postorder of (kind
+        rank, x-side mark, weight, child count), the children's subtrees in
+        sorted order.  One pass from the last vertex up, since parents
+        precede children; an only child's list is extended in place, and a
+        flat tuple compares without recursing, however deep the tree."""
+        parents, kinds, children = self.parents, self.kinds, self.cluster._children
+        keys: Dict[int, list] = {}
+        for v in range(len(parents) - 1, -1, -1):
+            kids = children[v]
+            if len(kids) == 1:
+                key = keys.pop(kids[0])
+            else:
+                key = sum(sorted([keys.pop(c) for c in kids]), [])
+            mark = 1 if (parents[v] == 0 and v in self.x_side) else 0
+            w = 0 if weights is None else weights[v]
+            key += (_KIND_RANK[kinds[v]], mark, w, len(kids))
+            keys[v] = key
+        return tuple(keys.get(0, ()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EnriquesTree):
             return NotImplemented
-        if len(self) != len(other):
-            return False
-        if len(self) == 0:
-            return True
-        return self._key(0) == other._key(0)
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash(self._key(0)) if len(self) else hash(())
+        return hash(self._key())
 
 
 def _subtree_flavor(t: EnriquesTree, child: int) -> Optional[str]:
@@ -251,14 +261,10 @@ class EnriquesDiagram:
     def __eq__(self, other) -> bool:
         if not isinstance(other, EnriquesDiagram):
             return NotImplemented
-        if len(self) != len(other):
-            return False
-        if len(self) == 0:
-            return True
-        return self.tree._key(0, self.weights) == other.tree._key(0, other.weights)
+        return self.tree._key(self.weights) == other.tree._key(other.weights)
 
     def __hash__(self):
-        return hash(self.tree._key(0, self.weights)) if len(self) else hash(())
+        return hash(self.tree._key(self.weights))
 
 
 # -- the cluster dictionary ------------------------------------------------------
@@ -438,33 +444,50 @@ def t_pq(p: int, q: int, *, scale: int = 1, mirror: bool = False) -> EnriquesDia
 # -- union and connected sum -----------------------------------------------------
 
 
-# the parents, kinds, weights and x-side marks of a diagram being built
-_Parts = Tuple[List[Optional[int]], List[Optional[str]], List[int], set]
+def _walk_pairs(
+    d1: EnriquesDiagram, d2: EnriquesDiagram, *, glue: bool = False
+) -> EnriquesDiagram:
+    """Lay two diagrams over each other from their roots, in preorder.
 
-
-def _copy_subtree(d: EnriquesDiagram, v: int, parent: int, out: _Parts) -> None:
-    """Append the subtree of d at v, in preorder, below vertex `parent`."""
-    parents, kinds, weights, marks = out
-    idx = len(parents)
-    parents.append(parent)
-    kinds.append(d.tree.kinds[v])
-    weights.append(d.weights[v])
-    if parent == 0 and v in d.tree.x_side:
-        marks.add(idx)
-    for k in d.tree.cluster._children[v]:
-        _copy_subtree(d, k, idx, out)
-
-
-def _assemble(out: _Parts) -> EnriquesDiagram:
-    parents, kinds, weights, marks = out
+    Each stack entry (v1, v2, parent) pairs a vertex of d1 with one of d2,
+    either of which may be missing: -1, a sentinel vertex appended with no
+    kind, weight or children.  A pair adds its weights and matches its
+    children by edge kind; a single vertex copies its children in index
+    order.  With glue, the roots are paired but their children are not
+    matched: d1's come first, then d2's."""
+    t1, t2 = d1.tree, d2.tree
+    k1, w1, c1 = t1.kinds + (None,), d1.weights + (0,), t1.cluster._children + ((),)
+    k2, w2, c2 = t2.kinds + (None,), d2.weights + (0,), t2.cluster._children + ((),)
+    parents, kinds, weights, marks = [], [], [], set()
+    stack: List[Tuple[int, int, Optional[int]]] = [(0, 0, None)]
+    while stack:
+        v1, v2, parent = stack.pop()
+        idx = len(parents)
+        if parent == 0 and (v1 in t1.x_side or v2 in t2.x_side):
+            marks.add(idx)
+        parents.append(parent)
+        kinds.append(k1[v1] or k2[v2])
+        weights.append(w1[v1] + w2[v2])
+        if v1 >= 0 and v2 >= 0 and not (glue and parent is None):
+            by1, by2 = {k1[k]: k for k in c1[v1]}, {k2[k]: k for k in c2[v2]}
+            if len(by1) < len(c1[v1]) or len(by2) < len(c2[v2]):
+                raise EnriquesError("union input has equal-kind siblings")
+            for kind in (VERTICAL, HORIZONTAL, SLANT):  # slant ends on top
+                if kind in by1 or kind in by2:
+                    stack.append((by1.get(kind, -1), by2.get(kind, -1), idx))
+            continue
+        for k in reversed(c2[v2]):  # d1's first child ends on top
+            stack.append((-1, k, idx))
+        for k in reversed(c1[v1]):
+            stack.append((k, -1, idx))
     return EnriquesDiagram(EnriquesTree(parents, kinds, frozenset(marks)), weights)
 
 
 def union(d1: EnriquesDiagram, d2: EnriquesDiagram) -> EnriquesDiagram:
     """Union of two diagrams whose roots have degree <= 1: the maximal
     common subtrees are glued, weights adding on the shared part.  The
-    merge is a greedy recursive match of children by edge kind, which is
-    the unique maximal gluing because siblings carry distinct kinds."""
+    merge is a greedy match of children by edge kind, which is the unique
+    maximal gluing because siblings carry distinct kinds."""
     for d in (d1, d2):
         if len(d) and len(d.tree.cluster._children[0]) > 1:
             raise EnriquesError("union needs roots of degree at most 1")
@@ -472,36 +495,7 @@ def union(d1: EnriquesDiagram, d2: EnriquesDiagram) -> EnriquesDiagram:
         return d2
     if len(d2) == 0:
         return d1
-    out: _Parts = ([], [], [], set())
-    parents, kinds, weights, marks = out
-
-    def kids_by_kind(d: EnriquesDiagram, v: int) -> Dict[str, int]:
-        by_kind: Dict[str, int] = {}
-        for k in d.tree.cluster._children[v]:
-            kind = d.tree.kinds[k]
-            if kind in by_kind:
-                raise EnriquesError("union input has equal-kind siblings")
-            by_kind[kind] = k
-        return by_kind
-
-    def merge(v1: int, v2: int, parent: Optional[int], kind):
-        idx = len(parents)
-        parents.append(parent)
-        kinds.append(kind)
-        weights.append(d1.weights[v1] + d2.weights[v2])
-        if parent == 0 and (v1 in d1.tree.x_side or v2 in d2.tree.x_side):
-            marks.add(idx)
-        k1, k2 = kids_by_kind(d1, v1), kids_by_kind(d2, v2)
-        for kind_ in (SLANT, HORIZONTAL, VERTICAL):
-            if kind_ in k1 and kind_ in k2:
-                merge(k1[kind_], k2[kind_], idx, kind_)
-            elif kind_ in k1:
-                _copy_subtree(d1, k1[kind_], idx, out)
-            elif kind_ in k2:
-                _copy_subtree(d2, k2[kind_], idx, out)
-
-    merge(0, 0, None, None)
-    return _assemble(out)
+    return _walk_pairs(d1, d2)
 
 
 def connected_sum(t1: EnriquesTree, t2: EnriquesTree) -> EnriquesTree:
@@ -630,7 +624,7 @@ def diagram_to_staircase(d: EnriquesDiagram) -> Staircase:
     """Staircase of the integrally closed monomial ideal cut out by a
     binary unloaded diagram.
 
-    Recursion on the root: with root weight c and the subschemes Z1 (child
+    Induction on the root: with root weight c and the subschemes Z1 (child
     on the y-axis side) and Z2 (x-axis side) after one blowup, the
     staircase is the double slice sum (triangle(c) +v S(Z1)) +h S(Z2).
     The roles propagate: along the y-side, the slant child continues the
@@ -676,21 +670,23 @@ def diagram_to_staircase(d: EnriquesDiagram) -> Staircase:
         opp = next((k for k in kids if t.kinds[k] == _opposite(t.kinds[v])), None)
         return (same, opp) if role == "V" else (opp, same)
 
-    def stair(v: Optional[int], role: str) -> Staircase:
-        if v is None:
-            return Staircase.empty()
-        c = w[v]
+    # split every vertex in preorder, y-side child first, then sum the
+    # staircases children first; unloaded weights vanish below a zero one
+    empty = Staircase.empty()
+    order: List[Tuple[int, Optional[int], Optional[int]]] = []
+    stack = [(0, "V")] if len(d) else []
+    while stack:
+        v, role = stack.pop()
         vchild, hchild = split(v, role)
-        sv = stair(vchild, "V")
-        sh = stair(hchild, "H")
-        if c == 0:
-            if not (sv.is_empty() and sh.is_empty()):
-                raise EnriquesError(f"vertex {v}: zero weight above positive ones")
-            return Staircase.empty()
-        base = triangle(c)
-        return staircase_sum(staircase_sum(base, sv, "vertical"), sh, "horizontal")
-
-    return stair(0, "V") if len(d) else Staircase.empty()
+        order.append((v, vchild, hchild))
+        stack += [(k, r) for k, r in ((hchild, "H"), (vchild, "V")) if k is not None]
+    stairs: Dict[int, Staircase] = {}
+    for v, vchild, hchild in reversed(order):
+        sv, sh = stairs.pop(vchild, empty), stairs.pop(hchild, empty)
+        if w[v]:
+            base = triangle(w[v])
+            stairs[v] = staircase_sum(staircase_sum(base, sv, "vertical"), sh, "horizontal")
+    return stairs.get(0, empty)
 
 
 def staircase_to_diagram(s: Staircase) -> EnriquesDiagram:
@@ -743,9 +739,4 @@ def _mark_chain_children(d: EnriquesDiagram) -> EnriquesDiagram:
 
 
 def _glue_at_root(dv: EnriquesDiagram, dh: EnriquesDiagram) -> EnriquesDiagram:
-    dh = _mark_chain_children(dh)
-    out: _Parts = ([None], [None], [dv.weights[0] + dh.weights[0]], set())
-    for d in (dv, dh):
-        for k in d.tree.cluster._children[0]:
-            _copy_subtree(d, k, 0, out)
-    return _assemble(out)
+    return _walk_pairs(dv, _mark_chain_children(dh), glue=True)

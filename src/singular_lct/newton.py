@@ -256,6 +256,8 @@ class Staircase:
         object.__setattr__(self, "generators", _minimal_antichain(generators))
         if not self.generators:
             raise MonomialIdealError("staircase of the zero ideal is all of N^2")
+        if any(m < 0 or n < 0 for m, n in self.generators):
+            raise MonomialIdealError("negative exponents")
 
     @classmethod
     def from_ideal(cls, a: MonomialIdeal) -> "Staircase":

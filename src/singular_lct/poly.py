@@ -13,7 +13,9 @@ square of the degree and costs about its fourth power); a larger one is a
 ParseError at the exponent.  Likewise, before each multiplication in a
 product, the term counts of the product so far and of the next factor may
 multiply to at most that of (x+y+1)^MAX_POWER_DEGREE, else the product is a
-ParseError at that factor.
+ParseError at that factor.  Parentheses nest at most MAX_NESTING deep, so
+the recursive descent stays far inside the interpreter's recursion limit;
+a deeper '(' is a ParseError at its position.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ Term = Tuple[int, int]
 
 MAX_EXPONENT = 1000
 MAX_POWER_DEGREE = 40
+MAX_NESTING = 100
 
 
 class PolynomialError(ValueError):
@@ -240,6 +243,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0  # open parentheses around the current position
 
     def parse(self) -> BivariatePolynomial:
         result = self._expr()
@@ -319,11 +323,15 @@ class _Parser:
     def _base(self) -> BivariatePolynomial:
         ch = self._peek()
         if ch == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"nesting exceeds {MAX_NESTING}", self.text, self.pos)
             self.pos += 1
+            self.depth += 1
             inner = self._expr()
             if self._peek() != ")":
                 raise ParseError("missing ')'", self.text, self.pos)
             self.pos += 1
+            self.depth -= 1
             return inner
         if ch == "x":
             self.pos += 1

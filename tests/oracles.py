@@ -24,6 +24,14 @@ and `trimmed_by_fixed_point_loop` are the earlier step-by-step forms of
 forms of `EnriquesTree.cluster` and of the free-chain flavor of a root
 child, which find children and L-branch targets by scanning the parent list.
 
+`tree_key_by_recursion`, `union_by_recursion`, `glue_at_root_by_recursion`,
+`diagram_to_staircase_by_recursion` and `path_to_leaf_through_by_recursion`
+are the earlier recursive forms of the nested canonical key behind tree and
+diagram equality, of `union` and the root gluing of `staircase_to_diagram`,
+of `diagram_to_staircase` and of `engine._path_to_leaf_through`: one Python
+frame per tree level, where the library walks one loop, so they overflow
+the interpreter's stack on deep chains.
+
 `resolve_curve_by_recursion` is the earlier form of `resolve_curve`: two
 mutually recursive closures, two Python frames per infinitely near point,
 where the library walks one worklist.
@@ -51,18 +59,28 @@ from singular_lct.cluster import (
     proximity_matrix,
 )
 from singular_lct.enriques import (
+    _KIND_RANK,
     HORIZONTAL,
     SLANT,
     VERTICAL,
     EnriquesDiagram,
     EnriquesError,
+    EnriquesTree,
+    OrientationError,
+    _mark_chain_children,
+    _opposite,
+    _subtree_flavor,
+    classify,
     cluster_to_tree,
 )
 from singular_lct.newton import (
     MonomialIdeal,
     MonomialIdealError,
+    Staircase,
     UnitIdealError,
     newton_facets,
+    staircase_sum,
+    triangle,
 )
 from singular_lct.poly import BivariatePolynomial
 from singular_lct.resolution import (
@@ -481,6 +499,180 @@ def subtree_flavor_by_scan(parents, kinds, child):
             return "V" if kinds[sats[0]] == HORIZONTAL else "H"
         stack.extend(i for i in kids if kinds[i] == SLANT)
     return None
+
+
+def tree_key_by_recursion(t, v, weights=None):
+    """Nested canonical key of the subtree at v: one frame per level, and
+    nested tuples that compare recursively."""
+    mark = 1 if (t.parents[v] == 0 and v in t.x_side) else 0
+    w = 0 if weights is None else weights[v]
+    kids = tuple(sorted(tree_key_by_recursion(t, c, weights) for c in t.cluster._children[v]))
+    return (_KIND_RANK[t.kinds[v]], mark, w, kids)
+
+
+# the parents, kinds, weights and x-side marks of a diagram being built
+_Parts = Tuple[List[Optional[int]], List[Optional[str]], List[int], set]
+
+
+def _copy_subtree(d: EnriquesDiagram, v: int, parent: int, out: _Parts) -> None:
+    """Append the subtree of d at v, in preorder, below vertex `parent`."""
+    parents, kinds, weights, marks = out
+    idx = len(parents)
+    parents.append(parent)
+    kinds.append(d.tree.kinds[v])
+    weights.append(d.weights[v])
+    if parent == 0 and v in d.tree.x_side:
+        marks.add(idx)
+    for k in d.tree.cluster._children[v]:
+        _copy_subtree(d, k, idx, out)
+
+
+def _assemble(out: _Parts) -> EnriquesDiagram:
+    parents, kinds, weights, marks = out
+    return EnriquesDiagram(EnriquesTree(parents, kinds, frozenset(marks)), weights)
+
+
+def union_by_recursion(d1: EnriquesDiagram, d2: EnriquesDiagram) -> EnriquesDiagram:
+    """Union of two diagrams whose roots have degree <= 1: the maximal
+    common subtrees are glued, weights adding on the shared part.  The
+    merge is a greedy recursive match of children by edge kind, which is
+    the unique maximal gluing because siblings carry distinct kinds."""
+    for d in (d1, d2):
+        if len(d) and len(d.tree.cluster._children[0]) > 1:
+            raise EnriquesError("union needs roots of degree at most 1")
+    if len(d1) == 0:
+        return d2
+    if len(d2) == 0:
+        return d1
+    out: _Parts = ([], [], [], set())
+    parents, kinds, weights, marks = out
+
+    def kids_by_kind(d: EnriquesDiagram, v: int) -> Dict[str, int]:
+        by_kind: Dict[str, int] = {}
+        for k in d.tree.cluster._children[v]:
+            kind = d.tree.kinds[k]
+            if kind in by_kind:
+                raise EnriquesError("union input has equal-kind siblings")
+            by_kind[kind] = k
+        return by_kind
+
+    def merge(v1: int, v2: int, parent: Optional[int], kind):
+        idx = len(parents)
+        parents.append(parent)
+        kinds.append(kind)
+        weights.append(d1.weights[v1] + d2.weights[v2])
+        if parent == 0 and (v1 in d1.tree.x_side or v2 in d2.tree.x_side):
+            marks.add(idx)
+        k1, k2 = kids_by_kind(d1, v1), kids_by_kind(d2, v2)
+        for kind_ in (SLANT, HORIZONTAL, VERTICAL):
+            if kind_ in k1 and kind_ in k2:
+                merge(k1[kind_], k2[kind_], idx, kind_)
+            elif kind_ in k1:
+                _copy_subtree(d1, k1[kind_], idx, out)
+            elif kind_ in k2:
+                _copy_subtree(d2, k2[kind_], idx, out)
+
+    merge(0, 0, None, None)
+    return _assemble(out)
+
+
+def glue_at_root_by_recursion(dv: EnriquesDiagram, dh: EnriquesDiagram) -> EnriquesDiagram:
+    dh = _mark_chain_children(dh)
+    out: _Parts = ([None], [None], [dv.weights[0] + dh.weights[0]], set())
+    for d in (dv, dh):
+        for k in d.tree.cluster._children[0]:
+            _copy_subtree(d, k, 0, out)
+    return _assemble(out)
+
+
+def diagram_to_staircase_by_recursion(d: EnriquesDiagram) -> Staircase:
+    """Staircase of the integrally closed monomial ideal cut out by a
+    binary unloaded diagram.
+
+    Recursion on the root: with root weight c and the subschemes Z1 (child
+    on the y-axis side) and Z2 (x-axis side) after one blowup, the
+    staircase is the double slice sum (triangle(c) +v S(Z1)) +h S(Z2).
+    The roles propagate: along the y-side, the slant child continues the
+    y-chain and the (horizontal) satellite child starts the exceptional
+    x-chain; at satellites the same-kind child keeps its role and the
+    opposite-kind child takes the other one.
+    """
+    cls = classify(d.tree)
+    if not cls.binary:
+        raise EnriquesError(f"diagram is not binary: {cls.witnesses}")
+    if not is_unloaded(d.to_weighted_cluster()):
+        raise EnriquesError("diagram is not unloaded")
+    t, w = d.tree, d.weights
+
+    def split(v: int, role: str) -> Tuple[Optional[int], Optional[int]]:
+        kids = t.cluster._children[v]
+        if v == 0:
+            # a root child lies on the x-axis if marked so, else on the axis
+            # its first satellite says; bare chains take the free axes, y first
+            axis = {k: "H" if k in t.x_side else _subtree_flavor(t, k) for k in kids}
+            free_axes = [a for a in ("V", "H") if a not in axis.values()]
+            for k in kids:
+                if axis[k] is None:
+                    if not free_axes:
+                        raise OrientationError("both root chains claim the same axis")
+                    axis[k] = free_axes.pop(0)
+            if len(set(axis.values())) != len(kids):
+                raise OrientationError("both root children lie on the same axis")
+            child_on = {a: k for k, a in axis.items()}
+            return child_on.get("V"), child_on.get("H")
+        if t.is_free(v):
+            slant = next((k for k in kids if t.kinds[k] == SLANT), None)
+            sat = next((k for k in kids if t.kinds[k] != SLANT), None)
+            if sat is not None:
+                want = HORIZONTAL if role == "V" else VERTICAL
+                if t.kinds[sat] != want:
+                    raise OrientationError(
+                        f"vertex {v}: satellite child drawn {t.kinds[sat]!r} on "
+                        f"the {'y' if role == 'V' else 'x'}-axis chain"
+                    )
+            return (slant, sat) if role == "V" else (sat, slant)
+        same = next((k for k in kids if t.kinds[k] == t.kinds[v]), None)
+        opp = next((k for k in kids if t.kinds[k] == _opposite(t.kinds[v])), None)
+        return (same, opp) if role == "V" else (opp, same)
+
+    def stair(v: Optional[int], role: str) -> Staircase:
+        if v is None:
+            return Staircase.empty()
+        c = w[v]
+        vchild, hchild = split(v, role)
+        sv = stair(vchild, "V")
+        sh = stair(hchild, "H")
+        if c == 0:
+            if not (sv.is_empty() and sh.is_empty()):
+                raise EnriquesError(f"vertex {v}: zero weight above positive ones")
+            return Staircase.empty()
+        base = triangle(c)
+        return staircase_sum(staircase_sum(base, sv, "vertical"), sh, "horizontal")
+
+    return stair(0, "V") if len(d) else Staircase.empty()
+
+
+def path_to_leaf_through_by_recursion(d: EnriquesDiagram, witness: int) -> List[List[int]]:
+    """All root-to-leaf vertex paths passing through the witness vertex."""
+    t = d.tree
+    up: List[int] = []
+    v: Optional[int] = witness
+    while v is not None:
+        up.append(v)
+        v = t.parents[v]
+    up.reverse()
+    paths = []
+
+    def walk(path: List[int]):
+        kids = t.cluster._children[path[-1]]
+        if not kids:
+            paths.append(list(path))
+            return
+        for k in kids:
+            walk(path + [k])
+
+    walk(up)
+    return paths
 
 
 def _to_sympy(f: BivariatePolynomial):

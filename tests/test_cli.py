@@ -254,6 +254,7 @@ def test_cli_ideal_json_is_type_checked(tmp_path, capsys):
         '[[2, 0], [0, "3"]]': "entry 2",
         "[[2, 0], [0, 3, 1]]": "entry 2",
         "[[2, 0], [true, 3]]": "entry 2",
+        "[[-1, 2], [3, 0]]": "negative exponents",
     }
     for text, message in bad.items():
         path.write_text(text)
@@ -267,6 +268,33 @@ def test_cli_ideal_json_is_type_checked(tmp_path, capsys):
     for text, message in bad.items():
         with pytest.raises(ValueError, match=message.replace("ideal", "staircase")):
             serialize.staircase_from_json(json.loads(text))
+
+
+def test_cli_deep_chains_do_not_depend_on_the_recursion_limit(tmp_path, capsys):
+    import sys
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        code, out, _ = run_cli(capsys, "tpq", "1", "1500", "--json")
+        assert code == 0
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(json.loads(out)["diagram"]))
+        code, out, err = run_cli(capsys, "union", str(path), str(path), "--json")
+        assert (code, err) == (0, "")
+        vertices = json.loads(out)["diagram"]["vertices"]
+        assert len(vertices) == 1500 and {v["weight"] for v in vertices} == {2}
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_cli_bounds_parenthesis_nesting(capsys):
+    from singular_lct.poly import MAX_NESTING
+
+    code, out, _ = run_cli(capsys, "lct", "--curve", "(" * 300 + "y^2-x^3" + ")" * 300)
+    assert code == 2 and out == ""
+    code, out, _ = run_cli(capsys, "lct", "--curve", "(" * MAX_NESTING + "y^2-x^3" + ")" * MAX_NESTING)
+    assert (code, out) == (0, "5/6\n")
 
 
 def test_cli_runs_without_sympy():

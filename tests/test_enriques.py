@@ -12,6 +12,7 @@ from singular_lct import (
     OrientationError,
     Staircase,
     branch_coefficients,
+    check_main_theorem,
     classify,
     cluster_to_tree,
     connected_sum,
@@ -580,15 +581,26 @@ def test_tree_cluster_matches_parent_scans():
     assert seen > 1500
 
 
+def _reversed_siblings(d: EnriquesDiagram) -> EnriquesDiagram:
+    """An isomorphic copy numbered in preorder, each vertex's children
+    taken in reverse index order."""
+    t = d.tree
+    order, stack = [], [0] if len(d) else []
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack.extend(t.cluster._children[v])  # the last child pops first
+    pos = {v: i for i, v in enumerate(order)}
+    tree = EnriquesTree(
+        [None if t.parents[v] is None else pos[t.parents[v]] for v in order],
+        [t.kinds[v] for v in order],
+        {pos[v] for v in t.x_side},
+    )
+    return EnriquesDiagram(tree, [d.weights[v] for v in order])
+
+
 def test_tree_cluster_stays_out_of_the_value():
     import dataclasses
-
-    def key_by_scan(t, v, weights=None):
-        kids = [i for i in range(len(t)) if t.parents[i] == v]
-        mark = 1 if (t.parents[v] == 0 and v in t.x_side) else 0
-        w = 0 if weights is None else weights[v]
-        rank = {None: 0, "s": 0, "h": 1, "v": 2}[t.kinds[v]]
-        return (rank, mark, w, tuple(sorted(key_by_scan(t, k, weights) for k in kids)))
 
     assert [f.name for f in dataclasses.fields(EnriquesTree)] == [
         "parents",
@@ -606,10 +618,149 @@ def test_tree_cluster_stays_out_of_the_value():
             f"EnriquesTree(parents={t.parents!r}, kinds={t.kinds!r}, "
             f"x_side={t.x_side!r})"
         )
-        assert twin == t and hash(twin) == hash(t) == hash(key_by_scan(t, 0))
-        assert hash(d) == hash(key_by_scan(t, 0, d.weights))
+        assert twin == t and hash(twin) == hash(t)
         assert EnriquesDiagram(twin, d.weights) == d
+        assert hash(EnriquesDiagram(twin, d.weights)) == hash(d)
     assert hash(EnriquesTree((), ())) == hash(())
+
+
+def test_equality_is_isomorphism_of_the_recursive_key():
+    # == holds exactly when the earlier nested keys agree, and equal
+    # objects hash equal, renumbered copies included
+    rng = random.Random(79)
+    pool = [EnriquesDiagram(EnriquesTree((), ()), ())]
+    renumbered = 0
+    for _ in range(70):
+        d = random_binary_diagram(rng, max_vertices=6)
+        twin = _reversed_siblings(d)
+        assert twin == d and hash(twin) == hash(d)
+        assert twin.tree == d.tree and hash(twin.tree) == hash(d.tree)
+        renumbered += twin.tree.parents != d.tree.parents
+        pool += [d, twin, d.restrict(range(len(d) - 1))]
+    assert renumbered > 20
+
+    def key(d, weights):
+        if not len(d):
+            return ()
+        return oracles.tree_key_by_recursion(d.tree, 0, d.weights if weights else None)
+
+    keys = [(key(d, True), key(d, False)) for d in pool]
+    equal = 0
+    for i, d1 in enumerate(pool):
+        for j, d2 in enumerate(pool[: i + 1]):
+            assert (d1 == d2) == (keys[i][0] == keys[j][0])
+            assert (d1.tree == d2.tree) == (keys[i][1] == keys[j][1])
+            if d1 == d2:
+                assert hash(d1) == hash(d2)
+                equal += i != j
+            if d1.tree == d2.tree:
+                assert hash(d1.tree) == hash(d2.tree)
+    assert equal > 100
+
+
+def _outcome(f, *args):
+    """The value of f, or the type and message of its error."""
+    try:
+        return f(*args)
+    except EnriquesError as exc:
+        return type(exc), str(exc)
+
+
+def _exactly(d):
+    """The diagram as numbered, not up to isomorphism."""
+    if not isinstance(d, EnriquesDiagram):
+        return d
+    return d.tree.parents, d.tree.kinds, d.tree.x_side, d.weights
+
+
+def _walk_inputs(rng):
+    """Random binary diagrams with their mirrors, restrictions and first
+    root chains; orientation-error inputs with satellite kinds or x-side
+    marks flipped; and non-binary trees of random clusters, whose
+    equal-kind siblings union rejects."""
+    from test_cluster import random_cluster
+
+    out = []
+    for _ in range(150):
+        d = random_binary_diagram(rng)
+        t = d.tree
+        keep = [0]
+        for v in range(1, len(d)):
+            if t.parents[v] in keep and rng.random() < 0.8:
+                keep.append(v)
+        chain = [0]
+        for v in range(1, len(d)):
+            if t.parents[v] in chain[1:] or v == t.children(0)[0]:
+                chain.append(v)
+        out += [d, EnriquesDiagram(t.mirrored(), d.weights), d.restrict(keep), d.restrict(chain)]
+        flip = {"h": "v", "v": "h", "s": "s", None: None}
+        v = rng.randrange(len(d))
+        kinds = [flip[k] if u >= v else k for u, k in enumerate(t.kinds)]
+        marks = {u for u in t.children(0) if u not in t.x_side} if len(d) > 1 else set()
+        for tree in ((t.parents, kinds, t.x_side), (t.parents, t.kinds, marks)):
+            try:
+                out.append(EnriquesDiagram(EnriquesTree(*tree), d.weights))
+            except EnriquesError:
+                pass
+    for _ in range(100):
+        tree = cluster_to_tree(random_cluster(rng))
+        out.append(EnriquesDiagram(tree, [rng.randint(0, 3) for _ in range(len(tree))]))
+    # both root chains carry a misdrawn satellite: the y-side one is reported
+    t = EnriquesTree(
+        [None, 0, 1, 1, 3, 0, 5, 5, 7], [None, "s", "h", "s", "v", "s", "v", "s", "h"]
+    )
+    weights = (8, 3, 1, 1, 1, 3, 1, 1, 1)
+    return out + [EnriquesDiagram(t, weights), EnriquesDiagram(t.mirrored(), weights)]
+
+
+def test_tree_walks_match_their_recursive_oracles():
+    from singular_lct.engine import _path_to_leaf_through
+    from singular_lct.enriques import _glue_at_root
+
+    rng = random.Random(83)
+    pool = _walk_inputs(rng)
+    errors = set()
+    for d in pool:
+        got = _outcome(diagram_to_staircase, d)
+        assert got == _outcome(oracles.diagram_to_staircase_by_recursion, d)
+        errors.add(got[0] if isinstance(got, tuple) else None)
+        for v in range(len(d)):
+            assert _path_to_leaf_through(d, v) == oracles.path_to_leaf_through_by_recursion(d, v)
+    assert {None, OrientationError, EnriquesError} <= errors
+    for _ in range(1500):
+        d1, d2 = rng.choice(pool), rng.choice(pool)
+        got = _exactly(_outcome(union, d1, d2))
+        assert got == _exactly(_outcome(oracles.union_by_recursion, d1, d2))
+        errors.add(got[1] if got[0] is EnriquesError else None)
+        got = _exactly(_outcome(_glue_at_root, d1, d2))
+        assert got == _exactly(_outcome(oracles.glue_at_root_by_recursion, d1, d2))
+    assert "union input has equal-kind siblings" in errors
+    assert "union needs roots of degree at most 1" in errors
+
+
+def test_deep_trees_do_not_depend_on_the_recursion_limit():
+    import sys
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        d = t_pq(1, 1500)
+        assert d == t_pq(1, 1500) and hash(d) == hash(t_pq(1, 1500))
+        assert d.tree == t_pq(1, 1500).tree and hash(d.tree) == hash(t_pq(1, 1500).tree)
+        assert d != t_pq(1, 1499) and d.tree != t_pq(1, 1500, mirror=True).tree
+        assert union(d, d) == t_pq(1, 1500, scale=2)
+        with pytest.raises(RecursionError):
+            oracles.union_by_recursion(d, d)
+        d = t_pq(1, 1000)
+        s = diagram_to_staircase(d)
+        assert s.generators == ((0, 1000), (1, 0))
+        assert staircase_to_diagram(s) == d
+        with pytest.raises(RecursionError):
+            oracles.diagram_to_staircase_by_recursion(d)
+        report = check_main_theorem(d)
+        assert report.lct_direct == report.lct_term == Fraction(1001, 1000)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_diagram_accepts_only_integer_weights():

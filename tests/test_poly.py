@@ -133,6 +133,21 @@ def test_products_are_bounded_before_multiplying():
     P("((x + 1*y^1)^8 - (-2/3)*y^9)*(y^4 - (-2/3)*(x + 1*y^1)^7)*(y^5 - (-3)*(x + 1*y^1)^8)")
 
 
+def test_parenthesis_nesting_is_bounded():
+    from singular_lct.poly import MAX_NESTING
+
+    assert P("(" * MAX_NESTING + "y^2 - x^3" + ")" * MAX_NESTING) == P("y^2 - x^3")
+    for depth in (MAX_NESTING + 1, 300, 5000):
+        with pytest.raises(ParseError, match=f"nesting exceeds {MAX_NESTING}") as err:
+            P("(" * depth + "y^2 - x^3" + ")" * depth)
+        assert err.value.pos == MAX_NESTING
+    # the bound counts open parentheses, not parentheses in total
+    assert P("(x)" * 200 + " + " + "(y+(x))^2" * 3) == P("x^200 + (y+x)^6")
+    with pytest.raises(ParseError) as err:
+        P("x*(1+" * (MAX_NESTING + 1) + "y" + ")" * (MAX_NESTING + 1))
+    assert err.value.pos == 5 * MAX_NESTING + 2
+
+
 def test_every_shipped_input_parses_within_the_limits():
     from singular_lct.corpus import coprime_pairs, corpus_curves
 

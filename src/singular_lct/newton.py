@@ -40,10 +40,11 @@ class InfiniteStaircaseError(MonomialIdealError):
 
 
 def _minimal_antichain(points) -> Tuple[Point, ...]:
-    # lex order guarantees no later point lies below an accepted one
+    # in lex order a point lies above a kept one exactly when its n is not
+    # below the last kept n, the least so far
     keep: List[Point] = []
     for p in sorted(set(points)):
-        if not any(q[0] <= p[0] and q[1] <= p[1] for q in keep):
+        if not keep or p[1] < keep[-1][1]:
             keep.append(p)
     return tuple(keep)
 
@@ -300,10 +301,12 @@ class Staircase:
             return ()
         if not self.is_finite():
             raise InfiniteStaircaseError(f"staircase of {self.generators} is infinite")
-        height = max(n for _, n in self.generators)
-        widths = []
-        for j in range(height):
-            widths.append(min(m for m, n in self.generators if n <= j))
+        # the generators run from (0, height) down to (width, 0); the rows
+        # from n up to, not including, the previous generator's n have width m
+        gens = self.generators[::-1]
+        widths: List[int] = []
+        for (m, n), (_, top) in zip(gens, gens[1:]):
+            widths += [m] * (top - n)
         return tuple(widths)
 
     def column_slices(self) -> Tuple[int, ...]:

@@ -1,8 +1,13 @@
 """Bivariate polynomials over the rationals, with a small text grammar.
 
-Polynomials are stored sparsely as a map (m, n) -> coefficient, where the
-monomial is x^m * y^n and coefficients are exact `fractions.Fraction`s.
-Everything here is immutable by convention and all arithmetic is exact.
+A polynomial is stored as integer rows over one denominator: rows[m][n] is
+the numerator of the coefficient of x^m * y^n, with no trailing zero in a
+row or in the list of rows (the level-1 dense layout of the gcd code below),
+and the denominator is positive and coprime to the content of the rows.  So
+equal polynomials store equal data, every operation runs on integers, and a
+`fractions.Fraction` is built only where a coefficient is read out.  The
+layout is dense in the exponents, which the parser bounds.  Everything here
+is immutable by convention and all arithmetic is exact.
 
 The text grammar accepts integer or rational coefficients, the variables
 x and y, the operators + - * ^, parentheses, and implicit multiplication
@@ -13,16 +18,18 @@ square of the degree and costs about its fourth power); a larger one is a
 ParseError at the exponent.  Likewise, before each multiplication in a
 product, the term counts of the product so far and of the next factor may
 multiply to at most that of (x+y+1)^MAX_POWER_DEGREE, else the product is a
-ParseError at that factor.  Parentheses nest at most MAX_NESTING deep, so
-the recursive descent stays far inside the interpreter's recursion limit;
-a deeper '(' is a ParseError at its position.
+ParseError at that factor.  No power or product may have an exponent of x
+or of y above MAX_EXPONENT either: such a power is a ParseError at its
+exponent, such a product at its factor.  Parentheses nest at most
+MAX_NESTING deep, so the recursive descent stays far inside the
+interpreter's recursion limit; a deeper '(' is a ParseError at its position.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Iterable, List, Mapping, Sequence, Tuple
 
 Term = Tuple[int, int]
 
@@ -45,23 +52,48 @@ class ParseError(PolynomialError):
         super().__init__(f"{message} at position {pos}:\n{caret}")
 
 
-class BivariatePolynomial:
-    """Exact polynomial in two variables x, y with Fraction coefficients."""
+def _ratio(c) -> Tuple[int, int]:
+    """Numerator and positive denominator of a rational number."""
+    c = c if isinstance(c, (int, Fraction)) else Fraction(c)
+    return c.numerator, c.denominator
 
-    __slots__ = ("_terms",)
+
+def _poly(rows: list, den: int = 1) -> "BivariatePolynomial":
+    """The polynomial rows / den, for trimmed integer rows and den > 0."""
+    g = gcd(_icontent(rows, 1), den) if den != 1 else 1
+    f = object.__new__(BivariatePolynomial)
+    f._rows, f._den = (rows, den) if g == 1 else (_iquo(rows, g, 1), den // g)
+    return f
+
+
+def _poly_from(entries: Iterable[Tuple[int, int, int]], den: int) -> "BivariatePolynomial":
+    """The sum of the terms numerator / den * x^m y^n, from (m, n, numerator)."""
+    rows: list = []
+    for m, n, c in entries:
+        rows += [[] for _ in range(m + 1 - len(rows))]
+        rows[m] += [0] * (n + 1 - len(rows[m]))
+        rows[m][n] += c
+    return _poly(_trim([_trim(row) for row in rows]), den)
+
+
+class BivariatePolynomial:
+    """Exact polynomial in two variables x, y with rational coefficients,
+    stored as `_rows`, the trimmed integer rows of the numerator
+    (`_rows[m][n]` belongs to x^m y^n), over `_den`, a positive denominator
+    coprime to their content."""
+
+    __slots__ = ("_rows", "_den")
 
     def __init__(self, terms: Mapping[Term, Fraction] | Iterable[tuple[Term, Fraction]] = ()):
-        data: Dict[Term, Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
+        coeffs = []
         for (m, n), c in items:
             if m < 0 or n < 0:
                 raise PolynomialError(f"negative exponent in term x^{m} y^{n}")
-            c = Fraction(c)
-            if c:
-                data[(m, n)] = data.get((m, n), Fraction(0)) + c
-                if not data[(m, n)]:
-                    del data[(m, n)]
-        self._terms = data
+            coeffs.append((m, n, *_ratio(c)))
+        den = lcm(*(q for _, _, _, q in coeffs))
+        f = _poly_from(((m, n, p * (den // q)) for m, n, p, q in coeffs), den)
+        self._rows, self._den = f._rows, f._den
 
     # -- constructors ---------------------------------------------------
 
@@ -71,7 +103,7 @@ class BivariatePolynomial:
 
     @classmethod
     def monomial(cls, m: int, n: int, coeff=1) -> "BivariatePolynomial":
-        return cls({(m, n): Fraction(coeff)})
+        return cls({(m, n): coeff})
 
     @classmethod
     def parse(cls, text: str) -> "BivariatePolynomial":
@@ -80,74 +112,75 @@ class BivariatePolynomial:
     # -- basic queries ---------------------------------------------------
 
     @property
-    def terms(self) -> Dict[Term, Fraction]:
-        return dict(self._terms)
+    def terms(self) -> dict[Term, Fraction]:
+        return {(m, n): Fraction(c, self._den) for m, n, c in self._entries()}
+
+    def _entries(self):
+        """(m, n, numerator) for every nonzero coefficient."""
+        return ((m, n, c) for m, row in enumerate(self._rows) for n, c in enumerate(row) if c)
 
     def support(self) -> set[Term]:
-        return set(self._terms)
+        return {(m, n) for m, n, _ in self._entries()}
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._rows
 
     def coefficient(self, m: int, n: int) -> Fraction:
-        return self._terms.get((m, n), Fraction(0))
+        rows = self._rows
+        c = rows[m][n] if 0 <= m < len(rows) and 0 <= n < len(rows[m]) else 0
+        return Fraction(c, self._den)
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._rows)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, BivariatePolynomial) and self._terms == other._terms
+        return isinstance(other, BivariatePolynomial) and (
+            (self._den, self._rows) == (other._den, other._rows)
+        )
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return hash((self._den, *map(tuple, self._rows)))
 
     def multiplicity(self) -> int:
         """Order of vanishing at the origin (min total degree of a term)."""
-        if not self._terms:
+        if not self._rows:
             raise PolynomialError("multiplicity of the zero polynomial")
-        return min(m + n for m, n in self._terms)
+        return min(
+            m + next(n for n, c in enumerate(row) if c) for m, row in enumerate(self._rows) if row
+        )
 
     def degree(self) -> int:
-        if not self._terms:
-            return -1
-        return max(m + n for m, n in self._terms)
+        return max((m + len(row) - 1 for m, row in enumerate(self._rows) if row), default=-1)
 
     def leading_form(self) -> "BivariatePolynomial":
         """Sum of the terms of minimal total degree (the tangent cone)."""
         mult = self.multiplicity()
-        return BivariatePolynomial(
-            {t: c for t, c in self._terms.items() if t[0] + t[1] == mult}
-        )
+        return _poly_from(((m, n, c) for m, n, c in self._entries() if m + n == mult), self._den)
 
     def evaluate(self, xv, yv) -> Fraction:
         xv, yv = Fraction(xv), Fraction(yv)
-        return sum((c * xv**m * yv**n for (m, n), c in self._terms.items()), Fraction(0))
+        return sum((c * xv**m * yv**n for m, n, c in self._entries()), Fraction(0)) / self._den
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
-        data = dict(self._terms)
-        for t, c in other._terms.items():
-            data[t] = data.get(t, Fraction(0)) + c
-        return BivariatePolynomial(data)
+        den = lcm(self._den, other._den)
+        a = _imul(self._rows, den // self._den, 1)
+        b = _imul(other._rows, den // other._den, 1)
+        return _poly(_add(a, b, 1), den)
 
     def __neg__(self) -> "BivariatePolynomial":
-        return BivariatePolynomial({t: -c for t, c in self._terms.items()})
+        return _poly(_imul(self._rows, -1, 1), self._den)
 
     def __sub__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
         return self + (-other)
 
     def __mul__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
-        data: Dict[Term, Fraction] = {}
-        for (m1, n1), c1 in self._terms.items():
-            for (m2, n2), c2 in other._terms.items():
-                t = (m1 + m2, n1 + n2)
-                data[t] = data.get(t, Fraction(0)) + c1 * c2
-        return BivariatePolynomial(data)
+        return _poly(_mul(self._rows, other._rows, 1), self._den * other._den)
 
     def scale(self, c) -> "BivariatePolynomial":
-        c = Fraction(c)
-        return BivariatePolynomial({t: c * v for t, v in self._terms.items()})
+        p, q = _ratio(c)
+        return _poly(_imul(self._rows, p, 1), self._den * q)
 
     def __pow__(self, k: int) -> "BivariatePolynomial":
         if k < 0:
@@ -170,68 +203,49 @@ class BivariatePolynomial:
         curve is {x = 0}.  Pure exponent bookkeeping, no expansion.
         """
         mult = self.multiplicity()
-        return BivariatePolynomial(
-            {(m + n - mult, n): c for (m, n), c in self._terms.items()}
-        )
+        return _poly_from(((m + n - mult, n, c) for m, n, c in self._entries()), self._den)
 
     def blowup_y_chart(self) -> "BivariatePolynomial":
         """Substitute (x, y) -> (x*y, y) and divide by y^mult."""
         mult = self.multiplicity()
-        return BivariatePolynomial(
-            {(m, m + n - mult): c for (m, n), c in self._terms.items()}
-        )
+        return _poly_from(((m, m + n - mult, c) for m, n, c in self._entries()), self._den)
 
     def shift_y(self, c) -> "BivariatePolynomial":
-        """Substitute y -> y + c (recenter at a point on the y-axis line)."""
-        c = Fraction(c)
-        if not c:
+        """Substitute y -> y + c (recenter at a point on the y-axis line).
+
+        For c = a/b and y-degree N, each row sum r_n y^n becomes
+        b^-N sum r_n b^(N-n) (b y + a)^n, by Horner on integers."""
+        a, b = _ratio(c)
+        if not (a and self._rows):
             return self
-        data: Dict[Term, Fraction] = {}
-        # group by the y-exponent to reuse binomial rows
-        for (m, n), coeff in self._terms.items():
-            binom = 1
-            power = Fraction(1)
-            for j in range(n, -1, -1):
-                t = (m, j)
-                data[t] = data.get(t, Fraction(0)) + coeff * binom * power
-                binom = binom * j // (n - j + 1)
-                power *= c
-        return BivariatePolynomial(data)
+        top = max(map(len, self._rows)) - 1
+        weight = [b ** (top - n) for n in range(top + 1)]
+        rows = []
+        for row in self._rows:
+            acc: List[int] = []
+            for n in range(len(row) - 1, -1, -1):
+                # acc <- acc * (b y + a) + r_n b^(N-n)
+                acc = [a * u + b * v for u, v in zip(acc + [0], [0] + acc)]
+                acc[0] += row[n] * weight[n]
+            rows.append(acc)
+        return _poly(rows, self._den * b**top)
 
     def derivative(self, var: str) -> "BivariatePolynomial":
         """Partial derivative with respect to "x" or "y"."""
         if var == "x":
-            return BivariatePolynomial({(m - 1, n): m * c for (m, n), c in self._terms.items() if m})
-        return BivariatePolynomial({(m, n - 1): n * c for (m, n), c in self._terms.items() if n})
+            return _poly(_diff(self._rows, 1), self._den)
+        return _poly(_trim([_diff(row, 0) for row in self._rows]), self._den)
 
     # -- printing ----------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
         parts = []
-        for (m, n) in sorted(self._terms, key=lambda t: (t[0] + t[1], t[0])):
-            c = self._terms[(m, n)]
-            mono = ""
-            if m:
-                mono += "x" if m == 1 else f"x^{m}"
-            if n:
-                if mono:
-                    mono += "*"
-                mono += "y" if n == 1 else f"y^{n}"
-            if not mono:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = mono
-            else:
-                body = f"{abs(c)}*{mono}"
-            sign = "-" if c < 0 else "+"
-            parts.append((sign, body))
-        sign0, body0 = parts[0]
-        out = ("-" if sign0 == "-" else "") + body0
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+        for (m, n), c in sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0][0])):
+            mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in (("x", m), ("y", n)) if e)
+            body = f"{abs(c)}*{mono}" if mono and abs(c) != 1 else mono or str(abs(c))
+            parts.append(("- " if c < 0 else "+ ") + body)
+        text = " ".join(parts) or "+ 0"
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
     def __repr__(self) -> str:
         return f"BivariatePolynomial({self})"
@@ -295,11 +309,12 @@ class _Parser:
             self._skip_ws()
             at = self.pos
             factor = self._factor()
-            terms = len(result._terms) * len(factor._terms)
+            terms = len(result.support()) * len(factor.support())
             if terms > limit:
                 raise ParseError(
                     f"product of {terms} term pairs exceeds {limit}", self.text, at
                 )
+            self._bound_exponents(map(sum, zip(_extent(result), _extent(factor))), at)
             result = result * factor
 
     def _factor(self) -> BivariatePolynomial:
@@ -311,14 +326,22 @@ class _Parser:
             exp = self._integer("exponent expected")
             if exp > MAX_EXPONENT:
                 raise ParseError(f"exponent exceeds {MAX_EXPONENT}", self.text, at)
-            if len(base._terms) > 1 and base.degree() * exp > MAX_POWER_DEGREE:
+            if len(base.support()) > 1 and base.degree() * exp > MAX_POWER_DEGREE:
                 raise ParseError(
                     f"power of degree {base.degree() * exp} exceeds {MAX_POWER_DEGREE}",
                     self.text,
                     at,
                 )
+            self._bound_exponents((d * exp for d in _extent(base)), at)
             return base**exp
         return base
+
+    def _bound_exponents(self, exponents: Iterable[int], at: int):
+        """A ParseError at `at` when the top exponent of x or of y exceeds
+        MAX_EXPONENT: the dense layout costs memory linear in each."""
+        for var, e in zip("xy", exponents):
+            if e > MAX_EXPONENT:
+                raise ParseError(f"exponent {e} of {var} exceeds {MAX_EXPONENT}", self.text, at)
 
     def _base(self) -> BivariatePolynomial:
         ch = self._peek()
@@ -366,6 +389,11 @@ class _Parser:
 
 def parse_polynomial(text: str) -> BivariatePolynomial:
     return BivariatePolynomial.parse(text)
+
+
+def _extent(f: BivariatePolynomial) -> Tuple[int, int]:
+    """The top exponents of x and of y in f, -1 for the zero polynomial."""
+    return len(f._rows) - 1, max(map(len, f._rows), default=0) - 1
 
 
 # -- exact gcd and rational roots over the integers ---------------------------
@@ -481,8 +509,9 @@ def _prem(f, g, u: int):
     return r
 
 
-def _diff(f: list) -> list:
-    return [i * a for i, a in enumerate(f)][1:]
+def _diff(f: list, u: int) -> list:
+    """The derivative in the main variable."""
+    return [_imul(a, i, u - 1) for i, a in enumerate(f)][1:]
 
 
 def _eval(f, xi: int, u: int):
@@ -571,43 +600,29 @@ def _prs_gcd(f, g, u: int):
     return _normal([_mul(a, c, u - 1) for a in primitive(f)], u)
 
 
-def _dense(f: BivariatePolynomial) -> list:
-    """f times the least common denominator, as a level-1 polynomial."""
-    if not f:
-        return []
-    den = lcm(*(c.denominator for c in f._terms.values()))
-    rows = [[0] * (1 + max(n for _, n in f._terms)) for _ in range(1 + max(m for m, _ in f._terms))]
-    for (m, n), c in f._terms.items():
-        rows[m][n] = c.numerator * (den // c.denominator)
-    return _trim([_trim(row) for row in rows])
-
-
 def polynomial_gcd(*polys: BivariatePolynomial) -> BivariatePolynomial:
     """gcd over Q, scaled to integer coefficients with content 1 and a
     positive leading coefficient (highest power of x, then of y).  The gcd
     of zero polynomials is 0."""
     h: list = []
     for f in polys:
-        h = _gcd(h, _dense(f), 1)
-    h = _iquo(h, _icontent(h, 1), 1) if h else h
-    return BivariatePolynomial(
-        {(m, n): Fraction(c) for m, row in enumerate(h) for n, c in enumerate(row) if c}
-    )
+        h = _gcd(h, f._rows, 1)
+    return _poly(_iquo(h, _icontent(h, 1), 1) if h else h)
 
 
 def _squarefree_parts(f: list) -> list:
     """Yun's squarefree decomposition (SYMSAC 1976) of a primitive f in
     Z[t]: the primitive squarefree a_1, ..., a_k with f = ±a_1 a_2^2 ... a_k^k."""
-    df = _diff(f)
+    df = _diff(f, 0)
     a = _gcd(f, df, 0)
     b, c = _quo(f, a, 0), _quo(df, a, 0)
-    d = _sub(c, _diff(b), 0)
+    d = _sub(c, _diff(b, 0), 0)
     parts = []
     while len(b) > 1:
         a = _gcd(b, d, 0)
         parts.append(a)
         b, c = _quo(b, a, 0), _quo(d, a, 0)
-        d = _sub(c, _diff(b), 0)
+        d = _sub(c, _diff(b, 0), 0)
     return parts
 
 
@@ -631,7 +646,7 @@ def _sturm_rational_roots(p: list) -> List[Fraction]:
     and is a root by exact evaluation."""
     if len(p) == 2:
         return [Fraction(-p[0], p[1])]
-    seq = [p, _diff(p)]
+    seq = [p, _diff(p, 0)]
     while len(seq[-1]) > 1:
         a, b = seq[-2], seq[-1]
         # -rem(a, b) times a positive number; prem multiplies by lc(b)^(d+1)

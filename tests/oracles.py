@@ -39,12 +39,22 @@ where the library walks one worklist.
 `require_reduced_by_sympy` and `tangent_roots_by_sympy` are the earlier
 sympy forms of the reducedness check and of the tangent-cone roots of
 `resolution`; sympy is imported inside them, so only the tests need it.
+
+`SparseFractionPolynomial` is the earlier layout of `BivariatePolynomial`,
+without its parser: a dict from (m, n) to a `Fraction` per term, with the
+arithmetic, the charts and `shift_y` done term by term.
+
+`minimal_antichain_by_scan` and `staircase_slices_by_min` are the earlier
+bodies of `newton._minimal_antichain` and `Staircase.slices`, which compare
+each point with every kept one and take a minimum per row.
 """
+
+from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from singular_lct.cluster import (
     EMPTY_CLUSTER,
@@ -74,15 +84,17 @@ from singular_lct.enriques import (
     cluster_to_tree,
 )
 from singular_lct.newton import (
+    InfiniteStaircaseError,
     MonomialIdeal,
     MonomialIdealError,
+    Point,
     Staircase,
     UnitIdealError,
     newton_facets,
     staircase_sum,
     triangle,
 )
-from singular_lct.poly import BivariatePolynomial
+from singular_lct.poly import BivariatePolynomial, PolynomialError, Term
 from singular_lct.resolution import (
     NonRationalTangentError,
     NonReducedError,
@@ -834,3 +846,213 @@ def resolve_curve_by_recursion(
     )
     diagram = EnriquesDiagram(cluster_to_tree(cluster), weights)
     return kl, diagram
+
+
+class SparseFractionPolynomial:
+    """Exact polynomial in two variables x, y with Fraction coefficients."""
+
+    __slots__ = ("_terms",)
+
+    def __init__(self, terms: Mapping[Term, Fraction] | Iterable[tuple[Term, Fraction]] = ()):
+        data: Dict[Term, Fraction] = {}
+        items = terms.items() if isinstance(terms, Mapping) else terms
+        for (m, n), c in items:
+            if m < 0 or n < 0:
+                raise PolynomialError(f"negative exponent in term x^{m} y^{n}")
+            c = Fraction(c)
+            if c:
+                data[(m, n)] = data.get((m, n), Fraction(0)) + c
+                if not data[(m, n)]:
+                    del data[(m, n)]
+        self._terms = data
+
+    # -- constructors ---------------------------------------------------
+
+    @classmethod
+    def zero(cls) -> "SparseFractionPolynomial":
+        return cls()
+
+    @classmethod
+    def monomial(cls, m: int, n: int, coeff=1) -> "SparseFractionPolynomial":
+        return cls({(m, n): Fraction(coeff)})
+
+    # -- basic queries ---------------------------------------------------
+
+    @property
+    def terms(self) -> Dict[Term, Fraction]:
+        return dict(self._terms)
+
+    def support(self) -> set[Term]:
+        return set(self._terms)
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def coefficient(self, m: int, n: int) -> Fraction:
+        return self._terms.get((m, n), Fraction(0))
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SparseFractionPolynomial) and self._terms == other._terms
+
+    def __hash__(self):
+        return hash(frozenset(self._terms.items()))
+
+    def multiplicity(self) -> int:
+        """Order of vanishing at the origin (min total degree of a term)."""
+        if not self._terms:
+            raise PolynomialError("multiplicity of the zero polynomial")
+        return min(m + n for m, n in self._terms)
+
+    def degree(self) -> int:
+        if not self._terms:
+            return -1
+        return max(m + n for m, n in self._terms)
+
+    def leading_form(self) -> "SparseFractionPolynomial":
+        """Sum of the terms of minimal total degree (the tangent cone)."""
+        mult = self.multiplicity()
+        return SparseFractionPolynomial(
+            {t: c for t, c in self._terms.items() if t[0] + t[1] == mult}
+        )
+
+    def evaluate(self, xv, yv) -> Fraction:
+        xv, yv = Fraction(xv), Fraction(yv)
+        return sum((c * xv**m * yv**n for (m, n), c in self._terms.items()), Fraction(0))
+
+    # -- arithmetic -------------------------------------------------------
+
+    def __add__(self, other: "SparseFractionPolynomial") -> "SparseFractionPolynomial":
+        data = dict(self._terms)
+        for t, c in other._terms.items():
+            data[t] = data.get(t, Fraction(0)) + c
+        return SparseFractionPolynomial(data)
+
+    def __neg__(self) -> "SparseFractionPolynomial":
+        return SparseFractionPolynomial({t: -c for t, c in self._terms.items()})
+
+    def __sub__(self, other: "SparseFractionPolynomial") -> "SparseFractionPolynomial":
+        return self + (-other)
+
+    def __mul__(self, other: "SparseFractionPolynomial") -> "SparseFractionPolynomial":
+        data: Dict[Term, Fraction] = {}
+        for (m1, n1), c1 in self._terms.items():
+            for (m2, n2), c2 in other._terms.items():
+                t = (m1 + m2, n1 + n2)
+                data[t] = data.get(t, Fraction(0)) + c1 * c2
+        return SparseFractionPolynomial(data)
+
+    def scale(self, c) -> "SparseFractionPolynomial":
+        c = Fraction(c)
+        return SparseFractionPolynomial({t: c * v for t, v in self._terms.items()})
+
+    def __pow__(self, k: int) -> "SparseFractionPolynomial":
+        if k < 0:
+            raise PolynomialError("negative power")
+        result = SparseFractionPolynomial.monomial(0, 0)
+        base = self
+        while k:
+            if k & 1:
+                result = result * base
+            base = base * base
+            k >>= 1
+        return result
+
+    # -- substitutions used by blowups ------------------------------------
+
+    def blowup_x_chart(self) -> "SparseFractionPolynomial":
+        """Substitute (x, y) -> (x, x*y) and divide by x^mult.
+
+        This is the strict transform in the chart where the exceptional
+        curve is {x = 0}.  Pure exponent bookkeeping, no expansion.
+        """
+        mult = self.multiplicity()
+        return SparseFractionPolynomial(
+            {(m + n - mult, n): c for (m, n), c in self._terms.items()}
+        )
+
+    def blowup_y_chart(self) -> "SparseFractionPolynomial":
+        """Substitute (x, y) -> (x*y, y) and divide by y^mult."""
+        mult = self.multiplicity()
+        return SparseFractionPolynomial(
+            {(m, m + n - mult): c for (m, n), c in self._terms.items()}
+        )
+
+    def shift_y(self, c) -> "SparseFractionPolynomial":
+        """Substitute y -> y + c (recenter at a point on the y-axis line)."""
+        c = Fraction(c)
+        if not c:
+            return self
+        data: Dict[Term, Fraction] = {}
+        # group by the y-exponent to reuse binomial rows
+        for (m, n), coeff in self._terms.items():
+            binom = 1
+            power = Fraction(1)
+            for j in range(n, -1, -1):
+                t = (m, j)
+                data[t] = data.get(t, Fraction(0)) + coeff * binom * power
+                binom = binom * j // (n - j + 1)
+                power *= c
+        return SparseFractionPolynomial(data)
+
+    def derivative(self, var: str) -> "SparseFractionPolynomial":
+        """Partial derivative with respect to "x" or "y"."""
+        if var == "x":
+            return SparseFractionPolynomial({(m - 1, n): m * c for (m, n), c in self._terms.items() if m})
+        return SparseFractionPolynomial({(m, n - 1): n * c for (m, n), c in self._terms.items() if n})
+
+    # -- printing ----------------------------------------------------------
+
+    def __str__(self) -> str:
+        if not self._terms:
+            return "0"
+        parts = []
+        for (m, n) in sorted(self._terms, key=lambda t: (t[0] + t[1], t[0])):
+            c = self._terms[(m, n)]
+            mono = ""
+            if m:
+                mono += "x" if m == 1 else f"x^{m}"
+            if n:
+                if mono:
+                    mono += "*"
+                mono += "y" if n == 1 else f"y^{n}"
+            if not mono:
+                body = str(abs(c))
+            elif abs(c) == 1:
+                body = mono
+            else:
+                body = f"{abs(c)}*{mono}"
+            sign = "-" if c < 0 else "+"
+            parts.append((sign, body))
+        sign0, body0 = parts[0]
+        out = ("-" if sign0 == "-" else "") + body0
+        for sign, body in parts[1:]:
+            out += f" {sign} {body}"
+        return out
+
+    def __repr__(self) -> str:
+        return f"SparseFractionPolynomial({self})"
+
+
+def minimal_antichain_by_scan(points) -> Tuple[Point, ...]:
+    # lex order guarantees no later point lies below an accepted one
+    keep: List[Point] = []
+    for p in sorted(set(points)):
+        if not any(q[0] <= p[0] and q[1] <= p[1] for q in keep):
+            keep.append(p)
+    return tuple(keep)
+
+
+def staircase_slices_by_min(self: Staircase) -> Tuple[int, ...]:
+    """Horizontal slice widths, row 0 first (a non-increasing sequence)."""
+    if self.is_empty():
+        return ()
+    if not self.is_finite():
+        raise InfiniteStaircaseError(f"staircase of {self.generators} is infinite")
+    height = max(n for _, n in self.generators)
+    widths = []
+    for j in range(height):
+        widths.append(min(m for m, n in self.generators if n <= j))
+    return tuple(widths)

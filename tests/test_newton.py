@@ -2,10 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from singular_lct import (
     BivariatePolynomial,
+    InfiniteStaircaseError,
     MonomialIdeal,
     MonomialIdealError,
     Staircase,
@@ -21,6 +24,7 @@ from singular_lct import (
     term_ideal,
     triangle,
 )
+from singular_lct import newton
 
 P = BivariatePolynomial.parse
 F = Fraction
@@ -406,3 +410,20 @@ def test_staircase_slices_roundtrip():
         a = random_ideal(rng, origin_cosupport=True)
         s = Staircase.from_ideal(a)
         assert Staircase.from_slices(s.slices()) == s
+
+
+POINTS = st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(POINTS, st.integers(0, 12), st.integers(0, 12))
+def test_linear_antichain_and_slices_match_the_scans(points, h, w):
+    assert newton._minimal_antichain(points) == oracles.minimal_antichain_by_scan(points)
+    s = Staircase(points + [(0, h), (w, 0)])
+    assert s.slices() == oracles.staircase_slices_by_min(s)
+    flipped = Staircase(tuple((n, m) for m, n in s.generators))
+    assert s.column_slices() == oracles.staircase_slices_by_min(flipped)
+    if points and not Staircase(points).is_finite():
+        for slices in (Staircase.slices, oracles.staircase_slices_by_min):
+            with pytest.raises(InfiniteStaircaseError):
+                slices(Staircase(points))

@@ -1,10 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from singular_lct import BivariatePolynomial, ParseError
+from singular_lct.poly import PolynomialError
 
 P = BivariatePolynomial.parse
+F = Fraction
 
 
 def test_parse_basic():
@@ -156,3 +161,64 @@ def test_every_shipped_input_parses_within_the_limits():
     for p, q in coprime_pairs(37):
         P(f"x^{p} - y^{q}")
     P("(x + 2*y^2)^9 * (y^9 - (-2/3)*(x + 2*y^2)^8)")
+
+
+def test_exponents_of_products_and_powers_are_bounded_before_expanding():
+    from singular_lct.poly import MAX_EXPONENT
+
+    for text, pos, message in (
+        ("y^2 - (x^1000)^1000", 15, "exponent 1000000 of x exceeds 1000"),
+        ("(x^2*y)^501", 8, "exponent 1002 of x exceeds 1000"),
+        ("(x*y^10)^101", 9, "exponent 1010 of y exceeds 1000"),
+        ("x^1000*x", 7, "exponent 1001 of x exceeds 1000"),
+        ("y^600 y^401 - x", 6, "exponent 1001 of y exceeds 1000"),
+        ("x^1000" + "*x^1000" * 20, 7, "exponent 2000 of x exceeds 1000"),
+    ):
+        with pytest.raises(ParseError, match=message) as err:
+            P(text)
+        assert err.value.pos == pos, text
+    # at the limit in each variable, and sums do not add exponents
+    assert P("(x^2*y)^500") == BivariatePolynomial.monomial(MAX_EXPONENT, 500)
+    assert P("x^600*x^400*y^1000") == BivariatePolynomial.monomial(MAX_EXPONENT, MAX_EXPONENT)
+    assert P("x^1000 + y^1000 + x^1000").degree() == MAX_EXPONENT
+
+
+COEFFS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+TERMS = st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)), COEFFS, max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(TERMS, TERMS, COEFFS, st.integers(-3, 3), st.integers(0, 3))
+def test_integer_rows_match_the_sparse_fraction_oracle(a, b, c, k, e):
+    f, g = BivariatePolynomial(a), BivariatePolynomial(b)
+    of, og = oracles.SparseFractionPolynomial(a), oracles.SparseFractionPolynomial(b)
+
+    def same(ours, ref):
+        assert ours.terms == ref.terms and str(ours) == str(ref)
+
+    same(f, of)
+    same(f + g, of + og)
+    same(f - g, of - og)
+    same(f * g, of * og)
+    same(f**e, of**e)
+    same(f.scale(c), of.scale(c))
+    for t in (k, c, Fraction(k, 7)):
+        same(f.shift_y(t), of.shift_y(t))
+    for var in "xy":
+        same(f.derivative(var), of.derivative(var))
+    assert f.degree() == of.degree()
+    assert f.evaluate(c, k) == of.evaluate(c, k)
+    if f:
+        same(f.blowup_x_chart(), of.blowup_x_chart())
+        same(f.blowup_y_chart(), of.blowup_y_chart())
+        same(f.leading_form(), of.leading_form())
+        assert f.multiplicity() == of.multiplicity()
+    else:
+        for p in (f, of):
+            with pytest.raises(PolynomialError):
+                p.multiplicity()
+    # equal polynomials store equal rows: == agrees with the oracle and hash
+    assert (f == g) == (of == og)
+    reordered = BivariatePolynomial(reversed(list(a.items())))
+    for h in (f + g - g, reordered, f.scale(3).scale(F(1, 3))):
+        assert h == f and hash(h) == hash(f)

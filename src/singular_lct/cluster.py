@@ -20,13 +20,15 @@ moving weight onto the violated point; it preserves the complete ideal cut
 out by the cluster and terminates in the least weight vector above the
 start whose branch coordinates are all non-negative.  One kernel,
 `_complete_strict`, computes that fixed point for `unload`, the multiplier
-clusters and the jumping numbers.
+clusters and the jumping numbers: sweeps in index order that revisit only
+the points whose excess a bump may have lowered.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from typing import List, Optional, Sequence, Tuple
 
 TOTAL = "total"
@@ -309,36 +311,64 @@ def _complete_strict(
 ) -> List[int]:
     """Least non-negative strict vector e >= demand whose branch coordinates
     are non-negative: the strict coordinates of the complete ideal with the
-    demanded valuations.  Batched unloading: each sweep raises every
-    violated e[a] by the least amount that repairs it on its own.  `warm`
-    may give a known lower bound for the fixed point (e.g. the result at a
-    smaller scale)."""
+    demanded valuations.  `warm` may give a known lower bound for the fixed
+    point (e.g. the result at a smaller scale).
+
+    Batched unloading over dirty points.  Sweeps run in index order, and a
+    violated e[a] is raised by the least amount that repairs it on its own.
+    Raising e[a] lowers only the excesses of the points proximate to a,
+    which come later and join the current sweep, and of the targets of a,
+    which come earlier and wait for the next one; every other excess stays
+    or grows.  So a sweep visits just the points whose excess may have
+    dropped, and makes the same bumps in the same order as a sweep over
+    every point.  The first sweep visits every point.
+    """
     r = len(c)
     e = [max(d, 0) for d in demand]
     if warm is not None:
         e = [max(a, b) for a, b in zip(e, warm)]
     prox_to = c._proximate
-    diag = [1 + len(p) for p in prox_to]
+    targets = c.targets
     w = _total_from_strict(c, e)
+    dirty = list(range(r))  # sorted, hence a heap
     for _ in range(100_000):
-        clean = True
-        for a in range(r):
+        if not dirty:
+            assert w == _total_from_strict(c, e), (
+                "unloading bumps must add whole strict transforms"
+            )
+            return e
+        queued = set(dirty)
+        bumped: List[int] = []
+        while dirty:
+            a = heappop(dirty)
             excess = w[a] - sum(w[b] for b in prox_to[a])
             if excess < 0:
-                # each unit added to e[a] raises the excess by diag[a]
-                t = (-excess + diag[a] - 1) // diag[a]
+                # each unit added to e[a] raises the excess by 1 + |prox_to[a]|
+                diag = 1 + len(prox_to[a])
+                t = (-excess + diag - 1) // diag
                 e[a] += t
                 # keep w consistent with the bump
                 w[a] += t
                 for b in prox_to[a]:
                     w[b] -= t
-                clean = False
-        if clean:
-            return e
-        assert w == _total_from_strict(c, e), (
-            "unloading bumps must add whole strict transforms"
-        )
+                    if b not in queued:
+                        queued.add(b)
+                        heappush(dirty, b)
+                bumped.append(a)
+        # the entries of w that this sweep wrote still match e
+        assert all(
+            w[x] + sum(map(e.__getitem__, targets[x])) == e[x]
+            for x in set(bumped).union(*(prox_to[a] for a in bumped))
+        ), "unloading bumps must add whole strict transforms"
+        # the targets of a bumped point precede it, so the next sweep sees them
+        dirty = sorted({g for a in bumped for g in targets[a]})
     raise UnloadingError("completion did not stabilize")
+
+
+def _demand(e: Sequence[int], k: Sequence[int], n: int, m: int) -> List[int]:
+    """Strict coordinates floor(xi * e_a) - k_a demanded by the multiplier
+    ideal at xi = n/m, m > 0."""
+    return [n * ea // m - ka for ea, ka in zip(e, k)]
 
 
 # -- invariants of curve clusters ------------------------------------------------
@@ -376,8 +406,7 @@ def multiplier_cluster(kl: WeightedCluster, xi: Fraction) -> WeightedCluster:
     c = kl.cluster
     e = _strict_from_total(c, kl.weights)
     k = log_discrepancies(c).entries
-    demand = [(xi * e[a]).__floor__() - k[a] for a in range(len(c))]
-    completed = _complete_strict(c, demand)
+    completed = _complete_strict(c, _demand(e, k, xi.numerator, xi.denominator))
     return WeightedCluster(c, _total_from_strict(c, completed))
 
 
@@ -411,11 +440,15 @@ def jumping_numbers_curve(kl: WeightedCluster, bound: Fraction) -> List[Fraction
     jumps: List[Fraction] = []
     d = [0] * r
     while True:
-        xi = min(Fraction(k[a] + d[a] + 1, e[a]) for a in range(r))
+        # min over a of (k_a + d_a + 1) / e_a, compared by cross-multiplying
+        n, m = k[0] + d[0] + 1, e[0]
+        for ka, da, ea in zip(k, d, e):
+            if (ka + da + 1) * m < n * ea:
+                n, m = ka + da + 1, ea
+        xi = Fraction(n, m)
         if xi > bound or xi >= 1:
             return jumps
         jumps.append(xi)
-        n, m = xi.numerator, xi.denominator
-        at = _complete_strict(c, [n * e[a] // m - k[a] for a in range(r)], warm=d)
+        at = _complete_strict(c, _demand(e, k, n, m), warm=d)
         assert at != d, "multiplier cluster did not change at the next jump"
         d = at

@@ -11,6 +11,10 @@ are the earlier forms of the Newton-function kernel of `newton`: one
 Fraction support value per facet, and per point of a box for the jumps.
 The lct and the jumps there require a pure power of each variable.
 
+`complete_strict_by_sweeps` is the earlier form of the completion kernel
+`cluster._complete_strict`: every sweep visits every point, and the whole
+total vector is recomputed after each one.
+
 `curve_jumps_by_candidate_scan` is the reference for the next-jump
 iteration of `jumping_numbers_curve`: it tests every candidate (k+j)/e,
 comparing completions just below and at it, and asserts that the
@@ -54,7 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from singular_lct.cluster import (
     EMPTY_CLUSTER,
@@ -62,8 +66,8 @@ from singular_lct.cluster import (
     ClusterError,
     UnloadingError,
     WeightedCluster,
-    _complete_strict,
     _strict_from_total,
+    _total_from_strict,
     is_unloaded,
     log_discrepancies,
     proximity_matrix,
@@ -339,6 +343,43 @@ def staircase_slices_from_valuations(x_vals, y_vals, e_vals):
     return tuple(rows)
 
 
+def complete_strict_by_sweeps(
+    c: Cluster, demand: Sequence[int], warm: Optional[Sequence[int]] = None
+) -> List[int]:
+    """Least non-negative strict vector e >= demand whose branch coordinates
+    are non-negative: the strict coordinates of the complete ideal with the
+    demanded valuations.  Batched unloading: each sweep raises every
+    violated e[a] by the least amount that repairs it on its own.  `warm`
+    may give a known lower bound for the fixed point (e.g. the result at a
+    smaller scale)."""
+    r = len(c)
+    e = [max(d, 0) for d in demand]
+    if warm is not None:
+        e = [max(a, b) for a, b in zip(e, warm)]
+    prox_to = c._proximate
+    diag = [1 + len(p) for p in prox_to]
+    w = _total_from_strict(c, e)
+    for _ in range(100_000):
+        clean = True
+        for a in range(r):
+            excess = w[a] - sum(w[b] for b in prox_to[a])
+            if excess < 0:
+                # each unit added to e[a] raises the excess by diag[a]
+                t = (-excess + diag[a] - 1) // diag[a]
+                e[a] += t
+                # keep w consistent with the bump
+                w[a] += t
+                for b in prox_to[a]:
+                    w[b] -= t
+                clean = False
+        if clean:
+            return e
+        assert w == _total_from_strict(c, e), (
+            "unloading bumps must add whole strict transforms"
+        )
+    raise UnloadingError("completion did not stabilize")
+
+
 def curve_jumps_by_candidate_scan(kl, bound):
     """Curve jumping numbers in (0, bound] by the candidate scan.
 
@@ -375,9 +416,9 @@ def curve_jumps_by_candidate_scan(kl, bound):
     prev_xi = Fraction(0)
     for xi in sorted(candidates):
         mid = (prev_xi + xi) / 2
-        between = _complete_strict(c, demand_at(mid), warm=prev_e)
+        between = complete_strict_by_sweeps(c, demand_at(mid), warm=prev_e)
         assert between == prev_e, "multiplier cluster changed off the candidate grid"
-        at = _complete_strict(c, demand_at(xi), warm=between)
+        at = complete_strict_by_sweeps(c, demand_at(xi), warm=between)
         if at != prev_e:
             jumps.append(xi)
         prev_e, prev_xi = at, xi

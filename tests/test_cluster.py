@@ -33,7 +33,14 @@ from singular_lct import (
 )
 from singular_lct import serialize
 from singular_lct.cli import main
-from singular_lct.cluster import EMPTY_CLUSTER, intersection_inverse, pi_inverse
+from singular_lct.cluster import (
+    EMPTY_CLUSTER,
+    _complete_strict,
+    _strict_from_total,
+    _total_from_strict,
+    intersection_inverse,
+    pi_inverse,
+)
 from singular_lct.corpus import coprime_pairs, corpus_curves
 
 F = Fraction
@@ -255,6 +262,38 @@ def test_unload_large_weights():
     assert is_unloaded(out) and unload(out) == out
 
 
+def test_completion_matches_sweep_oracle():
+    rng = random.Random(61)
+    clusters = [
+        resolve_curve(BivariatePolynomial.parse(expr))[0].cluster
+        for _, expr in corpus_curves(20)
+    ]
+    clusters += [random_cluster(rng, max_points=12) for _ in range(60)]
+    for c in clusters:
+        for _ in range(4):
+            demand = [rng.randint(-5, 12) for _ in range(len(c))]
+            warm = rng.choice([None, [rng.randint(0, 6) for _ in range(len(c))]])
+            expected = oracles.complete_strict_by_sweeps(c, demand, warm)
+            assert _complete_strict(c, demand, warm) == expected, (c, demand, warm)
+            # a completion at a smaller demand is a warm start
+            larger = [d + rng.randint(0, 9) for d in demand]
+            assert _complete_strict(
+                c, larger, warm=expected
+            ) == oracles.complete_strict_by_sweeps(c, larger, expected)
+
+
+def test_unload_chains_with_large_weights_match_sweep_oracle():
+    # a heavy last point unloads back along the whole chain over many sweeps
+    for r in (10, 50):
+        c = Cluster([None, *range(r - 1)], [(), *((i,) for i in range(r - 1))])
+        for top in (10**6, 10**9):
+            kl = WeightedCluster(c, [0] * (r - 1) + [top])
+            e = oracles.complete_strict_by_sweeps(c, _strict_from_total(c, kl.weights))
+            out = unload(kl)
+            assert out.weights == tuple(_total_from_strict(c, e))
+            assert is_unloaded(out)
+
+
 # -- lct ----------------------------------------------------------------------------
 
 
@@ -442,6 +481,15 @@ def test_next_jump_matches_candidate_scan():
     for kl, bound in cases:
         expected = oracles.curve_jumps_by_candidate_scan(kl, bound)
         assert jumping_numbers_curve(kl, bound) == expected, (kl, bound)
+
+
+def test_jumping_deep_chain_closed_form():
+    # y^2 = x^401 resolves into a 202-point chain; its jumps below 1 are
+    # 1/2 + b/401
+    kl = resolve_curve(BivariatePolynomial.parse("y^2 - x^401"))[0]
+    assert len(kl.cluster) == 202
+    expected = [F(1, 2) + F(b, 401) for b in range(1, 201)]
+    assert jumping_numbers_curve(kl, F(1)) == expected
 
 
 def sub_clusters(c: Cluster):

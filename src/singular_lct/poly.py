@@ -6,8 +6,13 @@ row or in the list of rows (the level-1 dense layout of the gcd code below),
 and the denominator is positive and coprime to the content of the rows.  So
 equal polynomials store equal data, every operation runs on integers, and a
 `fractions.Fraction` is built only where a coefficient is read out.  The
-layout is dense in the exponents, which the parser bounds.  Everything here
-is immutable by convention and all arithmetic is exact.
+layout is dense in the exponents, so the public constructor and `monomial`
+reject an exponent above MAX_EXPONENT, as the parser does (below); the
+arithmetic, the blowup charts and the shifts build their results directly
+and are not bounded.  A shift y -> y + c packs each row into one integer
+(Kronecker substitution), so its arithmetic runs inside the interpreter's
+big-integer code.  Everything here is immutable by convention and all
+arithmetic is exact.
 
 The text grammar accepts integer or rational coefficients, the variables
 x and y, the operators + - * ^, parentheses, and implicit multiplication
@@ -28,6 +33,7 @@ interpreter's recursion limit; a deeper '(' is a ParseError at its position.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, isqrt, lcm
 from typing import Iterable, List, Mapping, Sequence, Tuple
 
@@ -58,22 +64,34 @@ def _ratio(c) -> Tuple[int, int]:
     return c.numerator, c.denominator
 
 
-def _poly(rows: list, den: int = 1) -> "BivariatePolynomial":
-    """The polynomial rows / den, for trimmed integer rows and den > 0."""
-    g = gcd(_icontent(rows, 1), den) if den != 1 else 1
+def _wrap(rows: list, den: int) -> "BivariatePolynomial":
+    """The polynomial rows / den, for trimmed integer rows over a den > 0
+    that is already coprime to their content."""
     f = object.__new__(BivariatePolynomial)
-    f._rows, f._den = (rows, den) if g == 1 else (_iquo(rows, g, 1), den // g)
+    f._rows, f._den = rows, den
     return f
 
 
-def _poly_from(entries: Iterable[Tuple[int, int, int]], den: int) -> "BivariatePolynomial":
-    """The sum of the terms numerator / den * x^m y^n, from (m, n, numerator)."""
+def _poly(rows: list, den: int = 1) -> "BivariatePolynomial":
+    """The polynomial rows / den, for trimmed integer rows and den > 0."""
+    g = gcd(_icontent(rows, 1), den) if den != 1 else 1
+    return _wrap(rows, den) if g == 1 else _wrap(_iquo(rows, g, 1), den // g)
+
+
+def _rows_from(entries: Iterable[Tuple[int, int, int]]) -> list:
+    """The trimmed integer rows of the sum of the terms numerator * x^m y^n,
+    from (m, n, numerator)."""
     rows: list = []
     for m, n, c in entries:
         rows += [[] for _ in range(m + 1 - len(rows))]
         rows[m] += [0] * (n + 1 - len(rows[m]))
         rows[m][n] += c
-    return _poly(_trim([_trim(row) for row in rows]), den)
+    return _trim([_trim(row) for row in rows])
+
+
+def _poly_from(entries: Iterable[Tuple[int, int, int]], den: int) -> "BivariatePolynomial":
+    """The sum of the terms numerator / den * x^m y^n, from (m, n, numerator)."""
+    return _poly(_rows_from(entries), den)
 
 
 class BivariatePolynomial:
@@ -90,6 +108,9 @@ class BivariatePolynomial:
         for (m, n), c in items:
             if m < 0 or n < 0:
                 raise PolynomialError(f"negative exponent in term x^{m} y^{n}")
+            if max(m, n) > MAX_EXPONENT:
+                # the dense rows cost memory linear in each exponent
+                raise PolynomialError(f"exponent in term x^{m} y^{n} exceeds {MAX_EXPONENT}")
             coeffs.append((m, n, *_ratio(c)))
         den = lcm(*(q for _, _, _, q in coeffs))
         f = _poly_from(((m, n, p * (den // q)) for m, n, p, q in coeffs), den)
@@ -203,32 +224,67 @@ class BivariatePolynomial:
         curve is {x = 0}.  Pure exponent bookkeeping, no expansion.
         """
         mult = self.multiplicity()
-        return _poly_from(((m + n - mult, n, c) for m, n, c in self._entries()), self._den)
+        # distinct terms stay distinct, so the content and _den stand
+        return _wrap(_rows_from((m + n - mult, n, c) for m, n, c in self._entries()), self._den)
 
     def blowup_y_chart(self) -> "BivariatePolynomial":
         """Substitute (x, y) -> (x*y, y) and divide by y^mult."""
         mult = self.multiplicity()
-        return _poly_from(((m, m + n - mult, c) for m, n, c in self._entries()), self._den)
+        # row m moves by m - mult; below mult - m it holds only zeros
+        rows = [
+            row[mult - m :] if m < mult or not row else [0] * (m - mult) + row
+            for m, row in enumerate(self._rows)
+        ]
+        return _wrap(rows, self._den)
 
     def shift_y(self, c) -> "BivariatePolynomial":
         """Substitute y -> y + c (recenter at a point on the y-axis line).
 
         For c = a/b and y-degree N, each row sum r_n y^n becomes
-        b^-N sum r_n b^(N-n) (b y + a)^n, by Horner on integers."""
+        b^-N sum r_n b^(N-n) (b y + a)^n, by a packed (Kronecker) Taylor
+        shift: put y = 2^K, so a row is the one integer sum r_n Z_n with
+        Z_n = b^(N-n) (b 2^K + a)^n, whose signed base-2^K digits are the
+        shifted coefficients.  Each coefficient is at most R (N+1) (|a|+b)^N
+        in size, R the largest |r_n|, so K - 1 bits and a sign hold it;
+        adding 2^(K-1) to every digit makes the digits nonnegative, and
+        `to_bytes` splits them at once.  Z_n is built only for the n that
+        occur, in increasing n, and added into every row that uses it."""
         a, b = _ratio(c)
-        if not (a and self._rows):
+        rows = self._rows
+        if not (a and rows):
             return self
-        top = max(map(len, self._rows)) - 1
-        weight = [b ** (top - n) for n in range(top + 1)]
-        rows = []
-        for row in self._rows:
-            acc: List[int] = []
-            for n in range(len(row) - 1, -1, -1):
-                # acc <- acc * (b y + a) + r_n b^(N-n)
-                acc = [a * u + b * v for u, v in zip(acc + [0], [0] + acc)]
-                acc[0] += row[n] * weight[n]
-            rows.append(acc)
-        return _poly(rows, self._den * b**top)
+        top = max(map(len, rows)) - 1
+        bits = max(map(abs, chain.from_iterable(rows))).bit_length() + (top + 1).bit_length()
+        k = (bits + top * (abs(a) + b).bit_length() + 8) & ~7  # K - 1 >= the bound's bits
+        uses: dict = {}  # n -> [(row index, r_n)] over the nonzero r_n
+        for i, row in enumerate(rows):
+            for n, r in enumerate(row):
+                if r:
+                    uses.setdefault(n, []).append((i, r))
+        base, power, at = (b << k) + a, 1, 0
+        packed = [0] * len(rows)
+        for n in sorted(uses):
+            power *= base ** (n - at)  # (b 2^K + a)^n
+            at = n
+            z = power * b ** (top - n) if b != 1 else power
+            for i, r in uses[n]:
+                packed[i] += r * z
+        half, width, lead = 1 << (k - 1), k // 8, b**top
+        bias = int.from_bytes(half.to_bytes(width, "little") * (top + 1), "little")
+        out = []
+        for row, q in zip(rows, packed):
+            size = len(row) * width
+            data = (q + (bias >> (top + 1 - len(row)) * k)).to_bytes(size, "little")
+            new = [
+                int.from_bytes(data[j : j + width], "little") - half
+                for j in range(0, size, width)
+            ]
+            # the top digit is r_(L-1) b^N alone: a carry into it shows here
+            assert not row or new[-1] == row[-1] * lead, "packed shift overflowed its digits"
+            out.append(new)
+        if b == 1:  # y -> y + a is an automorphism of Z[x, y]: the content stands
+            return _wrap(out, self._den)
+        return _poly(out, self._den * lead)
 
     def derivative(self, var: str) -> "BivariatePolynomial":
         """Partial derivative with respect to "x" or "y"."""

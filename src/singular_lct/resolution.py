@@ -29,7 +29,7 @@ from .cluster import (
     is_unloaded,
 )
 from .enriques import EnriquesDiagram, cluster_to_tree
-from .poly import BivariatePolynomial, polynomial_gcd, rational_roots
+from .poly import BivariatePolynomial, _poly_from, polynomial_gcd, rational_roots
 
 
 class ResolutionError(ValueError):
@@ -92,8 +92,10 @@ def _tangent_roots(form: BivariatePolynomial) -> Tuple[List[Tuple[Fraction, int]
     found, irrational = rational_roots(phi)
     for part, mult in irrational:
         if mult >= 2:
+            # not through the constructor: a form made by arithmetic may
+            # have any degree, past the constructor's MAX_EXPONENT
             k = len(part) - 1
-            factor = BivariatePolynomial({(k - j, j): a for j, a in enumerate(part) if a})
+            factor = _poly_from(((k - j, j, a) for j, a in enumerate(part) if a), 1)
             raise NonRationalTangentError(form, factor)
         # simple irrational factors: smooth transverse branches, no blowup
     return sorted(roots + found), inf_mult

@@ -48,6 +48,11 @@ sympy forms of the reducedness check and of the tangent-cone roots of
 without its parser: a dict from (m, n) to a `Fraction` per term, with the
 arithmetic, the charts and `shift_y` done term by term.
 
+`shift_y_by_horner` is the earlier body of `BivariatePolynomial.shift_y`
+on the integer rows: one Horner step per power of y, a Python list
+operation per coefficient, where the library packs each row into one
+integer.
+
 `minimal_antichain_by_scan` and `staircase_slices_by_min` are the earlier
 bodies of `newton._minimal_antichain` and `Staircase.slices`, which compare
 each point with every kept one and take a minimum per row.
@@ -98,7 +103,7 @@ from singular_lct.newton import (
     staircase_sum,
     triangle,
 )
-from singular_lct.poly import BivariatePolynomial, PolynomialError, Term
+from singular_lct.poly import BivariatePolynomial, PolynomialError, Term, _poly, _ratio
 from singular_lct.resolution import (
     NonRationalTangentError,
     NonReducedError,
@@ -1075,6 +1080,27 @@ class SparseFractionPolynomial:
 
     def __repr__(self) -> str:
         return f"SparseFractionPolynomial({self})"
+
+
+def shift_y_by_horner(self: BivariatePolynomial, c) -> BivariatePolynomial:
+    """Substitute y -> y + c (recenter at a point on the y-axis line).
+
+    For c = a/b and y-degree N, each row sum r_n y^n becomes
+    b^-N sum r_n b^(N-n) (b y + a)^n, by Horner on integers."""
+    a, b = _ratio(c)
+    if not (a and self._rows):
+        return self
+    top = max(map(len, self._rows)) - 1
+    weight = [b ** (top - n) for n in range(top + 1)]
+    rows = []
+    for row in self._rows:
+        acc: List[int] = []
+        for n in range(len(row) - 1, -1, -1):
+            # acc <- acc * (b y + a) + r_n b^(N-n)
+            acc = [a * u + b * v for u, v in zip(acc + [0], [0] + acc)]
+            acc[0] += row[n] * weight[n]
+        rows.append(acc)
+    return _poly(rows, self._den * b**top)
 
 
 def minimal_antichain_by_scan(points) -> Tuple[Point, ...]:

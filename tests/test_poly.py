@@ -183,6 +183,10 @@ def test_exponents_of_products_and_powers_are_bounded_before_expanding():
     assert P("x^1000 + y^1000 + x^1000").degree() == MAX_EXPONENT
 
 
+def rows_of(f):
+    return f._den, f._rows
+
+
 COEFFS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 TERMS = st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)), COEFFS, max_size=6)
 
@@ -195,6 +199,8 @@ def test_integer_rows_match_the_sparse_fraction_oracle(a, b, c, k, e):
 
     def same(ours, ref):
         assert ours.terms == ref.terms and str(ours) == str(ref)
+        # the layout too: trimmed rows over a denominator prime to their content
+        assert rows_of(ours) == rows_of(BivariatePolynomial(ref.terms))
 
     same(f, of)
     same(f + g, of + og)
@@ -222,3 +228,87 @@ def test_integer_rows_match_the_sparse_fraction_oracle(a, b, c, k, e):
     reordered = BivariatePolynomial(reversed(list(a.items())))
     for h in (f + g - g, reordered, f.scale(3).scale(F(1, 3))):
         assert h == f and hash(h) == hash(f)
+
+
+# sparse rows up to y^300 with empty rows between, coefficients up to 2^600
+# of both signs, over a denominator; shifts a/b with b up to 10^6, and 0
+BIG_ROWS = st.lists(
+    st.dictionaries(st.integers(0, 300), st.integers(-(2**600), 2**600), max_size=4),
+    min_size=1,
+    max_size=4,
+)
+SHIFTS = st.one_of(
+    st.just(0),
+    st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**6)),
+    st.builds(Fraction, st.integers(-(2**40), -1), st.sampled_from([1, 2, 3, 10**6])),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(BIG_ROWS, st.integers(1, 10**6), SHIFTS)
+def test_packed_shift_matches_the_horner_oracle(rows, den, c):
+    f = BivariatePolynomial(
+        {(m, n): Fraction(v, den) for m, row in enumerate(rows) for n, v in row.items()}
+    )
+    assert rows_of(f.shift_y(c)) == rows_of(oracles.shift_y_by_horner(f, c))
+
+
+def test_packed_shift_at_the_edges():
+    x, y = BivariatePolynomial.monomial(1, 0), BivariatePolynomial.monomial(0, 1)
+    one = BivariatePolynomial.monomial(0, 0)
+    cases = [
+        (y**300 - x * y, Fraction(-1)),  # one dense output row from two terms
+        (x**3 + y**5 * x, Fraction(7, 10**6)),  # a row without y
+        ((y - one) ** 40, Fraction(1)),  # every coefficient cancels but the top
+        (y.scale(2**600) - y**2, Fraction(-(2**600), 3)),
+        ((x + y) ** 12, Fraction(-5, 6)),
+    ]
+    for f, c in cases:
+        assert rows_of(f.shift_y(c)) == rows_of(oracles.shift_y_by_horner(f, c)), (f, c)
+    assert rows_of(((y - one) ** 40).shift_y(1)) == rows_of(y**40)
+
+
+HEAVY_GERMS = (
+    # the heaviest germ-theorem germs: two of seed 211, one of seed 3
+    "(y^3 - (-3)*(x + (-1)*y^2)^5)*(y^4 - (-3)*(x + (-1)*y^2)^9)"
+    "*(y^7 - (-2/3)*(x + (-1)*y^2)^8)",
+    "((x + 1*y^2)^5 - (-3)*y^8)*(y^3 - (1/2)*(x + 1*y^2)^8)*(y^7 - (-2/3)*(x + 1*y^2)^8)",
+    "(y^3 - 1*(x + 1*y^2)^5)*(y^4 - (-2/3)*(x + 1*y^2)^9)*(y^7 - (-2/3)*(x + 1*y^2)^8)",
+)
+
+
+@pytest.mark.parametrize("text", HEAVY_GERMS)
+def test_every_shift_of_a_heavy_resolution_matches_the_horner_oracle(text, monkeypatch):
+    from singular_lct import resolve_curve
+
+    calls = []
+    shift = BivariatePolynomial.shift_y
+
+    def recorded(f, c):
+        g = shift(f, c)
+        calls.append((f, c, g))
+        return g
+
+    monkeypatch.setattr(BivariatePolynomial, "shift_y", recorded)
+    resolve_curve(P(text))
+    # three nonzero shifts each, of rows up to y^243 and 7,005 cells
+    assert sum(1 for _, c, _ in calls if c) == 3
+    for f, c, g in calls:
+        assert rows_of(g) == rows_of(oracles.shift_y_by_horner(f, c)), (f, c)
+
+
+def test_the_constructor_bounds_exponents():
+    from singular_lct.poly import MAX_EXPONENT
+
+    for m, n in ((10**6, 0), (0, MAX_EXPONENT + 1), (MAX_EXPONENT + 1, MAX_EXPONENT + 1)):
+        with pytest.raises(PolynomialError, match=f"exceeds {MAX_EXPONENT}"):
+            BivariatePolynomial.monomial(m, n)
+    with pytest.raises(PolynomialError):
+        BivariatePolynomial({(0, 0): 1, (0, 10**6): 2})
+    top = BivariatePolynomial.monomial(MAX_EXPONENT, MAX_EXPONENT, 3)
+    assert top.coefficient(MAX_EXPONENT, MAX_EXPONENT) == 3
+    # arithmetic and the charts are not bounded: they only combine inputs
+    y = BivariatePolynomial.monomial(0, 1)
+    wide = BivariatePolynomial.monomial(0, MAX_EXPONENT) * y - BivariatePolynomial.monomial(1, 0)
+    assert wide.coefficient(0, MAX_EXPONENT + 1) == 1
+    assert wide.blowup_y_chart().coefficient(0, MAX_EXPONENT) == 1

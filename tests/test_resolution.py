@@ -118,6 +118,27 @@ def test_non_rational_tangent_rejected_when_singular():
         resolve_curve(P("(y^2 - 2*x^2)^2 - x^5"))
 
 
+def test_irrational_tangent_factors_past_the_exponent_bound():
+    from singular_lct.poly import MAX_EXPONENT
+    from singular_lct.resolution import _tangent_roots
+
+    # a germ built by arithmetic, not the parser: its tangent cone is
+    # (y^k - 2 x^k)^2 with k one past MAX_EXPONENT, so the factor named in
+    # the error has exponents the public constructor rejects.  Its first
+    # point is checked through _tangent_roots: resolve_curve would spend
+    # minutes in the reducedness gcd of a degree-2003 germ before it.
+    x, y = BivariatePolynomial.monomial(1, 0), BivariatePolynomial.monomial(0, 1)
+    for k in (MAX_EXPONENT, MAX_EXPONENT + 1):
+        form = y ** (k - 1) * y - (x ** (k - 1) * x).scale(2)
+        germ = form * form + x ** (k - 1) * x ** (k + 2)
+        with pytest.raises(NonRationalTangentError) as err:
+            _tangent_roots(germ.leading_form())
+        assert err.value.factor == form and err.value.form == form * form
+    with pytest.raises(NonRationalTangentError) as err:
+        resolve_curve(P("(y^20 - 2*x^20)^2 - x^41"))
+    assert err.value.factor == P("y^20 - 2*x^20")
+
+
 def test_simple_irrational_tangents_tolerated():
     # y^2 - 2x^2 is a pair of smooth transverse branches; one blowup ends it
     kl, _ = resolve_curve(P("y^2 - 2*x^2"))

@@ -18,16 +18,22 @@ bases, and the dictionary is
 Unloading repairs a weight vector that violates a proximity inequality by
 moving weight onto the violated point; it preserves the complete ideal cut
 out by the cluster and terminates in the least weight vector above the
-start whose branch coordinates are all non-negative.  One kernel,
-`_complete_strict`, computes that fixed point for `unload`, the multiplier
-clusters and the jumping numbers: sweeps in index order that revisit only
-the points whose excess a bump may have lowered.
+start whose branch coordinates are all non-negative.  Those coordinates of
+a strict vector e are its excess vector x = e . M, where M = Pi . Pi^t has
+diagonal 1 + |points proximate to a| and -1 exactly on the r - 1 edges of
+the dual tree of the exceptional divisors (it is the negated intersection
+matrix).  One kernel, `_repair`, unloads for `unload`, the multiplier
+clusters and the jumping numbers: sweeps in index order that keep x, and
+revisit only the dual-tree neighbours of a bumped point.  The jumping
+numbers carry x from one jump to the next, and each jump raises only the
+points attaining it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from heapq import heappop, heappush
 from typing import List, Optional, Sequence, Tuple
 
@@ -119,6 +125,34 @@ class Cluster:
 
     def __len__(self) -> int:
         return len(self.parents)
+
+    @cached_property
+    def _dual_tree(self):
+        """The excess matrix M = Pi . Pi^t as (diag, below, above,
+        neighbours): M[a][a] = diag[a] = 1 + |points proximate to a|, and
+        M[a][b] = -1 exactly for b in neighbours[a], the points below[a]
+        before a and above[a] after it.  These r - 1 pairs are the edges of
+        the dual tree: each point is joined to its targets, except that a
+        satellite cancels the pair of its two targets, whose proximities
+        meet in its column of Pi.  Built on first use and not a field, so
+        equality, hashing and serialization never see it."""
+        targets = self.targets
+        crossings = {t for t in targets if len(t) == 2}
+        diag = [1] * len(targets)
+        below: List[List[int]] = [[] for _ in targets]
+        above: List[List[int]] = [[] for _ in targets]
+        for j, tj in enumerate(targets):
+            for a in tj:
+                diag[a] += 1
+                if (a, j) not in crossings:
+                    below[j].append(a)
+                    above[a].append(j)
+        assert sum(map(len, below)) == max(len(targets) - 1, 0), (
+            "the dual graph must have r - 1 edges"
+        )
+        assert diag == [1 + len(p) for p in self._proximate]
+        below, above = tuple(map(tuple, below)), tuple(map(tuple, above))
+        return tuple(diag), below, above, tuple(map(tuple.__add__, below, above))
 
     def proximate_to(self, alpha: int) -> List[int]:
         """Points proximate to P_alpha (they all come after it)."""
@@ -314,54 +348,70 @@ def _complete_strict(
     demanded valuations.  `warm` may give a known lower bound for the fixed
     point (e.g. the result at a smaller scale).
 
-    Batched unloading over dirty points.  Sweeps run in index order, and a
-    violated e[a] is raised by the least amount that repairs it on its own.
-    Raising e[a] lowers only the excesses of the points proximate to a,
-    which come later and join the current sweep, and of the targets of a,
-    which come earlier and wait for the next one; every other excess stays
-    or grows.  So a sweep visits just the points whose excess may have
-    dropped, and makes the same bumps in the same order as a sweep over
-    every point.  The first sweep visits every point.
+    Builds the excess vector x = e . M on the dual tree and repairs it with
+    every point dirty; see `_repair`.
     """
-    r = len(c)
     e = [max(d, 0) for d in demand]
     if warm is not None:
         e = [max(a, b) for a, b in zip(e, warm)]
-    prox_to = c._proximate
-    targets = c.targets
-    w = _total_from_strict(c, e)
-    dirty = list(range(r))  # sorted, hence a heap
+    _repair(c, e, _excess(c, e, range(len(c))), list(range(len(c))))
+    return e
+
+
+def _excess(c: Cluster, e: Sequence[int], points: Sequence[int]) -> List[int]:
+    """Entries of the excess vector e . M at the given points, summed over
+    each point's dual-tree neighbours."""
+    diag, _, _, neighbours = c._dual_tree
+    get = e.__getitem__
+    return [diag[p] * e[p] - sum(map(get, neighbours[p])) for p in points]
+
+
+def _repair(c: Cluster, e: List[int], x: List[int], dirty: List[int]) -> None:
+    """Unload e in place, keeping its excess vector x = e . M, when only the
+    points in `dirty` (sorted) may have a negative excess.
+
+    Batched unloading on the dual tree.  Sweeps run in index order, and a
+    violated e[a] is raised by the least amount t that repairs it on its
+    own: x[a] grows by t * M[a][a], and the excess of each dual-tree
+    neighbour of a drops by t; no other excess moves.  A neighbour after a
+    is proximate to a and joins the current sweep, a neighbour before a is
+    a target of a and waits for the next one, so the sweeps make the bumps
+    of sweeps over every point, in the same order.  Every entry of x that
+    a sweep writes is checked against e, and the whole vector at the end.
+    """
+    diag, below, above, _ = c._dual_tree
     for _ in range(100_000):
         if not dirty:
-            assert w == _total_from_strict(c, e), (
+            assert x == _excess(c, e, range(len(c))), (
                 "unloading bumps must add whole strict transforms"
             )
-            return e
+            return
         queued = set(dirty)
-        bumped: List[int] = []
+        written: List[int] = []  # the bumped points and their neighbours
+        later: List[int] = []  # the neighbours before a bumped point
         while dirty:
             a = heappop(dirty)
-            excess = w[a] - sum(w[b] for b in prox_to[a])
-            if excess < 0:
-                # each unit added to e[a] raises the excess by 1 + |prox_to[a]|
-                diag = 1 + len(prox_to[a])
-                t = (-excess + diag - 1) // diag
+            xa = x[a]
+            if xa < 0:
+                da = diag[a]
+                t = (da - 1 - xa) // da
                 e[a] += t
-                # keep w consistent with the bump
-                w[a] += t
-                for b in prox_to[a]:
-                    w[b] -= t
+                x[a] = xa + t * da
+                for b in below[a]:
+                    x[b] -= t
+                for b in above[a]:
+                    x[b] -= t
                     if b not in queued:
                         queued.add(b)
                         heappush(dirty, b)
-                bumped.append(a)
-        # the entries of w that this sweep wrote still match e
-        assert all(
-            w[x] + sum(map(e.__getitem__, targets[x])) == e[x]
-            for x in set(bumped).union(*(prox_to[a] for a in bumped))
-        ), "unloading bumps must add whole strict transforms"
-        # the targets of a bumped point precede it, so the next sweep sees them
-        dirty = sorted({g for a in bumped for g in targets[a]})
+                written.append(a)
+                written += above[a]
+                later += below[a]
+        written = list(set(written).union(later))
+        assert list(map(x.__getitem__, written)) == _excess(c, e, written), (
+            "unloading bumps must add whole strict transforms"
+        )
+        dirty = sorted(set(later))
     raise UnloadingError("completion did not stabilize")
 
 
@@ -421,8 +471,14 @@ def jumping_numbers_curve(kl: WeightedCluster, bound: Fraction) -> List[Fraction
     for the trivial ideal).  The demand floor(xi * e_a) - k_a stays <= d_a
     exactly while xi < (k_a + d_a + 1) / e_a, so the multiplier cluster is
     constant up to xi = min_a (k_a + d_a + 1) / e_a and changes there: that
-    value is the next jump, and no jump lies before it.  Each jump costs one
-    completion, warm-started from d.
+    value is the next jump, and no jump lies before it.
+
+    At xi = n/m the demand exceeds d only at the points attaining the
+    minimum, and there by exactly 1.  So d and its excess vector d . M are
+    carried from jump to jump: each jump raises d by one at those points,
+    updates the excesses there and at their dual-tree neighbours, and
+    repairs with only the neighbours dirty.  The bound is compared in
+    integers, and each jump builds one `Fraction`.
     """
     bound = Fraction(bound)
     if bound > 1:
@@ -431,24 +487,39 @@ def jumping_numbers_curve(kl: WeightedCluster, bound: Fraction) -> List[Fraction
         raise ClusterError("bound must be positive")
     if not is_unloaded(kl):
         raise ClusterError("curve cluster must satisfy the proximity relations")
+    if kl.is_empty():  # no points, or the zero divisor
+        return []
     c = kl.cluster
     r = len(c)
-    if not r:
-        return []
     e = _strict_from_total(c, kl.weights)
     k = log_discrepancies(c).entries
+    diag, _, _, neighbours = c._dual_tree
     jumps: List[Fraction] = []
     d = [0] * r
+    x = [0] * r  # the excess vector d . M
     while True:
-        # min over a of (k_a + d_a + 1) / e_a, compared by cross-multiplying
+        # min over a of (k_a + d_a + 1) / e_a, compared by cross-multiplying,
+        # and the points that attain it
         n, m = k[0] + d[0] + 1, e[0]
-        for ka, da, ea in zip(k, d, e):
-            if (ka + da + 1) * m < n * ea:
-                n, m = ka + da + 1, ea
-        xi = Fraction(n, m)
-        if xi > bound or xi >= 1:
+        attained: List[int] = []
+        for a, (ka, da, ea) in enumerate(zip(k, d, e)):
+            lhs, rhs = (ka + da + 1) * m, n * ea
+            if lhs < rhs:
+                n, m, attained = ka + da + 1, ea, [a]
+            elif lhs == rhs:
+                attained.append(a)
+        if n * bound.denominator > bound.numerator * m or n >= m:
             return jumps
-        jumps.append(xi)
-        at = _complete_strict(c, _demand(e, k, n, m), warm=d)
-        assert at != d, "multiplier cluster did not change at the next jump"
-        d = at
+        jumps.append(Fraction(n, m))
+        # the demand floor(xi * e_a) - k_a is d_a + 1 where the minimum is
+        # attained and at most d_a elsewhere, so max(demand, d) raises d by
+        # one at those points alone: the multiplier cluster changes at xi by
+        # construction, and only their neighbours' excesses drop
+        dirty = set()
+        for a in attained:
+            d[a] += 1
+            x[a] += diag[a]
+            for b in neighbours[a]:
+                x[b] -= 1
+            dirty.update(neighbours[a])
+        _repair(c, d, x, sorted(dirty))

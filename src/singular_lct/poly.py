@@ -128,6 +128,8 @@ class BivariatePolynomial:
 
     @classmethod
     def parse(cls, text: str) -> "BivariatePolynomial":
+        if not isinstance(text, str):
+            raise TypeError(f"a polynomial is parsed from a str, not {type(text).__name__}")
         return _Parser(text).parse()
 
     # -- basic queries ---------------------------------------------------

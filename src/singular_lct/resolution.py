@@ -171,11 +171,12 @@ def resolve_curve(
 
         roots, inf_mult = _tangent_roots(g.leading_form())
         children = []
+        x_chart = g.blowup_x_chart() if roots else None  # shared by the roots
         for t, _ in roots:
             child_axes = {"x": (idx, e_here)}
             if t == 0 and "y" in axes:
                 child_axes["y"] = axes["y"]
-            children.append((g.blowup_x_chart().shift_y(t), child_axes))
+            children.append((x_chart.shift_y(t), child_axes))
         if inf_mult:
             child_axes = {"y": (idx, e_here)}
             if "x" in axes:

@@ -15,6 +15,14 @@ The lct and the jumps there require a pure power of each variable.
 `cluster._complete_strict`: every sweep visits every point, and the whole
 total vector is recomputed after each one.
 
+`complete_strict_by_dirty_points` is the next form of that kernel: sweeps
+that revisit only the points whose excess a bump may have lowered, with the
+excess of each visited point summed afresh over the points proximate to it.
+`curve_jumps_by_warm_completions` is the next-jump loop that drove it: each
+jump rebuilds the demand and completes it, warm-started from the last one.
+The library keeps the excess vector on the dual tree instead, and each jump
+repairs only the points it raised.
+
 `curve_jumps_by_candidate_scan` is the reference for the next-jump
 iteration of `jumping_numbers_curve`: it tests every candidate (k+j)/e,
 comparing completions just below and at it, and asserts that the
@@ -62,6 +70,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import ceil
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -71,6 +80,7 @@ from singular_lct.cluster import (
     ClusterError,
     UnloadingError,
     WeightedCluster,
+    _demand,
     _strict_from_total,
     _total_from_strict,
     is_unloaded,
@@ -383,6 +393,100 @@ def complete_strict_by_sweeps(
             "unloading bumps must add whole strict transforms"
         )
     raise UnloadingError("completion did not stabilize")
+
+
+def complete_strict_by_dirty_points(
+    c: Cluster, demand: Sequence[int], warm: Optional[Sequence[int]] = None
+) -> List[int]:
+    """Least non-negative strict vector e >= demand whose branch coordinates
+    are non-negative: the strict coordinates of the complete ideal with the
+    demanded valuations.  `warm` may give a known lower bound for the fixed
+    point (e.g. the result at a smaller scale).
+
+    Batched unloading over dirty points.  Sweeps run in index order, and a
+    violated e[a] is raised by the least amount that repairs it on its own.
+    Raising e[a] lowers only the excesses of the points proximate to a,
+    which come later and join the current sweep, and of the targets of a,
+    which come earlier and wait for the next one; every other excess stays
+    or grows.  So a sweep visits just the points whose excess may have
+    dropped, and makes the same bumps in the same order as a sweep over
+    every point.  The first sweep visits every point.
+    """
+    r = len(c)
+    e = [max(d, 0) for d in demand]
+    if warm is not None:
+        e = [max(a, b) for a, b in zip(e, warm)]
+    prox_to = c._proximate
+    targets = c.targets
+    w = _total_from_strict(c, e)
+    dirty = list(range(r))  # sorted, hence a heap
+    for _ in range(100_000):
+        if not dirty:
+            assert w == _total_from_strict(c, e), (
+                "unloading bumps must add whole strict transforms"
+            )
+            return e
+        queued = set(dirty)
+        bumped: List[int] = []
+        while dirty:
+            a = heappop(dirty)
+            excess = w[a] - sum(w[b] for b in prox_to[a])
+            if excess < 0:
+                # each unit added to e[a] raises the excess by 1 + |prox_to[a]|
+                diag = 1 + len(prox_to[a])
+                t = (-excess + diag - 1) // diag
+                e[a] += t
+                # keep w consistent with the bump
+                w[a] += t
+                for b in prox_to[a]:
+                    w[b] -= t
+                    if b not in queued:
+                        queued.add(b)
+                        heappush(dirty, b)
+                bumped.append(a)
+        # the entries of w that this sweep wrote still match e
+        assert all(
+            w[x] + sum(map(e.__getitem__, targets[x])) == e[x]
+            for x in set(bumped).union(*(prox_to[a] for a in bumped))
+        ), "unloading bumps must add whole strict transforms"
+        # the targets of a bumped point precede it, so the next sweep sees them
+        dirty = sorted({g for a in bumped for g in targets[a]})
+    raise UnloadingError("completion did not stabilize")
+
+
+def curve_jumps_by_warm_completions(kl, bound):
+    """Curve jumping numbers in (0, bound] by the next-jump iteration, one
+    full completion per jump: the next jump is min (k + d + 1)/e over the
+    cluster points, and d becomes the completion of its demand
+    floor(xi * e) - k, warm-started from the last d."""
+    bound = Fraction(bound)
+    if bound > 1:
+        raise ClusterError("curve jumping numbers are only computed up to 1")
+    if bound <= 0:
+        raise ClusterError("bound must be positive")
+    if not is_unloaded(kl):
+        raise ClusterError("curve cluster must satisfy the proximity relations")
+    c = kl.cluster
+    r = len(c)
+    if not r:
+        return []
+    e = _strict_from_total(c, kl.weights)
+    k = log_discrepancies(c).entries
+    jumps: List[Fraction] = []
+    d = [0] * r
+    while True:
+        # min over a of (k_a + d_a + 1) / e_a, compared by cross-multiplying
+        n, m = k[0] + d[0] + 1, e[0]
+        for ka, da, ea in zip(k, d, e):
+            if (ka + da + 1) * m < n * ea:
+                n, m = ka + da + 1, ea
+        xi = Fraction(n, m)
+        if xi > bound or xi >= 1:
+            return jumps
+        jumps.append(xi)
+        at = complete_strict_by_dirty_points(c, _demand(e, k, n, m), warm=d)
+        assert at != d, "multiplier cluster did not change at the next jump"
+        d = at
 
 
 def curve_jumps_by_candidate_scan(kl, bound):

@@ -36,6 +36,7 @@ from singular_lct.cli import main
 from singular_lct.cluster import (
     EMPTY_CLUSTER,
     _complete_strict,
+    _demand,
     _strict_from_total,
     _total_from_strict,
     intersection_inverse,
@@ -121,6 +122,32 @@ def test_matrix_invariants_random():
                     a in c.targets[g] and b in c.targets[g] for g in range(r)
                 )
                 assert ppt[a][b] == (-1 if meets else 0)
+
+
+def test_dual_tree_is_the_off_diagonal_of_pi_pi_t():
+    rng = random.Random(71)
+    clusters = [
+        resolve_curve(BivariatePolynomial.parse(expr))[0].cluster
+        for _, expr in corpus_curves(20)
+    ]
+    clusters += [random_cluster(rng, max_points=25) for _ in range(300)]
+    clusters += [EMPTY_CLUSTER, Cluster((None,), ((),))]
+    assert max(map(len, clusters)) >= 20
+    for c in clusters:
+        r = len(c)
+        pi = proximity_matrix(c)
+        diag, below, above, neighbours = c._dual_tree
+        edges = set()
+        for a in range(r):
+            row = [sum(x * y for x, y in zip(pi[a], pi[b])) for b in range(r)]
+            assert diag[a] == row[a]
+            assert all(b < a for b in below[a]) and all(b > a for b in above[a])
+            assert neighbours[a] == below[a] + above[a]
+            assert [b for b in range(r) if b != a and row[b]] == sorted(neighbours[a])
+            assert all(row[b] == -1 for b in neighbours[a])
+            edges.update((min(a, b), max(a, b)) for b in neighbours[a])
+        assert len(edges) == max(r - 1, 0)
+        assert c == Cluster(c.parents, c.targets)  # the cache is not a field
 
 
 def corpus_clusters():
@@ -274,12 +301,13 @@ def test_completion_matches_sweep_oracle():
             demand = [rng.randint(-5, 12) for _ in range(len(c))]
             warm = rng.choice([None, [rng.randint(0, 6) for _ in range(len(c))]])
             expected = oracles.complete_strict_by_sweeps(c, demand, warm)
+            assert oracles.complete_strict_by_dirty_points(c, demand, warm) == expected
             assert _complete_strict(c, demand, warm) == expected, (c, demand, warm)
             # a completion at a smaller demand is a warm start
             larger = [d + rng.randint(0, 9) for d in demand]
-            assert _complete_strict(
-                c, larger, warm=expected
-            ) == oracles.complete_strict_by_sweeps(c, larger, expected)
+            at_larger = oracles.complete_strict_by_sweeps(c, larger, expected)
+            assert oracles.complete_strict_by_dirty_points(c, larger, expected) == at_larger
+            assert _complete_strict(c, larger, warm=expected) == at_larger
 
 
 def test_unload_chains_with_large_weights_match_sweep_oracle():
@@ -288,7 +316,10 @@ def test_unload_chains_with_large_weights_match_sweep_oracle():
         c = Cluster([None, *range(r - 1)], [(), *((i,) for i in range(r - 1))])
         for top in (10**6, 10**9):
             kl = WeightedCluster(c, [0] * (r - 1) + [top])
-            e = oracles.complete_strict_by_sweeps(c, _strict_from_total(c, kl.weights))
+            demand = _strict_from_total(c, kl.weights)
+            e = oracles.complete_strict_by_sweeps(c, demand)
+            assert oracles.complete_strict_by_dirty_points(c, demand) == e
+            assert _complete_strict(c, demand) == e
             out = unload(kl)
             assert out.weights == tuple(_total_from_strict(c, e))
             assert is_unloaded(out)
@@ -481,6 +512,59 @@ def test_next_jump_matches_candidate_scan():
     for kl, bound in cases:
         expected = oracles.curve_jumps_by_candidate_scan(kl, bound)
         assert jumping_numbers_curve(kl, bound) == expected, (kl, bound)
+
+
+def random_unloaded(rng, max_points):
+    """A non-empty unloaded weighted cluster: random weights, unloaded."""
+    while True:
+        c = random_cluster(rng, max_points)
+        kl = unload(WeightedCluster(c, [rng.randint(0, 4) for _ in range(len(c))]))
+        if not kl.is_empty():
+            return kl
+
+
+def jump_cases():
+    rng = random.Random(83)
+    curves = [
+        resolve_curve(BivariatePolynomial.parse(expr))[0]
+        for _, expr in corpus_curves(20)
+    ]
+    curves = [kl for kl in curves if kl.weights]
+    return curves + [random_unloaded(rng, 12) for _ in range(60)]
+
+
+def test_jumping_matches_warm_completions():
+    for kl in jump_cases():
+        for bound in (F(1), F(1, 2), F(7, 9), lct_cluster(kl)[0], F(1, 1000)):
+            if bound > 1:
+                continue
+            expected = oracles.curve_jumps_by_warm_completions(kl, bound)
+            assert jumping_numbers_curve(kl, bound) == expected, (kl, bound)
+
+
+def test_each_jump_raises_only_the_points_attaining_it():
+    raised = 0
+    for kl in jump_cases():
+        c = kl.cluster
+        e = _strict_from_total(c, kl.weights)
+        k = log_discrepancies(c).entries
+        d = [0] * len(c)
+        while True:
+            xi = min(F(ka + da + 1, ea) for ka, da, ea in zip(k, d, e))
+            if xi >= 1:
+                break
+            n, m = xi.numerator, xi.denominator
+            attained = [F(ka + da + 1, ea) == xi for ka, da, ea in zip(k, d, e)]
+            start = [max(x, y) for x, y in zip(_demand(e, k, n, m), d)]
+            assert start == [da + at for da, at in zip(d, attained)]
+            raised += sum(attained)
+            d = oracles.complete_strict_by_sweeps(c, start)
+    assert raised > 1000
+
+
+def test_jumping_on_the_zero_divisor_is_empty():
+    c = cusp57_cluster()
+    assert jumping_numbers_curve(WeightedCluster(c, (0,) * len(c)), F(1)) == []
 
 
 def test_jumping_deep_chain_closed_form():

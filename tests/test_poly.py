@@ -46,6 +46,15 @@ def test_parse_errors_carry_position(bad):
     assert "^" in str(err.value)  # caret diagnostic
 
 
+@pytest.mark.parametrize("bad", [("a", "b"), 123, b"x^2", None, ["x"]])
+def test_parse_rejects_non_strings_by_type(bad):
+    from singular_lct import parse_polynomial
+
+    for parse in (P, parse_polynomial):
+        with pytest.raises(TypeError, match=f"not {type(bad).__name__}$"):
+            parse(bad)
+
+
 def test_print_parse_roundtrip():
     for text in ["x^5 - y^7", "(x^3 - y^2)^2 - x^5*y", "x*y", "1/3*x^2*y - y"]:
         f = P(text)

@@ -154,7 +154,7 @@ def _curve(args) -> Tuple[WeightedCluster, EnriquesDiagram]:
 
 def _ideal(args) -> MonomialIdeal:
     """The term ideal of --poly (or --monomial), else the ideal in --file."""
-    if args.poly:
+    if args.poly is not None:
         return term_ideal(BivariatePolynomial.parse(args.poly))
     return serialize.ideal_from_json(_read_json(args.file))
 
@@ -210,7 +210,7 @@ def _newton(args):
 
 
 def _jumping(args):
-    if args.curve:
+    if args.curve is not None:
         jumps = jumping_numbers_curve(_curve(args)[0], args.bound)
     else:
         jumps = jumping_numbers_monomial(_ideal(args), args.bound)

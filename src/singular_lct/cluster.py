@@ -23,10 +23,10 @@ a strict vector e are its excess vector x = e . M, where M = Pi . Pi^t has
 diagonal 1 + |points proximate to a| and -1 exactly on the r - 1 edges of
 the dual tree of the exceptional divisors (it is the negated intersection
 matrix).  One kernel, `_repair`, unloads for `unload`, the multiplier
-clusters and the jumping numbers: sweeps in index order that keep x, and
-revisit only the dual-tree neighbours of a bumped point.  The jumping
-numbers carry x from one jump to the next, and each jump raises only the
-points attaining it.
+clusters and the jumping numbers: rounds that keep x, each visiting only
+the points bumped in the last round and their dual-tree neighbours.  The
+jumping numbers carry x from one jump to the next, and each jump raises
+only the points attaining it.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from heapq import heappop, heappush
 from typing import List, Optional, Sequence, Tuple
 
 TOTAL = "total"
@@ -49,6 +48,9 @@ class ClusterError(ValueError):
 
 class UnloadingError(ClusterError):
     """The unloading iteration failed to reach a fixed point."""
+
+
+_MAX_ROUNDS = 100_000  # unloading rounds before UnloadingError
 
 
 @dataclass(frozen=True)
@@ -128,31 +130,28 @@ class Cluster:
 
     @cached_property
     def _dual_tree(self):
-        """The excess matrix M = Pi . Pi^t as (diag, below, above,
-        neighbours): M[a][a] = diag[a] = 1 + |points proximate to a|, and
-        M[a][b] = -1 exactly for b in neighbours[a], the points below[a]
-        before a and above[a] after it.  These r - 1 pairs are the edges of
-        the dual tree: each point is joined to its targets, except that a
-        satellite cancels the pair of its two targets, whose proximities
-        meet in its column of Pi.  Built on first use and not a field, so
-        equality, hashing and serialization never see it."""
+        """The excess matrix M = Pi . Pi^t as (diag, neighbours): M[a][a] =
+        diag[a] = 1 + |points proximate to a|, and M[a][b] = -1 exactly for
+        b in neighbours[a].  These r - 1 pairs are the edges of the dual
+        tree: each point is joined to its targets, except that a satellite
+        cancels the pair of its two targets, whose proximities meet in its
+        column of Pi.  Built on first use and not a field, so equality,
+        hashing and serialization never see it."""
         targets = self.targets
         crossings = {t for t in targets if len(t) == 2}
         diag = [1] * len(targets)
-        below: List[List[int]] = [[] for _ in targets]
-        above: List[List[int]] = [[] for _ in targets]
+        neighbours: List[List[int]] = [[] for _ in targets]
         for j, tj in enumerate(targets):
             for a in tj:
                 diag[a] += 1
                 if (a, j) not in crossings:
-                    below[j].append(a)
-                    above[a].append(j)
-        assert sum(map(len, below)) == max(len(targets) - 1, 0), (
+                    neighbours[j].append(a)
+                    neighbours[a].append(j)
+        assert sum(map(len, neighbours)) == 2 * max(len(targets) - 1, 0), (
             "the dual graph must have r - 1 edges"
         )
         assert diag == [1 + len(p) for p in self._proximate]
-        below, above = tuple(map(tuple, below)), tuple(map(tuple, above))
-        return tuple(diag), below, above, tuple(map(tuple.__add__, below, above))
+        return tuple(diag), tuple(map(tuple, neighbours))
 
     def proximate_to(self, alpha: int) -> List[int]:
         """Points proximate to P_alpha (they all come after it)."""
@@ -160,9 +159,6 @@ class Cluster:
 
     def is_free(self, alpha: int) -> bool:
         return len(self.targets[alpha]) < 2
-
-    def is_satellite(self, alpha: int) -> bool:
-        return len(self.targets[alpha]) == 2
 
     def second_target(self, alpha: int) -> Optional[int]:
         t = self.targets[alpha]
@@ -361,57 +357,47 @@ def _complete_strict(
 def _excess(c: Cluster, e: Sequence[int], points: Sequence[int]) -> List[int]:
     """Entries of the excess vector e . M at the given points, summed over
     each point's dual-tree neighbours."""
-    diag, _, _, neighbours = c._dual_tree
+    diag, neighbours = c._dual_tree
     get = e.__getitem__
     return [diag[p] * e[p] - sum(map(get, neighbours[p])) for p in points]
 
 
 def _repair(c: Cluster, e: List[int], x: List[int], dirty: List[int]) -> None:
     """Unload e in place, keeping its excess vector x = e . M, when only the
-    points in `dirty` (sorted) may have a negative excess.
+    points in `dirty` may have a negative excess.
 
-    Batched unloading on the dual tree.  Sweeps run in index order, and a
-    violated e[a] is raised by the least amount t that repairs it on its
-    own: x[a] grows by t * M[a][a], and the excess of each dual-tree
-    neighbour of a drops by t; no other excess moves.  A neighbour after a
-    is proximate to a and joins the current sweep, a neighbour before a is
-    a target of a and waits for the next one, so the sweeps make the bumps
-    of sweeps over every point, in the same order.  Every entry of x that
-    a sweep writes is checked against e, and the whole vector at the end.
+    Unloading in rounds on the dual tree.  A round visits its points in
+    turn, and raises a violated e[a] by the least amount t that repairs it
+    on its own: x[a] grows by t * M[a][a], and the excess of each dual-tree
+    neighbour of a drops by t; no other excess moves.  The bumped points
+    and their neighbours make up the next round.  The order of the bumps
+    does not matter, since unloading has one least fixed point.  Every
+    entry of x that a round writes is checked against e, and the whole
+    vector at the end.
     """
-    diag, below, above, _ = c._dual_tree
-    for _ in range(100_000):
+    diag, neighbours = c._dual_tree
+    for _ in range(_MAX_ROUNDS):
         if not dirty:
             assert x == _excess(c, e, range(len(c))), (
                 "unloading bumps must add whole strict transforms"
             )
             return
-        queued = set(dirty)
         written: List[int] = []  # the bumped points and their neighbours
-        later: List[int] = []  # the neighbours before a bumped point
-        while dirty:
-            a = heappop(dirty)
+        for a in dirty:
             xa = x[a]
             if xa < 0:
                 da = diag[a]
                 t = (da - 1 - xa) // da
                 e[a] += t
                 x[a] = xa + t * da
-                for b in below[a]:
+                for b in neighbours[a]:
                     x[b] -= t
-                for b in above[a]:
-                    x[b] -= t
-                    if b not in queued:
-                        queued.add(b)
-                        heappush(dirty, b)
                 written.append(a)
-                written += above[a]
-                later += below[a]
-        written = list(set(written).union(later))
-        assert list(map(x.__getitem__, written)) == _excess(c, e, written), (
+                written += neighbours[a]
+        dirty = list(dict.fromkeys(written))
+        assert list(map(x.__getitem__, dirty)) == _excess(c, e, dirty), (
             "unloading bumps must add whole strict transforms"
         )
-        dirty = sorted(set(later))
     raise UnloadingError("completion did not stabilize")
 
 
@@ -493,7 +479,7 @@ def jumping_numbers_curve(kl: WeightedCluster, bound: Fraction) -> List[Fraction
     r = len(c)
     e = _strict_from_total(c, kl.weights)
     k = log_discrepancies(c).entries
-    diag, _, _, neighbours = c._dual_tree
+    diag, neighbours = c._dual_tree
     jumps: List[Fraction] = []
     d = [0] * r
     x = [0] * r  # the excess vector d . M
@@ -515,11 +501,11 @@ def jumping_numbers_curve(kl: WeightedCluster, bound: Fraction) -> List[Fraction
         # attained and at most d_a elsewhere, so max(demand, d) raises d by
         # one at those points alone: the multiplier cluster changes at xi by
         # construction, and only their neighbours' excesses drop
-        dirty = set()
+        dirty: List[int] = []
         for a in attained:
             d[a] += 1
             x[a] += diag[a]
             for b in neighbours[a]:
                 x[b] -= 1
-            dirty.update(neighbours[a])
-        _repair(c, d, x, sorted(dirty))
+            dirty += neighbours[a]
+        _repair(c, d, x, dirty)

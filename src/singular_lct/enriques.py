@@ -277,8 +277,11 @@ def tree_to_cluster(t: EnriquesTree) -> Cluster:
 
 def cluster_to_tree(c: Cluster) -> EnriquesTree:
     """Canonical Enriques tree of a cluster: free points get slant edges,
-    and an edge from a free point to a satellite is horizontal.  The checks
-    make the L-branch rule give back c, so the tree keeps c as its cluster."""
+    and an edge from a free point to a satellite is horizontal.  `Cluster`
+    admits only L-branch targets (a satellite whose parent is free is
+    proximate to its parent's parent, and one whose parent is a satellite
+    to its parent's parent or second target), so the L-branch rule gives
+    back c and the tree keeps c as its cluster."""
     kinds: List[Optional[str]] = []
     for v in range(len(c)):
         p = c.parents[v]
@@ -286,22 +289,12 @@ def cluster_to_tree(c: Cluster) -> EnriquesTree:
             kinds.append(None)
         elif c.is_free(v):
             kinds.append(SLANT)
+        elif c.is_free(p):
+            kinds.append(HORIZONTAL)
+        elif c.second_target(v) == c.second_target(p):
+            kinds.append(kinds[p])
         else:
-            second = c.second_target(v)
-            if c.is_free(p):
-                if second != c.parents[p]:
-                    raise EnriquesError(
-                        f"point {v}: satellite target not an L-branch start"
-                    )
-                kinds.append(HORIZONTAL)
-            elif second == c.second_target(p):
-                kinds.append(kinds[p])
-            elif second == c.parents[p]:
-                kinds.append(_opposite(kinds[p]))
-            else:
-                raise EnriquesError(
-                    f"point {v}: satellite target not an L-branch start"
-                )
+            kinds.append(_opposite(kinds[p]))
     t = EnriquesTree(c.parents, kinds)
     t.__dict__["cluster"] = c  # seeds the cached_property
     return t

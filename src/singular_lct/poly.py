@@ -335,7 +335,7 @@ class _Parser:
     def _expr(self) -> BivariatePolynomial:
         sign = 1
         ch = self._peek()
-        if ch in "+-":
+        if ch in ("+", "-"):
             if ch == "-":
                 sign = -1
             self.pos += 1

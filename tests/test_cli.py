@@ -209,6 +209,19 @@ def test_cli_parse_error_exit_2(capsys):
     assert code == 2 and "parse error" in err
 
 
+def test_cli_empty_polynomial_is_a_parse_error(capsys):
+    for argv in (
+        ("lct", "--curve", ""),
+        ("jumping", "--curve", "", "--bound", "1"),
+        ("jumping", "--monomial", "", "--bound", "1"),
+        ("monomial-lct", "--poly", ""),
+        ("newton", "--poly", ""),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("parse error: expected a term at position 0"), (argv, err)
+
+
 def test_cli_computation_error_exit_2(capsys):
     code, _, err = run_cli(capsys, "lct", "--curve", "(x+y)^2")
     assert code == 2 and "repeated factor" in err

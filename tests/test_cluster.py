@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from singular_lct import (
     Cluster,
     ClusterError,
     MonomialIdeal,
+    UnloadingError,
     WeightedCluster,
     change_basis,
     cluster_to_tree,
@@ -31,7 +33,7 @@ from singular_lct import (
     tree_to_cluster,
     unload,
 )
-from singular_lct import serialize
+from singular_lct import cluster as cluster_mod, serialize
 from singular_lct.cli import main
 from singular_lct.cluster import (
     EMPTY_CLUSTER,
@@ -136,13 +138,11 @@ def test_dual_tree_is_the_off_diagonal_of_pi_pi_t():
     for c in clusters:
         r = len(c)
         pi = proximity_matrix(c)
-        diag, below, above, neighbours = c._dual_tree
+        diag, neighbours = c._dual_tree
         edges = set()
         for a in range(r):
             row = [sum(x * y for x, y in zip(pi[a], pi[b])) for b in range(r)]
             assert diag[a] == row[a]
-            assert all(b < a for b in below[a]) and all(b > a for b in above[a])
-            assert neighbours[a] == below[a] + above[a]
             assert [b for b in range(r) if b != a and row[b]] == sorted(neighbours[a])
             assert all(row[b] == -1 for b in neighbours[a])
             edges.update((min(a, b), max(a, b)) for b in neighbours[a])
@@ -323,6 +323,20 @@ def test_unload_chains_with_large_weights_match_sweep_oracle():
             out = unload(kl)
             assert out.weights == tuple(_total_from_strict(c, e))
             assert is_unloaded(out)
+
+
+def test_unloading_gives_up_at_the_round_cap(monkeypatch, tmp_path, capsys):
+    r = 50
+    c = Cluster([None, *range(r - 1)], [(), *((i,) for i in range(r - 1))])
+    kl = WeightedCluster(c, [0] * (r - 1) + [10**9])
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(serialize.cluster_to_json(kl)))
+    assert is_unloaded(unload(kl))
+    monkeypatch.setattr(cluster_mod, "_MAX_ROUNDS", 10)
+    with pytest.raises(UnloadingError, match="completion did not stabilize"):
+        unload(kl)
+    assert main(["unload", "--file", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: completion did not stabilize\n")
 
 
 # -- lct ----------------------------------------------------------------------------

@@ -46,6 +46,13 @@ def test_parse_errors_carry_position(bad):
     assert "^" in str(err.value)  # caret diagnostic
 
 
+@pytest.mark.parametrize("bad, pos", [("", 0), (" ", 1), ("(", 1), ("x +", 3), ("-", 1)])
+def test_parse_error_position_on_empty_and_blank_input(bad, pos):
+    with pytest.raises(ParseError, match="expected a term") as err:
+        P(bad)
+    assert err.value.pos == pos
+
+
 @pytest.mark.parametrize("bad", [("a", "b"), 123, b"x^2", None, ["x"]])
 def test_parse_rejects_non_strings_by_type(bad):
     from singular_lct import parse_polynomial

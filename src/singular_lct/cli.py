@@ -35,7 +35,7 @@ from .newton import (
     newton_facets,
     term_ideal,
 )
-from .poly import BivariatePolynomial, ParseError
+from .poly import MAX_EXPONENT, BivariatePolynomial, ParseError
 from .resolution import resolve_curve
 from .corpus import corpus_curves
 
@@ -285,6 +285,12 @@ def _check_theorem(args):
 
 
 def _corpus(args):
+    # a larger limit needs cusp exponents the parser rejects, and the
+    # number of coprime pairs grows with the square of the limit
+    if not 0 <= args.cusp_limit <= MAX_EXPONENT:
+        raise _UsageError(
+            f"argument --cusp-limit: must be between 0 and {MAX_EXPONENT}, not {args.cusp_limit}"
+        )
     rows = []
     failures = 0
     for name, curve in corpus_curves(args.cusp_limit):

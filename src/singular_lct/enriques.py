@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import zip_longest
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -30,12 +31,7 @@ from .cluster import (
     is_unloaded,
     log_discrepancies,
 )
-from .newton import (
-    Staircase,
-    newton_facets,
-    staircase_sum,
-    triangle,
-)
+from .newton import Staircase, newton_facets
 
 SLANT = "s"
 HORIZONTAL = "h"
@@ -664,8 +660,9 @@ def diagram_to_staircase(d: EnriquesDiagram) -> Staircase:
         return (same, opp) if role == "V" else (opp, same)
 
     # split every vertex in preorder, y-side child first, then sum the
-    # staircases children first; unloaded weights vanish below a zero one
-    empty = Staircase.empty()
+    # staircases children first, as lists of row widths: a vertical sum
+    # adds column heights, so it merges the rows, and a horizontal sum adds
+    # them row by row; unloaded weights vanish below a zero one
     order: List[Tuple[int, Optional[int], Optional[int]]] = []
     stack = [(0, "V")] if len(d) else []
     while stack:
@@ -673,13 +670,13 @@ def diagram_to_staircase(d: EnriquesDiagram) -> Staircase:
         vchild, hchild = split(v, role)
         order.append((v, vchild, hchild))
         stack += [(k, r) for k, r in ((hchild, "H"), (vchild, "V")) if k is not None]
-    stairs: Dict[int, Staircase] = {}
+    rows: Dict[int, List[int]] = {}
     for v, vchild, hchild in reversed(order):
-        sv, sh = stairs.pop(vchild, empty), stairs.pop(hchild, empty)
+        rv, rh = rows.pop(vchild, []), rows.pop(hchild, [])
         if w[v]:
-            base = triangle(w[v])
-            stairs[v] = staircase_sum(staircase_sum(base, sv, "vertical"), sh, "horizontal")
-    return stairs.get(0, empty)
+            merged = sorted([*range(w[v], 0, -1), *rv], reverse=True)
+            rows[v] = [p + q for p, q in zip_longest(merged, rh, fillvalue=0)]
+    return Staircase.from_slices(rows.get(0, []))
 
 
 def staircase_to_diagram(s: Staircase) -> EnriquesDiagram:

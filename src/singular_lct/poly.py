@@ -288,6 +288,15 @@ class BivariatePolynomial:
             return _wrap(out, self._den)
         return _poly(out, self._den * lead)
 
+    def mod_monomial(self, a: int, b: int) -> "BivariatePolynomial":
+        """The remainder modulo the monomial ideal (x^a y^b): the terms
+        x^m y^n with m < a or n < b, so the rows from a on keep only their
+        entries below y^b."""
+        rows = self._rows
+        if all(len(row) <= b for row in rows[a:]):
+            return self
+        return _poly(_trim(rows[:a] + [_trim(row[:b]) for row in rows[a:]]), self._den)
+
     def derivative(self, var: str) -> "BivariatePolynomial":
         """Partial derivative with respect to "x" or "y"."""
         if var == "x":

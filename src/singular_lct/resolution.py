@@ -14,6 +14,23 @@ Branches whose tangent direction is irrational are only tolerated while
 they need no further blowup (a simple, hence smooth and transverse, factor
 of the tangent cone); a singular continuation at an irrational point raises
 NonRationalTangentError, naming the offending form.
+
+The resolution reads only the multiplicity and the tangent cone at each
+point, and near the exceptional axes the lowest terms along them, so each
+point carries its equation only modulo a monomial ideal (x^a y^b), cut
+there.  The root is f modulo (x^P), exact for a precision P above deg f.
+At a point of multiplicity m < a + b, the least degree in the ideal, the
+ideal pulls back to (x^(a+b-m) y^b) in the x-chart and to (x^a y^(a+b-m))
+in the y-chart, and a shift y -> y + t, t != 0, maps (x^c y^b) into (x^c):
+so each child is cut to that ideal and its equation is still exact outside
+it.  The multiplicity and the tangent cone are read only when m < a + b.
+The other decisions read the linear terms and the lowest terms along the
+axes through the point, in row 0 and column 0, which lie outside the
+ideal: a >= 1 throughout, and b >= 1 at a point on {y = 0}, since only a
+y-chart puts it there and a shift takes it away.  When m < a + b fails,
+the attempt gives up and the resolution starts again from the root with
+P doubled.  So every decision, error and assertion is the one the exact
+equations give, and only the cost depends on P.
 """
 
 from __future__ import annotations
@@ -58,6 +75,11 @@ class NonRationalTangentError(ResolutionError):
             f"singular tangent direction not defined over Q: factor {factor} "
             f"of the tangent cone {form}"
         )
+
+
+class _Imprecise(Exception):
+    """A decision would read a term inside the ideal that a point's equation
+    is known modulo; the resolution starts again at a higher precision."""
 
 
 def multiplicity(f: BivariatePolynomial) -> int:
@@ -118,12 +140,93 @@ def _smooth_measure(f: BivariatePolynomial, axes) -> Tuple[int, int]:
 
 def _needs_blowup(g: BivariatePolynomial, axes) -> bool:
     """Is the point of the strict transform g, on the exceptional components
-    `axes`, still unresolved?  A singular point or a corner of two components
-    is; a smooth branch on a single component only when tangent to it."""
-    if g.multiplicity() >= 2 or len(axes) == 2:
+    `axes`, still unresolved?  A corner of two components is.  On a single
+    component, a point is singular or tangent to it exactly when g has no
+    linear term transverse to it: y on {x = 0}, x on {y = 0}."""
+    if len(axes) == 2:
         return True
-    a, b = g.coefficient(1, 0), g.coefficient(0, 1)
-    return ("x" in axes and b == 0) or ("y" in axes and a == 0)
+    return not (g.coefficient(0, 1) if "x" in axes else g.coefficient(1, 0))
+
+
+def _charts(g: BivariatePolynomial, m: int, a: int, b: int, directions):
+    """The equation of the point in each tangent direction of g, a rational
+    t in the x-chart recentred at y = t or None for x = 0 in the y-chart,
+    with the ideal (x^a' y^b') it is known modulo, for g of multiplicity m
+    known modulo (x^a y^b), m < a + b."""
+    c = a + b - m  # the ideal's pullback, as the module docstring derives
+    x_chart = None  # shared by the rational roots
+    out = []
+    for t in directions:
+        if t is None:
+            out.append((g.blowup_y_chart().mod_monomial(a, c), a, c))
+            continue
+        if x_chart is None:
+            x_chart = g.blowup_x_chart()
+        if t:
+            out.append((x_chart.mod_monomial(c, 0).shift_y(t), c, 0))
+        else:
+            out.append((x_chart.mod_monomial(c, b), c, b))
+    return out
+
+
+def _resolve_at(f: BivariatePolynomial, precision: int, max_points: int):
+    """Parents, targets, weights and exceptional multiplicities of the
+    resolution of f, each point's equation carried modulo the ideal the
+    module docstring derives, from f modulo (x^precision) at the root.
+    Raises _Imprecise when a decision would read a term inside an ideal."""
+    # one entry per point still to blow up: its local equation, known
+    # modulo (x^a y^b), the exceptional components through it (axis ->
+    # (ancestor index, multiplicity of that component in the total
+    # transform of the curve)), its parent and the parent's smooth
+    # measure; popped in preorder
+    todo = []
+    if f.multiplicity() >= 2:
+        todo.append((f.mod_monomial(precision, 0), precision, 0, {}, None, None))
+    parents: List[Optional[int]] = []
+    targets: List[Tuple[int, ...]] = []
+    weights: List[int] = []
+    exc_mult: List[int] = []  # multiplicity of E_i in the total transform
+    while todo:
+        g, a, b, axes, parent, parent_measure = todo.pop()
+        if len(parents) >= max_points:
+            raise ResolutionError(f"resolution exceeded {max_points} blowups")
+        m = g.multiplicity() if g else a + b
+        if m >= a + b:  # a + b is the least degree in the ideal
+            raise _Imprecise
+        if parent is not None:
+            assert m <= weights[parent], "multiplicity grew under blowup"
+        measure = _smooth_measure(g, axes) if m == 1 else None
+        if measure is not None and parent_measure is not None:
+            assert measure < parent_measure, (
+                "no progress along a smooth chain of blowups"
+            )
+        idx = len(parents)
+        parents.append(parent)
+        targets.append(tuple(sorted(anc for anc, _ in axes.values())))
+        weights.append(m)
+        e_here = m + sum(mult for _, mult in axes.values())
+        exc_mult.append(e_here)
+
+        roots, inf_mult = _tangent_roots(g.leading_form())
+        directions = [t for t, _ in roots] + ([None] if inf_mult else [])
+        children = []
+        for t, (h, ha, hb) in zip(directions, _charts(g, m, a, b, directions)):
+            if t is None:
+                child_axes = {"y": (idx, e_here)}
+                if "x" in axes:
+                    child_axes["x"] = axes["x"]
+            else:
+                child_axes = {"x": (idx, e_here)}
+                if t == 0 and "y" in axes:
+                    child_axes["y"] = axes["y"]
+            children.append((h, ha, hb, child_axes))
+        for h, ha, hb, child_axes in reversed(children):
+            # row 0 and, on {y = 0}, column 0 lie outside the ideal, so the
+            # linear terms and the orders along the axes are known
+            assert ha >= 1 and (hb >= 1 or "y" not in child_axes)
+            if _needs_blowup(h, child_axes):
+                todo.append((h, ha, hb, child_axes, idx, measure))
+    return parents, targets, weights, exc_mult
 
 
 def resolve_curve(
@@ -141,50 +244,13 @@ def resolve_curve(
         raise ResolutionError("the curve does not pass through the origin")
     _require_reduced(f)
 
-    # one entry per point still to blow up: its local equation, the
-    # exceptional components through it (axis -> (ancestor index,
-    # multiplicity of that component in the total transform of the curve)),
-    # its parent and the parent's smooth measure; popped in preorder
-    todo = [(f, {}, None, None)] if f.multiplicity() >= 2 else []
-    parents: List[Optional[int]] = []
-    targets: List[Tuple[int, ...]] = []
-    weights: List[int] = []
-    exc_mult: List[int] = []  # multiplicity of E_i in the total transform
-    while todo:
-        g, axes, parent, parent_measure = todo.pop()
-        if len(parents) >= max_points:
-            raise ResolutionError(f"resolution exceeded {max_points} blowups")
-        m = g.multiplicity()
-        if parent is not None:
-            assert m <= weights[parent], "multiplicity grew under blowup"
-        measure = _smooth_measure(g, axes) if m == 1 else None
-        if measure is not None and parent_measure is not None:
-            assert measure < parent_measure, (
-                "no progress along a smooth chain of blowups"
-            )
-        idx = len(parents)
-        parents.append(parent)
-        targets.append(tuple(sorted(anc for anc, _ in axes.values())))
-        weights.append(m)
-        e_here = m + sum(mult for _, mult in axes.values())
-        exc_mult.append(e_here)
-
-        roots, inf_mult = _tangent_roots(g.leading_form())
-        children = []
-        x_chart = g.blowup_x_chart() if roots else None  # shared by the roots
-        for t, _ in roots:
-            child_axes = {"x": (idx, e_here)}
-            if t == 0 and "y" in axes:
-                child_axes["y"] = axes["y"]
-            children.append((x_chart.shift_y(t), child_axes))
-        if inf_mult:
-            child_axes = {"y": (idx, e_here)}
-            if "x" in axes:
-                child_axes["x"] = axes["x"]
-            children.append((g.blowup_y_chart(), child_axes))
-        for h, child_axes in reversed(children):
-            if _needs_blowup(h, child_axes):
-                todo.append((h, child_axes, idx, measure))
+    precision = f.degree() + 1  # the root's equation is f itself
+    while True:
+        try:
+            parents, targets, weights, exc_mult = _resolve_at(f, precision, max_points)
+            break
+        except _Imprecise:
+            precision *= 2
 
     if not parents:
         empty = WeightedCluster(EMPTY_CLUSTER, ())

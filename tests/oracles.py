@@ -45,8 +45,11 @@ frame per tree level, where the library walks one loop, so they overflow
 the interpreter's stack on deep chains.
 
 `resolve_curve_by_recursion` is the earlier form of `resolve_curve`: two
-mutually recursive closures, two Python frames per infinitely near point,
-where the library walks one worklist.
+mutually recursive closures, two Python frames per infinitely near point.
+`resolve_curve_by_blowups` is the next form, one worklist that carries
+every point's whole strict transform through the charts and shifts, with
+the exact `smooth_measure` and `needs_blowup` tests; the library carries
+each equation only modulo the monomial ideal its decisions cannot read.
 
 `require_reduced_by_sympy` and `tangent_roots_by_sympy` are the earlier
 sympy forms of the reducedness check and of the tangent-cone roots of
@@ -119,7 +122,6 @@ from singular_lct.resolution import (
     NonReducedError,
     ResolutionError,
     _require_reduced,
-    _smooth_measure,
     _tangent_roots,
 )
 
@@ -903,6 +905,105 @@ def tangent_roots_by_sympy(form: BivariatePolynomial) -> Tuple[List[Tuple[Fracti
     return roots, inf_mult
 
 
+def smooth_measure(f: BivariatePolynomial, axes) -> Tuple[int, int]:
+    """Progress measure at a smooth point of the strict transform: the
+    intersection order with the exceptional components through the point,
+    then the number of missing components."""
+    contact = 0
+    for axis in axes:
+        if axis == "x":  # the component {x = 0}: order of f(0, y)
+            contact += min(n for m, n in f.support() if m == 0)
+        else:  # {y = 0}: order of f(x, 0)
+            contact += min(m for m, n in f.support() if n == 0)
+    return (contact, 2 - len(axes))
+
+
+def needs_blowup(g: BivariatePolynomial, axes) -> bool:
+    """Is the point of the strict transform g, on the exceptional components
+    `axes`, still unresolved?  A singular point or a corner of two components
+    is; a smooth branch on a single component only when tangent to it."""
+    if g.multiplicity() >= 2 or len(axes) == 2:
+        return True
+    a, b = g.coefficient(1, 0), g.coefficient(0, 1)
+    return ("x" in axes and b == 0) or ("y" in axes and a == 0)
+
+
+def _resolution_result(parents, targets, weights, exc_mult):
+    if not parents:
+        empty = WeightedCluster(EMPTY_CLUSTER, ())
+        return empty, EnriquesDiagram(cluster_to_tree(EMPTY_CLUSTER), ())
+    cluster = Cluster(parents, targets)
+    kl = WeightedCluster(cluster, weights)
+    assert is_unloaded(kl), "curve multiplicities violated a proximity relation"
+    assert _strict_from_total(cluster, weights) == exc_mult, (
+        "chart bookkeeping disagrees with the proximity recursion"
+    )
+    return kl, EnriquesDiagram(cluster_to_tree(cluster), weights)
+
+
+def resolution_points_by_blowups(f: BivariatePolynomial, max_points: int = 500):
+    """Parents, targets, weights and exceptional multiplicities of the
+    minimal log resolution of f, whole strict transforms throughout."""
+    # one entry per point still to blow up: its local equation, the
+    # exceptional components through it (axis -> (ancestor index,
+    # multiplicity of that component in the total transform of the curve)),
+    # its parent and the parent's smooth measure; popped in preorder
+    todo = [(f, {}, None, None)] if f.multiplicity() >= 2 else []
+    parents: List[Optional[int]] = []
+    targets: List[Tuple[int, ...]] = []
+    weights: List[int] = []
+    exc_mult: List[int] = []  # multiplicity of E_i in the total transform
+    while todo:
+        g, axes, parent, parent_measure = todo.pop()
+        if len(parents) >= max_points:
+            raise ResolutionError(f"resolution exceeded {max_points} blowups")
+        m = g.multiplicity()
+        if parent is not None:
+            assert m <= weights[parent], "multiplicity grew under blowup"
+        measure = smooth_measure(g, axes) if m == 1 else None
+        if measure is not None and parent_measure is not None:
+            assert measure < parent_measure, (
+                "no progress along a smooth chain of blowups"
+            )
+        idx = len(parents)
+        parents.append(parent)
+        targets.append(tuple(sorted(anc for anc, _ in axes.values())))
+        weights.append(m)
+        e_here = m + sum(mult for _, mult in axes.values())
+        exc_mult.append(e_here)
+
+        roots, inf_mult = _tangent_roots(g.leading_form())
+        children = []
+        x_chart = g.blowup_x_chart() if roots else None  # shared by the roots
+        for t, _ in roots:
+            child_axes = {"x": (idx, e_here)}
+            if t == 0 and "y" in axes:
+                child_axes["y"] = axes["y"]
+            children.append((x_chart.shift_y(t), child_axes))
+        if inf_mult:
+            child_axes = {"y": (idx, e_here)}
+            if "x" in axes:
+                child_axes["x"] = axes["x"]
+            children.append((g.blowup_y_chart(), child_axes))
+        for h, child_axes in reversed(children):
+            if needs_blowup(h, child_axes):
+                todo.append((h, child_axes, idx, measure))
+    return parents, targets, weights, exc_mult
+
+
+def resolve_curve_by_blowups(
+    f: BivariatePolynomial, max_points: int = 500
+) -> Tuple[WeightedCluster, EnriquesDiagram]:
+    """Weighted cluster and Enriques diagram of the minimal log resolution,
+    by the exact worklist."""
+    if f.is_zero():
+        raise ResolutionError("cannot resolve the zero curve")
+    if f.coefficient(0, 0):
+        raise ResolutionError("the curve does not pass through the origin")
+    _require_reduced(f)
+    return _resolution_result(*resolution_points_by_blowups(f, max_points))
+
+
 @dataclass
 class _Chart:
     """Strict transform local to one infinitely near point, with the
@@ -941,7 +1042,7 @@ def resolve_curve_by_recursion(
         m = chart.f.multiplicity()
         if chart.parent is not None:
             assert m <= weights[chart.parent], "multiplicity grew under blowup"
-        measure = _smooth_measure(chart.f, chart.axes) if m == 1 else None
+        measure = smooth_measure(chart.f, chart.axes) if m == 1 else None
         if measure is not None and chart.parent_smooth_measure is not None:
             assert measure < chart.parent_smooth_measure, (
                 "no progress along a smooth chain of blowups"
@@ -983,19 +1084,7 @@ def resolve_curve_by_recursion(
     mult0 = f.multiplicity()
     if mult0 >= 2:
         process(_Chart(f, {}, None))
-
-    if not parents:
-        empty = WeightedCluster(EMPTY_CLUSTER, ())
-        return empty, EnriquesDiagram(cluster_to_tree(EMPTY_CLUSTER), ())
-
-    cluster = Cluster(parents, targets)
-    kl = WeightedCluster(cluster, weights)
-    assert is_unloaded(kl), "curve multiplicities violated a proximity relation"
-    assert _strict_from_total(cluster, weights) == exc_mult, (
-        "chart bookkeeping disagrees with the proximity recursion"
-    )
-    diagram = EnriquesDiagram(cluster_to_tree(cluster), weights)
-    return kl, diagram
+    return _resolution_result(parents, targets, weights, exc_mult)
 
 
 class SparseFractionPolynomial:

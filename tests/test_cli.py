@@ -410,3 +410,25 @@ def test_cli_corpus_exit_3_counts_theorem_violations(capsys, monkeypatch):
     data = json.loads(out)
     assert code == 3 and data["failures"] == len(data["curves"]) > 0
     assert {row["status"] for row in data["curves"]} == {"THEOREM VIOLATION"}
+
+
+def test_cli_corpus_cusp_limit_is_bounded(capsys, monkeypatch):
+    import singular_lct.cli as cli_mod
+    from singular_lct.corpus import SPECIAL_CURVES
+    from singular_lct.poly import MAX_EXPONENT
+
+    # a negative limit would drop every cusp, and one past MAX_EXPONENT
+    # would need cusp exponents the parser rejects
+    for limit in (-1, MAX_EXPONENT + 1):
+        code, out, err = run_cli(capsys, "corpus", "--cusp-limit", str(limit))
+        assert (code, out) == (1, "")
+        assert err == (
+            f"usage error: argument --cusp-limit: must be between 0 and {MAX_EXPONENT}, not {limit}\n"
+        )
+    code, out, _ = run_cli(capsys, "corpus", "--cusp-limit", "0", "--json")
+    assert code == 0 and len(json.loads(out)["curves"]) == len(SPECIAL_CURVES)
+    # the largest limit is accepted (its curves are not resolved here)
+    limits = []
+    monkeypatch.setattr(cli_mod, "corpus_curves", lambda limit: limits.append(limit) or SPECIAL_CURVES[:1])
+    code, _, _ = run_cli(capsys, "corpus", "--cusp-limit", str(MAX_EXPONENT))
+    assert code == 0 and limits == [MAX_EXPONENT]

@@ -3,9 +3,11 @@
 `polynomial_gcd` (heuristic gcd with a primitive PRS fallback) must give
 the same gcd(f, f_x, f_y) as sympy, and `resolution._tangent_roots`
 (Yun's squarefree split plus Sturm isolation) the same roots,
-multiplicities and errors as sympy's factorisation over Q.  The worklist
-`resolve_curve` must give the same clusters, diagrams and errors as the
-recursive `oracles.resolve_curve_by_recursion` on the same germs.
+multiplicities and errors as sympy's factorisation over Q.  `resolve_curve`
+must give the same clusters, diagrams and errors as the recursive
+`oracles.resolve_curve_by_recursion` on the same germs, and as the exact
+worklist `oracles.resolve_curve_by_blowups` on the longest chain and the
+mixed errors.
 """
 
 import random
@@ -208,12 +210,33 @@ def assert_loop_matches_recursion(f):
         assert ours == resolution_outcome(oracles.resolve_curve_by_recursion, f, **kw), str(f)
 
 
+# a cusp beside a singular irrational continuation: which error comes first
+# depends on the order the points are visited in
+MIXED = [P("(y^2-x^11)*((x^2-2*y^4)^2 - y^9)"), P("((y^2-2*x^4)^2 - x^9)*(x^2-y^11)")]
+
+
 def test_worklist_resolution_matches_the_recursive_oracle():
-    # a cusp beside a singular irrational continuation: which error comes
-    # first depends on the order the points are visited in
-    mixed = [P("(y^2-x^11)*((x^2-2*y^4)^2 - y^9)"), P("((y^2-2*x^4)^2 - x^9)*(x^2-y^11)")]
-    for f in CURVES + [P(text) for _, text in corpus_curves(20)] + mixed:
+    for f in CURVES + [P(text) for _, text in corpus_curves(20)] + MIXED:
         assert_loop_matches_recursion(f)
+
+
+def test_resolution_at_local_precision_matches_the_exact_worklist():
+    # 500 points, exactly max_points; one past it; and the errors of the
+    # mixed germs, message for message
+    for f, kws in (
+        (P("y^2 - x^997"), ({},)),
+        (P("y^2 - x^999"), ({},)),
+        *((f, ({}, {"max_points": 3})) for f in MIXED),
+    ):
+        for kw in kws:
+            ours = resolution_outcome(resolve_curve, f, **kw)
+            assert ours == resolution_outcome(oracles.resolve_curve_by_blowups, f, **kw), str(f)
+    assert len(resolution_outcome(resolve_curve, P("y^2 - x^997"))[0].cluster) == 500
+    assert resolution_outcome(resolve_curve, P("y^2 - x^999")) == (
+        ResolutionError,
+        "resolution exceeded 500 blowups",
+    )
+    assert [resolution_outcome(resolve_curve, f)[0] for f in MIXED] == [NonRationalTangentError] * 2
 
 
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])

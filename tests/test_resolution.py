@@ -238,3 +238,81 @@ def test_deep_resolutions_do_not_depend_on_the_recursion_limit(capsys):
         assert (captured.out, captured.err) == ("", "error: resolution exceeded 500 blowups\n")
     finally:
         sys.setrecursionlimit(limit)
+
+
+def test_every_precision_gives_up_or_gives_the_exact_points():
+    import oracles
+    from singular_lct import resolution
+
+    outcomes = set()
+    for _, text in corpus_curves(20):
+        f = P(text)
+        exact = oracles.resolution_points_by_blowups(f)
+        for precision in range(1, f.degree() + 4):
+            try:
+                points = resolution._resolve_at(f, precision, 500)
+            except resolution._Imprecise:
+                points = None
+            outcomes.add(points is None)
+            assert points in (None, exact), (text, precision)
+    assert outcomes == {True, False}
+
+
+def test_each_chart_is_exact_outside_its_ideal(monkeypatch):
+    # every point the exact worklist visits on the corpus, known modulo each
+    # small (x^a y^b) its multiplicity can be read under: each child that
+    # _charts builds from it agrees with the child of the whole equation
+    # outside the ideal it claims, and holds no term inside; an ideal one
+    # term too small fails here
+    import oracles
+    from singular_lct import resolution
+
+    points = []
+
+    def record(h, axes):
+        points.append(h)
+        return needs_blowup(h, axes)
+
+    needs_blowup = oracles.needs_blowup
+    monkeypatch.setattr(oracles, "needs_blowup", record)
+    for _, text in corpus_curves(10):
+        points.append(P(text))
+        oracles.resolution_points_by_blowups(P(text))
+    monkeypatch.undo()
+    checked = 0
+    for g in points:
+        m = g.multiplicity()
+        roots, inf_mult = resolution._tangent_roots(g.leading_form())
+        directions = [t for t, _ in roots] + ([None] if inf_mult else [])
+        if not directions:
+            continue
+        whole = [g.blowup_y_chart() if t is None else g.blowup_x_chart().shift_y(t) for t in directions]
+        for a in range(1, 7):
+            for b in range(max(0, m + 1 - a), 6):
+                charts = resolution._charts(g.mod_monomial(a, b), m, a, b, directions)
+                for (h, ha, hb), child in zip(charts, whole, strict=True):
+                    assert h == child.mod_monomial(ha, hb), (str(g), a, b)
+                    checked += 1
+    assert checked > 5000
+
+
+RETRYING_GERM = "(y^2 - x^3)^2 - x^5*y^2"
+
+
+def test_the_ramphoid_cusp_retries_at_doubled_precision(capsys):
+    # at the precision deg f + 1 the fifth point's equation is y^2 modulo
+    # (x^2): its multiplicity would read the dropped term -x^2, so the
+    # resolution starts again at twice that precision
+    import json
+
+    import oracles
+    from singular_lct import resolution
+
+    f = P(RETRYING_GERM)
+    with pytest.raises(resolution._Imprecise):
+        resolution._resolve_at(f, f.degree() + 1, 500)
+    kl, d = resolve_curve(f)
+    assert (kl, d) == oracles.resolve_curve_by_blowups(f)
+    assert kl.weights == (4, 2, 2, 2, 2)
+    assert main(["resolve", "--curve", RETRYING_GERM, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["cluster"]["weights"] == [4, 2, 2, 2, 2]

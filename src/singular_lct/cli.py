@@ -35,8 +35,8 @@ from .newton import (
     newton_facets,
     term_ideal,
 )
-from .poly import MAX_EXPONENT, BivariatePolynomial, ParseError
-from .resolution import resolve_curve
+from .poly import BivariatePolynomial, ParseError
+from .resolution import MAX_POINTS, resolve_curve
 from .corpus import corpus_curves
 
 _fts = serialize.fraction_to_str
@@ -285,11 +285,12 @@ def _check_theorem(args):
 
 
 def _corpus(args):
-    # a larger limit needs cusp exponents the parser rejects, and the
-    # number of coprime pairs grows with the square of the limit
-    if not 0 <= args.cusp_limit <= MAX_EXPONENT:
+    # the cusp x^(q-1) - y^q needs q points, so a larger limit holds a
+    # cusp past the blowups resolve_curve allows; the number of coprime
+    # pairs grows with the square of the limit
+    if not 0 <= args.cusp_limit <= MAX_POINTS:
         raise _UsageError(
-            f"argument --cusp-limit: must be between 0 and {MAX_EXPONENT}, not {args.cusp_limit}"
+            f"argument --cusp-limit: must be between 0 and {MAX_POINTS}, not {args.cusp_limit}"
         )
     rows = []
     failures = 0

@@ -31,10 +31,11 @@ only the points attaining it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
+
+from ._record import Record
 
 TOTAL = "total"
 STRICT = "strict"
@@ -53,8 +54,7 @@ class UnloadingError(ClusterError):
 _MAX_ROUNDS = 100_000  # unloading rounds before UnloadingError
 
 
-@dataclass(frozen=True)
-class BasisVector:
+class BasisVector(Record):
     entries: Tuple[int, ...]
     basis: str
 
@@ -65,8 +65,7 @@ class BasisVector:
         object.__setattr__(self, "basis", basis)
 
 
-@dataclass(frozen=True)
-class Cluster:
+class Cluster(Record):
     """Proximity structure: parents[i] and targets[i] (points P_i is
     proximate to, parent included), indices 0-based and ordered so that
     every target precedes the point."""
@@ -188,8 +187,7 @@ class Cluster:
 EMPTY_CLUSTER = Cluster((), ())
 
 
-@dataclass(frozen=True)
-class WeightedCluster:
+class WeightedCluster(Record):
     cluster: Cluster
     weights: Tuple[int, ...]
 

@@ -22,10 +22,10 @@ all values must coincide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
+from ._record import Record
 from .cluster import lct_cluster
 from .enriques import EnriquesDiagram, _free_path, diagram_to_staircase
 from .newton import Staircase, lct_monomial
@@ -42,8 +42,7 @@ class MainTheoremViolation(AssertionError):
         )
 
 
-@dataclass(frozen=True)
-class AdaptedCandidate:
+class AdaptedCandidate(Record):
     """One adapted coordinate choice: the highest free point rho on the
     second coordinate curve, the binary subdiagram it spans, its staircase,
     and the lct of that staircase's monomial ideal, which is at least the
@@ -55,16 +54,14 @@ class AdaptedCandidate:
     lct: Fraction
 
 
-@dataclass(frozen=True)
-class PathCheck:
+class PathCheck(Record):
     witness: int
     leaf: int
     lct_path: Fraction
     lct_path_core: Fraction
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(Record):
     lct_direct: Fraction
     lct_term: Fraction
     equal: bool

@@ -17,13 +17,13 @@ mark a chain is read as lying on the y-axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import zip_longest
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ._record import Record
 from .cluster import (
     Cluster,
     WeightedCluster,
@@ -51,8 +51,7 @@ def _opposite(kind: str) -> str:
     return VERTICAL if kind == HORIZONTAL else HORIZONTAL
 
 
-@dataclass(frozen=True, eq=False)
-class EnriquesTree:
+class EnriquesTree(Record):
     """Rooted tree with slant/horizontal/vertical edge kinds.
 
     parents[i] is the parent index (None for the root, vertex 0); kinds[i]
@@ -223,8 +222,7 @@ def _free_path(t: EnriquesTree) -> List[bool]:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class EnriquesDiagram:
+class EnriquesDiagram(Record):
     """Weighted Enriques tree; equality is up to isomorphism."""
 
     tree: EnriquesTree
@@ -296,8 +294,7 @@ def cluster_to_tree(c: Cluster) -> EnriquesTree:
     return t
 
 
-@dataclass(frozen=True)
-class TreeClassification:
+class TreeClassification(Record):
     free: Tuple[bool, ...]
     non_degenerate: bool
     binary: bool
@@ -341,8 +338,7 @@ def classify(t: EnriquesTree) -> TreeClassification:
 # -- Euclid data and the staircase trees -----------------------------------------
 
 
-@dataclass(frozen=True)
-class EuclidData:
+class EuclidData(Record):
     """Continued-fraction bookkeeping for a coprime pair p < q.
 
     a[j] are the quotients of the Euclid algorithm on (q, p) and r[j] the
@@ -518,8 +514,7 @@ def prune_last(d: EnriquesDiagram) -> EnriquesDiagram:
 # -- closed-form branch coefficients and the comparison of thresholds -----------
 
 
-@dataclass(frozen=True)
-class BranchCoefficients:
+class BranchCoefficients(Record):
     """Closed forms for a branch divisor B_alpha of the tree of x^p - y^q:
     its last strict coordinate e_r(B_alpha) and, when defined (alpha >= 2),
     its first total coordinate w_1(B_alpha)."""
@@ -556,8 +551,7 @@ def branch_coefficients(p: int, q: int, alpha: int) -> BranchCoefficients:
     return BranchCoefficients(e_last, w_first)
 
 
-@dataclass(frozen=True)
-class InequalityRow:
+class InequalityRow(Record):
     alpha: int  # 0-based vertex of the connected sum
     at_junction: Fraction  # e_r(B_alpha) / (k_r + 1)
     at_end: Fraction  # e_{r+r'-1}(B_alpha) / (k_{r+r'-1} + 1)
@@ -567,8 +561,7 @@ class InequalityRow:
         return self.at_junction > self.at_end
 
 
-@dataclass(frozen=True)
-class MainInequalityReport:
+class MainInequalityReport(Record):
     rows: Tuple[InequalityRow, ...]
     junction: int
     end: int

@@ -16,12 +16,12 @@ ideal, which has no rows, is rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from math import gcd
 from typing import List, Sequence, Tuple
 
+from ._record import Record
 from .poly import BivariatePolynomial
 
 Point = Tuple[int, int]
@@ -49,8 +49,7 @@ def _minimal_antichain(points) -> Tuple[Point, ...]:
     return tuple(keep)
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(Record):
     """Monomial ideal given by its minimal generators (sorted antichain)."""
 
     generators: Tuple[Point, ...]
@@ -95,8 +94,7 @@ class MonomialIdeal:
         return "(" + ", ".join(mono(m, n) for m, n in self.generators) + ")"
 
 
-@dataclass(frozen=True)
-class NewtonFacet:
+class NewtonFacet(Record):
     """Compact facet of a Newton polygon, from (m0, n0) down to (m1, n1).
 
     The direction is (p, -q) with gcd(p, q) = 1 and the facet covers d
@@ -245,8 +243,7 @@ def jumping_numbers_monomial(a: MonomialIdeal, bound: Fraction) -> List[Fraction
         previous = row
 
 
-@dataclass(frozen=True)
-class Staircase:
+class Staircase(Record):
     """Finite or infinite staircase in N^2, the complement of a monomial
     ideal's exponent set.  Stored by the ideal's minimal generators; the
     horizontal slice widths are derived on demand."""

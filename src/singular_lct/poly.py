@@ -177,8 +177,7 @@ class BivariatePolynomial:
 
     def leading_form(self) -> "BivariatePolynomial":
         """Sum of the terms of minimal total degree (the tangent cone)."""
-        mult = self.multiplicity()
-        return _poly_from(((m, n, c) for m, n, c in self._entries() if m + n == mult), self._den)
+        return _leading_form(self, self.multiplicity())
 
     def evaluate(self, xv, yv) -> Fraction:
         xv, yv = Fraction(xv), Fraction(yv)
@@ -225,19 +224,11 @@ class BivariatePolynomial:
         This is the strict transform in the chart where the exceptional
         curve is {x = 0}.  Pure exponent bookkeeping, no expansion.
         """
-        mult = self.multiplicity()
-        # distinct terms stay distinct, so the content and _den stand
-        return _wrap(_rows_from((m + n - mult, n, c) for m, n, c in self._entries()), self._den)
+        return _blowup_x_chart(self, self.multiplicity())
 
     def blowup_y_chart(self) -> "BivariatePolynomial":
         """Substitute (x, y) -> (x*y, y) and divide by y^mult."""
-        mult = self.multiplicity()
-        # row m moves by m - mult; below mult - m it holds only zeros
-        rows = [
-            row[mult - m :] if m < mult or not row else [0] * (m - mult) + row
-            for m, row in enumerate(self._rows)
-        ]
-        return _wrap(rows, self._den)
+        return _blowup_y_chart(self, self.multiplicity())
 
     def shift_y(self, c) -> "BivariatePolynomial":
         """Substitute y -> y + c (recenter at a point on the y-axis line).
@@ -316,6 +307,29 @@ class BivariatePolynomial:
 
     def __repr__(self) -> str:
         return f"BivariatePolynomial({self})"
+
+
+# -- the tangent cone and the charts, for f of multiplicity mult --------------
+#
+# The resolution reads each point's multiplicity once and hands it on.
+
+
+def _leading_form(f: BivariatePolynomial, mult: int) -> BivariatePolynomial:
+    return _poly_from(((m, n, c) for m, n, c in f._entries() if m + n == mult), f._den)
+
+
+def _blowup_x_chart(f: BivariatePolynomial, mult: int) -> BivariatePolynomial:
+    # distinct terms stay distinct, so the content and _den stand
+    return _wrap(_rows_from((m + n - mult, n, c) for m, n, c in f._entries()), f._den)
+
+
+def _blowup_y_chart(f: BivariatePolynomial, mult: int) -> BivariatePolynomial:
+    # row m moves by m - mult; below mult - m it holds only zeros
+    rows = [
+        row[mult - m :] if m < mult or not row else [0] * (m - mult) + row
+        for m, row in enumerate(f._rows)
+    ]
+    return _wrap(rows, f._den)
 
 
 class _Parser:

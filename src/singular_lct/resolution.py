@@ -46,7 +46,18 @@ from .cluster import (
     is_unloaded,
 )
 from .enriques import EnriquesDiagram, cluster_to_tree
-from .poly import BivariatePolynomial, _poly_from, polynomial_gcd, rational_roots
+from .poly import (
+    BivariatePolynomial,
+    _blowup_x_chart,
+    _blowup_y_chart,
+    _leading_form,
+    _poly_from,
+    polynomial_gcd,
+    rational_roots,
+)
+
+
+MAX_POINTS = 500  # blowups before resolve_curve gives up
 
 
 class ResolutionError(ValueError):
@@ -158,10 +169,10 @@ def _charts(g: BivariatePolynomial, m: int, a: int, b: int, directions):
     out = []
     for t in directions:
         if t is None:
-            out.append((g.blowup_y_chart().mod_monomial(a, c), a, c))
+            out.append((_blowup_y_chart(g, m).mod_monomial(a, c), a, c))
             continue
         if x_chart is None:
-            x_chart = g.blowup_x_chart()
+            x_chart = _blowup_x_chart(g, m)
         if t:
             out.append((x_chart.mod_monomial(c, 0).shift_y(t), c, 0))
         else:
@@ -207,7 +218,7 @@ def _resolve_at(f: BivariatePolynomial, precision: int, max_points: int):
         e_here = m + sum(mult for _, mult in axes.values())
         exc_mult.append(e_here)
 
-        roots, inf_mult = _tangent_roots(g.leading_form())
+        roots, inf_mult = _tangent_roots(_leading_form(g, m))
         directions = [t for t, _ in roots] + ([None] if inf_mult else [])
         children = []
         for t, (h, ha, hb) in zip(directions, _charts(g, m, a, b, directions)):
@@ -230,7 +241,7 @@ def _resolve_at(f: BivariatePolynomial, precision: int, max_points: int):
 
 
 def resolve_curve(
-    f: BivariatePolynomial, max_points: int = 500
+    f: BivariatePolynomial, max_points: int = MAX_POINTS
 ) -> Tuple[WeightedCluster, EnriquesDiagram]:
     """Weighted cluster and Enriques diagram of the minimal log resolution.
 

@@ -6,6 +6,7 @@ from singular_lct import (
     BivariatePolynomial,
     Cluster,
     MonomialIdeal,
+    ResolutionError,
     Staircase,
     WeightedCluster,
     resolve_curve,
@@ -415,20 +416,21 @@ def test_cli_corpus_exit_3_counts_theorem_violations(capsys, monkeypatch):
 def test_cli_corpus_cusp_limit_is_bounded(capsys, monkeypatch):
     import singular_lct.cli as cli_mod
     from singular_lct.corpus import SPECIAL_CURVES
-    from singular_lct.poly import MAX_EXPONENT
 
-    # a negative limit would drop every cusp, and one past MAX_EXPONENT
-    # would need cusp exponents the parser rejects
-    for limit in (-1, MAX_EXPONENT + 1):
+    # a negative limit would drop every cusp, and x^500 - y^501, the first
+    # cusp past 500, needs 501 points, one more than resolve_curve allows
+    for limit in (-1, 501):
         code, out, err = run_cli(capsys, "corpus", "--cusp-limit", str(limit))
         assert (code, out) == (1, "")
-        assert err == (
-            f"usage error: argument --cusp-limit: must be between 0 and {MAX_EXPONENT}, not {limit}\n"
-        )
+        assert err == f"usage error: argument --cusp-limit: must be between 0 and 500, not {limit}\n"
+    with pytest.raises(ResolutionError, match="exceeded 500 blowups"):
+        resolve_curve(BivariatePolynomial.parse("x^500 - y^501"))
+    kl, _ = resolve_curve(BivariatePolynomial.parse("x^499 - y^500"))
+    assert len(kl.cluster) == 500
     code, out, _ = run_cli(capsys, "corpus", "--cusp-limit", "0", "--json")
     assert code == 0 and len(json.loads(out)["curves"]) == len(SPECIAL_CURVES)
     # the largest limit is accepted (its curves are not resolved here)
     limits = []
     monkeypatch.setattr(cli_mod, "corpus_curves", lambda limit: limits.append(limit) or SPECIAL_CURVES[:1])
-    code, _, _ = run_cli(capsys, "corpus", "--cusp-limit", str(MAX_EXPONENT))
-    assert code == 0 and limits == [MAX_EXPONENT]
+    code, _, _ = run_cli(capsys, "corpus", "--cusp-limit", "500")
+    assert code == 0 and limits == [500]

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -623,7 +622,7 @@ def test_cached_adjacency_matches_scans():
 def test_cached_adjacency_stays_out_of_the_value():
     kl, _ = resolve_curve(BivariatePolynomial.parse("(x^3 - y^2)^2 - x^5*y"))
     c = kl.cluster
-    assert [f.name for f in dataclasses.fields(Cluster)] == ["parents", "targets"]
+    assert Cluster._fields == ("parents", "targets")
     twin = Cluster(list(c.parents), [list(t) for t in c.targets])
     assert twin == c and hash(twin) == hash(c) == hash((c.parents, c.targets))
     assert repr(c) == f"Cluster(parents={c.parents!r}, targets={c.targets!r})"

@@ -600,13 +600,7 @@ def _reversed_siblings(d: EnriquesDiagram) -> EnriquesDiagram:
 
 
 def test_tree_cluster_stays_out_of_the_value():
-    import dataclasses
-
-    assert [f.name for f in dataclasses.fields(EnriquesTree)] == [
-        "parents",
-        "kinds",
-        "x_side",
-    ]
+    assert EnriquesTree._fields == ("parents", "kinds", "x_side")
     rng = random.Random(73)
     for _ in range(60):
         d = random_binary_diagram(rng)

@@ -78,6 +78,7 @@ class Cluster(Record):
         targets = tuple(tuple(sorted(t)) for t in targets)
         if len(parents) != len(targets):
             raise ClusterError("parents and proximity lists differ in length")
+        crossings = set()  # the target pairs of the satellites so far
         for i, (p, t) in enumerate(zip(parents, targets)):
             if i == 0:
                 if p is not None or t:
@@ -106,11 +107,12 @@ class Cluster(Record):
                         f"point {i}: satellite target {second} is not reachable "
                         "by an L-shaped branch"
                     )
-                if t in targets[:i]:
+                if t in crossings:
                     raise ClusterError(
                         f"point {i}: a second point on the crossing of the "
                         f"exceptional divisors of {t[0]} and {t[1]}"
                     )
+                crossings.add(t)
         object.__setattr__(self, "parents", parents)
         object.__setattr__(self, "targets", targets)
         # adjacency read by the kernels below; plain attributes, not fields,
@@ -408,9 +410,9 @@ def _demand(e: Sequence[int], k: Sequence[int], n: int, m: int) -> List[int]:
 # -- invariants of curve clusters ------------------------------------------------
 
 
-def lct_cluster(kl: WeightedCluster) -> Tuple[Fraction, Tuple[int, ...]]:
-    """Log-canonical threshold min (k+1)/e of an unloaded weighted cluster,
-    together with all indices attaining the minimum."""
+def _thresholds(kl: WeightedCluster) -> List[Fraction]:
+    """The value (k+1)/e at each point of a non-empty unloaded weighted
+    cluster; the least of them is its log-canonical threshold."""
     if kl.is_empty():
         raise ClusterError("log-canonical threshold needs a non-empty cluster")
     if not is_unloaded(kl):
@@ -419,7 +421,13 @@ def lct_cluster(kl: WeightedCluster) -> Tuple[Fraction, Tuple[int, ...]]:
         )
     e = _strict_from_total(kl.cluster, kl.weights)
     k = log_discrepancies(kl.cluster).entries
-    values = [Fraction(k[a] + 1, e[a]) for a in range(len(kl.cluster))]
+    return [Fraction(ka + 1, ea) for ka, ea in zip(k, e)]
+
+
+def lct_cluster(kl: WeightedCluster) -> Tuple[Fraction, Tuple[int, ...]]:
+    """Log-canonical threshold min (k+1)/e of an unloaded weighted cluster,
+    together with all indices attaining the minimum."""
+    values = _thresholds(kl)
     best = min(values)
     return best, tuple(a for a, v in enumerate(values) if v == best)
 

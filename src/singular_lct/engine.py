@@ -14,10 +14,12 @@ Newton polygon gives the candidate's threshold.  That threshold is at
 least the lct and the minimum over the candidates equals it, but one
 candidate may lie above the term ideal's value: on the curve
 (x^2 + y^5)*(x^4 - (1/2)*y^5)*(y^3 - 2*x^4), rho = P2 gives 2/9 and the
-term ideal 3/14.  check_main_theorem verifies that the minimum and the cluster route agree
-exactly and also recomputes the threshold along a root-to-leaf path
-through a witness vertex and along the non-degenerate part of that path;
-all values must coincide.
+term ideal 3/14.  check_main_theorem verifies that the minimum and the
+cluster route agree exactly, and that the threshold along every
+root-to-leaf path through a witness vertex, and along the non-degenerate
+part of that path, is the same value.  A root path is closed under
+proximity, so its points keep their values (k+1)/e, and both path
+thresholds are least values of the curve's own cluster, read in one pass.
 """
 
 from __future__ import annotations
@@ -26,8 +28,14 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from ._record import Record
-from .cluster import lct_cluster
-from .enriques import EnriquesDiagram, _free_path, diagram_to_staircase
+from .cluster import _thresholds
+from .enriques import (
+    EnriquesDiagram,
+    EnriquesTree,
+    _free_path,
+    _nondegenerate,
+    diagram_to_staircase,
+)
 from .newton import Staircase, lct_monomial
 
 
@@ -90,16 +98,7 @@ def nondegenerate_part(d: EnriquesDiagram) -> EnriquesDiagram:
     """Maximal subdiagram whose free vertices all have all-free root paths:
     free vertices behind a satellite are cut, satellites are kept as long
     as their ancestors are."""
-    if len(d) == 0:
-        return d
-    t = d.tree
-    free_path = _free_path(t)
-    keep = [False] * len(t)
-    for v in range(len(t)):
-        p = t.parents[v]
-        parent_ok = p is None or keep[p]
-        keep[v] = parent_ok and (t.is_satellite(v) or free_path[v])
-    return d.restrict([v for v in range(len(t)) if keep[v]])
+    return d.restrict([v for v, kept in enumerate(_nondegenerate(d.tree)) if kept])
 
 
 def adapted_candidates(d: EnriquesDiagram) -> List[AdaptedCandidate]:
@@ -137,24 +136,29 @@ def lct_via_term_ideals(d: EnriquesDiagram) -> Fraction:
     return min(c.lct for c in adapted_candidates(d))
 
 
-def _path_to_leaf_through(d: EnriquesDiagram, witness: int) -> List[List[int]]:
-    """All root-to-leaf vertex paths passing through the witness vertex."""
-    t = d.tree
-    up: List[int] = []
-    v: Optional[int] = witness
-    while v is not None:
-        up.append(v)
-        v = t.parents[v]
-    up.reverse()
-    paths = []
-    stack = [up]  # first child on top, so the paths come out in preorder
-    while stack:
-        path = stack.pop()
-        kids = t.cluster._children[path[-1]]
-        if not kids:
-            paths.append(path)
-        stack.extend(path + [k] for k in reversed(kids))
-    return paths
+def _path_checks(
+    t: EnriquesTree, values: List[Fraction], witnesses: Tuple[int, ...]
+) -> List[PathCheck]:
+    """The least value (k+1)/e along each root-to-leaf path through a
+    witness and along that path's non-degenerate prefix, the leaves below
+    each witness in preorder.  Parents precede children, so one pass in
+    index order carries both minima down every path."""
+    keep = _nondegenerate(t)
+    path_min, core_min = list(values), list(values)
+    for v, p in enumerate(t.parents):
+        if p is not None:
+            path_min[v] = min(path_min[p], values[v])
+            core_min[v] = min(core_min[p], values[v]) if keep[v] else core_min[p]
+    checks = []
+    for w in witnesses:
+        stack = [w]  # first child on top, so the leaves come out in preorder
+        while stack:
+            v = stack.pop()
+            kids = t.cluster._children[v]
+            if not kids:
+                checks.append(PathCheck(w, v, path_min[v], core_min[v]))
+            stack.extend(reversed(kids))
+    return checks
 
 
 def check_main_theorem(d: EnriquesDiagram) -> TheoremReport:
@@ -162,26 +166,11 @@ def check_main_theorem(d: EnriquesDiagram) -> TheoremReport:
     term ideals, exactly; raise MainTheoremViolation otherwise."""
     candidates = tuple(adapted_candidates(d))
     lct_term = min(c.lct for c in candidates)
-    if len(d) == 0:
-        report = TheoremReport(
-            Fraction(1), lct_term, lct_term == 1, (), candidates[0], candidates, (),
-            smooth=True,
-        )
-        if not report.equal:
-            raise MainTheoremViolation(report)
-        return report
-
-    lct_direct, witnesses = lct_cluster(d.to_weighted_cluster())
+    values = _thresholds(d.to_weighted_cluster()) if len(d) else []
+    lct_direct = min(values, default=Fraction(1))  # 1 if smooth
+    witnesses = tuple(a for a, v in enumerate(values) if v == lct_direct)
     witness_candidate = next((c for c in candidates if c.lct == lct_term), None)
-    path_checks = []
-    for w in witnesses:
-        for path in _path_to_leaf_through(d, w):
-            sub = d.restrict(path)
-            lct_path, _ = lct_cluster(sub.to_weighted_cluster())
-            core = nondegenerate_part(sub)
-            lct_core, _ = lct_cluster(core.to_weighted_cluster())
-            path_checks.append(PathCheck(w, path[-1], lct_path, lct_core))
-
+    path_checks = tuple(_path_checks(d.tree, values, witnesses))
     equal = lct_direct == lct_term
     report = TheoremReport(
         lct_direct,
@@ -190,7 +179,8 @@ def check_main_theorem(d: EnriquesDiagram) -> TheoremReport:
         witnesses,
         witness_candidate,
         candidates,
-        tuple(path_checks),
+        path_checks,
+        smooth=len(d) == 0,
     )
     if not equal:
         raise MainTheoremViolation(report)

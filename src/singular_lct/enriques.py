@@ -222,6 +222,17 @@ def _free_path(t: EnriquesTree) -> List[bool]:
     return out
 
 
+def _nondegenerate(t: EnriquesTree) -> List[bool]:
+    """Whether each vertex lies in the non-degenerate part of the tree: a
+    free vertex behind a satellite is cut, and so is everything below a cut
+    vertex; the kept vertices are closed under taking ancestors."""
+    free_path = _free_path(t)
+    keep = [False] * len(t)
+    for v, p in enumerate(t.parents):
+        keep[v] = (p is None or keep[p]) and (free_path[v] or t.is_satellite(v))
+    return keep
+
+
 class EnriquesDiagram(Record):
     """Weighted Enriques tree; equality is up to isomorphism."""
 
@@ -299,40 +310,36 @@ class TreeClassification(Record):
     non_degenerate: bool
     binary: bool
     unibranch: bool
-    witnesses: Dict[str, int]
+    witnesses: Tuple[Tuple[str, int], ...]  # (predicate, violating vertex)
 
 
 def classify(t: EnriquesTree) -> TreeClassification:
     """Free/satellite status and the non-degenerate / binary / unibranch
     predicates, with a violating vertex as witness where one fails."""
-    n = len(t)
-    free = tuple(t.is_free(v) for v in range(n))
-    witnesses: Dict[str, int] = {}
-    free_path = _free_path(t)
+    free = tuple(t.is_free(v) for v in range(len(t)))
+    witnesses: List[Tuple[str, int]] = []
     children = t.cluster._children
-    non_deg = True
-    for v in range(n):
-        if free[v] and not free_path[v]:
-            non_deg = False
-            witnesses["degenerate_free_vertex"] = v
-            break
+    # the first vertex cut from the non-degenerate part is a free one
+    cut = next((v for v, kept in enumerate(_nondegenerate(t)) if not kept), None)
+    non_deg = cut is None
+    if not non_deg:
+        witnesses.append(("degenerate_free_vertex", cut))
     binary = non_deg
     if binary:
         for v, kids in enumerate(children):
             if len(kids) > 2:
                 binary = False
-                witnesses["outdegree"] = v
+                witnesses.append(("outdegree", v))
                 break
             if v != 0 and sum(1 for k in kids if t.kinds[k] == SLANT) > 1:
                 binary = False
-                witnesses["two_proximate_free"] = v
+                witnesses.append(("two_proximate_free", v))
                 break
     unibranch = t.is_path()
     if not unibranch:
-        witnesses["branching_vertex"] = next(
-            v for v, kids in enumerate(children) if len(kids) > 1
-        )
-    return TreeClassification(free, non_deg, binary, unibranch, witnesses)
+        branching = next(v for v, kids in enumerate(children) if len(kids) > 1)
+        witnesses.append(("branching_vertex", branching))
+    return TreeClassification(free, non_deg, binary, unibranch, tuple(witnesses))
 
 
 # -- Euclid data and the staircase trees -----------------------------------------
@@ -360,10 +367,6 @@ class EuclidData(Record):
 
     def delta_at(self, j: int) -> int:
         return self.delta[j]
-
-    @property
-    def m(self) -> int:
-        return len(self.a)
 
 
 def euclid_data(p: int, q: int) -> EuclidData:
@@ -420,10 +423,9 @@ def t_pq(p: int, q: int, *, scale: int = 1, mirror: bool = False) -> EnriquesDia
             kinds.append(VERTICAL if not mirror else HORIZONTAL)
     weights = [scale * data.r[j - 1] for j in block]
     parents = [None] + list(range(n - 1))
-    tree = EnriquesTree(parents, kinds)
-    if mirror and p == 1:
-        tree = EnriquesTree(parents, kinds, frozenset({1}) if n > 1 else frozenset())
-    return EnriquesDiagram(tree, weights)
+    # a mirrored bare chain (p = 1) lies on the x-axis, which only a mark says
+    x_side = frozenset({1}) if mirror and p == 1 else frozenset()
+    return EnriquesDiagram(EnriquesTree(parents, kinds, x_side), weights)
 
 
 # -- union and connected sum -----------------------------------------------------
@@ -616,7 +618,7 @@ def diagram_to_staircase(d: EnriquesDiagram) -> Staircase:
     """
     cls = classify(d.tree)
     if not cls.binary:
-        raise EnriquesError(f"diagram is not binary: {cls.witnesses}")
+        raise EnriquesError(f"diagram is not binary: {dict(cls.witnesses)}")
     if not is_unloaded(d.to_weighted_cluster()):
         raise EnriquesError("diagram is not unloaded")
     t, w = d.tree, d.weights

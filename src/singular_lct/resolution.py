@@ -38,13 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .cluster import (
-    EMPTY_CLUSTER,
-    Cluster,
-    WeightedCluster,
-    _strict_from_total,
-    is_unloaded,
-)
+from .cluster import Cluster, WeightedCluster, _strict_from_total, is_unloaded
 from .enriques import EnriquesDiagram, cluster_to_tree
 from .poly import (
     BivariatePolynomial,
@@ -262,10 +256,6 @@ def resolve_curve(
             break
         except _Imprecise:
             precision *= 2
-
-    if not parents:
-        empty = WeightedCluster(EMPTY_CLUSTER, ())
-        return empty, EnriquesDiagram(cluster_to_tree(EMPTY_CLUSTER), ())
 
     cluster = Cluster(parents, targets)
     kl = WeightedCluster(cluster, weights)

@@ -36,13 +36,18 @@ and `trimmed_by_fixed_point_loop` are the earlier step-by-step forms of
 forms of `EnriquesTree.cluster` and of the free-chain flavor of a root
 child, which find children and L-branch targets by scanning the parent list.
 
-`tree_key_by_recursion`, `union_by_recursion`, `glue_at_root_by_recursion`,
-`diagram_to_staircase_by_recursion` and `path_to_leaf_through_by_recursion`
-are the earlier recursive forms of the nested canonical key behind tree and
-diagram equality, of `union` and the root gluing of `staircase_to_diagram`,
-of `diagram_to_staircase` and of `engine._path_to_leaf_through`: one Python
-frame per tree level, where the library walks one loop, so they overflow
-the interpreter's stack on deep chains.
+`tree_key_by_recursion`, `union_by_recursion`, `glue_at_root_by_recursion`
+and `diagram_to_staircase_by_recursion` are the earlier recursive forms of
+the nested canonical key behind tree and diagram equality, of `union` and
+the root gluing of `staircase_to_diagram` and of `diagram_to_staircase`:
+one Python frame per tree level, where the library walks one loop, so they
+overflow the interpreter's stack on deep chains.
+
+`path_checks_by_restriction` is the earlier form of the path checks of
+`check_main_theorem`: for each root-to-leaf path through a witness, from
+`path_to_leaf_through_by_recursion`, it restricts the diagram to the path
+and to the path's non-degenerate part and runs `lct_cluster` on each, where
+the library takes least values of the curve's own cluster along the path.
 
 `resolve_curve_by_recursion` is the earlier form of `resolve_curve`: two
 mutually recursive closures, two Python frames per infinitely near point.
@@ -87,9 +92,11 @@ from singular_lct.cluster import (
     _strict_from_total,
     _total_from_strict,
     is_unloaded,
+    lct_cluster,
     log_discrepancies,
     proximity_matrix,
 )
+from singular_lct.engine import PathCheck, nondegenerate_part
 from singular_lct.enriques import (
     _KIND_RANK,
     HORIZONTAL,
@@ -763,7 +770,7 @@ def diagram_to_staircase_by_recursion(d: EnriquesDiagram) -> Staircase:
     """
     cls = classify(d.tree)
     if not cls.binary:
-        raise EnriquesError(f"diagram is not binary: {cls.witnesses}")
+        raise EnriquesError(f"diagram is not binary: {dict(cls.witnesses)}")
     if not is_unloaded(d.to_weighted_cluster()):
         raise EnriquesError("diagram is not unloaded")
     t, w = d.tree, d.weights
@@ -837,6 +844,24 @@ def path_to_leaf_through_by_recursion(d: EnriquesDiagram, witness: int) -> List[
 
     walk(up)
     return paths
+
+
+def path_checks_by_restriction(d: EnriquesDiagram) -> Tuple[PathCheck, ...]:
+    """The path checks of `check_main_theorem` for every root-to-leaf path
+    through a witness: the sub-diagram on the path and its non-degenerate
+    part, each with its own cluster and threshold."""
+    if len(d) == 0:
+        return ()
+    _, witnesses = lct_cluster(d.to_weighted_cluster())
+    path_checks = []
+    for w in witnesses:
+        for path in path_to_leaf_through_by_recursion(d, w):
+            sub = d.restrict(path)
+            lct_path, _ = lct_cluster(sub.to_weighted_cluster())
+            core = nondegenerate_part(sub)
+            lct_core, _ = lct_cluster(core.to_weighted_cluster())
+            path_checks.append(PathCheck(w, path[-1], lct_path, lct_core))
+    return tuple(path_checks)
 
 
 def _to_sympy(f: BivariatePolynomial):

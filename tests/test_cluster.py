@@ -657,6 +657,42 @@ def test_cluster_rejects_bad_structure():
         Cluster((None, 0, 1, 2), ((), (0,), (1,), (0, 2)))
 
 
+def test_a_second_point_on_a_crossing_fails_where_it_appears():
+    with pytest.raises(ClusterError) as err:
+        Cluster((None, 0, 1, 1), ((), (0,), (0, 1), (0, 1)))
+    assert str(err.value) == (
+        "point 3: a second point on the crossing of the exceptional divisors of 0 and 1"
+    )
+    # random satellites that may repeat a crossing; the first repeat is
+    # found by scanning the targets before it
+    rng = random.Random(47)
+    repeats = 0
+    for _ in range(300):
+        parents, targets = [None], [()]
+        for i in range(1, rng.randint(2, 10)):
+            p = rng.randrange(i)
+            if targets[p] and rng.random() < 0.6:  # an L-branch target
+                targets.append(tuple(sorted((p, rng.choice(targets[p])))))
+            else:
+                targets.append((p,))
+            parents.append(p)
+        repeat = next(
+            (i for i, t in enumerate(targets) if len(t) == 2 and t in targets[:i]), None
+        )
+        try:
+            Cluster(parents, targets)
+        except ClusterError as exc:
+            a, b = targets[repeat]
+            assert str(exc) == (
+                f"point {repeat}: a second point on the crossing of the "
+                f"exceptional divisors of {a} and {b}"
+            )
+            repeats += 1
+        else:
+            assert repeat is None
+    assert repeats > 50
+
+
 def test_cluster_tree_roundtrip_random():
     rng = random.Random(43)
     for _ in range(60):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from singular_lct import (
     BivariatePolynomial,
     EnriquesDiagram,
@@ -125,7 +126,6 @@ def test_candidate_through_path_core_endpoint_attains_minimum():
     # along any root-to-leaf path through a witness vertex, the last vertex
     # of the all-free prefix points at an adapted candidate computing the
     # threshold
-    from singular_lct.engine import _path_to_leaf_through
     from singular_lct.enriques import _free_path
 
     for name, expr in corpus_curves(10):
@@ -136,7 +136,7 @@ def test_candidate_through_path_core_endpoint_attains_minimum():
         candidates = adapted_candidates(d)
         free_path = _free_path(d.tree)
         for w in witnesses:
-            for path in _path_to_leaf_through(d, w):
+            for path in oracles.path_to_leaf_through_by_recursion(d, w):
                 endpoint = max(v for v in path if free_path[v])
                 through = [
                     c
@@ -223,3 +223,143 @@ def test_violation_carries_the_report():
     assert "5/12" in str(err)
     with pytest.raises(MainTheoremViolation):
         raise err
+
+
+# -- the path checks against the restriction oracle -----------------------------
+
+
+def _path_outcome(d):
+    """The path checks of check_main_theorem, also those of the report a
+    violation carries, or the type and message of its error."""
+    try:
+        return check_main_theorem(d).path_checks
+    except MainTheoremViolation as exc:
+        return exc.report.path_checks
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _path_outcome_by_restriction(d):
+    """The same from the oracle, after the candidates that check_main_theorem
+    builds first."""
+    try:
+        adapted_candidates(d)
+        return oracles.path_checks_by_restriction(d)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_path_checks_match_restriction_on_the_corpus():
+    checks = 0
+    for name, expr in corpus_curves(20):
+        _, d = resolve_curve(P(expr))
+        got = _path_outcome(d)
+        assert got == _path_outcome_by_restriction(d), name
+        checks += len(got)
+    assert checks > 100
+
+
+def test_path_checks_match_restriction_on_random_germs():
+    from hypothesis import HealthCheck, given, settings
+    from test_exact_algebra import germs
+
+    from singular_lct import ResolutionError
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(germs())
+    def check(f):
+        try:
+            _, d = resolve_curve(f)
+        except ResolutionError:
+            return
+        assert _path_outcome(d) == _path_outcome_by_restriction(d), str(f)
+
+    check()
+
+
+def _random_diagrams(rng, count):
+    """Binary diagrams, unloaded and with random weights, and their mirrors;
+    trees of random clusters with unloaded and with random weights."""
+    from singular_lct import WeightedCluster, cluster_to_tree, unload
+    from test_cluster import random_cluster
+    from test_enriques import random_binary_diagram
+
+    out = []
+    while len(out) < count:
+        d = random_binary_diagram(rng, 12)
+        loaded = EnriquesDiagram(d.tree, [rng.randint(0, 4) for _ in range(len(d))])
+        out += [d, EnriquesDiagram(d.tree.mirrored(), d.weights), loaded]
+        c = random_cluster(rng, 12)
+        weights = [rng.randint(0, 4) for _ in range(len(c))]
+        unloaded = unload(WeightedCluster(c, weights)).weights
+        out += [EnriquesDiagram(cluster_to_tree(c), w) for w in (weights, unloaded)]
+    return out
+
+
+def test_path_checks_match_restriction_on_random_diagrams():
+    import random
+
+    checks, errors = 0, set()
+    for d in _random_diagrams(random.Random(29), 2500):
+        got = _path_outcome(d)
+        assert got == _path_outcome_by_restriction(d), d
+        if got and isinstance(got[0], type):
+            errors.add(got[0])
+        else:
+            checks += len(got)
+    assert checks > 2000 and len(errors) >= 3, (checks, errors)
+
+
+def _cut_by_definition(t, v):
+    """Whether a free vertex on the root path of v, v included, lies behind
+    a satellite, which cuts v from the non-degenerate part."""
+    path = []
+    while v is not None:
+        path.append(v)
+        v = t.parents[v]
+    return any(
+        t.is_free(u) and any(t.is_satellite(a) for a in path[i + 1 :])
+        for i, u in enumerate(path)
+    )
+
+
+def test_path_minima_read_the_non_degenerate_prefix():
+    # every path check of a diagram reads its lct, whichever points the
+    # minima skip, so the minima are checked here on arbitrary values
+    import random
+
+    from singular_lct.engine import PathCheck, _path_checks
+
+    rng = random.Random(37)
+    differ = 0
+    for d in _random_diagrams(rng, 600):
+        t = d.tree
+        values = [F(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(len(t))]
+        witnesses = tuple(sorted(rng.sample(range(len(t)), min(3, len(t)))))
+        expected = []
+        for w in witnesses:
+            for path in oracles.path_to_leaf_through_by_recursion(d, w):
+                core = [values[v] for v in path if not _cut_by_definition(t, v)]
+                check = PathCheck(w, path[-1], min(values[v] for v in path), min(core))
+                expected.append(check)
+                differ += check.lct_path != check.lct_path_core
+        assert _path_checks(t, values, witnesses) == expected
+    assert differ > 20
+
+
+def test_nondegenerate_rule_is_the_one_classify_reads():
+    import random
+
+    from singular_lct.enriques import _nondegenerate
+
+    kinds = set()
+    for d in _random_diagrams(random.Random(31), 1000):
+        t = d.tree
+        keep = _nondegenerate(t)
+        assert keep == [not _cut_by_definition(t, v) for v in range(len(t))]
+        cls = classify(t)
+        assert cls.non_degenerate == all(keep)
+        cut = [("degenerate_free_vertex", v) for v, kept in enumerate(keep) if not kept]
+        assert [w for w in cls.witnesses if w[0] == "degenerate_free_vertex"] == cut[:1]
+        kinds.add(cls.non_degenerate)
+    assert kinds == {True, False}

@@ -200,7 +200,8 @@ def test_classification_examples():
     sum23 = connected_sum(t_pq(2, 3).tree, t_pq(2, 3).tree)
     cls = classify(sum23)
     assert not cls.non_degenerate
-    assert cls.witnesses["degenerate_free_vertex"] == 3  # free P4 behind P3
+    assert cls.witnesses == (("degenerate_free_vertex", 3),)  # free P4 behind P3
+    assert hash(cls) == hash(classify(sum23))  # a value, like the other records
     u = union(union(t_pq(5, 7), t_pq(4, 7)), t_pq(3, 4))
     assert classify(u.tree).binary
 
@@ -708,7 +709,6 @@ def _walk_inputs(rng):
 
 
 def test_tree_walks_match_their_recursive_oracles():
-    from singular_lct.engine import _path_to_leaf_through
     from singular_lct.enriques import _glue_at_root
 
     rng = random.Random(83)
@@ -718,8 +718,6 @@ def test_tree_walks_match_their_recursive_oracles():
         got = _outcome(diagram_to_staircase, d)
         assert got == _outcome(oracles.diagram_to_staircase_by_recursion, d)
         errors.add(got[0] if isinstance(got, tuple) else None)
-        for v in range(len(d)):
-            assert _path_to_leaf_through(d, v) == oracles.path_to_leaf_through_by_recursion(d, v)
     assert {None, OrientationError, EnriquesError} <= errors
     for _ in range(1500):
         d1, d2 = rng.choice(pool), rng.choice(pool)

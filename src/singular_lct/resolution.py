@@ -31,6 +31,14 @@ y-chart puts it there and a shift takes it away.  When m < a + b fails,
 the attempt gives up and the resolution starts again from the root with
 P doubled.  So every decision, error and assertion is the one the exact
 equations give, and only the cost depends on P.
+
+A resolution that finishes proves the germ reduced: a reduced germ of
+degree d has sum m(m - 1) <= d(d - 1) over its points (Bezout bounds its
+Milnor number; Milnor's and Noether's formulas), while a repeated branch
+has infinitely many points, each with m >= 2.  So the gcd of
+`_require_reduced` runs at most once per call: when the points outnumber
+d or the sum passes d(d - 1), after which a reduced germ resolves on, and
+before any ResolutionError, so that NonReducedError keeps its precedence.
 """
 
 from __future__ import annotations
@@ -174,11 +182,16 @@ def _charts(g: BivariatePolynomial, m: int, a: int, b: int, directions):
     return out
 
 
-def _resolve_at(f: BivariatePolynomial, precision: int, max_points: int):
+def _resolve_at(f: BivariatePolynomial, precision: int, max_points: int, unchecked=None):
     """Parents, targets, weights and exceptional multiplicities of the
     resolution of f, each point's equation carried modulo the ideal the
     module docstring derives, from f modulo (x^precision) at the root.
-    Raises _Imprecise when a decision would read a term inside an ideal."""
+    Raises _Imprecise when a decision would read a term inside an ideal.
+    Checks f for reducedness, popping it off `unchecked` ([f] by default),
+    once the points outnumber deg f or their sum m(m - 1) passes its bound."""
+    unchecked = [f] if unchecked is None else unchecked
+    d = f.degree()
+    noether = 0  # sum of m(m - 1) so far
     # one entry per point still to blow up: its local equation, known
     # modulo (x^a y^b), the exceptional components through it (axis ->
     # (ancestor index, multiplicity of that component in the total
@@ -198,6 +211,9 @@ def _resolve_at(f: BivariatePolynomial, precision: int, max_points: int):
         m = g.multiplicity() if g else a + b
         if m >= a + b:  # a + b is the least degree in the ideal
             raise _Imprecise
+        noether += m * (m - 1)
+        if unchecked and (len(parents) >= d or noether > d * (d - 1)):
+            _require_reduced(unchecked.pop())
         if parent is not None:
             assert m <= weights[parent], "multiplicity grew under blowup"
         measure = _smooth_measure(g, axes) if m == 1 else None
@@ -247,15 +263,19 @@ def resolve_curve(
         raise ResolutionError("cannot resolve the zero curve")
     if f.coefficient(0, 0):
         raise ResolutionError("the curve does not pass through the origin")
-    _require_reduced(f)
 
+    unchecked = [f]  # emptied by the one reducedness check, across retries
     precision = f.degree() + 1  # the root's equation is f itself
     while True:
         try:
-            parents, targets, weights, exc_mult = _resolve_at(f, precision, max_points)
+            parents, targets, weights, exc_mult = _resolve_at(f, precision, max_points, unchecked)
             break
         except _Imprecise:
             precision *= 2
+        except ResolutionError:
+            if unchecked:  # a repeated factor outranks every other error
+                _require_reduced(unchecked.pop())
+            raise
 
     cluster = Cluster(parents, targets)
     kl = WeightedCluster(cluster, weights)

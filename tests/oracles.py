@@ -1020,7 +1020,7 @@ def resolve_curve_by_blowups(
     f: BivariatePolynomial, max_points: int = 500
 ) -> Tuple[WeightedCluster, EnriquesDiagram]:
     """Weighted cluster and Enriques diagram of the minimal log resolution,
-    by the exact worklist."""
+    by the exact worklist, with the reducedness check run first."""
     if f.is_zero():
         raise ResolutionError("cannot resolve the zero curve")
     if f.coefficient(0, 0):

@@ -6,8 +6,8 @@ the same gcd(f, f_x, f_y) as sympy, and `resolution._tangent_roots`
 multiplicities and errors as sympy's factorisation over Q.  `resolve_curve`
 must give the same clusters, diagrams and errors as the recursive
 `oracles.resolve_curve_by_recursion` on the same germs, and as the exact
-worklist `oracles.resolve_curve_by_blowups` on the longest chain and the
-mixed errors.
+worklist `oracles.resolve_curve_by_blowups`, which checks reducedness
+before it resolves, on the longest chain, the mixed errors and random germs.
 """
 
 import random
@@ -243,6 +243,19 @@ def test_resolution_at_local_precision_matches_the_exact_worklist():
 @given(germs())
 def test_worklist_resolution_matches_the_recursive_oracle_on_random_germs(f):
     assert_loop_matches_recursion(f)
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(germs())
+def test_resolution_matches_the_eager_reducedness_check_on_random_germs(f):
+    # the gcd runs only when a trigger or an error needs it; the resolved
+    # germs keep Noether's sum of m(m - 1) within d(d - 1)
+    for kw in ({"max_points": 3}, {}):  # the default last: checked below
+        ours = resolution_outcome(resolve_curve, f, **kw)
+        assert ours == resolution_outcome(oracles.resolve_curve_by_blowups, f, **kw), str(f)
+    if not isinstance(ours[0], type):
+        d = f.degree()
+        assert sum(m * (m - 1) for m in ours[0].weights) <= d * (d - 1), str(f)
 
 
 IRREDUCIBLE_QUADRATICS = ((0, -2), (0, 1), (1, 1), (0, -3), (2, -1), (1, -1), (3, 1), (0, -5))

@@ -316,3 +316,97 @@ def test_the_ramphoid_cusp_retries_at_doubled_precision(capsys):
     assert kl.weights == (4, 2, 2, 2, 2)
     assert main(["resolve", "--curve", RETRYING_GERM, "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["cluster"]["weights"] == [4, 2, 2, 2, 2]
+
+
+def noether_sum(kl):
+    """Sum of m(m - 1) over the cluster: 2 delta, by Noether's formula."""
+    return sum(m * (m - 1) for m in kl.weights)
+
+
+def test_resolved_germs_keep_the_milnor_noether_bound():
+    # 2 delta = mu + r - 1 (Milnor) with mu <= (d - 1)^2 (Bezout) and r <= d
+    # branches: a reduced germ of degree d has sum m(m - 1) <= d(d - 1)
+    curves = [P(text) for _, text in corpus_curves(20)]
+    curves += [P(f"x^{p} - y^{q}") for p, q in coprime_pairs(20)]
+    curves += [P("y^2 - x^997"), P(RETRYING_GERM)]
+    for f in curves:
+        kl, _ = resolve_curve(f)
+        d = f.degree()
+        assert noether_sum(kl) <= d * (d - 1), str(f)
+    # the ordinary d-fold point attains it
+    for d in range(2, 7):
+        f = P("*".join(f"(y - {i}*x)" for i in range(d)))
+        kl, _ = resolve_curve(f)
+        assert kl.weights == (d,) and noether_sum(kl) == d * (d - 1)
+
+
+def test_the_reducedness_gcd_runs_only_when_the_resolution_needs_it(monkeypatch):
+    # each gcd call records the points its attempt has resolved, one
+    # tangent cone each
+    from singular_lct import resolution
+
+    cones, calls = [], []
+    resolve_at = resolution._resolve_at
+    tangent_roots = resolution._tangent_roots
+    require_reduced = resolution._require_reduced
+
+    def attempt(*args):
+        cones.clear()
+        return resolve_at(*args)
+
+    def count_cones(form):
+        cones.append(form)
+        return tangent_roots(form)
+
+    def count_calls(f):
+        calls.append(len(cones))
+        return require_reduced(f)
+
+    monkeypatch.setattr(resolution, "_resolve_at", attempt)
+    monkeypatch.setattr(resolution, "_tangent_roots", count_cones)
+    monkeypatch.setattr(resolution, "_require_reduced", count_calls)
+    for _, text in corpus_curves(20):
+        resolve_curve(P(text))
+    resolve_curve(P("(y^3 + 3*(x - y^2)^5)*(y^4 + 3*(x - y^2)^9)"))
+    assert calls == []
+    # the ramphoid cusp resolves at two precisions
+    resolve_curve(P(RETRYING_GERM))
+    assert len(calls) <= 1
+    for expr, resolved in (
+        # degree 8, multiplicity 4 at every point: at the fifth point the
+        # sum 5 * 12 passes 8 * 7 (this germ and the next two retry first,
+        # at higher precisions)
+        ("(y - x^2)^4", 4),
+        # degree 6: the seventh point passes the point count first
+        ("(y^2 - x^3)^2", 6),
+        ("(y - x^2)^2*(x^2 - y^3)", 7),
+        # NonRationalTangentError at the root: the gcd runs before it is raised
+        ("(x^2-y^3)*(y^2-2*x^2)^2", 1),
+    ):
+        calls.clear()
+        with pytest.raises(NonReducedError):
+            resolve_curve(P(expr))
+        assert calls == [resolved], expr
+    calls.clear()
+    with pytest.raises(NonRationalTangentError):
+        resolve_curve(P("(y^2 - 2*x^2)^2 - x^5"))
+    with pytest.raises(ResolutionError, match="exceeded 500 blowups"):
+        resolve_curve(P("y^2 - x^999"))
+    assert calls == [1, 500]
+
+
+def test_a_repeated_factor_keeps_its_error_when_only_a_trigger_finds_it(capsys):
+    # no other error comes first on these germs: the point count finds the
+    # repeated factor, or, with max_points=2, the error path does
+    import oracles
+
+    for expr in ("(y^2 - x^3)^2", "(y - x^2)^2*(x^2 - y^3)"):
+        for kw in ({}, {"max_points": 2}):
+            with pytest.raises(NonReducedError) as ours:
+                resolve_curve(P(expr), **kw)
+            with pytest.raises(NonReducedError) as eager:
+                oracles.resolve_curve_by_blowups(P(expr), **kw)
+            assert (type(ours.value), str(ours.value)) == (type(eager.value), str(eager.value))
+    assert main(["lct", "--curve", "(y^2 - x^3)^2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "repeated factor -y^2 + x^3" in captured.err

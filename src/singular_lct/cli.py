@@ -3,6 +3,9 @@
 Exit codes: 0 success, 1 usage error, 2 computation error, 3 a theorem
 check failed (never expected).  Machine output is versioned JSON with a
 "schema" field; all rationals are rendered exactly as "num/den".
+
+Each handler imports the modules it runs, so a command loads only those:
+`lct` never compiles the Enriques diagrams or the theorem engine.
 """
 
 from __future__ import annotations
@@ -11,33 +14,15 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from . import serialize
-from .cluster import (
-    change_basis,
-    BasisVector,
-    BRANCH,
-    TOTAL,
-    WeightedCluster,
-    is_unloaded,
-    jumping_numbers_curve,
-    lct_cluster,
-    unload,
-)
-from .engine import MainTheoremViolation, check_main_theorem
-from .enriques import EnriquesDiagram, t_pq, union
-from .newton import (
-    MonomialIdeal,
-    integral_closure,
-    jumping_numbers_monomial,
-    lct_monomial,
-    newton_facets,
-    term_ideal,
-)
 from .poly import BivariatePolynomial, ParseError
-from .resolution import MAX_POINTS, resolve_curve
-from .corpus import corpus_curves
+
+if TYPE_CHECKING:
+    from .cluster import WeightedCluster
+    from .enriques import EnriquesDiagram
+    from .newton import MonomialIdeal
 
 _fts = serialize.fraction_to_str
 
@@ -145,16 +130,27 @@ def export_dot(d: EnriquesDiagram, path: str) -> None:
 
 def _read_json(path: str):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:  # the decoder recurses once per nested array
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _curve(args) -> Tuple[WeightedCluster, EnriquesDiagram]:
+    from .resolution import resolve_curve
     return resolve_curve(BivariatePolynomial.parse(args.curve))
+
+
+def _curve_cluster(args) -> WeightedCluster:
+    """The curve's cluster alone, for the commands that read no diagram."""
+    from .resolution import MAX_POINTS, _resolve_cluster
+    return _resolve_cluster(BivariatePolynomial.parse(args.curve), MAX_POINTS)
 
 
 def _ideal(args) -> MonomialIdeal:
     """The term ideal of --poly (or --monomial), else the ideal in --file."""
     if args.poly is not None:
+        from .newton import term_ideal
         return term_ideal(BivariatePolynomial.parse(args.poly))
     return serialize.ideal_from_json(_read_json(args.file))
 
@@ -173,17 +169,20 @@ def _weights_and_kinds(d: EnriquesDiagram) -> str:
 
 
 def _lct(args):
-    kl, _ = _curve(args)
+    from .cluster import lct_cluster
+    kl = _curve_cluster(args)
     value = Fraction(1) if kl.is_empty() else lct_cluster(kl)[0]  # 1 if smooth
     return {"lct": _fts(value)}, _fts(value)
 
 
 def _monomial_lct(args):
+    from .newton import lct_monomial
     value = lct_monomial(_ideal(args))
     return {"lct": _fts(value)}, _fts(value)
 
 
 def _newton(args):
+    from .newton import integral_closure, lct_monomial, newton_facets
     a = _ideal(args)
     closure = integral_closure(a)
     facets = newton_facets(a)
@@ -211,8 +210,10 @@ def _newton(args):
 
 def _jumping(args):
     if args.curve is not None:
-        jumps = jumping_numbers_curve(_curve(args)[0], args.bound)
+        from .cluster import jumping_numbers_curve
+        jumps = jumping_numbers_curve(_curve_cluster(args), args.bound)
     else:
+        from .newton import jumping_numbers_monomial
         jumps = jumping_numbers_monomial(_ideal(args), args.bound)
     values = [_fts(x) for x in jumps]
     return {"jumping_numbers": values}, ", ".join(values)
@@ -235,6 +236,7 @@ def _resolve(args):
 
 
 def _unload(args):
+    from .cluster import BRANCH, TOTAL, BasisVector, change_basis, is_unloaded, unload
     kl = serialize.cluster_from_json(_read_json(args.file))
     result = unload(kl)
     branch = change_basis(BasisVector(result.weights, TOTAL), BRANCH, result.cluster)
@@ -247,11 +249,13 @@ def _unload(args):
 
 
 def _tpq(args):
+    from .enriques import t_pq
     d = t_pq(args.p, args.q)
     return _drawn(args, d, _weights_and_kinds(d))
 
 
 def _union(args):
+    from .enriques import union
     diagrams = [serialize.diagram_from_json(_read_json(path)) for path in args.files]
     out = diagrams[0]
     for d in diagrams[1:]:
@@ -265,6 +269,7 @@ def _diagram(args):
 
 
 def _check_theorem(args):
+    from .engine import check_main_theorem
     _, d = _curve(args)
     report = check_main_theorem(d)
     payload = {
@@ -285,6 +290,10 @@ def _check_theorem(args):
 
 
 def _corpus(args):
+    from .corpus import corpus_curves
+    from .engine import MainTheoremViolation, check_main_theorem
+    from .resolution import MAX_POINTS, resolve_curve
+
     # the cusp x^(q-1) - y^q needs q points, so a larger limit holds a
     # cusp past the blowups resolve_curve allows; the number of coprime
     # pairs grows with the square of the limit
@@ -332,7 +341,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except MainTheoremViolation as exc:
+    except AssertionError as exc:
+        # a MainTheoremViolation is an AssertionError raised in the engine,
+        # so it can occur only once the engine is loaded; any other failed
+        # assertion is a bug and keeps its traceback
+        engine = sys.modules.get("singular_lct.engine")
+        if engine is None or not isinstance(exc, engine.MainTheoremViolation):
+            raise
         print(f"THEOREM VIOLATION\n{exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError, json.JSONDecodeError) as exc:

@@ -44,10 +44,9 @@ before any ResolutionError, so that NonReducedError keeps its precedence.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from .cluster import Cluster, WeightedCluster, _strict_from_total, is_unloaded
-from .enriques import EnriquesDiagram, cluster_to_tree
 from .poly import (
     BivariatePolynomial,
     _blowup_x_chart,
@@ -57,6 +56,9 @@ from .poly import (
     polynomial_gcd,
     rational_roots,
 )
+
+if TYPE_CHECKING:  # resolve_curve imports it when it builds the diagram
+    from .enriques import EnriquesDiagram
 
 
 MAX_POINTS = 500  # blowups before resolve_curve gives up
@@ -259,6 +261,14 @@ def resolve_curve(
     points; they always satisfy the proximity relations.  A smooth curve
     needs no blowup and yields the empty cluster.
     """
+    from .enriques import EnriquesDiagram, cluster_to_tree
+    kl = _resolve_cluster(f, max_points)
+    return kl, EnriquesDiagram(cluster_to_tree(kl.cluster), kl.weights)
+
+
+def _resolve_cluster(f: BivariatePolynomial, max_points: int) -> WeightedCluster:
+    """The weighted cluster of `resolve_curve`, without its diagram: all
+    that the lct and the jumping numbers of the curve read."""
     if f.is_zero():
         raise ResolutionError("cannot resolve the zero curve")
     if f.coefficient(0, 0):
@@ -283,5 +293,4 @@ def resolve_curve(
     assert _strict_from_total(cluster, weights) == exc_mult, (
         "chart bookkeeping disagrees with the proximity recursion"
     )
-    diagram = EnriquesDiagram(cluster_to_tree(cluster), weights)
-    return kl, diagram
+    return kl

@@ -8,11 +8,12 @@ pairs.  Clusters and diagrams use 1-based vertex ids in tree order.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List
+from typing import TYPE_CHECKING, List
 
-from .cluster import Cluster, WeightedCluster
-from .enriques import EnriquesDiagram, EnriquesTree
-from .newton import MonomialIdeal, Staircase
+if TYPE_CHECKING:  # the constructors import their classes when called
+    from .cluster import WeightedCluster
+    from .enriques import EnriquesDiagram
+    from .newton import MonomialIdeal, Staircase
 
 SCHEMA = "singular-lct/1"
 
@@ -42,6 +43,7 @@ def _exponent_pairs(data, what: str):
 
 
 def ideal_from_json(data) -> MonomialIdeal:
+    from .newton import MonomialIdeal
     return MonomialIdeal(_exponent_pairs(data, "ideal"))
 
 
@@ -50,6 +52,7 @@ def staircase_to_json(s: Staircase) -> List[List[int]]:
 
 
 def staircase_from_json(data) -> Staircase:
+    from .newton import Staircase
     return Staircase(_exponent_pairs(data, "staircase"))
 
 
@@ -94,6 +97,7 @@ def _field(obj, key: str, kind: str, where: str):
 
 
 def cluster_from_json(data) -> WeightedCluster:
+    from .cluster import Cluster, WeightedCluster
     points = _field(data, "points", "an array", "cluster")
     weights = _field(data, "weights", "an array of integers", "cluster")
     for n, p in enumerate(points, 1):
@@ -129,6 +133,7 @@ def diagram_to_json(d: EnriquesDiagram) -> dict:
 
 
 def diagram_from_json(data) -> EnriquesDiagram:
+    from .enriques import EnriquesDiagram, EnriquesTree
     vertices = _field(data, "vertices", "an array", "diagram")
     x_side = []
     if "x_side" in data:

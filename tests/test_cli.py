@@ -188,14 +188,14 @@ def test_cli_corpus_small(capsys):
 
 
 def test_cli_theorem_violation_exit_3(capsys, monkeypatch):
-    import singular_lct.cli as cli_mod
+    import singular_lct.engine as engine
     from singular_lct import MainTheoremViolation, check_main_theorem
     from singular_lct import resolve_curve as rc
 
     def sabotage(d):
         raise MainTheoremViolation(check_main_theorem(d))
 
-    monkeypatch.setattr(cli_mod, "check_main_theorem", sabotage)
+    monkeypatch.setattr(engine, "check_main_theorem", sabotage)
     code, _, err = run_cli(capsys, "check-theorem", "--curve", "x^2-y^3")
     assert code == 3 and "THEOREM VIOLATION" in err
 
@@ -302,6 +302,19 @@ def test_cli_deep_chains_do_not_depend_on_the_recursion_limit(tmp_path, capsys):
         sys.setrecursionlimit(limit)
 
 
+def test_cli_deeply_nested_json_is_an_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    for argv in (
+        ("unload", "--file", str(path)),
+        ("union", str(path)),
+        ("monomial-lct", "--file", str(path)),
+        ("jumping", "--file", str(path), "--bound", "1"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {path}: JSON nested too deeply\n"), argv
+
+
 def test_cli_bounds_parenthesis_nesting(capsys):
     from singular_lct.poly import MAX_NESTING
 
@@ -349,6 +362,66 @@ def test_star_import_binds_no_submodule():
     assert {"Cluster", "EnriquesTree", "check_main_theorem", "tree_to_cluster"} <= set(
         singular_lct.__all__
     )
+
+
+# the package's public names, in the order of __all__
+PUBLIC_NAMES = [
+    "AdaptedCandidate", "BRANCH", "BasisVector", "BivariatePolynomial", "Cluster",
+    "ClusterError", "EnriquesDiagram", "EnriquesError", "EnriquesTree", "EuclidData",
+    "InfiniteStaircaseError", "LOGDISC", "MainTheoremViolation", "MonomialIdeal",
+    "MonomialIdealError", "NewtonFacet", "NonRationalTangentError", "NonReducedError",
+    "OrientationError", "ParseError", "ResolutionError", "STRICT", "Staircase", "TOTAL",
+    "TheoremReport", "UnitIdealError", "UnloadingError", "WeightedCluster",
+    "adapted_candidates", "branch_coefficients", "change_basis", "check_main_theorem",
+    "classify", "cluster_to_tree", "connected_sum", "diagram_to_staircase", "euclid_data",
+    "howald_multiplier", "integral_closure", "is_unloaded", "jumping_numbers_curve",
+    "jumping_numbers_monomial", "lct_cluster", "lct_monomial", "lct_via_term_ideals",
+    "log_discrepancies", "multiplicity", "multiplier_cluster", "newton_facets",
+    "nondegenerate_part", "parse_polynomial", "proximity_matrix", "prune_last",
+    "resolve_curve", "staircase_sum", "staircase_to_diagram", "t_pq", "term_ideal",
+    "tree_to_cluster", "triangle", "union", "unload", "verify_main_inequality",
+]
+
+
+def test_the_lazy_package_keeps_its_surface():
+    import importlib
+    import os
+    import subprocess
+    import sys
+
+    import singular_lct
+
+    assert singular_lct.__all__ == PUBLIC_NAMES and len(PUBLIC_NAMES) == 63
+    for name in PUBLIC_NAMES:
+        value = getattr(singular_lct, name)
+        # the four basis names are strings, defined in cluster
+        home = importlib.import_module(getattr(value, "__module__", "singular_lct.cluster"))
+        assert vars(home)[name] is value, name
+    assert set(PUBLIC_NAMES) <= set(dir(singular_lct))
+    namespace = {}
+    exec("from singular_lct import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(PUBLIC_NAMES)
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        singular_lct.nope
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (
+        "import sys, singular_lct; assert 'singular_lct.cluster' not in sys.modules; "
+        "assert singular_lct.cluster is sys.modules['singular_lct.cluster']"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True, timeout=120)
+
+
+def test_cli_keeps_the_traceback_of_a_failed_assertion(monkeypatch):
+    import singular_lct.cluster as cluster
+    import singular_lct.engine  # noqa: F401  so main reads MainTheoremViolation first
+
+    def broken(kl):
+        raise AssertionError("an internal check failed")
+
+    monkeypatch.setattr(cluster, "lct_cluster", broken)
+    with pytest.raises(AssertionError, match="an internal check failed"):
+        main(["lct", "--curve", "x^2-y^3"])
 
 
 def test_cli_bound_with_zero_denominator_is_a_usage_error(capsys):
@@ -400,13 +473,13 @@ def test_readme_command_line_examples_run(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_corpus_exit_3_counts_theorem_violations(capsys, monkeypatch):
-    import singular_lct.cli as cli_mod
+    import singular_lct.engine as engine
     from singular_lct import MainTheoremViolation, check_main_theorem
 
     def sabotage(d):
         raise MainTheoremViolation(check_main_theorem(d))
 
-    monkeypatch.setattr(cli_mod, "check_main_theorem", sabotage)
+    monkeypatch.setattr(engine, "check_main_theorem", sabotage)
     code, out, _ = run_cli(capsys, "corpus", "--cusp-limit", "3", "--json")
     data = json.loads(out)
     assert code == 3 and data["failures"] == len(data["curves"]) > 0
@@ -414,7 +487,7 @@ def test_cli_corpus_exit_3_counts_theorem_violations(capsys, monkeypatch):
 
 
 def test_cli_corpus_cusp_limit_is_bounded(capsys, monkeypatch):
-    import singular_lct.cli as cli_mod
+    import singular_lct.corpus as corpus
     from singular_lct.corpus import SPECIAL_CURVES
 
     # a negative limit would drop every cusp, and x^500 - y^501, the first
@@ -431,6 +504,6 @@ def test_cli_corpus_cusp_limit_is_bounded(capsys, monkeypatch):
     assert code == 0 and len(json.loads(out)["curves"]) == len(SPECIAL_CURVES)
     # the largest limit is accepted (its curves are not resolved here)
     limits = []
-    monkeypatch.setattr(cli_mod, "corpus_curves", lambda limit: limits.append(limit) or SPECIAL_CURVES[:1])
+    monkeypatch.setattr(corpus, "corpus_curves", lambda limit: limits.append(limit) or SPECIAL_CURVES[:1])
     code, _, _ = run_cli(capsys, "corpus", "--cusp-limit", "500")
     assert code == 0 and limits == [500]

@@ -198,3 +198,31 @@ def test_the_cli_imports_neither_dataclasses_nor_inspect():
     )
     env = dict(os.environ, PYTHONPATH=SRC)
     subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True)
+
+
+def _loaded_after(calls, modules):
+    """The modules of `modules` that a fresh interpreter has loaded after
+    running the CLI command lines `calls`."""
+    code = (
+        "import io, sys, contextlib, singular_lct.cli as cli\n"
+        f"for argv in {calls!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        f"print(sorted(m for m in {modules!r} if 'singular_lct.' + m in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_a_cli_command_imports_only_the_modules_it_runs():
+    # the lct and the jumping numbers of a curve read its cluster alone
+    curve = [["lct", "--curve", "y^2 - x^3"], ["jumping", "--curve", "y^2 - x^3", "--bound", "1"]]
+    assert _loaded_after(curve, ("enriques", "newton", "engine", "corpus")) == "[]"
+    newton = [["newton", "--json", "--poly", "x^2 - y^3"]]
+    assert _loaded_after(newton, ("cluster", "enriques", "resolution", "engine")) == "[]"
+    # the check itself: a command that runs the engine loads it
+    assert _loaded_after([["check-theorem", "--curve", "y^2 - x^3"]], ("engine",)) == "['engine']"

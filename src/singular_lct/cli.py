@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from . import serialize
-from .poly import BivariatePolynomial, ParseError
+from .poly import MAX_EXPONENT, BivariatePolynomial, ParseError
 
 if TYPE_CHECKING:
     from .cluster import WeightedCluster
@@ -37,9 +37,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _frac(s: str) -> Fraction:
+    # Fraction computes 10**exp at once, so a huge decimal exponent would
+    # hang; argparse reports only ValueError/TypeError, with the text alone
+    _, e, exp = s.lower().rpartition("e")
     try:
+        if e and abs(int(exp)) > MAX_EXPONENT:
+            raise ValueError(s)
         return Fraction(s)
-    except ZeroDivisionError:  # argparse reports only ValueError/TypeError
+    except ZeroDivisionError:
         raise ValueError(s) from None
 
 

@@ -96,13 +96,9 @@ class Cluster(Record):
                 raise ClusterError(f"point {i}: proximity target out of order")
             if len(t) == 2:
                 second = t[0] if t[1] == p else t[1]
-                allowed = set()
-                if parents[p] is not None:
-                    allowed.add(parents[p])
-                for a in targets[p]:
-                    if a != parents[p]:
-                        allowed.add(a)
-                if second not in allowed:
+                # an L-shaped branch reaches p's parent or p's own second
+                # target: exactly targets[p], the root having none
+                if second not in targets[p]:
                     raise ClusterError(
                         f"point {i}: satellite target {second} is not reachable "
                         "by an L-shaped branch"

@@ -18,8 +18,7 @@ mark a chain is read as lying on the y-axis.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
-from itertools import zip_longest
+from functools import cached_property, reduce
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -31,7 +30,7 @@ from .cluster import (
     is_unloaded,
     log_discrepancies,
 )
-from .newton import Staircase, newton_facets
+from .newton import Staircase, _add_rows, _merge_rows, newton_facets
 
 SLANT = "s"
 HORIZONTAL = "h"
@@ -407,25 +406,18 @@ def t_pq(p: int, q: int, *, scale: int = 1, mirror: bool = False) -> EnriquesDia
     alternating horizontal / vertical, weights the remainders.
 
     scale multiplies all weights (the diagram of the d-fold thickened
-    staircase); mirror swaps the horizontal and vertical kinds.
+    staircase); mirror returns the mirrored tree, which marks a bare chain
+    (p = 1) as lying on the x-axis.
     """
     data = euclid_data(p, q)
-    n = sum(data.a)
-    kinds: List[Optional[str]] = [None]
     block = [j for j, aj in enumerate(data.a, start=1) for _ in range(aj)]
-    for i in range(1, n):
-        j = block[i - 1]  # edge into vertex i is edge number i
-        if j == 1:
-            kinds.append(SLANT)
-        elif j % 2 == 0:
-            kinds.append(HORIZONTAL if not mirror else VERTICAL)
-        else:
-            kinds.append(VERTICAL if not mirror else HORIZONTAL)
+    # the edge into vertex i is edge number i, in block j
+    kinds = [None] + [
+        SLANT if j == 1 else HORIZONTAL if j % 2 == 0 else VERTICAL for j in block[:-1]
+    ]
     weights = [scale * data.r[j - 1] for j in block]
-    parents = [None] + list(range(n - 1))
-    # a mirrored bare chain (p = 1) lies on the x-axis, which only a mark says
-    x_side = frozenset({1}) if mirror and p == 1 else frozenset()
-    return EnriquesDiagram(EnriquesTree(parents, kinds, x_side), weights)
+    tree = EnriquesTree([None, *range(len(block) - 1)], kinds)
+    return EnriquesDiagram(tree.mirrored() if mirror else tree, weights)
 
 
 # -- union and connected sum -----------------------------------------------------
@@ -611,10 +603,11 @@ def diagram_to_staircase(d: EnriquesDiagram) -> Staircase:
     Induction on the root: with root weight c and the subschemes Z1 (child
     on the y-axis side) and Z2 (x-axis side) after one blowup, the
     staircase is the double slice sum (triangle(c) +v S(Z1)) +h S(Z2).
-    The roles propagate: along the y-side, the slant child continues the
-    y-chain and the (horizontal) satellite child starts the exceptional
-    x-chain; at satellites the same-kind child keeps its role and the
-    opposite-kind child takes the other one.
+    The roles propagate: the child of a vertex's own kind (slant for a free
+    point) keeps its role and the other child takes the other one.  A
+    binary diagram has no free point behind a satellite, so there is no
+    third child; a free point's satellite child must be drawn horizontal on
+    the y-side and vertical on the x-side.
     """
     cls = classify(d.tree)
     if not cls.binary:
@@ -639,25 +632,20 @@ def diagram_to_staircase(d: EnriquesDiagram) -> Staircase:
                 raise OrientationError("both root children lie on the same axis")
             child_on = {a: k for k, a in axis.items()}
             return child_on.get("V"), child_on.get("H")
-        if t.is_free(v):
-            slant = next((k for k in kids if t.kinds[k] == SLANT), None)
-            sat = next((k for k in kids if t.kinds[k] != SLANT), None)
-            if sat is not None:
-                want = HORIZONTAL if role == "V" else VERTICAL
-                if t.kinds[sat] != want:
-                    raise OrientationError(
-                        f"vertex {v}: satellite child drawn {t.kinds[sat]!r} on "
-                        f"the {'y' if role == 'V' else 'x'}-axis chain"
-                    )
-            return (slant, sat) if role == "V" else (sat, slant)
-        same = next((k for k in kids if t.kinds[k] == t.kinds[v]), None)
-        opp = next((k for k in kids if t.kinds[k] == _opposite(t.kinds[v])), None)
-        return (same, opp) if role == "V" else (opp, same)
+        own = t.kinds[v]
+        same = next((k for k in kids if t.kinds[k] == own), None)
+        other = next((k for k in kids if t.kinds[k] != own), None)
+        if own == SLANT and other is not None:
+            if t.kinds[other] != (HORIZONTAL if role == "V" else VERTICAL):
+                raise OrientationError(
+                    f"vertex {v}: satellite child drawn {t.kinds[other]!r} on "
+                    f"the {'y' if role == 'V' else 'x'}-axis chain"
+                )
+        return (same, other) if role == "V" else (other, same)
 
     # split every vertex in preorder, y-side child first, then sum the
-    # staircases children first, as lists of row widths: a vertical sum
-    # adds column heights, so it merges the rows, and a horizontal sum adds
-    # them row by row; unloaded weights vanish below a zero one
+    # staircases children first, as lists of row widths; unloaded weights
+    # vanish below a zero one
     order: List[Tuple[int, Optional[int], Optional[int]]] = []
     stack = [(0, "V")] if len(d) else []
     while stack:
@@ -669,8 +657,7 @@ def diagram_to_staircase(d: EnriquesDiagram) -> Staircase:
     for v, vchild, hchild in reversed(order):
         rv, rh = rows.pop(vchild, []), rows.pop(hchild, [])
         if w[v]:
-            merged = sorted([*range(w[v], 0, -1), *rv], reverse=True)
-            rows[v] = [p + q for p, q in zip_longest(merged, rh, fillvalue=0)]
+            rows[v] = _add_rows(_merge_rows(range(w[v], 0, -1), rv), rh)
     return Staircase.from_slices(rows.get(0, []))
 
 
@@ -683,45 +670,16 @@ def staircase_to_diagram(s: Staircase) -> EnriquesDiagram:
         raise EnriquesError("the empty staircase has no diagram")
     if not s.is_finite():
         raise EnriquesError("only finite staircases correspond to diagrams")
-    facets = newton_facets(s.to_ideal())
     steep: List[EnriquesDiagram] = []
     shallow: List[EnriquesDiagram] = []
-    for f in facets:
-        if f.q >= f.p:
-            steep.append(t_pq(f.p, f.q, scale=f.d) if f.p < f.q
-                         else _single_vertex(f.d))
-        else:
+    for f in newton_facets(s.to_ideal()):
+        if f.q < f.p:
             shallow.append(t_pq(f.q, f.p, scale=f.d, mirror=True))
-    d_steep = _union_all(steep)
-    d_shallow = _union_all(shallow)
-    if d_shallow is None:
-        return d_steep
-    if d_steep is None:
-        return _mark_chain_children(d_shallow)
-    return _glue_at_root(d_steep, d_shallow)
-
-
-def _single_vertex(weight: int) -> EnriquesDiagram:
-    return EnriquesDiagram(EnriquesTree((None,), (None,)), (weight,))
-
-
-def _union_all(parts: List[EnriquesDiagram]) -> Optional[EnriquesDiagram]:
-    if not parts:
-        return None
-    out = parts[0]
-    for p in parts[1:]:
-        out = union(out, p)
-    return out
-
-
-def _mark_chain_children(d: EnriquesDiagram) -> EnriquesDiagram:
-    marks = set(d.tree.x_side)
-    for v in d.tree.cluster._children[0]:
-        if _subtree_flavor(d.tree, v) is None:
-            marks.add(v)
-    t = EnriquesTree(d.tree.parents, d.tree.kinds, frozenset(marks))
-    return EnriquesDiagram(t, d.weights)
-
-
-def _glue_at_root(dv: EnriquesDiagram, dh: EnriquesDiagram) -> EnriquesDiagram:
-    return _walk_pairs(dv, _mark_chain_children(dh), glue=True)
+        elif f.p < f.q:
+            steep.append(t_pq(f.p, f.q, scale=f.d))
+        else:  # the facet of slope -1: a single point of weight d
+            steep.append(EnriquesDiagram(EnriquesTree((None,), (None,)), (f.d,)))
+    # a mirrored tree already marks its bare chain, and union and the glue
+    # walk carry the marks
+    parts = [reduce(union, ps) for ps in (steep, shallow) if ps]
+    return parts[0] if len(parts) == 1 else _walk_pairs(*parts, glue=True)

@@ -17,7 +17,7 @@ ideal, which has no rows, is rejected.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count
+from itertools import count, zip_longest
 from math import gcd
 from typing import List, Sequence, Tuple
 
@@ -287,7 +287,9 @@ class Staircase(Record):
         return MonomialIdeal(self.generators)
 
     def is_finite(self) -> bool:
-        return self.is_empty() or MonomialIdeal(self.generators).min_exponents() == (0, 0)
+        # the antichain runs from its least m to its least n
+        gens = self.generators
+        return gens[0][0] == 0 == gens[-1][1]
 
     def is_empty(self) -> bool:
         return self.generators == ((0, 0),)
@@ -317,6 +319,18 @@ class Staircase(Record):
         return f"Staircase{self.slices() if self.is_finite() else self.generators}"
 
 
+def _add_rows(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """Row widths of a horizontal sum: the widths add row by row."""
+    return [x + y for x, y in zip_longest(a, b, fillvalue=0)]
+
+
+def _merge_rows(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """Row widths of a vertical sum: the column heights add, and the rows
+    of a sum of conjugates are the two row lists merged in decreasing
+    order."""
+    return sorted([*a, *b], reverse=True)
+
+
 def staircase_sum(a: Staircase, b: Staircase, direction: str) -> Staircase:
     """Slicewise sum of two finite staircases.
 
@@ -326,18 +340,8 @@ def staircase_sum(a: Staircase, b: Staircase, direction: str) -> Staircase:
         raise MonomialIdealError(f"unknown direction {direction!r}")
     if not (a.is_finite() and b.is_finite()):
         raise InfiniteStaircaseError("staircase sums require finite staircases")
-    if direction == "horizontal":
-        ra, rb = a.slices(), b.slices()
-        rows = [x + y for x, y in zip(ra, rb)]
-        longer = ra if len(ra) > len(rb) else rb
-        rows.extend(longer[len(rows):])
-        return Staircase.from_slices(rows)
-    ca, cb = a.column_slices(), b.column_slices()
-    cols = [x + y for x, y in zip(ca, cb)]
-    longer = ca if len(ca) > len(cb) else cb
-    cols.extend(longer[len(cols):])
-    transposed = Staircase.from_slices(cols)
-    return Staircase(tuple((n, m) for m, n in transposed.generators))
+    rows = _add_rows if direction == "horizontal" else _merge_rows
+    return Staircase.from_slices(rows(a.slices(), b.slices()))
 
 
 def triangle(c: int) -> Staircase:

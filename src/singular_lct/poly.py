@@ -212,8 +212,9 @@ class BivariatePolynomial:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     # -- substitutions used by blowups ------------------------------------

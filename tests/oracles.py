@@ -106,7 +106,6 @@ from singular_lct.enriques import (
     EnriquesError,
     EnriquesTree,
     OrientationError,
-    _mark_chain_children,
     _opposite,
     _subtree_flavor,
     classify,
@@ -748,7 +747,6 @@ def union_by_recursion(d1: EnriquesDiagram, d2: EnriquesDiagram) -> EnriquesDiag
 
 
 def glue_at_root_by_recursion(dv: EnriquesDiagram, dh: EnriquesDiagram) -> EnriquesDiagram:
-    dh = _mark_chain_children(dh)
     out: _Parts = ([None], [None], [dv.weights[0] + dh.weights[0]], set())
     for d in (dv, dh):
         for k in d.tree.cluster._children[0]:

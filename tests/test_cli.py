@@ -431,6 +431,30 @@ def test_cli_bound_with_zero_denominator_is_a_usage_error(capsys):
         assert err == f"usage error: argument --bound: invalid _frac value: '{bound}'\n"
 
 
+def test_cli_bound_with_a_huge_exponent_is_a_usage_error():
+    # Fraction would compute 10**99999999 before the command runs, so the
+    # check runs in a process of its own under a timeout
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for bound in ("1e-99999999", "2.5E+40000000", "1e1001"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "singular_lct.cli", "jumping", "--curve", "y^2 - x^3",
+             "--bound", bound],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
+        assert proc.stderr == f"usage error: argument --bound: invalid _frac value: '{bound}'\n"
+
+
+def test_cli_bound_exponents_up_to_the_limit_are_read(capsys):
+    for bound, jumps in (("1e-1000", "\n"), ("1e0", "5/6\n"), ("0.1e+1", "5/6\n")):
+        assert run_cli(capsys, "jumping", "--curve", "y^2-x^3", "--bound", bound) == (0, jumps, "")
+
+
 def test_every_subcommand_has_its_own_handler():
     import argparse
 

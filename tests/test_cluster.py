@@ -657,6 +657,18 @@ def test_cluster_rejects_bad_structure():
         Cluster((None, 0, 1, 2), ((), (0,), (1,), (0, 2)))
 
 
+def test_an_unreachable_satellite_target_is_named():
+    # point 3 hangs off the free point 2, whose only target is 1
+    with pytest.raises(ClusterError) as err:
+        Cluster((None, 0, 1, 2), ((), (0,), (1,), (0, 2)))
+    assert str(err.value) == (
+        "point 3: satellite target 0 is not reachable by an L-shaped branch"
+    )
+    # through a satellite parent both of its targets are reachable
+    assert Cluster((None, 0, 1, 2), ((), (0,), (0, 1), (0, 2))).targets[3] == (0, 2)
+    assert Cluster((None, 0, 1, 2), ((), (0,), (0, 1), (1, 2))).targets[3] == (1, 2)
+
+
 def test_a_second_point_on_a_crossing_fails_where_it_appears():
     with pytest.raises(ClusterError) as err:
         Cluster((None, 0, 1, 1), ((), (0,), (0, 1), (0, 1)))

@@ -130,6 +130,18 @@ def test_t13_all_slant():
     assert d.tree.kinds == (None, "s", "s")
 
 
+def test_mirrored_t_pq_swaps_the_satellite_kinds():
+    swap = {"h": "v", "v": "h"}
+    for p, q in [(1, q) for q in range(2, 41)] + coprime_pairs(40):
+        for scale in (1, 3):
+            d, m = t_pq(p, q, scale=scale), t_pq(p, q, scale=scale, mirror=True)
+            assert m.tree.parents == d.tree.parents and m.weights == d.weights
+            assert m.tree.kinds == tuple(swap.get(k, k) for k in d.tree.kinds)
+            # only a bare chain needs the mark to lie on the x-axis
+            assert d.tree.x_side == frozenset()
+            assert m.tree.x_side == (frozenset({1}) if p == 1 else frozenset())
+
+
 def test_t_pq_rejects_bad_pairs():
     for p, q in ((2, 2), (4, 6), (3, 2), (0, 5)):
         with pytest.raises(EnriquesError):
@@ -709,7 +721,7 @@ def _walk_inputs(rng):
 
 
 def test_tree_walks_match_their_recursive_oracles():
-    from singular_lct.enriques import _glue_at_root
+    from singular_lct.enriques import _walk_pairs
 
     rng = random.Random(83)
     pool = _walk_inputs(rng)
@@ -724,7 +736,7 @@ def test_tree_walks_match_their_recursive_oracles():
         got = _exactly(_outcome(union, d1, d2))
         assert got == _exactly(_outcome(oracles.union_by_recursion, d1, d2))
         errors.add(got[1] if got[0] is EnriquesError else None)
-        got = _exactly(_outcome(_glue_at_root, d1, d2))
+        got = _exactly(_outcome(lambda a, b: _walk_pairs(a, b, glue=True), d1, d2))
         assert got == _exactly(_outcome(oracles.glue_at_root_by_recursion, d1, d2))
     assert "union input has equal-kind siblings" in errors
     assert "union needs roots of degree at most 1" in errors

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -394,6 +395,28 @@ def test_staircase_sum_associative_commutative_random():
             assert staircase_sum(staircase_sum(a, b, direction), c, direction) == (
                 staircase_sum(a, staircase_sum(b, c, direction), direction)
             )
+
+
+def test_staircase_sums_add_rows_and_columns_random():
+    # a vertical sum merges the row lists; its columns, read by transposing,
+    # are the column heights added one by one
+    rng = random.Random(43)
+
+    def add(a, b):
+        return tuple(x + y for x, y in zip_longest(a, b, fillvalue=0))
+
+    for _ in range(300):
+        a, b = (
+            Staircase.from_slices(
+                sorted((rng.randint(1, 9) for _ in range(rng.randint(0, 6))), reverse=True)
+            )
+            for _ in range(2)
+        )
+        vertical = staircase_sum(a, b, "vertical")
+        assert vertical.column_slices() == add(a.column_slices(), b.column_slices())
+        assert vertical.size() == a.size() + b.size()
+        horizontal = staircase_sum(a, b, "horizontal")
+        assert horizontal.slices() == add(a.slices(), b.slices())
 
 
 def test_staircase_sum_requires_finite():

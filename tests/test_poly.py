@@ -207,6 +207,16 @@ COEFFS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 TERMS = st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)), COEFFS, max_size=6)
 
 
+def test_powers_match_repeated_multiplication():
+    # 0 to 17 covers the powers of two up to 16 and their neighbours, so the
+    # square-and-multiply loop ends on every short bit pattern
+    f = P("x + (-2/3)*y^2 - 3*x*y")
+    power = BivariatePolynomial.monomial(0, 0)
+    for k in range(18):
+        assert f**k == power and rows_of(f**k) == rows_of(power), k
+        power = power * f
+
+
 @settings(max_examples=150, deadline=None)
 @given(TERMS, TERMS, COEFFS, st.integers(-3, 3), st.integers(0, 3))
 def test_integer_rows_match_the_sparse_fraction_oracle(a, b, c, k, e):

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from . import serialize
-from .poly import MAX_EXPONENT, BivariatePolynomial, ParseError
+from .poly import BivariatePolynomial, ParseError
 
 if TYPE_CHECKING:
     from .cluster import WeightedCluster
@@ -37,13 +37,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _frac(s: str) -> Fraction:
-    # Fraction computes 10**exp at once, so a huge decimal exponent would
-    # hang; argparse reports only ValueError/TypeError, with the text alone
-    _, e, exp = s.lower().rpartition("e")
+    # argparse reports only ValueError/TypeError, with the text alone
     try:
-        if e and abs(int(exp)) > MAX_EXPONENT:
-            raise ValueError(s)
-        return Fraction(s)
+        return serialize.fraction_from_str(s)
     except ZeroDivisionError:
         raise ValueError(s) from None
 

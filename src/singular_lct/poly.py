@@ -78,20 +78,14 @@ def _poly(rows: list, den: int = 1) -> "BivariatePolynomial":
     return _wrap(rows, den) if g == 1 else _wrap(_iquo(rows, g, 1), den // g)
 
 
-def _rows_from(entries: Iterable[Tuple[int, int, int]]) -> list:
-    """The trimmed integer rows of the sum of the terms numerator * x^m y^n,
-    from (m, n, numerator)."""
+def _poly_from(entries: Iterable[Tuple[int, int, int]], den: int) -> "BivariatePolynomial":
+    """The sum of the terms numerator / den * x^m y^n, from (m, n, numerator)."""
     rows: list = []
     for m, n, c in entries:
         rows += [[] for _ in range(m + 1 - len(rows))]
         rows[m] += [0] * (n + 1 - len(rows[m]))
         rows[m][n] += c
-    return _trim([_trim(row) for row in rows])
-
-
-def _poly_from(entries: Iterable[Tuple[int, int, int]], den: int) -> "BivariatePolynomial":
-    """The sum of the terms numerator / den * x^m y^n, from (m, n, numerator)."""
-    return _poly(_rows_from(entries), den)
+    return _poly(_trim([_trim(row) for row in rows]), den)
 
 
 class BivariatePolynomial:
@@ -316,12 +310,25 @@ class BivariatePolynomial:
 
 
 def _leading_form(f: BivariatePolynomial, mult: int) -> BivariatePolynomial:
-    return _poly_from(((m, n, c) for m, n, c in f._entries() if m + n == mult), f._den)
+    rows = [  # the anti-diagonal rows[m][mult - m]
+        [0] * (mult - m) + [row[mult - m]] if len(row) > mult - m and row[mult - m] else []
+        for m, row in enumerate(f._rows[: mult + 1])
+    ]
+    return _poly(_trim(rows), f._den)
 
 
 def _blowup_x_chart(f: BivariatePolynomial, mult: int) -> BivariatePolynomial:
-    # distinct terms stay distinct, so the content and _den stand
-    return _wrap(_rows_from((m + n - mult, n, c) for m, n, c in f._entries()), f._den)
+    # a shear of the rows, x^m y^n to x^(m+n-mult) y^n, so the content and
+    # _den stand; from the top row down, each new row fills in increasing n
+    out: list = []
+    for m, row in reversed(list(enumerate(f._rows))):
+        out += [[] for _ in range(m + len(row) - mult - len(out))]
+        for n, c in enumerate(row):
+            if c:
+                new = out[m + n - mult]
+                new += [0] * (n - len(new))
+                new.append(c)
+    return _wrap(out, f._den)
 
 
 def _blowup_y_chart(f: BivariatePolynomial, mult: int) -> BivariatePolynomial:
@@ -391,7 +398,7 @@ class _Parser:
             self._skip_ws()
             at = self.pos
             factor = self._factor()
-            terms = len(result.support()) * len(factor.support())
+            terms = _term_count(result) * _term_count(factor)
             if terms > limit:
                 raise ParseError(
                     f"product of {terms} term pairs exceeds {limit}", self.text, at
@@ -408,7 +415,7 @@ class _Parser:
             exp = self._integer("exponent expected")
             if exp > MAX_EXPONENT:
                 raise ParseError(f"exponent exceeds {MAX_EXPONENT}", self.text, at)
-            if len(base.support()) > 1 and base.degree() * exp > MAX_POWER_DEGREE:
+            if _term_count(base) > 1 and base.degree() * exp > MAX_POWER_DEGREE:
                 raise ParseError(
                     f"power of degree {base.degree() * exp} exceeds {MAX_POWER_DEGREE}",
                     self.text,
@@ -471,6 +478,10 @@ class _Parser:
 
 def parse_polynomial(text: str) -> BivariatePolynomial:
     return BivariatePolynomial.parse(text)
+
+
+def _term_count(f: BivariatePolynomial) -> int:
+    return sum(len(row) - row.count(0) for row in f._rows)
 
 
 def _extent(f: BivariatePolynomial) -> Tuple[int, int]:
@@ -764,14 +775,29 @@ def _sturm_rational_roots(p: list) -> List[Fraction]:
     return sorted(roots)
 
 
-def rational_roots(coeffs: Sequence):
-    """Rational roots of the nonzero polynomial sum coeffs[i] t^i (rational
+def _linear_power_root(p: list):
+    """(r, k) when p in Z[t] of degree k >= 1 is c (t - r)^k, else None: then
+    r = u/v = -p[k-1] / (k p[k]), and p v^k = p[k] (v t - u)^k."""
+    k = len(p) - 1
+    r = Fraction(-p[-2], k * p[-1])
+    u, v = r.numerator, r.denominator
+    vk = v**k
+    term = p[-1] * vk  # the coefficient of t^j in p[k] (v t - u)^k, j = k
+    for j in range(k, 0, -1):
+        term = term * j * -u // ((k - j + 1) * v)
+        if p[j - 1] * vk != term:
+            return None
+    return r, k
+
+
+def rational_roots(coeffs: Sequence[int]):
+    """Rational roots of the nonzero polynomial sum coeffs[i] t^i (integer
     coefficients), with their multiplicities, in increasing order; and the
     squarefree parts left without rational roots, as pairs (primitive
     integer coefficient list, multiplicity)."""
-    den = lcm(*(Fraction(c).denominator for c in coeffs))
-    f = _trim([int(c * den) for c in coeffs])
-    f = _iquo(f, _icontent(f, 0), 0)
+    f = _trim(_iquo(list(coeffs), _icontent(coeffs, 0), 0))
+    if len(f) > 1 and (power := _linear_power_root(f)):
+        return [power], []
     roots: List[Tuple[Fraction, int]] = []
     rest: List[Tuple[list, int]] = []
     for mult, part in enumerate(_squarefree_parts(f), 1):

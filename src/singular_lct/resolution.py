@@ -18,7 +18,9 @@ NonRationalTangentError, naming the offending form.
 The resolution reads only the multiplicity and the tangent cone at each
 point, and near the exceptional axes the lowest terms along them, so each
 point carries its equation only modulo a monomial ideal (x^a y^b), cut
-there.  The root is f modulo (x^P), exact for a precision P above deg f.
+there.  The root is f modulo (x^P), first for P = e + 1, e the order of
+f(x, 0) (the curve's intersection number with y = 0), which bounds the
+root's multiplicity, or for P = deg f + 1, f itself, when y divides f.
 At a point of multiplicity m < a + b, the least degree in the ideal, the
 ideal pulls back to (x^(a+b-m) y^b) in the x-chart and to (x^a y^(a+b-m))
 in the y-chart, and a shift y -> y + t, t != 0, maps (x^c y^b) into (x^c):
@@ -30,7 +32,9 @@ ideal: a >= 1 throughout, and b >= 1 at a point on {y = 0}, since only a
 y-chart puts it there and a shift takes it away.  When m < a + b fails,
 the attempt gives up and the resolution starts again from the root with
 P doubled.  So every decision, error and assertion is the one the exact
-equations give, and only the cost depends on P.
+equations give, and only the cost depends on P.  Success is monotone in
+P, as a larger P gives every point a smaller ideal, so a germ of degree d
+takes at most ceil(log2((d + 1)/(e + 1))) more attempts than from d + 1.
 
 A resolution that finishes proves the germ reduced: a reduced germ of
 degree d has sum m(m - 1) <= d(d - 1) over its points (Bezout bounds its
@@ -118,14 +122,13 @@ def _tangent_roots(form: BivariatePolynomial) -> Tuple[List[Tuple[Fraction, int]
     F, plus the multiplicity of the direction x = 0 (the t = infinity root).
     A repeated irrational factor aborts: it would force blowups at
     irrational points."""
-    support = form.support()
-    inf_mult = min(m for m, _ in support)
-    zero_mult = min(n for _, n in support)  # F(1, t) = t^zero_mult phi(t)
+    rows = form._rows  # row m holds at most the term x^m y^(deg - m)
+    inf_mult = next(m for m, row in enumerate(rows) if row)
+    zero_mult = len(rows[-1]) - 1  # F(1, t) = t^zero_mult phi(t)
     roots = [(Fraction(0), zero_mult)] if zero_mult else []
-    if len(support) == 1:
+    if inf_mult == len(rows) - 1:
         return roots, inf_mult
-    d = form.degree()
-    phi = [form.coefficient(d - n, n) for n in range(zero_mult, d - inf_mult + 1)]
+    phi = [row[-1] if row else 0 for row in reversed(rows[inf_mult:])]  # times _den
     found, irrational = rational_roots(phi)
     for part, mult in irrational:
         if mult >= 2:
@@ -145,12 +148,16 @@ def _smooth_measure(f: BivariatePolynomial, axes) -> Tuple[int, int]:
     smooth chain of blowups (a tangency drops by one, or a tangent point
     becomes a corner, whose single successor is transverse)."""
     contact = 0
-    for axis in axes:
-        if axis == "x":  # the component {x = 0}: order of f(0, y)
-            contact += min(n for m, n in f.support() if m == 0)
-        else:  # {y = 0}: order of f(x, 0)
-            contact += min(m for m, n in f.support() if n == 0)
+    if "x" in axes:  # the component {x = 0}: order of f(0, y), along row 0
+        contact += next(n for n, c in enumerate(f._rows[0]) if c)
+    if "y" in axes:  # {y = 0}: order of f(x, 0), down column 0
+        contact += _x_order(f)
     return (contact, 2 - len(axes))
+
+
+def _x_order(f: BivariatePolynomial) -> Optional[int]:
+    """The order of f(x, 0), read down column 0; None when y divides f."""
+    return next((m for m, row in enumerate(f._rows) if row and row[0]), None)
 
 
 def _needs_blowup(g: BivariatePolynomial, axes) -> bool:
@@ -275,7 +282,7 @@ def _resolve_cluster(f: BivariatePolynomial, max_points: int) -> WeightedCluster
         raise ResolutionError("the curve does not pass through the origin")
 
     unchecked = [f]  # emptied by the one reducedness check, across retries
-    precision = f.degree() + 1  # the root's equation is f itself
+    precision = (_x_order(f) or f.degree()) + 1  # ord f(x, 0) >= 1, as f(0, 0) = 0
     while True:
         try:
             parents, targets, weights, exc_mult = _resolve_at(f, precision, max_points, unchecked)

@@ -10,6 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, List
 
+from .poly import MAX_EXPONENT
+
 if TYPE_CHECKING:  # the constructors import their classes when called
     from .cluster import WeightedCluster
     from .enriques import EnriquesDiagram
@@ -24,6 +26,11 @@ def fraction_to_str(x: Fraction) -> str:
 
 
 def fraction_from_str(s: str) -> Fraction:
+    """The rational of "num/den" or a decimal.  Fraction would compute 10**exp
+    at once, so a decimal exponent above MAX_EXPONENT is a ValueError."""
+    _, e, exp = s.lower().rpartition("e")
+    if e and abs(int(exp)) > MAX_EXPONENT:
+        raise ValueError(s)
     return Fraction(s)
 
 

@@ -64,6 +64,13 @@ sympy forms of the reducedness check and of the tangent-cone roots of
 without its parser: a dict from (m, n) to a `Fraction` per term, with the
 arithmetic, the charts and `shift_y` done term by term.
 
+`blowup_x_chart_by_terms`, `leading_form_by_terms` and
+`x_axis_order_by_support` are the earlier term-stream forms of the x-chart,
+the tangent cone and the order of f(x, 0), where the library reads the
+integer rows; `smooth_measure` reads its axis orders the same way.
+`rational_roots_by_yun_sturm` is `poly.rational_roots` without its test
+for a single root of full multiplicity, c (t - r)^k.
+
 `shift_y_by_horner` is the earlier body of `BivariatePolynomial.shift_y`
 on the integer rows: one Horner step per power of y, a Python list
 operation per coefficient, where the library packs each row into one
@@ -79,7 +86,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from math import ceil
+from math import ceil, lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from singular_lct.cluster import (
@@ -122,7 +129,20 @@ from singular_lct.newton import (
     staircase_sum,
     triangle,
 )
-from singular_lct.poly import BivariatePolynomial, PolynomialError, Term, _poly, _ratio
+from singular_lct.poly import (
+    BivariatePolynomial,
+    PolynomialError,
+    Term,
+    _icontent,
+    _iquo,
+    _poly,
+    _poly_from,
+    _quo,
+    _ratio,
+    _squarefree_parts,
+    _sturm_rational_roots,
+    _trim,
+)
 from singular_lct.resolution import (
     NonRationalTangentError,
     NonReducedError,
@@ -1296,6 +1316,42 @@ class SparseFractionPolynomial:
 
     def __repr__(self) -> str:
         return f"SparseFractionPolynomial({self})"
+
+
+def blowup_x_chart_by_terms(f: BivariatePolynomial, mult: int) -> BivariatePolynomial:
+    """(x, y) -> (x, x y) divided by x^mult, one (m, n, numerator) term at a
+    time."""
+    return _poly_from(((m + n - mult, n, c) for m, n, c in f._entries()), f._den)
+
+
+def leading_form_by_terms(f: BivariatePolynomial, mult: int) -> BivariatePolynomial:
+    """The terms of f of total degree mult, picked from the term stream."""
+    return _poly_from(((m, n, c) for m, n, c in f._entries() if m + n == mult), f._den)
+
+
+def x_axis_order_by_support(f: BivariatePolynomial) -> Optional[int]:
+    """The order of f(x, 0), None when y divides f."""
+    return min((m for m, n in f.support() if n == 0), default=None)
+
+
+def rational_roots_by_yun_sturm(coeffs: Sequence):
+    """Rational roots with multiplicities of sum coeffs[i] t^i, and the
+    squarefree parts left without one, by Yun's split and Sturm isolation
+    alone."""
+    den = lcm(*(Fraction(c).denominator for c in coeffs))
+    f = _trim([int(c * den) for c in coeffs])
+    f = _iquo(f, _icontent(f, 0), 0)
+    roots: List[Tuple[Fraction, int]] = []
+    rest: List[Tuple[list, int]] = []
+    for mult, part in enumerate(_squarefree_parts(f), 1):
+        if len(part) < 2:
+            continue
+        for x in _sturm_rational_roots(part):
+            roots.append((x, mult))
+            part = _quo(part, [-x.numerator, x.denominator], 0)
+        if len(part) > 1:
+            rest.append((part, mult))
+    return sorted(roots), rest
 
 
 def shift_y_by_horner(self: BivariatePolynomial, c) -> BivariatePolynomial:

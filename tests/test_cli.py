@@ -25,6 +25,35 @@ def test_fraction_strings():
     assert serialize.fraction_to_str(Fraction(5, 12)) == "5/12"
     assert serialize.fraction_to_str(Fraction(2)) == "2"
     assert serialize.fraction_from_str("5/12") == Fraction(5, 12)
+    for x in (Fraction(0), Fraction(-7), Fraction(-5, 12), Fraction(3**200, 2**90)):
+        assert serialize.fraction_from_str(serialize.fraction_to_str(x)) == x
+    for text, x in (("1e-1000", Fraction(1, 10**1000)), ("-2.5E+3", Fraction(-2500))):
+        assert serialize.fraction_from_str(text) == x
+
+
+def test_fraction_from_str_rejects_a_huge_decimal_exponent_at_once():
+    # Fraction would compute 10**3000000 first, so the check runs in a
+    # process of its own under a timeout
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "from singular_lct.serialize import fraction_from_str\n"
+        "for text in ('1e-3000000', '2.5E+40000000', '1e1001'):\n"
+        "    try:\n"
+        "        fraction_from_str(text)\n"
+        "    except ValueError as e:\n"
+        "        assert str(e) == text, e\n"
+        "    else:\n"
+        "        raise AssertionError(text)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=10
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_ideal_roundtrip():

@@ -291,6 +291,34 @@ def test_rational_roots_of_a_repeated_mix():
     assert rest == [([-2, 0, 1], 2)]
 
 
+def test_a_power_of_one_linear_factor_skips_yun_and_sturm(monkeypatch):
+    # random c (v t - u)^k and the same with one coefficient moved by one
+    # or one term added above; a miss falls through to Yun and Sturm, and
+    # both agree with the oracle that has no shortcut
+    rng = random.Random(20)
+    powers, misses = [], []
+    for _ in range(200):
+        k = rng.randint(1, 8)
+        u, v = rng.choice([0, rng.randint(-(10**4), 10**4)]), rng.randint(1, 100)
+        p = [rng.choice([-1, 1]) * rng.randint(1, 2**40)]
+        for _ in range(k):
+            p = poly._mul(p, [-u, v], 0)
+        powers.append((p, Fraction(u, v), k))
+        j = rng.randrange(k + 2)
+        near = p + [0] if j > k else list(p)
+        near[j] += rng.choice([-1, 1])
+        misses.append(poly._trim(near))
+    for p in [p for p, _, _ in powers] + misses:
+        assert rational_roots(p) == oracles.rational_roots_by_yun_sturm(p), p
+
+    def unused(f):
+        raise AssertionError("Yun's split ran on a power of a linear factor")
+
+    monkeypatch.setattr(poly, "_squarefree_parts", unused)
+    for p, r, k in powers:
+        assert rational_roots(p) == ([(r, k)], []), p
+
+
 def random_poly(rng, level, degree, size):
     if level < 0:
         return rng.randint(-size, size)

@@ -317,7 +317,7 @@ def test_every_shift_of_a_heavy_resolution_matches_the_horner_oracle(text, monke
 
     monkeypatch.setattr(BivariatePolynomial, "shift_y", recorded)
     resolve_curve(P(text))
-    # three nonzero shifts each, of rows up to y^243 and 7,005 cells
+    # three nonzero shifts each, of rows up to y^42 and 866 cells
     assert sum(1 for _, c, _ in calls if c) == 3
     for f, c, g in calls:
         assert rows_of(g) == rows_of(oracles.shift_y_by_horner(f, c)), (f, c)
@@ -338,3 +338,37 @@ def test_the_constructor_bounds_exponents():
     wide = BivariatePolynomial.monomial(0, MAX_EXPONENT) * y - BivariatePolynomial.monomial(1, 0)
     assert wide.coefficient(0, MAX_EXPONENT + 1) == 1
     assert wide.blowup_y_chart().coefficient(0, MAX_EXPONENT) == 1
+
+
+def random_rows(rng):
+    """Integer rows up to x^11 y^14: empty rows, gaps between the terms of
+    a row, and coefficients up to 2^200 of both signs."""
+    rows = []
+    for _ in range(rng.randint(1, 12)):
+        row = [0] * rng.randint(0, 15)
+        for n in rng.sample(range(len(row)), min(len(row), rng.randint(0, 4))):
+            row[n] = rng.randint(-(2**200), 2**200)
+        rows.append(row)
+    return rows
+
+
+def test_row_reads_match_the_term_stream_oracles():
+    import random
+
+    from singular_lct.poly import _blowup_x_chart, _leading_form
+
+    rng = random.Random(20)
+    for _ in range(400):
+        den = rng.choice([1, 2, 3**40, rng.randint(1, 10**6)])
+        rows = random_rows(rng)
+        f = BivariatePolynomial(
+            {(m, n): F(c, den) for m, row in enumerate(rows) for n, c in enumerate(row) if c}
+        )
+        if f.is_zero():
+            continue
+        mult = f.multiplicity()
+        # x^k divides f(x, x y) for every k <= mult
+        for k in range(max(mult - 2, 0), mult + 1):
+            assert rows_of(_blowup_x_chart(f, k)) == rows_of(oracles.blowup_x_chart_by_terms(f, k))
+        for k in range(f.degree() + 2):
+            assert rows_of(_leading_form(f, k)) == rows_of(oracles.leading_form_by_terms(f, k))

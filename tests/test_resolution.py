@@ -300,9 +300,10 @@ RETRYING_GERM = "(y^2 - x^3)^2 - x^5*y^2"
 
 
 def test_the_ramphoid_cusp_retries_at_doubled_precision(capsys):
-    # at the precision deg f + 1 the fifth point's equation is y^2 modulo
-    # (x^2): its multiplicity would read the dropped term -x^2, so the
-    # resolution starts again at twice that precision
+    # at the precision deg f + 1 = 8 the fifth point's equation is y^2
+    # modulo (x^2): its multiplicity would read the dropped term -x^2.  The
+    # resolution starts lower still, at ord_x f(x, 0) + 1 = 7, and success
+    # is monotone in the precision, so it starts again at twice that
     import json
 
     import oracles
@@ -316,6 +317,75 @@ def test_the_ramphoid_cusp_retries_at_doubled_precision(capsys):
     assert kl.weights == (4, 2, 2, 2, 2)
     assert main(["resolve", "--curve", RETRYING_GERM, "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["cluster"]["weights"] == [4, 2, 2, 2, 2]
+
+
+# f(x, 0) has order 4 and 10: the resolution climbs from precision 5 and
+# 11 to above the degree, in 5 and 6 attempts
+HIGH_CONTACT_GERMS = {"(y - x^2)^2 - x^41": 5, "(y - x^5)^2 - x^201": 6}
+
+
+def test_the_resolution_starts_at_the_x_axis_order(monkeypatch):
+    # precision e + 1, e = ord_x f(x, 0), is at most deg f + 1, and success
+    # is monotone in the precision, so doubling from e + 1 takes at most
+    # ceil(log2((d + 1)/(e + 1))) attempts more than doubling from d + 1
+    import math
+
+    import oracles
+    from singular_lct import resolution
+
+    resolve_at = resolution._resolve_at
+    precisions = []
+
+    def attempt(f, precision, *args):
+        precisions.append(precision)
+        return resolve_at(f, precision, *args)
+
+    def attempts_from(f, precision):
+        for k in range(1, 64):
+            try:
+                resolve_at(f, precision << (k - 1), 500)
+                return k
+            except resolution._Imprecise:
+                pass
+
+    monkeypatch.setattr(resolution, "_resolve_at", attempt)
+    for text in [text for _, text in corpus_curves(20)] + list(HIGH_CONTACT_GERMS):
+        f = P(text)
+        precisions.clear()
+        assert resolve_curve(f) == oracles.resolve_curve_by_blowups(f), text
+        d, e = f.degree(), oracles.x_axis_order_by_support(f)
+        start = d + 1 if e is None else e + 1
+        assert precisions == [start << k for k in range(len(precisions))], text
+        assert len(precisions) <= attempts_from(f, d + 1) + math.ceil(math.log2((d + 1) / start))
+        if text in HIGH_CONTACT_GERMS:
+            assert (attempts_from(f, d + 1), len(precisions)) == (1, HIGH_CONTACT_GERMS[text])
+    precisions.clear()
+    resolve_curve(P("y*(x^2 + y^3)"))  # y divides f: the root's equation is f
+    assert precisions == [5]
+
+
+def test_the_axis_orders_match_the_support_oracles():
+    import random
+
+    import oracles
+    from test_poly import random_rows
+
+    from singular_lct import resolution
+
+    rng = random.Random(20)
+    for _ in range(400):
+        f = BivariatePolynomial(
+            {(m, n): c for m, row in enumerate(random_rows(rng)) for n, c in enumerate(row) if c}
+        )
+        if f.is_zero():
+            continue
+        b = oracles.x_axis_order_by_support(f)
+        assert resolution._x_order(f) == b, f
+        # an axis counts where f does not vanish along it
+        along = {"x": any(m == 0 for m, _ in f.support()), "y": b is not None}
+        for axes in ((), ("x",), ("y",), ("x", "y")):
+            if all(along[a] for a in axes):
+                assert resolution._smooth_measure(f, axes) == oracles.smooth_measure(f, axes), f
 
 
 def noether_sum(kl):

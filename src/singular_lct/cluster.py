@@ -23,10 +23,12 @@ a strict vector e are its excess vector x = e . M, where M = Pi . Pi^t has
 diagonal 1 + |points proximate to a| and -1 exactly on the r - 1 edges of
 the dual tree of the exceptional divisors (it is the negated intersection
 matrix).  One kernel, `_repair`, unloads for `unload`, the multiplier
-clusters and the jumping numbers: rounds that keep x, each visiting only
-the points bumped in the last round and their dual-tree neighbours.  The
-jumping numbers carry x from one jump to the next, and each jump raises
-only the points attaining it.
+clusters and the jumping numbers: rounds that read each visited point's
+excess from e on the dual tree, each visiting only the points bumped in
+the last round and their dual-tree neighbours.  The jumping numbers carry
+the completed strict vector from one jump to the next, and each jump
+raises only the points attaining it.  Every completion and every jump
+walk ends with an assertion that its result is unloaded.
 """
 
 from __future__ import annotations
@@ -322,10 +324,9 @@ def unload(kl: WeightedCluster) -> WeightedCluster:
     unloading procedure, which does not depend on the order of its steps.
 
     Runs on the completion kernel with the strict coordinates of the
-    weights as demand; the kernel asserts that every bump adds whole strict
-    transforms.  The clamp to non-negative strict coordinates there changes
-    nothing, since every vector with non-negative branch coordinates is
-    non-negative in the strict basis.
+    weights as demand.  The clamp to non-negative strict coordinates there
+    changes nothing, since every vector with non-negative branch
+    coordinates is non-negative in the strict basis.
     """
     c = kl.cluster
     e = _complete_strict(c, _strict_from_total(c, kl.weights))
@@ -340,60 +341,47 @@ def _complete_strict(
     demanded valuations.  `warm` may give a known lower bound for the fixed
     point (e.g. the result at a smaller scale).
 
-    Builds the excess vector x = e . M on the dual tree and repairs it with
-    every point dirty; see `_repair`.
+    Repairs with every point dirty (see `_repair`), and asserts that the
+    result is unloaded.
     """
     e = [max(d, 0) for d in demand]
     if warm is not None:
         e = [max(a, b) for a, b in zip(e, warm)]
-    _repair(c, e, _excess(c, e, range(len(c))), list(range(len(c))))
+    _repair(c, e, list(range(len(c))))
+    assert is_unloaded(WeightedCluster(c, _total_from_strict(c, e))), (
+        "the completion left a negative excess"
+    )
     return e
 
 
-def _excess(c: Cluster, e: Sequence[int], points: Sequence[int]) -> List[int]:
-    """Entries of the excess vector e . M at the given points, summed over
-    each point's dual-tree neighbours."""
-    diag, neighbours = c._dual_tree
-    get = e.__getitem__
-    return [diag[p] * e[p] - sum(map(get, neighbours[p])) for p in points]
-
-
-def _repair(c: Cluster, e: List[int], x: List[int], dirty: List[int]) -> None:
-    """Unload e in place, keeping its excess vector x = e . M, when only the
-    points in `dirty` may have a negative excess.
+def _repair(c: Cluster, e: List[int], dirty: List[int]) -> None:
+    """Unload e in place when only the points in `dirty` may have a
+    negative excess.
 
     Unloading in rounds on the dual tree.  A round visits its points in
-    turn, and raises a violated e[a] by the least amount t that repairs it
-    on its own: x[a] grows by t * M[a][a], and the excess of each dual-tree
-    neighbour of a drops by t; no other excess moves.  The bumped points
-    and their neighbours make up the next round.  The order of the bumps
-    does not matter, since unloading has one least fixed point.  Every
-    entry of x that a round writes is checked against e, and the whole
-    vector at the end.
+    turn, reads the excess of a from e as diag[a] * e[a] minus the sum of
+    e over the dual-tree neighbours of a, and raises a violated e[a] by
+    the least amount t that repairs it on its own.  That bump lowers the
+    excess of each neighbour by t and of no other point, so the bumped
+    points and their neighbours make up the next round.  The order of the
+    bumps does not matter, since unloading has one least fixed point.
     """
     diag, neighbours = c._dual_tree
     for _ in range(_MAX_ROUNDS):
         if not dirty:
-            assert x == _excess(c, e, range(len(c))), (
-                "unloading bumps must add whole strict transforms"
-            )
             return
-        written: List[int] = []  # the bumped points and their neighbours
+        next_round: List[int] = []  # the bumped points and their neighbours
         for a in dirty:
-            xa = x[a]
+            around = neighbours[a]
+            xa = diag[a] * e[a]
+            for b in around:
+                xa -= e[b]
             if xa < 0:
                 da = diag[a]
-                t = (da - 1 - xa) // da
-                e[a] += t
-                x[a] = xa + t * da
-                for b in neighbours[a]:
-                    x[b] -= t
-                written.append(a)
-                written += neighbours[a]
-        dirty = list(dict.fromkeys(written))
-        assert list(map(x.__getitem__, dirty)) == _excess(c, e, dirty), (
-            "unloading bumps must add whole strict transforms"
-        )
+                e[a] += (da - 1 - xa) // da
+                next_round.append(a)
+                next_round += around
+        dirty = list(dict.fromkeys(next_round))
     raise UnloadingError("completion did not stabilize")
 
 
@@ -462,11 +450,11 @@ def jumping_numbers_curve(kl: WeightedCluster, bound: Fraction) -> List[Fraction
     value is the next jump, and no jump lies before it.
 
     At xi = n/m the demand exceeds d only at the points attaining the
-    minimum, and there by exactly 1.  So d and its excess vector d . M are
-    carried from jump to jump: each jump raises d by one at those points,
-    updates the excesses there and at their dual-tree neighbours, and
-    repairs with only the neighbours dirty.  The bound is compared in
-    integers, and each jump builds one `Fraction`.
+    minimum, and there by exactly 1.  So d is carried from jump to jump:
+    each jump raises d by one at those points, which lowers the excesses of
+    their dual-tree neighbours alone, and repairs with only the neighbours
+    dirty.  The walk ends by asserting that d is unloaded.  The bound is
+    compared in integers, and each jump builds one `Fraction`.
     """
     bound = Fraction(bound)
     if bound > 1:
@@ -481,10 +469,9 @@ def jumping_numbers_curve(kl: WeightedCluster, bound: Fraction) -> List[Fraction
     r = len(c)
     e = _strict_from_total(c, kl.weights)
     k = log_discrepancies(c).entries
-    diag, neighbours = c._dual_tree
+    neighbours = c._dual_tree[1]
     jumps: List[Fraction] = []
     d = [0] * r
-    x = [0] * r  # the excess vector d . M
     while True:
         # min over a of (k_a + d_a + 1) / e_a, compared by cross-multiplying,
         # and the points that attain it
@@ -497,6 +484,9 @@ def jumping_numbers_curve(kl: WeightedCluster, bound: Fraction) -> List[Fraction
             elif lhs == rhs:
                 attained.append(a)
         if n * bound.denominator > bound.numerator * m or n >= m:
+            assert is_unloaded(WeightedCluster(c, _total_from_strict(c, d))), (
+                "the jumps left a negative excess"
+            )
             return jumps
         jumps.append(Fraction(n, m))
         # the demand floor(xi * e_a) - k_a is d_a + 1 where the minimum is
@@ -506,8 +496,5 @@ def jumping_numbers_curve(kl: WeightedCluster, bound: Fraction) -> List[Fraction
         dirty: List[int] = []
         for a in attained:
             d[a] += 1
-            x[a] += diag[a]
-            for b in neighbours[a]:
-                x[b] -= 1
             dirty += neighbours[a]
-        _repair(c, d, x, dirty)
+        _repair(c, d, dirty)

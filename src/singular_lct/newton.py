@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count, zip_longest
-from math import gcd
+from math import gcd, lcm
 from typing import List, Sequence, Tuple
 
 from ._record import Record
@@ -238,7 +238,11 @@ def jumping_numbers_monomial(a: MonomialIdeal, bound: Fraction) -> List[Fraction
                 break
             row.append(value)
         if not row or row == previous:
-            return sorted(Fraction(*v) for v in jumps)
+            # in the order of the integers v * common, common the lcm of the
+            # denominators: no Fraction comparisons
+            common = lcm(*(den for _, den in jumps))
+            ordered = sorted(jumps, key=lambda v: v[0] * (common // v[1]))
+            return [Fraction(*v) for v in ordered]
         jumps.update(row)
         previous = row
 

@@ -20,8 +20,15 @@ that revisit only the points whose excess a bump may have lowered, with the
 excess of each visited point summed afresh over the points proximate to it.
 `curve_jumps_by_warm_completions` is the next-jump loop that drove it: each
 jump rebuilds the demand and completes it, warm-started from the last one.
-The library keeps the excess vector on the dual tree instead, and each jump
-repairs only the points it raised.
+
+`complete_strict_by_excess_vector` and `curve_jumps_by_excess_vector` are
+the form after that: rounds on the dual tree that keep the excess vector
+x = e . M, updated at each bump and checked against `excess` for every
+entry a round writes and for the whole vector at the end, with the jump
+loop carrying x from jump to jump and repairing only around the points it
+raised.  The library reads each visited point's excess from e instead, and
+asserts once per completion and once per jump walk that the result is
+unloaded.
 
 `curve_jumps_by_candidate_scan` is the reference for the next-jump
 iteration of `jumping_numbers_curve`: it tests every candidate (k+j)/e,
@@ -90,6 +97,7 @@ from math import ceil, lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from singular_lct.cluster import (
+    _MAX_ROUNDS,
     EMPTY_CLUSTER,
     Cluster,
     ClusterError,
@@ -480,6 +488,122 @@ def complete_strict_by_dirty_points(
         # the targets of a bumped point precede it, so the next sweep sees them
         dirty = sorted({g for a in bumped for g in targets[a]})
     raise UnloadingError("completion did not stabilize")
+
+
+def complete_strict_by_excess_vector(
+    c: Cluster, demand: Sequence[int], warm: Optional[Sequence[int]] = None
+) -> List[int]:
+    """Least non-negative strict vector e >= demand whose branch coordinates
+    are non-negative: the strict coordinates of the complete ideal with the
+    demanded valuations.  `warm` may give a known lower bound for the fixed
+    point (e.g. the result at a smaller scale).
+
+    Builds the excess vector x = e . M on the dual tree and repairs it with
+    every point dirty; see `repair_by_excess_vector`.
+    """
+    e = [max(d, 0) for d in demand]
+    if warm is not None:
+        e = [max(a, b) for a, b in zip(e, warm)]
+    repair_by_excess_vector(c, e, excess(c, e, range(len(c))), list(range(len(c))))
+    return e
+
+
+def excess(c: Cluster, e: Sequence[int], points: Sequence[int]) -> List[int]:
+    """Entries of the excess vector e . M at the given points, summed over
+    each point's dual-tree neighbours."""
+    diag, neighbours = c._dual_tree
+    get = e.__getitem__
+    return [diag[p] * e[p] - sum(map(get, neighbours[p])) for p in points]
+
+
+def repair_by_excess_vector(c: Cluster, e: List[int], x: List[int], dirty: List[int]) -> None:
+    """Unload e in place, keeping its excess vector x = e . M, when only the
+    points in `dirty` may have a negative excess.
+
+    Unloading in rounds on the dual tree.  A round visits its points in
+    turn, and raises a violated e[a] by the least amount t that repairs it
+    on its own: x[a] grows by t * M[a][a], and the excess of each dual-tree
+    neighbour of a drops by t; no other excess moves.  The bumped points
+    and their neighbours make up the next round.  The order of the bumps
+    does not matter, since unloading has one least fixed point.  Every
+    entry of x that a round writes is checked against e, and the whole
+    vector at the end.
+    """
+    diag, neighbours = c._dual_tree
+    for _ in range(_MAX_ROUNDS):
+        if not dirty:
+            assert x == excess(c, e, range(len(c))), (
+                "unloading bumps must add whole strict transforms"
+            )
+            return
+        written: List[int] = []  # the bumped points and their neighbours
+        for a in dirty:
+            xa = x[a]
+            if xa < 0:
+                da = diag[a]
+                t = (da - 1 - xa) // da
+                e[a] += t
+                x[a] = xa + t * da
+                for b in neighbours[a]:
+                    x[b] -= t
+                written.append(a)
+                written += neighbours[a]
+        dirty = list(dict.fromkeys(written))
+        assert list(map(x.__getitem__, dirty)) == excess(c, e, dirty), (
+            "unloading bumps must add whole strict transforms"
+        )
+    raise UnloadingError("completion did not stabilize")
+
+
+def curve_jumps_by_excess_vector(kl, bound):
+    """Curve jumping numbers in (0, bound] by the next-jump iteration that
+    carries d and its excess vector d . M from jump to jump: each jump
+    raises d by one at the points attaining it, updates the excesses there
+    and at their dual-tree neighbours, and repairs with only the neighbours
+    dirty (`repair_by_excess_vector`)."""
+    bound = Fraction(bound)
+    if bound > 1:
+        raise ClusterError("curve jumping numbers are only computed up to 1")
+    if bound <= 0:
+        raise ClusterError("bound must be positive")
+    if not is_unloaded(kl):
+        raise ClusterError("curve cluster must satisfy the proximity relations")
+    if kl.is_empty():  # no points, or the zero divisor
+        return []
+    c = kl.cluster
+    r = len(c)
+    e = _strict_from_total(c, kl.weights)
+    k = log_discrepancies(c).entries
+    diag, neighbours = c._dual_tree
+    jumps: List[Fraction] = []
+    d = [0] * r
+    x = [0] * r  # the excess vector d . M
+    while True:
+        # min over a of (k_a + d_a + 1) / e_a, compared by cross-multiplying,
+        # and the points that attain it
+        n, m = k[0] + d[0] + 1, e[0]
+        attained: List[int] = []
+        for a, (ka, da, ea) in enumerate(zip(k, d, e)):
+            lhs, rhs = (ka + da + 1) * m, n * ea
+            if lhs < rhs:
+                n, m, attained = ka + da + 1, ea, [a]
+            elif lhs == rhs:
+                attained.append(a)
+        if n * bound.denominator > bound.numerator * m or n >= m:
+            return jumps
+        jumps.append(Fraction(n, m))
+        # the demand floor(xi * e_a) - k_a is d_a + 1 where the minimum is
+        # attained and at most d_a elsewhere, so max(demand, d) raises d by
+        # one at those points alone: the multiplier cluster changes at xi by
+        # construction, and only their neighbours' excesses drop
+        dirty: List[int] = []
+        for a in attained:
+            d[a] += 1
+            x[a] += diag[a]
+            for b in neighbours[a]:
+                x[b] -= 1
+            dirty += neighbours[a]
+        repair_by_excess_vector(c, d, x, dirty)
 
 
 def curve_jumps_by_warm_completions(kl, bound):

@@ -301,11 +301,13 @@ def test_completion_matches_sweep_oracle():
             warm = rng.choice([None, [rng.randint(0, 6) for _ in range(len(c))]])
             expected = oracles.complete_strict_by_sweeps(c, demand, warm)
             assert oracles.complete_strict_by_dirty_points(c, demand, warm) == expected
+            assert oracles.complete_strict_by_excess_vector(c, demand, warm) == expected
             assert _complete_strict(c, demand, warm) == expected, (c, demand, warm)
             # a completion at a smaller demand is a warm start
             larger = [d + rng.randint(0, 9) for d in demand]
             at_larger = oracles.complete_strict_by_sweeps(c, larger, expected)
             assert oracles.complete_strict_by_dirty_points(c, larger, expected) == at_larger
+            assert oracles.complete_strict_by_excess_vector(c, larger, expected) == at_larger
             assert _complete_strict(c, larger, warm=expected) == at_larger
 
 
@@ -318,10 +320,28 @@ def test_unload_chains_with_large_weights_match_sweep_oracle():
             demand = _strict_from_total(c, kl.weights)
             e = oracles.complete_strict_by_sweeps(c, demand)
             assert oracles.complete_strict_by_dirty_points(c, demand) == e
+            assert oracles.complete_strict_by_excess_vector(c, demand) == e
             assert _complete_strict(c, demand) == e
             out = unload(kl)
             assert out.weights == tuple(_total_from_strict(c, e))
             assert is_unloaded(out)
+
+
+def test_repair_with_only_the_raised_points_neighbours_dirty():
+    # raising points of an unloaded vector lowers the excesses of their
+    # dual-tree neighbours alone, so those are all `_repair` needs to visit
+    rng = random.Random(67)
+    for _ in range(300):
+        c = random_cluster(rng, max_points=25)
+        demand = [rng.randint(-3, 12) for _ in range(len(c))]
+        e = oracles.complete_strict_by_sweeps(c, demand)
+        raised = rng.sample(range(len(c)), rng.randint(1, len(c)))
+        for a in raised:
+            e[a] += rng.randint(1, 30)
+        expected = oracles.complete_strict_by_sweeps(c, e)
+        neighbours = c._dual_tree[1]
+        cluster_mod._repair(c, e, [b for a in raised for b in neighbours[a]])
+        assert e == expected, (c, demand, raised)
 
 
 def test_unloading_gives_up_at_the_round_cap(monkeypatch, tmp_path, capsys):
@@ -525,6 +545,7 @@ def test_next_jump_matches_candidate_scan():
     for kl, bound in cases:
         expected = oracles.curve_jumps_by_candidate_scan(kl, bound)
         assert jumping_numbers_curve(kl, bound) == expected, (kl, bound)
+        assert oracles.curve_jumps_by_excess_vector(kl, bound) == expected
 
 
 def random_unloaded(rng, max_points):
@@ -546,6 +567,26 @@ def jump_cases():
     return curves + [random_unloaded(rng, 12) for _ in range(60)]
 
 
+def test_multiplier_and_unload_match_excess_vector_oracle():
+    # the kernel reads each excess from the strict vector; the oracle keeps
+    # the excess vector x = e . M and checks every entry of it that it writes
+    resolved = lambda expr: resolve_curve(BivariatePolynomial.parse(expr))[0]
+    cusps = [resolved(f"x^{p} - y^{q}") for p, q in coprime_pairs(20)]
+    assert len(cusps) == 108
+    rng = random.Random(97)
+    for kl in cusps + jump_cases():
+        c = kl.cluster
+        e = _strict_from_total(c, kl.weights)
+        k = log_discrepancies(c).entries
+        for xi in jumping_numbers_curve(kl, F(1)):
+            at = _demand(e, k, xi.numerator, xi.denominator)
+            expected = oracles.complete_strict_by_excess_vector(c, at)
+            assert multiplier_cluster(kl, xi).weights == tuple(_total_from_strict(c, expected))
+        loaded = [rng.randint(-3, 9) for _ in range(len(c))]
+        expected = oracles.complete_strict_by_excess_vector(c, _strict_from_total(c, loaded))
+        assert unload(WeightedCluster(c, loaded)).weights == tuple(_total_from_strict(c, expected))
+
+
 def test_jumping_matches_warm_completions():
     for kl in jump_cases():
         for bound in (F(1), F(1, 2), F(7, 9), lct_cluster(kl)[0], F(1, 1000)):
@@ -553,6 +594,7 @@ def test_jumping_matches_warm_completions():
                 continue
             expected = oracles.curve_jumps_by_warm_completions(kl, bound)
             assert jumping_numbers_curve(kl, bound) == expected, (kl, bound)
+            assert oracles.curve_jumps_by_excess_vector(kl, bound) == expected
 
 
 def test_each_jump_raises_only_the_points_attaining_it():

@@ -266,6 +266,19 @@ def test_jumping_matches_change_filter_oracle_random():
         )
 
 
+def test_jumping_values_that_tie_across_facets():
+    # v loses its place at nu(v + (1, 1)), and the facets (m + 4n)/6 and
+    # (m + n)/3 both give 4/3: at v = (3, 0) as 8/6, at v = (1, 1) as 4/3.
+    # A value reached on two facets of different levels is one jump, sorted
+    # among the others
+    a = ideal((6, 0), (2, 1), (0, 3))
+    assert [(f.p, f.q, f.d) for f in newton_facets(a)] == [(1, 1, 2), (4, 1, 1)]
+    jumps = jumping_numbers_monomial(a, F(3))
+    assert jumps == oracles.jumping_numbers(a.generators, F(3))
+    assert jumps == oracles.jumping_numbers_monomial_by_box_scan(a, F(3))
+    assert jumps.count(F(4, 3)) == 1 and jumps == sorted(set(jumps))
+
+
 # -- the Newton-function kernel against its earlier forms ---------------------------
 
 

@@ -11,7 +11,6 @@ Each handler imports the modules it runs, so a command loads only those:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, List, Optional, Tuple
@@ -130,6 +129,7 @@ def export_dot(d: EnriquesDiagram, path: str) -> None:
 
 
 def _read_json(path: str):
+    import json
     with open(path) as fh:
         try:
             return json.load(fh)
@@ -332,6 +332,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = build_parser().parse_args(argv)
         payload, text = args.handler(args)
         if args.json:
+            import json
             payload = {"schema": serialize.SCHEMA, **payload}
             text = json.dumps(payload, indent=2, sort_keys=True)
         print(text)
@@ -351,7 +352,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             raise
         print(f"THEOREM VIOLATION\n{exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # a JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,6 +14,10 @@ and are not bounded.  A shift y -> y + c packs each row into one integer
 big-integer code.  Everything here is immutable by convention and all
 arithmetic is exact.
 
+A product adds each nonzero term pair straight into its output row (`_mul`
+at level 1).  The parser builds x, y and constants as rows, bypassing the
+constructor, and its digits are the `str.isdecimal` ones, which `int` reads.
+
 The text grammar accepts integer or rational coefficients, the variables
 x and y, the operators + - * ^, parentheses, and implicit multiplication
 ("x^5y" means x^5 * y).  Powers are bounded before they are expanded: an
@@ -32,6 +36,7 @@ interpreter's recursion limit; a deeper '(' is a ParseError at its position.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import chain
 from math import gcd, isqrt, lcm
@@ -42,6 +47,7 @@ Term = Tuple[int, int]
 MAX_EXPONENT = 1000
 MAX_POWER_DEGREE = 40
 MAX_NESTING = 100
+_space = re.compile(r"\s*").match  # \s matches exactly the str.isspace characters
 
 
 class PolynomialError(ValueError):
@@ -189,7 +195,9 @@ class BivariatePolynomial:
         return _poly(_imul(self._rows, -1, 1), self._den)
 
     def __sub__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
-        return self + (-other)
+        den = lcm(self._den, other._den)
+        b = _imul(other._rows, -(den // other._den), 1)  # -other over den
+        return _poly(_add(_imul(self._rows, den // self._den, 1), b, 1), den)
 
     def __mul__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
         return _poly(_mul(self._rows, other._rows, 1), self._den * other._den)
@@ -201,15 +209,14 @@ class BivariatePolynomial:
     def __pow__(self, k: int) -> "BivariatePolynomial":
         if k < 0:
             raise PolynomialError("negative power")
-        result = BivariatePolynomial.monomial(0, 0)
-        base = self
+        result, base = None, self
         while k:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             k >>= 1
             if k:
                 base = base * base
-        return result
+        return _wrap([[1]], 1) if result is None else result
 
     # -- substitutions used by blowups ------------------------------------
 
@@ -356,8 +363,7 @@ class _Parser:
         return result
 
     def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        self.pos = _space(self.text, self.pos).end()
 
     def _peek(self) -> str:
         self._skip_ws()
@@ -392,7 +398,7 @@ class _Parser:
             ch = self._peek()
             if ch == "*":
                 self.pos += 1
-            elif not ch or not (ch.isdigit() or ch in "xy("):
+            elif not ch or not (ch.isdecimal() or ch in "xy("):
                 return result
             # an explicit '*', or implicit multiplication as in "x^5y" or "2(x+y)"
             self._skip_ws()
@@ -447,26 +453,25 @@ class _Parser:
             return inner
         if ch == "x":
             self.pos += 1
-            return BivariatePolynomial.monomial(1, 0)
+            return _wrap([[], [1]], 1)
         if ch == "y":
             self.pos += 1
-            return BivariatePolynomial.monomial(0, 1)
-        if ch.isdigit():
-            num = self._integer("number expected")
+            return _wrap([[0, 1]], 1)
+        if ch.isdecimal():
+            num, den = self._integer("number expected"), 1
             # a '/' directly after a number makes a rational coefficient
             if self._peek() == "/":
                 self.pos += 1
                 den = self._integer("denominator expected")
                 if den == 0:
                     raise ParseError("zero denominator", self.text, self.pos - 1)
-                return BivariatePolynomial.monomial(0, 0, Fraction(num, den))
-            return BivariatePolynomial.monomial(0, 0, num)
+            return _poly([[num]] if num else [], den)
         raise ParseError("expected a term", self.text, self.pos)
 
     def _integer(self, message: str) -> int:
         self._skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if start == self.pos:
             raise ParseError(message, self.text, self.pos)
@@ -551,20 +556,29 @@ def _sub(f, g, u: int):
 
 
 def _mul(f, g, u: int):
+    """The product at level u <= 1; at level 1, term pair by term pair."""
     if u < 0:
         return f * g
     if not f or not g:
         return []
-    out = [0 if u == 0 else []] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if not a:
-            continue
-        for j, b in enumerate(g):
-            if u == 0:
-                out[i + j] += a * b
-            elif b:
-                out[i + j] = _add(out[i + j], _mul(a, b, u - 1), u - 1)
-    return _trim(out)
+    if u == 0:
+        out = [0] * (len(f) + len(g) - 1)
+        for i, a in enumerate(f):
+            if a:
+                for j, b in enumerate(g):
+                    out[i + j] += a * b
+        return _trim(out)
+    terms = [(j, n, b) for j, row in enumerate(g) for n, b in enumerate(row) if b]
+    out: list = [[] for _ in range(len(f) + len(g) - 1)]
+    for i, row in enumerate(f):
+        for m, a in enumerate(row):
+            if a:
+                for j, n, b in terms:
+                    new, k = out[i + j], m + n
+                    if k >= len(new):
+                        new += [0] * (k + 1 - len(new))
+                    new[k] += a * b
+    return _trim([_trim(row) for row in out])
 
 
 def _quo(f, g, u: int):

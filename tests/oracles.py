@@ -86,6 +86,13 @@ integer.
 `minimal_antichain_by_scan` and `staircase_slices_by_min` are the earlier
 bodies of `newton._minimal_antichain` and `Staircase.slices`, which compare
 each point with every kept one and take a minimum per row.
+
+`mul_by_row_pairs` is the earlier level-1 branch of `poly._mul`: one level-0
+product and one `_add` per pair of rows.  `parse_by_char_scan` is the
+earlier parser: it scans whitespace and digits one character at a time with
+`str.isspace` and `str.isdigit`, builds its leaves with `monomial`, seeds
+each power with the unit, takes a difference as self + (-other) and
+multiplies by `mul_by_row_pairs`.
 """
 
 from __future__ import annotations
@@ -138,9 +145,15 @@ from singular_lct.newton import (
     triangle,
 )
 from singular_lct.poly import (
+    MAX_EXPONENT,
+    MAX_NESTING,
+    MAX_POWER_DEGREE,
     BivariatePolynomial,
+    ParseError,
     PolynomialError,
     Term,
+    _add,
+    _extent,
     _icontent,
     _iquo,
     _poly,
@@ -149,6 +162,7 @@ from singular_lct.poly import (
     _ratio,
     _squarefree_parts,
     _sturm_rational_roots,
+    _term_count,
     _trim,
 )
 from singular_lct.resolution import (
@@ -1519,3 +1533,182 @@ def staircase_slices_by_min(self: Staircase) -> Tuple[int, ...]:
     for j in range(height):
         widths.append(min(m for m, n in self.generators if n <= j))
     return tuple(widths)
+
+
+def mul_by_row_pairs(f, g, u: int):
+    """The dense product at level u: one level u - 1 product and one `_add`
+    per pair of nonzero rows."""
+    if u < 0:
+        return f * g
+    if not f or not g:
+        return []
+    out = [0 if u == 0 else []] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if not a:
+            continue
+        for j, b in enumerate(g):
+            if u == 0:
+                out[i + j] += a * b
+            elif b:
+                out[i + j] = _add(out[i + j], mul_by_row_pairs(a, b, u - 1), u - 1)
+    return _trim(out)
+
+
+def _times(f: BivariatePolynomial, g: BivariatePolynomial) -> BivariatePolynomial:
+    return _poly(mul_by_row_pairs(f._rows, g._rows, 1), f._den * g._den)
+
+
+def _power_from_unit(f: BivariatePolynomial, k: int) -> BivariatePolynomial:
+    if k < 0:
+        raise PolynomialError("negative power")
+    result = BivariatePolynomial.monomial(0, 0)
+    base = f
+    while k:
+        if k & 1:
+            result = _times(result, base)
+        k >>= 1
+        if k:
+            base = _times(base, base)
+    return result
+
+
+def parse_by_char_scan(text: str) -> BivariatePolynomial:
+    """`parse_polynomial` by the earlier recursive descent: whitespace and
+    digits scanned one character at a time, leaves built by `monomial`,
+    powers from the unit, differences as self + (-other), products by
+    `mul_by_row_pairs`."""
+    return _CharScanParser(text).parse()
+
+
+class _CharScanParser:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+        self.depth = 0  # open parentheses around the current position
+
+    def parse(self) -> BivariatePolynomial:
+        result = self._expr()
+        self._skip_ws()
+        if self.pos != len(self.text):
+            raise ParseError("unexpected character", self.text, self.pos)
+        return result
+
+    def _skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def _peek(self) -> str:
+        self._skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def _expr(self) -> BivariatePolynomial:
+        sign = 1
+        ch = self._peek()
+        if ch in ("+", "-"):
+            if ch == "-":
+                sign = -1
+            self.pos += 1
+        result = self._term()
+        if sign < 0:
+            result = -result
+        while True:
+            ch = self._peek()
+            if ch == "+":
+                self.pos += 1
+                result = result + self._term()
+            elif ch == "-":
+                self.pos += 1
+                result = result + (-self._term())
+            else:
+                return result
+
+    def _term(self) -> BivariatePolynomial:
+        # the term count of the largest power of a sum that _factor accepts
+        limit = (MAX_POWER_DEGREE + 1) * (MAX_POWER_DEGREE + 2) // 2
+        result = self._factor()
+        while True:
+            ch = self._peek()
+            if ch == "*":
+                self.pos += 1
+            elif not ch or not (ch.isdigit() or ch in "xy("):
+                return result
+            # an explicit '*', or implicit multiplication as in "x^5y" or "2(x+y)"
+            self._skip_ws()
+            at = self.pos
+            factor = self._factor()
+            terms = _term_count(result) * _term_count(factor)
+            if terms > limit:
+                raise ParseError(
+                    f"product of {terms} term pairs exceeds {limit}", self.text, at
+                )
+            self._bound_exponents(map(sum, zip(_extent(result), _extent(factor))), at)
+            result = _times(result, factor)
+
+    def _factor(self) -> BivariatePolynomial:
+        base = self._base()
+        if self._peek() == "^":
+            self.pos += 1
+            self._skip_ws()
+            at = self.pos
+            exp = self._integer("exponent expected")
+            if exp > MAX_EXPONENT:
+                raise ParseError(f"exponent exceeds {MAX_EXPONENT}", self.text, at)
+            if _term_count(base) > 1 and base.degree() * exp > MAX_POWER_DEGREE:
+                raise ParseError(
+                    f"power of degree {base.degree() * exp} exceeds {MAX_POWER_DEGREE}",
+                    self.text,
+                    at,
+                )
+            self._bound_exponents((d * exp for d in _extent(base)), at)
+            return _power_from_unit(base, exp)
+        return base
+
+    def _bound_exponents(self, exponents: Iterable[int], at: int):
+        """A ParseError at `at` when the top exponent of x or of y exceeds
+        MAX_EXPONENT: the dense layout costs memory linear in each."""
+        for var, e in zip("xy", exponents):
+            if e > MAX_EXPONENT:
+                raise ParseError(f"exponent {e} of {var} exceeds {MAX_EXPONENT}", self.text, at)
+
+    def _base(self) -> BivariatePolynomial:
+        ch = self._peek()
+        if ch == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"nesting exceeds {MAX_NESTING}", self.text, self.pos)
+            self.pos += 1
+            self.depth += 1
+            inner = self._expr()
+            if self._peek() != ")":
+                raise ParseError("missing ')'", self.text, self.pos)
+            self.pos += 1
+            self.depth -= 1
+            return inner
+        if ch == "x":
+            self.pos += 1
+            return BivariatePolynomial.monomial(1, 0)
+        if ch == "y":
+            self.pos += 1
+            return BivariatePolynomial.monomial(0, 1)
+        if ch.isdigit():
+            num = self._integer("number expected")
+            # a '/' directly after a number makes a rational coefficient
+            if self._peek() == "/":
+                self.pos += 1
+                den = self._integer("denominator expected")
+                if den == 0:
+                    raise ParseError("zero denominator", self.text, self.pos - 1)
+                return BivariatePolynomial.monomial(0, 0, Fraction(num, den))
+            return BivariatePolynomial.monomial(0, 0, num)
+        raise ParseError("expected a term", self.text, self.pos)
+
+    def _integer(self, message: str) -> int:
+        self._skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        if start == self.pos:
+            raise ParseError(message, self.text, self.pos)
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # past the interpreter's limit on digits
+            raise ParseError("number too long", self.text, start) from None

@@ -353,8 +353,15 @@ def test_cli_bounds_parenthesis_nesting(capsys):
     assert (code, out) == (0, "5/6\n")
 
 
+def test_cli_superscript_digit_is_an_unexpected_character(capsys):
+    code, out, err = run_cli(capsys, "lct", "--curve", "y^2 - x³")
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: unexpected character at position 7:")
+
+
 def test_cli_runs_without_sympy():
-    # a cold CLI call loads no sympy: the library runs on the stdlib alone
+    # a cold CLI call loads no sympy: the library runs on the stdlib alone;
+    # and a command that prints text loads no json
     import os
     import subprocess
     import sys
@@ -367,6 +374,7 @@ def test_cli_runs_without_sympy():
         "code = cli.main(['lct', '--curve', 'x^2 - y^3'])\n"
         "assert code == 0, code\n"
         "assert 'sympy' not in sys.modules, 'sympy was imported'\n"
+        "assert 'json' not in sys.modules, 'json was imported'\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120

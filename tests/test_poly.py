@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -372,3 +372,141 @@ def test_row_reads_match_the_term_stream_oracles():
             assert rows_of(_blowup_x_chart(f, k)) == rows_of(oracles.blowup_x_chart_by_terms(f, k))
         for k in range(f.degree() + 2):
             assert rows_of(_leading_form(f, k)) == rows_of(oracles.leading_form_by_terms(f, k))
+
+
+def test_flat_product_matches_the_row_pair_oracle():
+    import random
+
+    from singular_lct.poly import _mul, _trim
+
+    rng = random.Random(7)
+
+    def trimmed_rows(size):
+        # up to x^7 y^9, with empty rows between and gaps inside the rows
+        rows = []
+        for _ in range(rng.randint(0, 8)):
+            row = [0] * rng.randint(0, 10)
+            for n in rng.sample(range(len(row)), min(len(row), rng.randint(0, 4))):
+                row[n] = rng.randint(-size, size)
+            rows.append(_trim(row))
+        return _trim(rows)
+
+    for trial in range(600):
+        # small coefficients cancel inside the product, large ones carry
+        size = 2 if trial % 2 else 2**600
+        f, g = trimmed_rows(size), trimmed_rows(size)
+        assert _mul(f, g, 1) == oracles.mul_by_row_pairs(f, g, 1), (f, g)
+        for a, b in zip(f, g):  # the level-0 products of the gcd code
+            assert _mul(a, b, 0) == oracles.mul_by_row_pairs(a, b, 0), (a, b)
+
+
+# whitespace that str.isspace accepts, ASCII and not
+SPACES = ("", "", " ", "  ", "\t", "\n", "\xa0", "\u2003", "\x1c")
+
+
+@st.composite
+def near_grammatical(draw):
+    """A string of the polynomial grammar in ASCII digits, with its
+    whitespace, at and past its limits, and sometimes broken by one edit."""
+    from singular_lct.poly import MAX_EXPONENT, MAX_NESTING, MAX_POWER_DEGREE
+
+    def rare():
+        return draw(st.integers(0, 7)) == 0
+
+    def ws():
+        return draw(st.sampled_from(SPACES))
+
+    def number():
+        if rare():
+            return draw(st.sampled_from(["007", "1" * 40, "9" * 4301]))
+        return str(draw(st.integers(0, 12)))
+
+    def base(depth):
+        budget[0] -= 1
+        kind = draw(st.integers(0, 4 if depth < 3 and budget[0] > 0 else 3))
+        if kind < 2:
+            return "xy"[kind]
+        if kind == 2:
+            return number() + (ws() + "/" + ws() + number() if draw(st.booleans()) else "")
+        if kind == 3 and rare():
+            nest = draw(st.sampled_from([MAX_NESTING - depth, MAX_NESTING + 1 - depth]))
+            return "(" * nest + draw(st.sampled_from(["x", "y - 1", "2x + y"])) + ")" * nest
+        return "(" + ws() + expr(depth + 1) + ws() + ")"
+
+    def factor(depth):
+        text = base(depth)
+        if draw(st.booleans()):
+            # large exponents on x and y alone: a tower of constants grows
+            # without a bound, and the limit powers of sums come below
+            big = text in ("x", "y") and rare()
+            exponent = draw(st.sampled_from(exponents) if big else st.integers(0, 5))
+            text += ws() + "^" + ws() + str(exponent)
+        return text
+
+    def term(depth):
+        text = factor(depth)
+        while budget[0] > 0 and draw(st.booleans()):
+            text += ws() + draw(st.sampled_from(["*", "", " "])) + ws() + factor(depth)
+        return text
+
+    def expr(depth):
+        text = draw(st.sampled_from(["", "-", "+"])) + ws() + term(depth)
+        while budget[0] > 0 and draw(st.booleans()):
+            text += ws() + draw(st.sampled_from("+-")) + ws() + term(depth)
+        return text
+
+    budget = [draw(st.integers(1, 12))]  # the factors left to draw
+    exponents = [MAX_POWER_DEGREE, MAX_EXPONENT - 1, MAX_EXPONENT, MAX_EXPONENT + 1]
+    text = expr(0)
+    if rare():  # the largest powers and products the bounds let through, and past them
+        limits = [
+            f"(x+y+1)^{MAX_POWER_DEGREE}",
+            f"(x - y)^{MAX_POWER_DEGREE + 1}",
+            "(x + y + 1)^20",
+            "(x^500 + y^500)",
+            f"x^{MAX_EXPONENT}",
+        ]
+        text += draw(st.sampled_from(["*", " ", "+", "-"])) + draw(st.sampled_from(limits))
+    if draw(st.integers(0, 3)) == 0:  # one edit breaks it, or not
+        at = draw(st.integers(0, len(text)))
+        if draw(st.booleans()):
+            text = text[:at] + draw(st.sampled_from("()^*/+-xyz0 \xa0")) + text[at:]
+        else:
+            text = text[:at] + text[at + 1 :]
+    return text
+
+
+def parse_outcome(parse, text):
+    try:
+        f = parse(text)
+    except ParseError as err:
+        return str(err), err.pos
+    return rows_of(f), hash(f)
+
+
+@seed(5119)
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(near_grammatical())
+def test_parser_matches_the_char_scan_oracle(text):
+    assert parse_outcome(P, text) == parse_outcome(oracles.parse_by_char_scan, text)
+
+
+@pytest.mark.parametrize(
+    "text, message, pos",
+    [
+        ("y^2 - x³", "unexpected character", 7),
+        ("x^²", "exponent expected", 2),
+        ("x²", "unexpected character", 1),
+        ("2¹/3", "unexpected character", 1),
+        ("²", "expected a term", 0),
+    ],
+)
+def test_superscript_digits_are_not_digits(text, message, pos):
+    # '³'.isdigit() holds but int('³') fails: the parser reads str.isdecimal digits
+    with pytest.raises(ParseError, match=f"^{message} at position {pos}:") as err:
+        P(text)
+    assert err.value.pos == pos
+
+
+def test_decimal_digits_of_other_scripts_still_parse():
+    assert P("x^٣ - ٢/٣ y") == P("x^3 - 2/3 y")

@@ -214,8 +214,12 @@ def _jumping(args):
         from .cluster import jumping_numbers_curve
         jumps = jumping_numbers_curve(_curve_cluster(args), args.bound)
     else:
-        from .newton import jumping_numbers_monomial
-        jumps = jumping_numbers_monomial(_ideal(args), args.bound)
+        from .newton import JumpingBoundError, jumping_numbers_monomial
+        a = _ideal(args)  # its errors keep their exit code
+        try:
+            jumps = jumping_numbers_monomial(a, args.bound)
+        except JumpingBoundError as exc:
+            raise _UsageError(f"argument --bound: {exc}") from None
     values = [_fts(x) for x in jumps]
     return {"jumping_numbers": values}, ", ".join(values)
 

@@ -26,6 +26,8 @@ from .poly import BivariatePolynomial
 
 Point = Tuple[int, int]
 
+MAX_LATTICE_POINTS = 4 * 10**6  # that jumping_numbers_monomial may read
+
 
 class MonomialIdealError(ValueError):
     pass
@@ -33,6 +35,11 @@ class MonomialIdealError(ValueError):
 
 class UnitIdealError(MonomialIdealError):
     """The unit ideal was passed where a proper ideal is required."""
+
+
+class JumpingBoundError(MonomialIdealError):
+    """The bound asks jumping_numbers_monomial to read more lattice points
+    than MAX_LATTICE_POINTS."""
 
 
 class InfiniteStaircaseError(MonomialIdealError):
@@ -222,12 +229,22 @@ def jumping_numbers_monomial(a: MonomialIdeal, bound: Fraction) -> List[Fraction
     until its value stops changing.  Values only grow with n, so the scan
     ends at an empty row or at a row equal to the one before it, whose
     values the vertical face holds from then on.
+
+    The scan reads at most (floor(bound M) + 2) (floor(bound N) + 3) points,
+    (M, N) the top exponents of the generators, so a larger count than
+    MAX_LATTICE_POINTS raises JumpingBoundError before it starts.
     """
     bound = Fraction(bound)
     if bound <= 0:
         raise MonomialIdealError("bound must be positive")
     if a.is_unit():
         raise UnitIdealError("the unit ideal has no jumping numbers")
+    m_top, n_top = a.max_exponents()
+    work = (int(bound * m_top) + 2) * (int(bound * n_top) + 3)
+    if work > MAX_LATTICE_POINTS:
+        raise JumpingBoundError(
+            f"bound {bound} may read {work} lattice points, more than {MAX_LATTICE_POINTS}"
+        )
     rows, jumps, previous = _rows(a), set(), None
     for n in count(1):
         end = row_start(rows, n, bound, True)

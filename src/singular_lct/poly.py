@@ -32,6 +32,15 @@ or of y above MAX_EXPONENT either: such a power is a ParseError at its
 exponent, such a product at its factor.  Parentheses nest at most
 MAX_NESTING deep, so the recursive descent stays far inside the
 interpreter's recursion limit; a deeper '(' is a ParseError at its position.
+
+No constant a parse builds has more than MAX_DIGITS digits, the most a
+literal may have: each parsed polynomial comes with a bound on its
+numerators, which a sum, a product and a power carry forward before they
+are built.  A power whose bound reaches 10^MAX_DIGITS, read again off the
+base's own numerators, is a ParseError at its exponent, so a tower of
+constant powers is never raised.  A sum or product of polynomials below the
+bound is cheap, so one whose bound reaches it is built and fails only if
+its own coefficients do, at its operator or factor.
 """
 
 from __future__ import annotations
@@ -47,7 +56,11 @@ Term = Tuple[int, int]
 MAX_EXPONENT = 1000
 MAX_POWER_DEGREE = 40
 MAX_NESTING = 100
+MAX_DIGITS = 4300  # of a literal, as the interpreter's default int limit
+_MAX_SIZE = 10**MAX_DIGITS  # every numerator and denominator a parse builds is below it
+_MAX_BITS = _MAX_SIZE.bit_length()  # 2^(_MAX_BITS - 1) <= _MAX_SIZE
 _space = re.compile(r"\s*").match  # \s matches exactly the str.isspace characters
+_digits = re.compile(r"\d*").match  # \d matches exactly the str.isdecimal characters
 
 
 class PolynomialError(ValueError):
@@ -168,9 +181,13 @@ class BivariatePolynomial:
         """Order of vanishing at the origin (min total degree of a term)."""
         if not self._rows:
             raise PolynomialError("multiplicity of the zero polynomial")
-        return min(
-            m + next(n for n, c in enumerate(row) if c) for m, row in enumerate(self._rows) if row
-        )
+        least = len(self._rows) + max(map(len, self._rows))
+        for m, row in enumerate(self._rows):
+            if m >= least:  # every term further down has degree >= m
+                break
+            if row:
+                least = min(least, m + next(n for n, c in enumerate(row) if c))
+        return least
 
     def degree(self) -> int:
         return max((m + len(row) - 1 for m, row in enumerate(self._rows) if row), default=-1)
@@ -356,7 +373,7 @@ class _Parser:
         self.depth = 0  # open parentheses around the current position
 
     def parse(self) -> BivariatePolynomial:
-        result = self._expr()
+        result, _ = self._expr()
         self._skip_ws()
         if self.pos != len(self.text):
             raise ParseError("unexpected character", self.text, self.pos)
@@ -366,54 +383,67 @@ class _Parser:
         self.pos = _space(self.text, self.pos).end()
 
     def _peek(self) -> str:
-        self._skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        self.pos = pos = _space(self.text, self.pos).end()
+        return self.text[pos] if pos < len(self.text) else ""
 
-    def _expr(self) -> BivariatePolynomial:
+    # _expr, _term, _factor and _base return a polynomial with a bound on
+    # the absolute values of its numerators
+
+    def _expr(self) -> Tuple[BivariatePolynomial, int]:
         sign = 1
         ch = self._peek()
         if ch in ("+", "-"):
             if ch == "-":
                 sign = -1
             self.pos += 1
-        result = self._term()
+        result, top = self._term()
         if sign < 0:
             result = -result
         while True:
             ch = self._peek()
-            if ch == "+":
-                self.pos += 1
-                result = result + self._term()
-            elif ch == "-":
-                self.pos += 1
-                result = result - self._term()
-            else:
-                return result
+            if ch not in ("+", "-"):
+                return result, top
+            at = self.pos
+            self.pos += 1
+            term, term_top = self._term()
+            # over the lcm of the denominators, the numerators add
+            den = lcm(result._den, term._den)
+            top = top * (den // result._den) + term_top * (den // term._den)
+            result = result + term if ch == "+" else result - term
+            if max(top, den) >= _MAX_SIZE:
+                top = self._exact("sum", result, at)
 
-    def _term(self) -> BivariatePolynomial:
+    def _term(self) -> Tuple[BivariatePolynomial, int]:
         # the term count of the largest power of a sum that _factor accepts
         limit = (MAX_POWER_DEGREE + 1) * (MAX_POWER_DEGREE + 2) // 2
-        result = self._factor()
+        result, top = self._factor()
         while True:
             ch = self._peek()
             if ch == "*":
                 self.pos += 1
             elif not ch or not (ch.isdecimal() or ch in "xy("):
-                return result
+                return result, top
             # an explicit '*', or implicit multiplication as in "x^5y" or "2(x+y)"
             self._skip_ws()
             at = self.pos
-            factor = self._factor()
-            terms = _term_count(result) * _term_count(factor)
+            factor, factor_top = self._factor()
+            f_terms, g_terms = _term_count(result), _term_count(factor)
+            terms = f_terms * g_terms
             if terms > limit:
                 raise ParseError(
                     f"product of {terms} term pairs exceeds {limit}", self.text, at
                 )
             self._bound_exponents(map(sum, zip(_extent(result), _extent(factor))), at)
+            # a coefficient of the product sums at most min(f_terms, g_terms)
+            # products of two numerators
+            top = min(f_terms, g_terms) * top * factor_top
+            den = result._den * factor._den
             result = result * factor
+            if max(top, den) >= _MAX_SIZE:
+                top = self._exact("product", result, at)
 
-    def _factor(self) -> BivariatePolynomial:
-        base = self._base()
+    def _factor(self) -> Tuple[BivariatePolynomial, int]:
+        base, top = self._base()
         if self._peek() == "^":
             self.pos += 1
             self._skip_ws()
@@ -421,15 +451,37 @@ class _Parser:
             exp = self._integer("exponent expected")
             if exp > MAX_EXPONENT:
                 raise ParseError(f"exponent exceeds {MAX_EXPONENT}", self.text, at)
-            if _term_count(base) > 1 and base.degree() * exp > MAX_POWER_DEGREE:
+            terms = _term_count(base)
+            if terms > 1 and base.degree() * exp > MAX_POWER_DEGREE:
                 raise ParseError(
                     f"power of degree {base.degree() * exp} exceeds {MAX_POWER_DEGREE}",
                     self.text,
                     at,
                 )
             self._bound_exponents((d * exp for d in _extent(base)), at)
-            return base**exp
-        return base
+            # size^exp bounds the numerators and the denominator of the
+            # power, exactly for one term once top is read off the base
+            if _reaches(max(terms * top, base._den), exp):
+                top = _top(base)
+                if _reaches(max(terms * top, base._den), exp):
+                    raise ParseError(
+                        f"power may have a coefficient of more than {MAX_DIGITS} digits",
+                        self.text,
+                        at,
+                    )
+            return base**exp, (terms * top) ** exp
+        return base, top
+
+    def _exact(self, what: str, f: BivariatePolynomial, at: int) -> int:
+        """The largest |numerator| of the sum or product f, built when its
+        bound reached 10^MAX_DIGITS: the sum or product of polynomials below
+        the bound is cheap.  A ParseError at `at` when f reaches it."""
+        top = _top(f)
+        if max(top, f._den) >= _MAX_SIZE:
+            raise ParseError(
+                f"{what} has a coefficient of more than {MAX_DIGITS} digits", self.text, at
+            )
+        return top
 
     def _bound_exponents(self, exponents: Iterable[int], at: int):
         """A ParseError at `at` when the top exponent of x or of y exceeds
@@ -438,7 +490,7 @@ class _Parser:
             if e > MAX_EXPONENT:
                 raise ParseError(f"exponent {e} of {var} exceeds {MAX_EXPONENT}", self.text, at)
 
-    def _base(self) -> BivariatePolynomial:
+    def _base(self) -> Tuple[BivariatePolynomial, int]:
         ch = self._peek()
         if ch == "(":
             if self.depth == MAX_NESTING:
@@ -453,10 +505,10 @@ class _Parser:
             return inner
         if ch == "x":
             self.pos += 1
-            return _wrap([[], [1]], 1)
+            return _wrap([[], [1]], 1), 1
         if ch == "y":
             self.pos += 1
-            return _wrap([[0, 1]], 1)
+            return _wrap([[0, 1]], 1), 1
         if ch.isdecimal():
             num, den = self._integer("number expected"), 1
             # a '/' directly after a number makes a rational coefficient
@@ -465,16 +517,17 @@ class _Parser:
                 den = self._integer("denominator expected")
                 if den == 0:
                     raise ParseError("zero denominator", self.text, self.pos - 1)
-            return _poly([[num]] if num else [], den)
+            return _poly([[num]] if num else [], den), num
         raise ParseError("expected a term", self.text, self.pos)
 
     def _integer(self, message: str) -> int:
         self._skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
-            self.pos += 1
+        self.pos = _digits(self.text, start).end()
         if start == self.pos:
             raise ParseError(message, self.text, self.pos)
+        if self.pos - start > MAX_DIGITS:
+            raise ParseError("number too long", self.text, start)
         try:
             return int(self.text[start : self.pos])
         except ValueError:  # past the interpreter's limit on digits
@@ -487,6 +540,16 @@ def parse_polynomial(text: str) -> BivariatePolynomial:
 
 def _term_count(f: BivariatePolynomial) -> int:
     return sum(len(row) - row.count(0) for row in f._rows)
+
+
+def _top(f: BivariatePolynomial) -> int:
+    """The largest |numerator| of f."""
+    return max(map(abs, chain.from_iterable(f._rows)), default=0)
+
+
+def _reaches(size: int, exp: int) -> bool:
+    """size^exp >= 10^MAX_DIGITS, with a tower told by bit lengths alone."""
+    return exp * (size.bit_length() - 1) >= _MAX_BITS or size**exp >= _MAX_SIZE
 
 
 def _extent(f: BivariatePolynomial) -> Tuple[int, int]:

@@ -10,6 +10,15 @@ exceptional locus transversally at a smooth point of it; a point lying on
 two exceptional components, or tangent to one, gets one more blowup, which
 yields the minimal log resolution.
 
+So the directions to follow are read off the tangent cone F before any
+chart is built.  Row 0 of the x-chart is F(1, y) and column 0 of the
+y-chart is F(x, 1), so the strict transform meets the new component E in
+direction t with intersection multiplicity k, the multiplicity of t as a
+root of F.  For k >= 2 it is singular or tangent to E there; for k = 1 it
+is smooth and transverse to E, and the point needs a blowup only as a
+corner, t = 0 on {y = 0} or t = infinity on {x = 0}.  Only the followed
+directions get a chart, each of which asserts that it needs the blowup.
+
 Branches whose tangent direction is irrational are only tolerated while
 they need no further blowup (a simple, hence smooth and transverse, factor
 of the tangent cone); a singular continuation at an irrational point raises
@@ -238,9 +247,13 @@ def _resolve_at(f: BivariatePolynomial, precision: int, max_points: int, uncheck
         exc_mult.append(e_here)
 
         roots, inf_mult = _tangent_roots(_leading_form(g, m))
-        directions = [t for t, _ in roots] + ([None] if inf_mult else [])
-        children = []
-        for t, (h, ha, hb) in zip(directions, _charts(g, m, a, b, directions)):
+        # a simple root of the cone is a smooth point transverse to the new
+        # component, followed only at a corner (module docstring)
+        directions = [t for t, k in roots if k >= 2 or (t == 0 and "y" in axes)]
+        if inf_mult >= 2 or (inf_mult == 1 and "x" in axes):
+            directions.append(None)
+        # pushed last to first, so that the first direction is popped first
+        for t, (h, ha, hb) in reversed(list(zip(directions, _charts(g, m, a, b, directions)))):
             if t is None:
                 child_axes = {"y": (idx, e_here)}
                 if "x" in axes:
@@ -249,13 +262,11 @@ def _resolve_at(f: BivariatePolynomial, precision: int, max_points: int, uncheck
                 child_axes = {"x": (idx, e_here)}
                 if t == 0 and "y" in axes:
                     child_axes["y"] = axes["y"]
-            children.append((h, ha, hb, child_axes))
-        for h, ha, hb, child_axes in reversed(children):
             # row 0 and, on {y = 0}, column 0 lie outside the ideal, so the
             # linear terms and the orders along the axes are known
             assert ha >= 1 and (hb >= 1 or "y" not in child_axes)
-            if _needs_blowup(h, child_axes):
-                todo.append((h, ha, hb, child_axes, idx, measure))
+            assert _needs_blowup(h, child_axes), "followed a resolved direction"
+            todo.append((h, ha, hb, child_axes, idx, measure))
     return parents, targets, weights, exc_mult
 
 

@@ -92,7 +92,10 @@ product and one `_add` per pair of rows.  `parse_by_char_scan` is the
 earlier parser: it scans whitespace and digits one character at a time with
 `str.isspace` and `str.isdigit`, builds its leaves with `monomial`, seeds
 each power with the unit, takes a difference as self + (-other) and
-multiplies by `mul_by_row_pairs`.
+multiplies by `mul_by_row_pairs`.  It bounds the coefficients a sum, a
+product or a power builds by the parser's rules, with the denominators and
+term counts read from the `Fraction` terms and the power's bound raised
+without the parser's bit-length shortcut.
 """
 
 from __future__ import annotations
@@ -145,6 +148,7 @@ from singular_lct.newton import (
     triangle,
 )
 from singular_lct.poly import (
+    MAX_DIGITS,
     MAX_EXPONENT,
     MAX_NESTING,
     MAX_POWER_DEGREE,
@@ -162,7 +166,6 @@ from singular_lct.poly import (
     _ratio,
     _squarefree_parts,
     _sturm_rational_roots,
-    _term_count,
     _trim,
 )
 from singular_lct.resolution import (
@@ -1572,6 +1575,17 @@ def _power_from_unit(f: BivariatePolynomial, k: int) -> BivariatePolynomial:
     return result
 
 
+def _den(f: BivariatePolynomial) -> int:
+    """The least common denominator of f's coefficients."""
+    return lcm(*(c.denominator for c in f.terms.values()))
+
+
+def _top(f: BivariatePolynomial) -> int:
+    """The largest |numerator| of f's coefficients over `_den(f)`."""
+    den = _den(f)
+    return max((abs(c.numerator) * (den // c.denominator) for c in f.terms.values()), default=0)
+
+
 def parse_by_char_scan(text: str) -> BivariatePolynomial:
     """`parse_polynomial` by the earlier recursive descent: whitespace and
     digits scanned one character at a time, leaves built by `monomial`,
@@ -1587,7 +1601,7 @@ class _CharScanParser:
         self.depth = 0  # open parentheses around the current position
 
     def parse(self) -> BivariatePolynomial:
-        result = self._expr()
+        result, _ = self._expr()
         self._skip_ws()
         if self.pos != len(self.text):
             raise ParseError("unexpected character", self.text, self.pos)
@@ -1601,51 +1615,71 @@ class _CharScanParser:
         self._skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def _expr(self) -> BivariatePolynomial:
+    # with each polynomial, a bound on its numerators, as the parser keeps
+
+    def _exact(self, what: str, f: BivariatePolynomial, at: int) -> int:
+        if max(_top(f), _den(f)) >= 10**MAX_DIGITS:
+            raise ParseError(
+                f"{what} has a coefficient of more than {MAX_DIGITS} digits", self.text, at
+            )
+        return _top(f)
+
+    def _expr(self):
         sign = 1
         ch = self._peek()
         if ch in ("+", "-"):
             if ch == "-":
                 sign = -1
             self.pos += 1
-        result = self._term()
+        result, top = self._term()
         if sign < 0:
             result = -result
         while True:
             ch = self._peek()
+            at = self.pos
             if ch == "+":
                 self.pos += 1
-                result = result + self._term()
+                term, term_top = self._term()
             elif ch == "-":
                 self.pos += 1
-                result = result + (-self._term())
+                term, term_top = self._term()
+                term = -term
             else:
-                return result
+                return result, top
+            den = lcm(_den(result), _den(term))
+            top = top * den // _den(result) + term_top * den // _den(term)
+            result = result + term
+            if max(top, den) >= 10**MAX_DIGITS:
+                top = self._exact("sum", result, at)
 
     def _term(self) -> BivariatePolynomial:
         # the term count of the largest power of a sum that _factor accepts
         limit = (MAX_POWER_DEGREE + 1) * (MAX_POWER_DEGREE + 2) // 2
-        result = self._factor()
+        result, top = self._factor()
         while True:
             ch = self._peek()
             if ch == "*":
                 self.pos += 1
             elif not ch or not (ch.isdigit() or ch in "xy("):
-                return result
+                return result, top
             # an explicit '*', or implicit multiplication as in "x^5y" or "2(x+y)"
             self._skip_ws()
             at = self.pos
-            factor = self._factor()
-            terms = _term_count(result) * _term_count(factor)
+            factor, factor_top = self._factor()
+            terms = len(result.terms) * len(factor.terms)
             if terms > limit:
                 raise ParseError(
                     f"product of {terms} term pairs exceeds {limit}", self.text, at
                 )
             self._bound_exponents(map(sum, zip(_extent(result), _extent(factor))), at)
+            top *= min(len(result.terms), len(factor.terms)) * factor_top
+            den = _den(result) * _den(factor)
             result = _times(result, factor)
+            if max(top, den) >= 10**MAX_DIGITS:
+                top = self._exact("product", result, at)
 
-    def _factor(self) -> BivariatePolynomial:
-        base = self._base()
+    def _factor(self):
+        base, top = self._base()
         if self._peek() == "^":
             self.pos += 1
             self._skip_ws()
@@ -1653,15 +1687,24 @@ class _CharScanParser:
             exp = self._integer("exponent expected")
             if exp > MAX_EXPONENT:
                 raise ParseError(f"exponent exceeds {MAX_EXPONENT}", self.text, at)
-            if _term_count(base) > 1 and base.degree() * exp > MAX_POWER_DEGREE:
+            if len(base.terms) > 1 and base.degree() * exp > MAX_POWER_DEGREE:
                 raise ParseError(
                     f"power of degree {base.degree() * exp} exceeds {MAX_POWER_DEGREE}",
                     self.text,
                     at,
                 )
             self._bound_exponents((d * exp for d in _extent(base)), at)
-            return _power_from_unit(base, exp)
-        return base
+            terms = len(base.terms)
+            if max(terms * top, _den(base)) ** exp >= 10**MAX_DIGITS:
+                top = _top(base)
+                if max(terms * top, _den(base)) ** exp >= 10**MAX_DIGITS:
+                    raise ParseError(
+                        f"power may have a coefficient of more than {MAX_DIGITS} digits",
+                        self.text,
+                        at,
+                    )
+            return _power_from_unit(base, exp), (terms * top) ** exp
+        return base, top
 
     def _bound_exponents(self, exponents: Iterable[int], at: int):
         """A ParseError at `at` when the top exponent of x or of y exceeds
@@ -1670,7 +1713,7 @@ class _CharScanParser:
             if e > MAX_EXPONENT:
                 raise ParseError(f"exponent {e} of {var} exceeds {MAX_EXPONENT}", self.text, at)
 
-    def _base(self) -> BivariatePolynomial:
+    def _base(self):
         ch = self._peek()
         if ch == "(":
             if self.depth == MAX_NESTING:
@@ -1685,10 +1728,10 @@ class _CharScanParser:
             return inner
         if ch == "x":
             self.pos += 1
-            return BivariatePolynomial.monomial(1, 0)
+            return BivariatePolynomial.monomial(1, 0), 1
         if ch == "y":
             self.pos += 1
-            return BivariatePolynomial.monomial(0, 1)
+            return BivariatePolynomial.monomial(0, 1), 1
         if ch.isdigit():
             num = self._integer("number expected")
             # a '/' directly after a number makes a rational coefficient
@@ -1697,8 +1740,8 @@ class _CharScanParser:
                 den = self._integer("denominator expected")
                 if den == 0:
                     raise ParseError("zero denominator", self.text, self.pos - 1)
-                return BivariatePolynomial.monomial(0, 0, Fraction(num, den))
-            return BivariatePolynomial.monomial(0, 0, num)
+                return BivariatePolynomial.monomial(0, 0, Fraction(num, den)), num
+            return BivariatePolynomial.monomial(0, 0, num), num
         raise ParseError("expected a term", self.text, self.pos)
 
     def _integer(self, message: str) -> int:
@@ -1708,6 +1751,8 @@ class _CharScanParser:
             self.pos += 1
         if start == self.pos:
             raise ParseError(message, self.text, self.pos)
+        if self.pos - start > MAX_DIGITS:
+            raise ParseError("number too long", self.text, start)
         try:
             return int(self.text[start : self.pos])
         except ValueError:  # past the interpreter's limit on digits

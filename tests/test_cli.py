@@ -487,6 +487,35 @@ def test_cli_bound_with_a_huge_exponent_is_a_usage_error():
         assert proc.stderr == f"usage error: argument --bound: invalid _frac value: '{bound}'\n"
 
 
+def test_cli_huge_constants_and_monomial_bounds_fail_at_once():
+    # each used to hang or to print the interpreter's digit-limit message,
+    # so each runs in a process of its own under a timeout
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for argv, code, err in (
+        (["lct", "--curve", "y^2 - ((9^1000)^1000)^1000"], 2,
+         "parse error: power may have a coefficient of more than 4300 digits at position 16:\n"),
+        (["lct", "--curve", "(9^1000)^5*(y - x^2)^2"], 2,
+         "parse error: power may have a coefficient of more than 4300 digits at position 9:\n"),
+        (["jumping", "--monomial", "x^2+y^3", "--bound", "100000000"], 1,
+         "usage error: argument --bound: bound 100000000 may read 60000001200000006 lattice"
+         " points, more than 4000000\n"),
+        (["jumping", "--monomial", "8258(x+y) ^9(x+y)6", "--bound", "1e3"], 1,
+         "usage error: argument --bound: bound 1000 may read 100050006 lattice points,"
+         " more than 4000000\n"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "singular_lct.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (code, ""), proc.stderr
+        assert proc.stderr.startswith(err), proc.stderr
+
+
 def test_cli_bound_exponents_up_to_the_limit_are_read(capsys):
     for bound, jumps in (("1e-1000", "\n"), ("1e0", "5/6\n"), ("0.1e+1", "5/6\n")):
         assert run_cli(capsys, "jumping", "--curve", "y^2-x^3", "--bound", bound) == (0, jumps, "")

@@ -463,3 +463,44 @@ def test_linear_antichain_and_slices_match_the_scans(points, h, w):
         for slices in (Staircase.slices, oracles.staircase_slices_by_min):
             with pytest.raises(InfiniteStaircaseError):
                 slices(Staircase(points))
+
+
+def test_the_monomial_jump_scan_reads_no_more_points_than_its_bound(monkeypatch):
+    # the count the bound check reads off the generators holds on random
+    # ideals, with or without pure powers, at integer and fractional bounds
+    rng = random.Random(23)
+    nu, reads = newton._nu, [0]
+
+    def counted(*args):
+        reads[0] += 1
+        return nu(*args)
+
+    monkeypatch.setattr(newton, "_nu", counted)
+    for _ in range(600):
+        a = ideal(*((rng.randint(0, 9), rng.randint(0, 9)) for _ in range(rng.randint(1, 4))))
+        if a.is_unit():
+            continue
+        bound = Fraction(rng.randint(1, 40), rng.randint(1, 8))
+        m_top, n_top = a.max_exponents()
+        reads[0] = 0
+        jumping_numbers_monomial(a, bound)
+        assert reads[0] <= (int(bound * m_top) + 2) * (int(bound * n_top) + 3), (a, bound)
+
+
+def test_a_bound_past_the_lattice_limit_is_refused_before_the_scan(monkeypatch):
+    monkeypatch.setattr(newton, "_nu", None)  # any read would fail
+    limit = newton.MAX_LATTICE_POINTS
+    for a, bound in (
+        (ideal((2, 0), (0, 3)), Fraction(10**8)),
+        (ideal((1000, 0), (0, 1000)), Fraction(3)),
+        (ideal((10, 0), (0, 10)), Fraction(1000)),
+        (ideal((2, 0), (0, 3)), Fraction(816)),
+    ):
+        with pytest.raises(newton.JumpingBoundError, match=f"more than {limit}$"):
+            jumping_numbers_monomial(a, bound)
+    monkeypatch.undo()
+    # x^2 + y^3 may read (2B + 2)(3B + 3) points: at B = 815 within the
+    # limit, and B = 1 on the largest term ideal the parser builds
+    assert 6 * 816**2 <= limit < 6 * 817**2
+    assert len(jumping_numbers_monomial(ideal((2, 0), (0, 3)), Fraction(815))) == 6 * 815 - 5
+    assert jumping_numbers_monomial(ideal((1000, 0), (0, 1000)), Fraction(1))[-1] == 1

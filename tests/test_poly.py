@@ -120,6 +120,39 @@ def test_powers_are_bounded_before_expanding():
     assert P("(x^3 - y^2)^13") == P("x^3 - y^2") ** 13
 
 
+def test_constants_are_bounded_before_they_are_built():
+    import time
+
+    from singular_lct.poly import MAX_DIGITS
+
+    nines = "9" * MAX_DIGITS  # the longest literal
+    for text, message, pos in (
+        ("((9^1000)^1000)^3", "power may have", 10),
+        ("y^2 - ((9^1000)^1000)^1000", "power may have", 16),
+        ("(9^1000)^5*(y - x^2)^2", "power may have", 9),
+        (f"2*{nines}", "product has", 2),
+        (f"1/{nines} * 1/2", "product has", MAX_DIGITS + 5),
+        (f"x*({nines}*x + 1)^2", "power may have", MAX_DIGITS + 11),
+        (f"y - ({nines} + 1)*x", "sum has", MAX_DIGITS + 6),
+        (f"1/{nines} - 1/{int(nines) - 1}", "sum has", MAX_DIGITS + 3),
+        ("9" * (MAX_DIGITS + 1), "number too long", 0),
+        (f"x^{nines}1", "number too long", 2),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match=f"^{message}") as err:
+            P(text)
+        assert time.perf_counter() - start < 1, text
+        assert err.value.pos == pos, text
+        if message != "number too long":
+            assert f"more than {MAX_DIGITS} digits" in str(err.value)
+    # at the limit: a power or product of one term is bounded exactly, and a
+    # sum whose bound passes the limit is built and read
+    assert P("(9^1000)^4").coefficient(0, 0) == 9**4000
+    assert P(f"({nines}*x*y)^1").coefficient(1, 1) == int(nines)
+    assert P(f"{nines}*x*1/{nines}") == P("x")
+    assert P(f"x - {nines}").coefficient(0, 0) == -int(nines)
+
+
 def test_products_are_bounded_before_multiplying():
     import time
 
@@ -303,10 +336,8 @@ HEAVY_GERMS = (
 )
 
 
-@pytest.mark.parametrize("text", HEAVY_GERMS)
-def test_every_shift_of_a_heavy_resolution_matches_the_horner_oracle(text, monkeypatch):
-    from singular_lct import resolve_curve
-
+def recorded_shifts(monkeypatch):
+    """The (f, c, f.shift_y(c)) of every shift made from now on."""
     calls = []
     shift = BivariatePolynomial.shift_y
 
@@ -316,11 +347,43 @@ def test_every_shift_of_a_heavy_resolution_matches_the_horner_oracle(text, monke
         return g
 
     monkeypatch.setattr(BivariatePolynomial, "shift_y", recorded)
+    return calls
+
+
+def tilted(f: BivariatePolynomial, lam) -> BivariatePolynomial:
+    """f(x, y + lam x): a cone that is a power of y becomes one of y + lam x."""
+    x, y = BivariatePolynomial.monomial(1, 0), BivariatePolynomial.monomial(0, 1)
+    line, out = y + x.scale(lam), BivariatePolynomial()
+    for (m, n), c in f.terms.items():
+        out = out + (x**m * line**n).scale(c)
+    return out
+
+
+@pytest.mark.parametrize("text", HEAVY_GERMS)
+def test_the_heavy_germs_shift_no_chart(text, monkeypatch):
+    # every nonzero tangent direction these germs meet is a simple root of
+    # its tangent cone, smooth and transverse there, so it gets no chart
+    from singular_lct import resolve_curve
+
+    calls = recorded_shifts(monkeypatch)
     resolve_curve(P(text))
-    # three nonzero shifts each, of rows up to y^42 and 866 cells
-    assert sum(1 for _, c, _ in calls if c) == 3
-    for f, c, g in calls:
-        assert rows_of(g) == rows_of(oracles.shift_y_by_horner(f, c)), (f, c)
+    assert calls == []
+
+
+@pytest.mark.parametrize("text", HEAVY_GERMS)
+def test_every_shift_of_a_heavy_resolution_matches_the_horner_oracle(text, monkeypatch):
+    # tilted by y -> y + lam x, the root's cone is (y + lam x)^14 or ^15: its
+    # one direction is followed by a nonzero shift in each of the two
+    # precision attempts, the second of rows up to y^31 and 372 cells
+    from singular_lct import resolve_curve
+
+    lam = dict(zip(HEAVY_GERMS, (2, F(-1, 3), 1)))[text]
+    f = tilted(P(text), lam)
+    calls = recorded_shifts(monkeypatch)
+    resolve_curve(f)
+    assert [c for _, c, _ in calls if c] == [-lam, -lam]
+    for g, c, h in calls:
+        assert rows_of(h) == rows_of(oracles.shift_y_by_horner(g, c)), (g, c)
 
 
 def test_the_constructor_bounds_exponents():
@@ -367,6 +430,7 @@ def test_row_reads_match_the_term_stream_oracles():
         if f.is_zero():
             continue
         mult = f.multiplicity()
+        assert mult == min(m + n for m, n in f.support())
         # x^k divides f(x, x y) for every k <= mult
         for k in range(max(mult - 2, 0), mult + 1):
             assert rows_of(_blowup_x_chart(f, k)) == rows_of(oracles.blowup_x_chart_by_terms(f, k))
@@ -488,7 +552,15 @@ def parse_outcome(parse, text):
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(near_grammatical())
 def test_parser_matches_the_char_scan_oracle(text):
-    assert parse_outcome(P, text) == parse_outcome(oracles.parse_by_char_scan, text)
+    from itertools import chain
+
+    from singular_lct.poly import MAX_DIGITS
+
+    ours = parse_outcome(P, text)
+    assert ours == parse_outcome(oracles.parse_by_char_scan, text)
+    if not isinstance(ours[0], str):  # no parse builds a constant past a literal's digits
+        (den, rows), _ = ours
+        assert max([den, *map(abs, chain.from_iterable(rows))]) < 10**MAX_DIGITS
 
 
 @pytest.mark.parametrize(

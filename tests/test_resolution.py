@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
 
 from singular_lct import (
     BivariatePolynomial,
@@ -480,3 +482,103 @@ def test_a_repeated_factor_keeps_its_error_when_only_a_trigger_finds_it(capsys):
     assert main(["lct", "--curve", "(y^2 - x^3)^2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "repeated factor -y^2 + x^3" in captured.err
+
+
+def resolution_outcome(resolve, f):
+    try:
+        kl, d = resolve(f)
+    except ResolutionError as exc:
+        return type(exc), str(exc)
+    return kl, d, d.tree.parents, d.tree.kinds, d.tree.x_side
+
+
+# simple directions at corners and beside multiple ones: the cusps put a
+# simple root 0 at a point on {y = 0} and a simple infinity at a point on
+# {x = 0}, each a corner to blow up; the lines are simple directions the
+# resolution leaves alone, nonzero and infinite, next to multiple ones
+CORNER_GERMS = (
+    "x^2 - y^3",
+    "y^2 - x^3",
+    "x^3 - y^7",
+    "(y^2 - x^3)*(y - x)*(y + 2*x)",
+    "((y + x)^2 - x^3)*(y - 2*x)*(y - 3*x)",
+    "((y - x)^3 - x^4)*(y + x)*x",
+    "(x^2 - y^5)*(y - x)*(y - 1/2*x)*y",
+    "((y - 2*x)^2 - x^5)*(y - 2*x - x^2)*(y + x)",
+    "(y^2 - x^3)*(x^2 - y^3)*(y - x)",
+    "((y - x)^2 - x^3)*((y + x)^2 - x^5)*(y - 3*x)*x",
+)
+
+
+def test_followed_directions_match_the_exact_worklist():
+    import oracles
+
+    for text in CORNER_GERMS:
+        f = P(text)
+        assert resolution_outcome(resolve_curve, f) == resolution_outcome(
+            oracles.resolve_curve_by_blowups, f
+        ), text
+
+
+def test_charts_are_built_only_for_the_points_they_become(monkeypatch):
+    # in the attempt that succeeds, every chart built is a point of the
+    # cluster; the exact worklist builds one for every direction and asks
+    # needs_blowup of each
+    import oracles
+    from singular_lct import resolution
+
+    charts, resolve_at = resolution._charts, resolution._resolve_at
+    needs_blowup = oracles.needs_blowup
+    built, every = [], []
+
+    def counted(*args):
+        out = charts(*args)
+        built.append(len(out))
+        return out
+
+    def attempt(*args):
+        built.clear()
+        return resolve_at(*args)
+
+    def asked(h, axes):
+        every.append(h)
+        return needs_blowup(h, axes)
+
+    monkeypatch.setattr(resolution, "_charts", counted)
+    monkeypatch.setattr(resolution, "_resolve_at", attempt)
+    monkeypatch.setattr(oracles, "needs_blowup", asked)
+    for text in CORNER_GERMS + tuple(text for _, text in corpus_curves(12)):
+        f = P(text)
+        every.clear()
+        kl, _ = resolve_curve(f)
+        assert sum(built) == max(len(kl.cluster) - 1, 0), text
+        assert tuple(oracles.resolution_points_by_blowups(f)[2]) == kl.weights, text
+        if text in CORNER_GERMS[3:]:  # each has a simple direction off a corner
+            assert len(every) > sum(built), text
+
+
+@st.composite
+def tangent_branches(draw):
+    """A branch tangent to the line L = y - lam x, or L = x: L - c M^b, a
+    simple direction, or L^a - c M^b with a >= 2, a multiple one, M the
+    other axis."""
+    lam = draw(st.sampled_from([0, 1, -1, 2, F(1, 2), F(-2, 3), None]))
+    x, y = BivariatePolynomial.monomial(1, 0), BivariatePolynomial.monomial(0, 1)
+    line, other = (x, y) if lam is None else (y - x.scale(lam), x)
+    a = draw(st.integers(1, 3))
+    b = draw(st.integers(a + 1, 7))
+    return line**a - (other**b).scale(draw(st.sampled_from([1, -1, 2, F(-1, 3)])))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@seed(5311)
+@given(st.lists(tangent_branches(), min_size=1, max_size=3))
+def test_products_of_tangent_branches_match_the_exact_worklist(branches):
+    import oracles
+
+    f = BivariatePolynomial.monomial(0, 0)
+    for branch in branches:
+        f = f * branch
+    assert resolution_outcome(resolve_curve, f) == resolution_outcome(
+        oracles.resolve_curve_by_blowups, f
+    ), str(f)

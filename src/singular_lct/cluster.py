@@ -333,20 +333,17 @@ def unload(kl: WeightedCluster) -> WeightedCluster:
     return WeightedCluster(c, _total_from_strict(c, e))
 
 
-def _complete_strict(
-    c: Cluster, demand: Sequence[int], warm: Optional[Sequence[int]] = None
-) -> List[int]:
+def _complete_strict(c: Cluster, demand: Sequence[int]) -> List[int]:
     """Least non-negative strict vector e >= demand whose branch coordinates
     are non-negative: the strict coordinates of the complete ideal with the
-    demanded valuations.  `warm` may give a known lower bound for the fixed
-    point (e.g. the result at a smaller scale).
+    demanded valuations.  A known lower bound for the result (e.g. the
+    result at a smaller demand) can be folded into the demand as a warm
+    start.
 
     Repairs with every point dirty (see `_repair`), and asserts that the
     result is unloaded.
     """
     e = [max(d, 0) for d in demand]
-    if warm is not None:
-        e = [max(a, b) for a, b in zip(e, warm)]
     _repair(c, e, list(range(len(c))))
     assert is_unloaded(WeightedCluster(c, _total_from_strict(c, e))), (
         "the completion left a negative excess"

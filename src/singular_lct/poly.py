@@ -34,13 +34,13 @@ MAX_NESTING deep, so the recursive descent stays far inside the
 interpreter's recursion limit; a deeper '(' is a ParseError at its position.
 
 No constant a parse builds has more than MAX_DIGITS digits, the most a
-literal may have: each parsed polynomial comes with a bound on its
-numerators, which a sum, a product and a power carry forward before they
-are built.  A power whose bound reaches 10^MAX_DIGITS, read again off the
-base's own numerators, is a ParseError at its exponent, so a tower of
-constant powers is never raised.  A sum or product of polynomials below the
-bound is cheap, so one whose bound reaches it is built and fails only if
-its own coefficients do, at its operator or factor.
+literal may have.  A sum or product of polynomials below 10^MAX_DIGITS is
+cheap, so each one is built and then read: one with a numerator or its
+denominator at 10^MAX_DIGITS or more is a ParseError at its operator or
+factor.  A power is bounded before it is raised: its base's term count
+times largest |numerator|, or its denominator if larger, to the exponent;
+a power whose bound reaches 10^MAX_DIGITS is a ParseError at its exponent,
+so a tower of constant powers is never raised.
 """
 
 from __future__ import annotations
@@ -373,7 +373,7 @@ class _Parser:
         self.depth = 0  # open parentheses around the current position
 
     def parse(self) -> BivariatePolynomial:
-        result, _ = self._expr()
+        result = self._expr()
         self._skip_ws()
         if self.pos != len(self.text):
             raise ParseError("unexpected character", self.text, self.pos)
@@ -386,64 +386,57 @@ class _Parser:
         self.pos = pos = _space(self.text, self.pos).end()
         return self.text[pos] if pos < len(self.text) else ""
 
-    # _expr, _term, _factor and _base return a polynomial with a bound on
-    # the absolute values of its numerators
-
-    def _expr(self) -> Tuple[BivariatePolynomial, int]:
+    def _expr(self) -> BivariatePolynomial:
         sign = 1
         ch = self._peek()
         if ch in ("+", "-"):
             if ch == "-":
                 sign = -1
             self.pos += 1
-        result, top = self._term()
+        result = self._term()
         if sign < 0:
             result = -result
         while True:
             ch = self._peek()
             if ch not in ("+", "-"):
-                return result, top
+                return result
             at = self.pos
             self.pos += 1
-            term, term_top = self._term()
-            # over the lcm of the denominators, the numerators add
-            den = lcm(result._den, term._den)
-            top = top * (den // result._den) + term_top * (den // term._den)
+            term = self._term()
             result = result + term if ch == "+" else result - term
-            if max(top, den) >= _MAX_SIZE:
-                top = self._exact("sum", result, at)
+            if max(_top(result), result._den) >= _MAX_SIZE:
+                raise ParseError(
+                    f"sum has a coefficient of more than {MAX_DIGITS} digits", self.text, at
+                )
 
-    def _term(self) -> Tuple[BivariatePolynomial, int]:
+    def _term(self) -> BivariatePolynomial:
         # the term count of the largest power of a sum that _factor accepts
         limit = (MAX_POWER_DEGREE + 1) * (MAX_POWER_DEGREE + 2) // 2
-        result, top = self._factor()
+        result = self._factor()
         while True:
             ch = self._peek()
             if ch == "*":
                 self.pos += 1
             elif not ch or not (ch.isdecimal() or ch in "xy("):
-                return result, top
+                return result
             # an explicit '*', or implicit multiplication as in "x^5y" or "2(x+y)"
             self._skip_ws()
             at = self.pos
-            factor, factor_top = self._factor()
-            f_terms, g_terms = _term_count(result), _term_count(factor)
-            terms = f_terms * g_terms
+            factor = self._factor()
+            terms = _term_count(result) * _term_count(factor)
             if terms > limit:
                 raise ParseError(
                     f"product of {terms} term pairs exceeds {limit}", self.text, at
                 )
             self._bound_exponents(map(sum, zip(_extent(result), _extent(factor))), at)
-            # a coefficient of the product sums at most min(f_terms, g_terms)
-            # products of two numerators
-            top = min(f_terms, g_terms) * top * factor_top
-            den = result._den * factor._den
             result = result * factor
-            if max(top, den) >= _MAX_SIZE:
-                top = self._exact("product", result, at)
+            if max(_top(result), result._den) >= _MAX_SIZE:
+                raise ParseError(
+                    f"product has a coefficient of more than {MAX_DIGITS} digits", self.text, at
+                )
 
-    def _factor(self) -> Tuple[BivariatePolynomial, int]:
-        base, top = self._base()
+    def _factor(self) -> BivariatePolynomial:
+        base = self._base()
         if self._peek() == "^":
             self.pos += 1
             self._skip_ws()
@@ -460,28 +453,15 @@ class _Parser:
                 )
             self._bound_exponents((d * exp for d in _extent(base)), at)
             # size^exp bounds the numerators and the denominator of the
-            # power, exactly for one term once top is read off the base
-            if _reaches(max(terms * top, base._den), exp):
-                top = _top(base)
-                if _reaches(max(terms * top, base._den), exp):
-                    raise ParseError(
-                        f"power may have a coefficient of more than {MAX_DIGITS} digits",
-                        self.text,
-                        at,
-                    )
-            return base**exp, (terms * top) ** exp
-        return base, top
-
-    def _exact(self, what: str, f: BivariatePolynomial, at: int) -> int:
-        """The largest |numerator| of the sum or product f, built when its
-        bound reached 10^MAX_DIGITS: the sum or product of polynomials below
-        the bound is cheap.  A ParseError at `at` when f reaches it."""
-        top = _top(f)
-        if max(top, f._den) >= _MAX_SIZE:
-            raise ParseError(
-                f"{what} has a coefficient of more than {MAX_DIGITS} digits", self.text, at
-            )
-        return top
+            # power, exactly for one term
+            if _reaches(max(terms * _top(base), base._den), exp):
+                raise ParseError(
+                    f"power may have a coefficient of more than {MAX_DIGITS} digits",
+                    self.text,
+                    at,
+                )
+            return base**exp
+        return base
 
     def _bound_exponents(self, exponents: Iterable[int], at: int):
         """A ParseError at `at` when the top exponent of x or of y exceeds
@@ -490,7 +470,7 @@ class _Parser:
             if e > MAX_EXPONENT:
                 raise ParseError(f"exponent {e} of {var} exceeds {MAX_EXPONENT}", self.text, at)
 
-    def _base(self) -> Tuple[BivariatePolynomial, int]:
+    def _base(self) -> BivariatePolynomial:
         ch = self._peek()
         if ch == "(":
             if self.depth == MAX_NESTING:
@@ -505,10 +485,10 @@ class _Parser:
             return inner
         if ch == "x":
             self.pos += 1
-            return _wrap([[], [1]], 1), 1
+            return _wrap([[], [1]], 1)
         if ch == "y":
             self.pos += 1
-            return _wrap([[0, 1]], 1), 1
+            return _wrap([[0, 1]], 1)
         if ch.isdecimal():
             num, den = self._integer("number expected"), 1
             # a '/' directly after a number makes a rational coefficient
@@ -517,7 +497,7 @@ class _Parser:
                 den = self._integer("denominator expected")
                 if den == 0:
                     raise ParseError("zero denominator", self.text, self.pos - 1)
-            return _poly([[num]] if num else [], den), num
+            return _poly([[num]] if num else [], den)
         raise ParseError("expected a term", self.text, self.pos)
 
     def _integer(self, message: str) -> int:

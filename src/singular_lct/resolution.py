@@ -88,7 +88,7 @@ class NonReducedError(ResolutionError):
     def __init__(self, factor: BivariatePolynomial, curve: BivariatePolynomial):
         self.factor = factor
         self.curve = curve
-        super().__init__(f"repeated factor {factor} in {curve}")
+        super().__init__(f"repeated factor {_printed(factor)} in {_printed(curve)}")
 
 
 class NonRationalTangentError(ResolutionError):
@@ -100,9 +100,17 @@ class NonRationalTangentError(ResolutionError):
         self.form = form
         self.factor = factor
         super().__init__(
-            f"singular tangent direction not defined over Q: factor {factor} "
-            f"of the tangent cone {form}"
+            f"singular tangent direction not defined over Q: factor {_printed(factor)} "
+            f"of the tangent cone {_printed(form)}"
         )
+
+
+def _printed(f: BivariatePolynomial) -> str:
+    """str(f), or a note where a coefficient of f is too long to print."""
+    try:
+        return str(f)
+    except ValueError:  # past the interpreter's limit on integer strings
+        return "(a polynomial with a coefficient too long to print)"
 
 
 class _Imprecise(Exception):

@@ -92,10 +92,14 @@ product and one `_add` per pair of rows.  `parse_by_char_scan` is the
 earlier parser: it scans whitespace and digits one character at a time with
 `str.isspace` and `str.isdigit`, builds its leaves with `monomial`, seeds
 each power with the unit, takes a difference as self + (-other) and
-multiplies by `mul_by_row_pairs`.  It bounds the coefficients a sum, a
-product or a power builds by the parser's rules, with the denominators and
-term counts read from the `Fraction` terms and the power's bound raised
-without the parser's bit-length shortcut.
+multiplies by `mul_by_row_pairs`.  It bounds the coefficients by the
+earlier rule, independent of the library's: each polynomial carries a bound
+on its numerators through every sum, product and power, with the
+denominators and term counts read from the `Fraction` terms, and a sum or
+product is read exactly only when its bound reaches 10^MAX_DIGITS, a power
+only when the bound raised (without the library's bit-length shortcut)
+does.  The library reads every sum and product it builds and each power's
+base instead, so on every string the two must agree.
 """
 
 from __future__ import annotations

@@ -302,13 +302,16 @@ def test_completion_matches_sweep_oracle():
             expected = oracles.complete_strict_by_sweeps(c, demand, warm)
             assert oracles.complete_strict_by_dirty_points(c, demand, warm) == expected
             assert oracles.complete_strict_by_excess_vector(c, demand, warm) == expected
-            assert _complete_strict(c, demand, warm) == expected, (c, demand, warm)
+            # a warm start is a lower bound folded into the demand
+            warmed = demand if warm is None else [max(d, w) for d, w in zip(demand, warm)]
+            assert _complete_strict(c, warmed) == expected, (c, demand, warm)
             # a completion at a smaller demand is a warm start
             larger = [d + rng.randint(0, 9) for d in demand]
             at_larger = oracles.complete_strict_by_sweeps(c, larger, expected)
             assert oracles.complete_strict_by_dirty_points(c, larger, expected) == at_larger
             assert oracles.complete_strict_by_excess_vector(c, larger, expected) == at_larger
-            assert _complete_strict(c, larger, warm=expected) == at_larger
+            warmed = [max(d, w) for d, w in zip(larger, expected)]
+            assert _complete_strict(c, warmed) == at_larger
 
 
 def test_unload_chains_with_large_weights_match_sweep_oracle():

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -135,6 +136,11 @@ def test_constants_are_bounded_before_they_are_built():
         (f"x*({nines}*x + 1)^2", "power may have", MAX_DIGITS + 11),
         (f"y - ({nines} + 1)*x", "sum has", MAX_DIGITS + 6),
         (f"1/{nines} - 1/{int(nines) - 1}", "sum has", MAX_DIGITS + 3),
+        # exactly 10^MAX_DIGITS; a power's bound counts the base's terms and
+        # its denominator
+        (f"2*5{'0' * (MAX_DIGITS - 1)}", "product has", 2),
+        (f"({nines}*x + {nines}*y)^1", "power may have", 2 * MAX_DIGITS + 10),
+        (f"(1/{nines}*x)^2", "power may have", MAX_DIGITS + 7),
         ("9" * (MAX_DIGITS + 1), "number too long", 0),
         (f"x^{nines}1", "number too long", 2),
     ):
@@ -145,12 +151,45 @@ def test_constants_are_bounded_before_they_are_built():
         assert err.value.pos == pos, text
         if message != "number too long":
             assert f"more than {MAX_DIGITS} digits" in str(err.value)
-    # at the limit: a power or product of one term is bounded exactly, and a
-    # sum whose bound passes the limit is built and read
+    # at the limit: a power of one term is bounded exactly, and a sum or
+    # product is built and read
     assert P("(9^1000)^4").coefficient(0, 0) == 9**4000
     assert P(f"({nines}*x*y)^1").coefficient(1, 1) == int(nines)
     assert P(f"{nines}*x*1/{nines}") == P("x")
     assert P(f"x - {nines}").coefficient(0, 0) == -int(nines)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"),
+    reason="the interpreter has no limit on integer strings",
+)
+def test_a_literal_past_the_interpreters_digit_limit_is_too_long():
+    # below MAX_DIGITS but past a lowered limit, int() itself refuses the
+    # literal; the limit is set per process, so the parse runs in its own
+    import os
+    import subprocess
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "from singular_lct import ParseError, parse_polynomial\n"
+        "try:\n"
+        "    parse_polynomial('y - ' + '7' * 700 + '*x')\n"
+        "except ParseError as e:\n"
+        "    assert str(e).startswith('number too long at position 4:'), e\n"
+        "    assert e.pos == 4, e.pos\n"
+        "else:\n"
+        "    raise AssertionError('a 700-digit literal parsed')\n"
+        "assert parse_polynomial('7' * 640).coefficient(0, 0) == int('7' * 640)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-X", "int_max_str_digits=640", "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_products_are_bounded_before_multiplying():
@@ -472,7 +511,7 @@ SPACES = ("", "", " ", "  ", "\t", "\n", "\xa0", "\u2003", "\x1c")
 def near_grammatical(draw):
     """A string of the polynomial grammar in ASCII digits, with its
     whitespace, at and past its limits, and sometimes broken by one edit."""
-    from singular_lct.poly import MAX_EXPONENT, MAX_NESTING, MAX_POWER_DEGREE
+    from singular_lct.poly import MAX_DIGITS, MAX_EXPONENT, MAX_NESTING, MAX_POWER_DEGREE
 
     def rare():
         return draw(st.integers(0, 7)) == 0
@@ -482,7 +521,7 @@ def near_grammatical(draw):
 
     def number():
         if rare():
-            return draw(st.sampled_from(["007", "1" * 40, "9" * 4301]))
+            return draw(st.sampled_from(["007", "1" * 40, "9" * 1000, "9" * 4300, "9" * 4301]))
         return str(draw(st.integers(0, 12)))
 
     def base(depth):
@@ -530,6 +569,10 @@ def near_grammatical(draw):
             "(x^500 + y^500)",
             f"x^{MAX_EXPONENT}",
         ]
+        text += draw(st.sampled_from(["*", " ", "+", "-"])) + draw(st.sampled_from(limits))
+    if rare():  # constants at the digit limit, and sums, products and powers past it
+        nines, big = "9" * MAX_DIGITS, "9" * 1000
+        limits = [nines, f"({nines} + 1)", f"({big}*x + 1)^4", f"({big}*x + 1)^5"]
         text += draw(st.sampled_from(["*", " ", "+", "-"])) + draw(st.sampled_from(limits))
     if draw(st.integers(0, 3)) == 0:  # one edit breaks it, or not
         at = draw(st.integers(0, len(text)))

@@ -202,6 +202,27 @@ def test_errors_name_the_factor_in_the_polynomial_grammar(capsys):
         assert phrase in capsys.readouterr().err
 
 
+def test_errors_keep_their_type_when_a_coefficient_is_too_long_to_print():
+    # past the interpreter's limit on integer strings, str() of such a
+    # polynomial raises ValueError; the error names what it can print
+    huge = 10**5000
+    too_long = "(a polynomial with a coefficient too long to print)"
+    curve = P("(y - x^2)^2*(x^2 - y^3)").scale(huge)
+    with pytest.raises(NonReducedError) as err:
+        resolve_curve(curve)
+    assert err.value.curve == curve and err.value.factor == P("x^2 - y")
+    assert str(err.value) == f"repeated factor {err.value.factor} in {too_long}"
+
+    with pytest.raises(NonRationalTangentError) as err:
+        resolve_curve(P("(y^2-2*x^2)^2 - x^5").scale(huge))
+    assert err.value.form == P("(y^2-2*x^2)^2").scale(huge)
+    assert err.value.factor == P("y^2 - 2*x^2")
+    assert str(err.value) == (
+        "singular tangent direction not defined over Q: factor y^2 - 2*x^2 "
+        f"of the tangent cone {too_long}"
+    )
+
+
 def test_diagram_tree_keeps_the_resolved_cluster():
     import oracles
 

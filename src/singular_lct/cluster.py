@@ -25,16 +25,19 @@ the dual tree of the exceptional divisors (it is the negated intersection
 matrix).  One kernel, `_repair`, unloads for `unload`, the multiplier
 clusters and the jumping numbers: rounds that read each visited point's
 excess from e on the dual tree, each visiting only the points bumped in
-the last round and their dual-tree neighbours.  The jumping numbers carry
-the completed strict vector from one jump to the next, and each jump
-raises only the points attaining it.  Every completion and every jump
-walk ends with an assertion that its result is unloaded.
+the last round and their dual-tree neighbours, once each (by stamps).
+The jumping numbers carry the completed strict vector from one jump to the
+next; each jump is the least key (k + d + 1)/e . lcm(e) and raises only
+the points attaining it.  Every completion and every jump walk ends with
+an assertion that its result is unloaded.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
+from operator import add, mul
 from typing import List, Optional, Sequence, Tuple
 
 from ._record import Record
@@ -360,11 +363,13 @@ def _repair(c: Cluster, e: List[int], dirty: List[int]) -> None:
     e over the dual-tree neighbours of a, and raises a violated e[a] by
     the least amount t that repairs it on its own.  That bump lowers the
     excess of each neighbour by t and of no other point, so the bumped
-    points and their neighbours make up the next round.  The order of the
-    bumps does not matter, since unloading has one least fixed point.
+    points and their neighbours, stamped with the round's number as they
+    first come up, make up the next round.  The order of the bumps does
+    not matter, since unloading has one least fixed point.
     """
     diag, neighbours = c._dual_tree
-    for _ in range(_MAX_ROUNDS):
+    stamp = [0] * len(e)  # the last round each point joined
+    for rnd in range(1, _MAX_ROUNDS + 1):
         if not dirty:
             return
         next_round: List[int] = []  # the bumped points and their neighbours
@@ -376,9 +381,14 @@ def _repair(c: Cluster, e: List[int], dirty: List[int]) -> None:
             if xa < 0:
                 da = diag[a]
                 e[a] += (da - 1 - xa) // da
-                next_round.append(a)
-                next_round += around
-        dirty = list(dict.fromkeys(next_round))
+                if stamp[a] != rnd:
+                    stamp[a] = rnd
+                    next_round.append(a)
+                for b in around:
+                    if stamp[b] != rnd:
+                        stamp[b] = rnd
+                        next_round.append(b)
+        dirty = next_round
     raise UnloadingError("completion did not stabilize")
 
 
@@ -450,8 +460,9 @@ def jumping_numbers_curve(kl: WeightedCluster, bound: Fraction) -> List[Fraction
     minimum, and there by exactly 1.  So d is carried from jump to jump:
     each jump raises d by one at those points, which lowers the excesses of
     their dual-tree neighbours alone, and repairs with only the neighbours
-    dirty.  The walk ends by asserting that d is unloaded.  The bound is
-    compared in integers, and each jump builds one `Fraction`.
+    dirty.  The walk ends by asserting that d is unloaded.  Every e_a >=
+    e_0 >= 1, so the values are compared as integer keys over L = lcm(e),
+    (k_a + d_a + 1) * (L // e_a), and each jump builds one `Fraction`.
     """
     bound = Fraction(bound)
     if bound > 1:
@@ -463,35 +474,30 @@ def jumping_numbers_curve(kl: WeightedCluster, bound: Fraction) -> List[Fraction
     if kl.is_empty():  # no points, or the zero divisor
         return []
     c = kl.cluster
-    r = len(c)
     e = _strict_from_total(c, kl.weights)
-    k = log_discrepancies(c).entries
+    k1 = [ka + 1 for ka in log_discrepancies(c).entries]
+    common = lcm(*e)
+    scale = [common // ea for ea in e]
     neighbours = c._dual_tree[1]
     jumps: List[Fraction] = []
-    d = [0] * r
+    d = [0] * len(c)
     while True:
-        # min over a of (k_a + d_a + 1) / e_a, compared by cross-multiplying,
-        # and the points that attain it
-        n, m = k[0] + d[0] + 1, e[0]
-        attained: List[int] = []
-        for a, (ka, da, ea) in enumerate(zip(k, d, e)):
-            lhs, rhs = (ka + da + 1) * m, n * ea
-            if lhs < rhs:
-                n, m, attained = ka + da + 1, ea, [a]
-            elif lhs == rhs:
-                attained.append(a)
-        if n * bound.denominator > bound.numerator * m or n >= m:
+        # (k_a + d_a + 1) / e_a = keys[a] / common; the least key is the jump
+        keys = list(map(mul, map(add, k1, d), scale))
+        m = min(keys)
+        if m * bound.denominator > bound.numerator * common or m >= common:
             assert is_unloaded(WeightedCluster(c, _total_from_strict(c, d))), (
                 "the jumps left a negative excess"
             )
             return jumps
-        jumps.append(Fraction(n, m))
+        jumps.append(Fraction(m, common))
         # the demand floor(xi * e_a) - k_a is d_a + 1 where the minimum is
         # attained and at most d_a elsewhere, so max(demand, d) raises d by
         # one at those points alone: the multiplier cluster changes at xi by
         # construction, and only their neighbours' excesses drop
         dirty: List[int] = []
-        for a in attained:
-            d[a] += 1
-            dirty += neighbours[a]
+        for a, key in enumerate(keys):
+            if key == m:
+                d[a] += 1
+                dirty += neighbours[a]
         _repair(c, d, dirty)

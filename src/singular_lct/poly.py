@@ -325,7 +325,15 @@ class BivariatePolynomial:
         return text[2:] if text[0] == "+" else "-" + text[2:]
 
     def __repr__(self) -> str:
-        return f"BivariatePolynomial({self})"
+        return f"BivariatePolynomial({_printed(self)})"
+
+
+def _printed(f: BivariatePolynomial) -> str:
+    """str(f), or a note where a coefficient of f is too long to print."""
+    try:
+        return str(f)
+    except ValueError:  # past the interpreter's limit on integer strings
+        return "(a polynomial with a coefficient too long to print)"
 
 
 # -- the tangent cone and the charts, for f of multiplicity mult --------------

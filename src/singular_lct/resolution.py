@@ -66,6 +66,7 @@ from .poly import (
     _blowup_y_chart,
     _leading_form,
     _poly_from,
+    _printed,
     polynomial_gcd,
     rational_roots,
 )
@@ -103,14 +104,6 @@ class NonRationalTangentError(ResolutionError):
             f"singular tangent direction not defined over Q: factor {_printed(factor)} "
             f"of the tangent cone {_printed(form)}"
         )
-
-
-def _printed(f: BivariatePolynomial) -> str:
-    """str(f), or a note where a coefficient of f is too long to print."""
-    try:
-        return str(f)
-    except ValueError:  # past the interpreter's limit on integer strings
-        return "(a polynomial with a coefficient too long to print)"
 
 
 class _Imprecise(Exception):

@@ -30,6 +30,11 @@ raised.  The library reads each visited point's excess from e instead, and
 asserts once per completion and once per jump walk that the result is
 unloaded.
 
+`repair_by_round_lists` is the earlier body of `cluster._repair`: the same
+rounds, each next round deduplicated by rebuilding it with `dict.fromkeys`
+where the library stamps each point with the round it joined.  It returns
+its round count, the least `_MAX_ROUNDS` it succeeds under.
+
 `curve_jumps_by_candidate_scan` is the reference for the next-jump
 iteration of `jumping_numbers_curve`: it tests every candidate (k+j)/e,
 comparing completions just below and at it, and asserts that the
@@ -573,6 +578,39 @@ def repair_by_excess_vector(c: Cluster, e: List[int], x: List[int], dirty: List[
         assert list(map(x.__getitem__, dirty)) == excess(c, e, dirty), (
             "unloading bumps must add whole strict transforms"
         )
+    raise UnloadingError("completion did not stabilize")
+
+
+def repair_by_round_lists(c: Cluster, e: List[int], dirty: List[int]) -> int:
+    """Unload e in place when only the points in `dirty` may have a
+    negative excess, and return the number of rounds, the last one
+    finding nothing dirty: the least `_MAX_ROUNDS` under which the
+    library's kernel succeeds.
+
+    Unloading in rounds on the dual tree.  A round visits its points in
+    turn, reads the excess of a from e as diag[a] * e[a] minus the sum of
+    e over the dual-tree neighbours of a, and raises a violated e[a] by
+    the least amount t that repairs it on its own.  That bump lowers the
+    excess of each neighbour by t and of no other point, so the bumped
+    points and their neighbours make up the next round.  The order of the
+    bumps does not matter, since unloading has one least fixed point.
+    """
+    diag, neighbours = c._dual_tree
+    for rounds in range(1, _MAX_ROUNDS + 1):
+        if not dirty:
+            return rounds
+        next_round: List[int] = []  # the bumped points and their neighbours
+        for a in dirty:
+            around = neighbours[a]
+            xa = diag[a] * e[a]
+            for b in around:
+                xa -= e[b]
+            if xa < 0:
+                da = diag[a]
+                e[a] += (da - 1 - xa) // da
+                next_round.append(a)
+                next_round += around
+        dirty = list(dict.fromkeys(next_round))
     raise UnloadingError("completion did not stabilize")
 
 

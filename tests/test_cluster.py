@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -347,6 +348,46 @@ def test_repair_with_only_the_raised_points_neighbours_dirty():
         assert e == expected, (c, demand, raised)
 
 
+def repair_cases():
+    """(cluster, strict vector, dirty points): the heavy free chains with
+    every point dirty, and raised unloaded vectors with only the raised
+    points' neighbours dirty, as the jump walk repairs."""
+    for r in (10, 50):
+        c = Cluster([None, *range(r - 1)], [(), *((i,) for i in range(r - 1))])
+        for top in (10**6, 10**9):
+            e = [max(x, 0) for x in _strict_from_total(c, [0] * (r - 1) + [top])]
+            yield c, e, list(range(r))
+    rng = random.Random(71)
+    for _ in range(300):
+        c = random_cluster(rng, max_points=25)
+        e = oracles.complete_strict_by_sweeps(c, [rng.randint(-3, 12) for _ in range(len(c))])
+        raised = rng.sample(range(len(c)), rng.randint(1, len(c)))
+        for a in raised:
+            e[a] += rng.randint(1, 30)
+        neighbours = c._dual_tree[1]
+        yield c, e, [b for a in raised for b in neighbours[a]]
+
+
+def test_repair_keeps_the_rounds_of_the_round_list_oracle(monkeypatch):
+    # each next round is built in the order dict.fromkeys gave it, so the
+    # kernel makes the same bumps in the same rounds and needs the same cap
+    caps = []
+    for c, e, dirty in repair_cases():
+        expected = list(e)
+        rounds = oracles.repair_by_round_lists(c, expected, list(dirty))
+        caps.append(rounds)
+        out = list(e)
+        with monkeypatch.context() as m:
+            m.setattr(cluster_mod, "_MAX_ROUNDS", rounds)
+            cluster_mod._repair(c, out, list(dirty))
+            assert out == expected, (c, e, dirty)
+            m.setattr(cluster_mod, "_MAX_ROUNDS", rounds - 1)
+            with pytest.raises(UnloadingError):
+                cluster_mod._repair(c, list(e), list(dirty))
+    assert caps[:4] == [123, 191, 2150, 3899]
+    assert max(caps[4:]) > 100  # the random raises take many rounds too
+
+
 def test_unloading_gives_up_at_the_round_cap(monkeypatch, tmp_path, capsys):
     r = 50
     c = Cluster([None, *range(r - 1)], [(), *((i,) for i in range(r - 1))])
@@ -623,6 +664,36 @@ def test_each_jump_raises_only_the_points_attaining_it():
 def test_jumping_on_the_zero_divisor_is_empty():
     c = cusp57_cluster()
     assert jumping_numbers_curve(WeightedCluster(c, (0,) * len(c)), F(1)) == []
+
+
+def test_jumping_keys_over_a_large_lcm_and_at_the_bound_edges():
+    # the walk compares the keys (k + d + 1)/e . lcm(e) in integers; seven
+    # branches give 20 distinct multiplicities and a 104-bit lcm
+    many = resolve_curve(
+        BivariatePolynomial.parse(
+            "(y^2-x^3)*(y^3-x^7)*(y^5-x^8)*(y^7-x^9)*(y^11-x^12)*(y^13-x^14)*(y^2-2*x^3)"
+        )
+    )[0]
+    e = _strict_from_total(many.cluster, many.weights)
+    assert len(set(e)) == len(e) == 20 and lcm(*e).bit_length() == 104
+    singular = [kl for kl in jump_cases() if lct_cluster(kl)[0] < 1]  # a jump below 1
+    for kl in (many, WeightedCluster(cusp57_cluster(), (5, 2, 2, 1, 1)), *singular[::8]):
+        jumps = jumping_numbers_curve(kl, F(1))
+        assert jumps == oracles.curve_jumps_by_warm_completions(kl, F(1))
+        lct = lct_cluster(kl)[0]
+        assert jumps[0] == lct
+        i = len(jumps) // 2
+        cases = [
+            (jumps[i], jumps[: i + 1]),  # a bound at a jump keeps it
+            (jumps[-1], jumps),
+            (lct, [lct]),
+            (lct - F(1, 10**40), []),  # just below the lct
+        ]
+        if i + 1 < len(jumps):  # strictly between two jumps
+            cases.append(((jumps[i] + jumps[i + 1]) / 2, jumps[: i + 1]))
+        for bound, expected in cases:
+            assert jumping_numbers_curve(kl, bound) == expected, (kl, bound)
+            assert oracles.curve_jumps_by_warm_completions(kl, bound) == expected
 
 
 def test_jumping_deep_chain_closed_form():

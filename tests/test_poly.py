@@ -23,6 +23,21 @@ def test_parse_basic():
     }
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"),
+    reason="the interpreter has no limit on integer strings",
+)
+def test_repr_never_raises_on_a_coefficient_too_long_to_print():
+    # past the interpreter's limit on integer strings str() raises
+    # ValueError; repr prints the note the resolution errors print
+    huge = P("x").scale(10**5000)
+    with pytest.raises(ValueError):
+        str(huge)
+    assert repr(huge) == "BivariatePolynomial((a polynomial with a coefficient too long to print))"
+    assert repr(P("x").scale(F(1, 10**5000))) == repr(huge)
+    assert repr(P("y^2 - 1/2*x^3")) == "BivariatePolynomial(y^2 - 1/2*x^3)"
+
+
 def test_parse_implicit_multiplication():
     assert P("x^5y") == P("x^5 * y")
     assert P("2x") == P("2*x")

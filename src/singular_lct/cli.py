@@ -25,6 +25,8 @@ if TYPE_CHECKING:
 
 _fts = serialize.fraction_to_str
 
+MAX_TPQ_VERTICES = 10_000  # that `tpq` builds: about 0.2 s and 1 MB of JSON
+
 
 class _UsageError(Exception):
     pass
@@ -254,7 +256,15 @@ def _unload(args):
 
 
 def _tpq(args):
-    from .enriques import t_pq
+    from .enriques import euclid_data, t_pq
+    # one vertex per Euclid step, counted before any is built; a pair that
+    # is not coprime with p < q keeps its error from euclid_data
+    vertices = sum(euclid_data(args.p, args.q).a)
+    if vertices > MAX_TPQ_VERTICES:
+        raise _UsageError(
+            f"the diagram of x^{args.p} - y^{args.q} has {vertices} vertices, "
+            f"more than {MAX_TPQ_VERTICES}"
+        )
     d = t_pq(args.p, args.q)
     return _drawn(args, d, _weights_and_kinds(d))
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ._record import Record
 from .cluster import (
@@ -211,6 +211,40 @@ def _subtree_flavor(t: EnriquesTree, child: int) -> Optional[str]:
             return "V" if t.kinds[sats[0]] == HORIZONTAL else "H"
         stack.extend(i for i in kids if t.kinds[i] == SLANT)
     return None
+
+
+def _chain_axis(t: EnriquesTree, chain: Iterable[int]) -> Optional[str]:
+    """Which axis a free chain lies on, given its points from the root child
+    down: 'H' (x-axis) if the root child is marked x_side, else read off the
+    first satellite off a point of the chain: 'V' (y-axis) for a horizontal
+    one, 'H' for a vertical one; None for a chain with no satellite."""
+    for v in chain:
+        if v in t.x_side:  # only the root child can carry the mark
+            return "H"
+        for k in t.cluster._children[v]:
+            if t.kinds[k] == HORIZONTAL:
+                return "V"
+            if t.kinds[k] == VERTICAL:
+                return "H"
+    return None
+
+
+def _slant_chain(t: EnriquesTree, v: Optional[int]) -> Iterator[int]:
+    """The free chain from v down its slant children; in a binary diagram
+    each free point other than the root has at most one."""
+    while v is not None:
+        yield v
+        v = next((k for k in t.cluster._children[v] if t.kinds[k] == SLANT), None)
+
+
+def _misdrawn_satellite(vertex: int, kind: str, role: str) -> OrientationError:
+    """The error for a satellite off a free point that is drawn against the
+    axis of its chain; vertex is the free point's number in the diagram
+    being read."""
+    return OrientationError(
+        f"vertex {vertex}: satellite child drawn {kind!r} on "
+        f"the {'y' if role == 'V' else 'x'}-axis chain"
+    )
 
 
 def _free_path(t: EnriquesTree) -> List[bool]:
@@ -619,9 +653,9 @@ def diagram_to_staircase(d: EnriquesDiagram) -> Staircase:
     def split(v: int, role: str) -> Tuple[Optional[int], Optional[int]]:
         kids = t.cluster._children[v]
         if v == 0:
-            # a root child lies on the x-axis if marked so, else on the axis
-            # its first satellite says; bare chains take the free axes, y first
-            axis = {k: "H" if k in t.x_side else _subtree_flavor(t, k) for k in kids}
+            # a root child's chain lies on the axis _chain_axis reads; bare
+            # chains take the free axes, y first
+            axis = {k: _chain_axis(t, _slant_chain(t, k)) for k in kids}
             free_axes = [a for a in ("V", "H") if a not in axis.values()]
             for k in kids:
                 if axis[k] is None:
@@ -637,10 +671,7 @@ def diagram_to_staircase(d: EnriquesDiagram) -> Staircase:
         other = next((k for k in kids if t.kinds[k] != own), None)
         if own == SLANT and other is not None:
             if t.kinds[other] != (HORIZONTAL if role == "V" else VERTICAL):
-                raise OrientationError(
-                    f"vertex {v}: satellite child drawn {t.kinds[other]!r} on "
-                    f"the {'y' if role == 'V' else 'x'}-axis chain"
-                )
+                raise _misdrawn_satellite(v, t.kinds[other], role)
         return (same, other) if role == "V" else (other, same)
 
     # split every vertex in preorder, y-side child first, then sum the

@@ -61,6 +61,13 @@ overflow the interpreter's stack on deep chains.
 and to the path's non-degenerate part and runs `lct_cluster` on each, where
 the library takes least values of the curve's own cluster along the path.
 
+`adapted_candidates_by_subdiagram` is the earlier form of
+`engine.adapted_candidates`: for each candidate it builds the sub-diagram's
+cluster and Enriques tree, classifies it, checks that it is unloaded, and
+reads the staircase from `diagram_to_staircase` and the threshold from its
+Newton polygon by `lct_monomial`, where the library reads both off the
+valuations of the curve's own cluster at the candidate's dicritical points.
+
 `resolve_curve_by_recursion` is the earlier form of `resolve_curve`: two
 mutually recursive closures, two Python frames per infinitely near point.
 `resolve_curve_by_blowups` is the next form, one worklist that carries
@@ -130,7 +137,7 @@ from singular_lct.cluster import (
     log_discrepancies,
     proximity_matrix,
 )
-from singular_lct.engine import PathCheck, nondegenerate_part
+from singular_lct.engine import AdaptedCandidate, PathCheck, nondegenerate_part
 from singular_lct.enriques import (
     _KIND_RANK,
     HORIZONTAL,
@@ -140,10 +147,12 @@ from singular_lct.enriques import (
     EnriquesError,
     EnriquesTree,
     OrientationError,
+    _free_path,
     _opposite,
     _subtree_flavor,
     classify,
     cluster_to_tree,
+    diagram_to_staircase,
 )
 from singular_lct.newton import (
     InfiniteStaircaseError,
@@ -152,6 +161,7 @@ from singular_lct.newton import (
     Point,
     Staircase,
     UnitIdealError,
+    lct_monomial,
     newton_facets,
     staircase_sum,
     triangle,
@@ -1045,6 +1055,37 @@ def path_to_leaf_through_by_recursion(d: EnriquesDiagram, witness: int) -> List[
 
     walk(up)
     return paths
+
+
+def adapted_candidates_by_subdiagram(d: EnriquesDiagram) -> List[AdaptedCandidate]:
+    """One candidate per maximal all-free chain endpoint."""
+    if len(d) == 0:
+        return [
+            AdaptedCandidate(None, d, Staircase.empty(), Fraction(1))
+        ]
+    t = d.tree
+    children = t.cluster._children
+    free_path = _free_path(t)
+    endpoints = [
+        v
+        for v, kids in enumerate(children)
+        if free_path[v] and not any(free_path[k] for k in kids)
+    ]
+    out = []
+    for rho in endpoints:
+        keep = []
+        v: Optional[int] = rho
+        while v is not None:
+            keep.append(v)
+            v = t.parents[v]
+        for u in keep:  # grows: the satellites hanging off the kept points
+            keep.extend(k for k in children[u] if t.is_satellite(k))
+        sub = d.restrict(keep)
+        stair = diagram_to_staircase(sub)
+        out.append(
+            AdaptedCandidate(rho, sub, stair, lct_monomial(stair.to_ideal()))
+        )
+    return out
 
 
 def path_checks_by_restriction(d: EnriquesDiagram) -> Tuple[PathCheck, ...]:

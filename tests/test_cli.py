@@ -516,6 +516,37 @@ def test_cli_huge_constants_and_monomial_bounds_fail_at_once():
         assert proc.stderr.startswith(err), proc.stderr
 
 
+def test_cli_tpq_refuses_a_diagram_past_its_vertex_limit(capsys):
+    import os
+    import subprocess
+    import sys
+
+    from singular_lct.cli import MAX_TPQ_VERTICES as limit
+
+    code, out, _ = run_cli(capsys, "tpq", "1", str(limit), "--json")
+    assert code == 0 and len(json.loads(out)["diagram"]["vertices"]) == limit
+    # one vertex per Euclid step: 2k + 1 = k*2 + 1 has the quotients k and 2
+    k = limit - 1
+    assert run_cli(capsys, "tpq", "2", str(2 * k + 1)) == (
+        1, "", f"usage error: the diagram of x^2 - y^{2 * k + 1} has {limit + 1} vertices, "
+        f"more than {limit}\n",
+    )
+    # a pair that has no diagram keeps its computation error
+    code, _, err = run_cli(capsys, "tpq", "2", "200000000")
+    assert (code, err) == (2, "error: 2 and 200000000 are not coprime\n")
+    # this one used to build a 10^8-vertex chain, so it runs under a timeout
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "singular_lct.cli", "tpq", "1", "100000000"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
+    assert proc.stderr == (
+        f"usage error: the diagram of x^1 - y^100000000 has 100000000 vertices, more than {limit}\n"
+    )
+
+
 def test_cli_bound_exponents_up_to_the_limit_are_read(capsys):
     for bound, jumps in (("1e-1000", "\n"), ("1e0", "5/6\n"), ("0.1e+1", "5/6\n")):
         assert run_cli(capsys, "jumping", "--curve", "y^2-x^3", "--bound", bound) == (0, jumps, "")

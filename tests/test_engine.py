@@ -363,3 +363,109 @@ def test_nondegenerate_rule_is_the_one_classify_reads():
         assert [w for w in cls.witnesses if w[0] == "degenerate_free_vertex"] == cut[:1]
         kinds.add(cls.non_degenerate)
     assert kinds == {True, False}
+
+
+# -- the adapted candidates against the sub-diagram oracle --------------------------
+
+
+def _candidate_outcome(candidates, d):
+    """The candidates, or the type and message of the error."""
+    try:
+        return candidates(d)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _read_off_all_points(cand):
+    """min (X_a + Y_a)/e_a and the staircase rows over every point of the
+    candidate's sub-diagram, from its own cluster: X of the free chain, Y of the root, e of the
+    weights, X and Y swapped when the chain lies on the x-axis."""
+    from singular_lct.cluster import _strict_from_total
+
+    sub = cand.subdiagram
+    t, c = sub.tree, sub.tree.cluster
+    flavor = oracles.subtree_flavor_by_scan(t.parents, t.kinds, 1) if len(t) > 1 else None
+    on_x = 1 in t.x_side or flavor == "H"
+    chain = _strict_from_total(c, [int(t.is_free(v)) for v in range(len(t))])
+    root = _strict_from_total(c, [1] + [0] * (len(t) - 1))
+    x, y = (root, chain) if on_x else (chain, root)
+    e = _strict_from_total(c, sub.weights)
+    slices = oracles.staircase_slices_from_valuations(x, y, e)
+    return min(F(xa + ya, ea) for xa, ya, ea in zip(x, y, e)), slices
+
+
+def _germ_theorem_germs(rng, count):
+    """Products of one to three branches y^a - c x^b or x^a - c y^b, half
+    of them composed with x -> x + lambda y^k, as the germ-theorem
+    benchmark draws them."""
+    from math import gcd
+
+    pairs = [(a, b) for b in range(2, 10) for a in range(1, b) if gcd(a, b) == 1]
+    coefficients = ("1", "(-1)", "2", "(-3)", "(1/2)", "(-2/3)")
+    germs = []
+    for j in range(count):
+        tilt = rng.choice(("1", "(-1)", "2", "(1/3)"))
+        x = "x" if j % 2 == 0 else f"(x + {tilt}*y^{1 + (j // 2) % 2})"
+        factors = set()
+        while len(factors) < 1 + j % 3:
+            a, b = rng.choice(pairs)
+            c = rng.choice(coefficients)
+            u, v = ("y", x) if rng.random() < 0.5 else (x, "y")
+            factors.add(f"({u}^{a} - {c}*{v}^{b})")
+        germs.append("*".join(sorted(factors)))
+    return germs
+
+
+def _oracle_diagrams(rng, count):
+    """Random binary diagrams, each also with one satellite flipped,
+    diagrams of random closed staircases (mirrored chains and x_side marks)
+    and trees of random clusters with weights 0-6, all-zero ones included."""
+    from singular_lct import cluster_to_tree, staircase_to_diagram
+    from test_cluster import random_cluster
+    from test_enriques import random_binary_diagram, random_closed_staircase
+
+    out = []
+    while len(out) < count:
+        d = random_binary_diagram(rng, 12)
+        out.append(d)
+        # one free point's satellite drawn against its chain's axis
+        t = d.tree
+        sats = [k for k in range(1, len(t)) if t.is_satellite(k) and t.kinds[t.parents[k]] == "s"]
+        if sats:
+            k = rng.choice(sats)
+            kinds = list(t.kinds)
+            kinds[k] = "h" if kinds[k] == "v" else "v"
+            out.append(EnriquesDiagram(EnriquesTree(t.parents, kinds, t.x_side), d.weights))
+        out.append(staircase_to_diagram(random_closed_staircase(rng)))
+        c = random_cluster(rng, 10)
+        top = rng.choice((0, 2, 6))
+        out.append(EnriquesDiagram(cluster_to_tree(c), [rng.randint(0, top) for _ in range(len(c))]))
+    return out
+
+
+def test_adapted_candidates_match_the_subdiagram_oracle():
+    import random
+
+    from singular_lct import EnriquesError, OrientationError, UnitIdealError
+
+    rng = random.Random(263)
+    curves = [expr for _, expr in corpus_curves(20)] + _germ_theorem_germs(rng, 320)
+    diagrams = [resolve_curve(P(expr))[1] for expr in curves]
+    diagrams.append(EnriquesDiagram(EnriquesTree((), ()), ()))
+    diagrams += _oracle_diagrams(rng, 1800)
+    candidates, errors = 0, {}
+    for d in diagrams:
+        got = _candidate_outcome(adapted_candidates, d)
+        # the records and their reprs: the same sub-diagrams, vertex by vertex
+        want = _candidate_outcome(oracles.adapted_candidates_by_subdiagram, d)
+        assert got == want and repr(got) == repr(want), d
+        if isinstance(got, tuple):
+            errors[got[0]] = errors.get(got[0], 0) + 1
+            continue
+        for cand in got:
+            if cand.rho is not None:
+                assert _read_off_all_points(cand) == (cand.lct, cand.staircase.slices())
+            candidates += 1
+    assert candidates > 2000, candidates
+    assert set(errors) == {EnriquesError, OrientationError, UnitIdealError}, errors
+    assert min(errors.values()) > 50, errors

@@ -247,8 +247,10 @@ def _total_from_strict(c: Cluster, e: Sequence[int]) -> List[int]:
 
 def _strict_from_total(c: Cluster, w: Sequence[int]) -> List[int]:
     e: List[int] = []
-    for a in range(len(c)):
-        e.append(w[a] + sum(e[g] for g in c.targets[a]))
+    for ea, targets in zip(w, c.targets):
+        for g in targets:
+            ea += e[g]
+        e.append(ea)
     return e
 
 
@@ -401,24 +403,24 @@ def _demand(e: Sequence[int], k: Sequence[int], n: int, m: int) -> List[int]:
 # -- invariants of curve clusters ------------------------------------------------
 
 
-def _thresholds(kl: WeightedCluster) -> List[Fraction]:
-    """The value (k+1)/e at each point of a non-empty unloaded weighted
-    cluster; the least of them is its log-canonical threshold."""
-    if kl.is_empty():
+def _thresholds(c: Cluster, w: Sequence[int], e: Sequence[int]) -> List[Fraction]:
+    """The value (k+1)/e at each point of a cluster with non-empty unloaded
+    weights w of strict vector e; the least of them is its log-canonical
+    threshold."""
+    if not any(w):
         raise ClusterError("log-canonical threshold needs a non-empty cluster")
-    if not is_unloaded(kl):
+    if min(_branch_from_total(c, w)) < 0:
         raise ClusterError(
             "weights violate a proximity relation; unload the cluster first"
         )
-    e = _strict_from_total(kl.cluster, kl.weights)
-    k = log_discrepancies(kl.cluster).entries
+    k = log_discrepancies(c).entries
     return [Fraction(ka + 1, ea) for ka, ea in zip(k, e)]
 
 
 def lct_cluster(kl: WeightedCluster) -> Tuple[Fraction, Tuple[int, ...]]:
     """Log-canonical threshold min (k+1)/e of an unloaded weighted cluster,
     together with all indices attaining the minimum."""
-    values = _thresholds(kl)
+    values = _thresholds(kl.cluster, kl.weights, _strict_from_total(kl.cluster, kl.weights))
     best = min(values)
     return best, tuple(a for a, v in enumerate(values) if v == best)
 

@@ -10,12 +10,13 @@ threshold can be computed two independent ways:
 An adapted choice is indexed by the endpoint rho of a maximal chain of
 free points: the associated subdiagram is the largest binary subdiagram
 whose free vertices lie on the root-to-rho path.  Its monomial ideal is
-cut out by valuations of the curve's own cluster: m X_a + n Y_a >= e_a at
-each dicritical point a of the subdiagram, X and Y the strict vectors of
-the two coordinate curves and e the curve's, and its threshold is the
-least (X_a + Y_a)/e_a (Howald).  That threshold is at
-least the lct and the minimum over the candidates equals it, but one
-candidate may lie above the term ideal's value: on the curve
+the one `enriques._valuations` reads with the curve's own cluster, the
+rule `diagram_to_staircase` reads too: m X_a + n Y_a >= e_a at each
+dicritical point a of the subdiagram, X and Y the strict vectors of the
+two coordinate curves and e the curve's, and its threshold is the least
+(X_a + Y_a)/e_a (Howald).  That threshold is at least the lct and the
+minimum over the candidates equals it, but one candidate may lie above
+the term ideal's value: on the curve
 (x^2 + y^5)*(x^4 - (1/2)*y^5)*(y^3 - 2*x^4), rho = P2 gives 2/9 and the
 term ideal 3/14.  check_main_theorem verifies that the minimum and the
 cluster route agree exactly, and that the threshold along every
@@ -31,17 +32,13 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from ._record import Record
-from .cluster import _strict_from_total, _thresholds
+from .cluster import _thresholds
 from .enriques import (
-    HORIZONTAL,
-    VERTICAL,
     EnriquesDiagram,
-    EnriquesError,
     EnriquesTree,
-    _chain_axis,
     _free_path,
-    _misdrawn_satellite,
     _nondegenerate,
+    _valuations,
 )
 from .newton import Staircase, UnitIdealError
 
@@ -62,8 +59,9 @@ class AdaptedCandidate(Record):
     second coordinate curve, the binary subdiagram it spans, the staircase
     of the monomial ideal that subdiagram cuts out, and that ideal's lct,
     which is at least the lct of the curve.  Staircase and lct are read
-    off the valuations at the subdiagram's dicritical points, the same
-    values `diagram_to_staircase` and `lct_monomial` give."""
+    off the valuations at the subdiagram's dicritical points by the rule
+    `diagram_to_staircase` reads, so they are the values it and
+    `lct_monomial` give on the subdiagram."""
 
     rho: Optional[int]
     subdiagram: EnriquesDiagram
@@ -111,70 +109,44 @@ def nondegenerate_part(d: EnriquesDiagram) -> EnriquesDiagram:
 
 
 def adapted_candidates(d: EnriquesDiagram) -> List[AdaptedCandidate]:
-    """One candidate per maximal all-free chain endpoint rho, read off three
-    strict vectors of the curve's own cluster: e of the weights, X of the
-    coordinate whose free chain runs to rho and Y of the transverse one (the
-    root alone), X and Y swapped on an x-axis chain.  A candidate's points,
-    the root path to rho and the satellites off it, are closed under
-    proximity and their free ancestors lie on that path, so one X, from
-    every free point on a root path, serves every candidate.  The points
-    with a positive branch coordinate inside the candidate are dicritical;
-    they cut out its complete ideal {m X_a + n Y_a >= e_a} (Zariski), whose
-    threshold is min (X_a + Y_a)/e_a (Howald).  The errors are those of
+    """One candidate per maximal all-free chain endpoint rho: the root path
+    to rho and the satellites off it, a point set closed under proximity
+    whose free points lie on that path, read by `enriques._valuations` with
+    the curve's own strict vectors.  Its dicritical points cut out the
+    complete ideal {m X_a + n Y_a >= e_a} (Zariski), whose threshold is
+    min (X_a + Y_a)/e_a (Howald).  The errors are those of
     `diagram_to_staircase` and `lct_monomial` on the subdiagram, in their
     order: not unloaded, a misdrawn satellite, the unit ideal."""
+    return _adapted(d)[1]
+
+
+def _adapted(d: EnriquesDiagram) -> Tuple[List[int], List[AdaptedCandidate]]:
+    """The curve's strict vector e and its adapted candidates."""
     if len(d) == 0:
-        return [
-            AdaptedCandidate(None, d, Staircase.empty(), Fraction(1))
-        ]
-    t, w = d.tree, d.weights
-    c = t.cluster
-    children, targets = c._children, c.targets
+        return [], [AdaptedCandidate(None, d, Staircase.empty(), Fraction(1))]
+    t = d.tree
+    children = t.cluster._children
     free_path = _free_path(t)
-    e = _strict_from_total(c, w)
-    along = _strict_from_total(c, [int(f) for f in free_path])
-    across = _strict_from_total(c, [1] + [0] * (len(d) - 1))
-    endpoints = [
-        v
-        for v, kids in enumerate(children)
-        if free_path[v] and not any(free_path[k] for k in kids)
-    ]
+    e, read = _valuations(d)
     out = []
-    for rho in endpoints:
+    for rho, kids in enumerate(children):
+        if not free_path[rho] or any(free_path[k] for k in kids):
+            continue
         keep = []
         v: Optional[int] = rho
         while v is not None:
             keep.append(v)
             v = t.parents[v]
-        chain = keep[-2::-1]  # the free points from the root child down to rho
+        keep.reverse()  # the root path, parents first
         for u in keep:  # grows: the satellites hanging off the kept points
             keep.extend(k for k in children[u] if t.is_satellite(k))
         sub = d.restrict(keep)
-        branch = {a: w[a] for a in keep}
-        for q in keep:
-            for a in targets[q]:
-                branch[a] -= w[q]
-        if min(branch.values()) < 0:
-            raise EnriquesError("diagram is not unloaded")
-        role = _chain_axis(t, chain) or "V"
-        drawn = HORIZONTAL if role == "V" else VERTICAL
-        for u in chain:
-            for k in children[u]:
-                if t.is_satellite(k) and t.kinds[k] != drawn:
-                    raise _misdrawn_satellite(sorted(keep).index(u), t.kinds[k], role)
-        x, y = (along, across) if role == "V" else (across, along)
-        dicritical = [(x[a], y[a], e[a]) for a, b in branch.items() if b > 0]
-        if not dicritical:
+        points, staircase = read(keep)
+        if not points:
             raise UnitIdealError("the unit ideal has no log-canonical threshold")
-        # row j of the staircase is the least m with m X + j Y >= e at
-        # every dicritical point; from j >= e/Y on, every row is empty
-        height = max(-(-ea // ya) for _, ya, ea in dicritical)
-        widths = [
-            max(-((j * ya - ea) // xa) for xa, ya, ea in dicritical) for j in range(height)
-        ]
-        lct = min(Fraction(xa + ya, ea) for xa, ya, ea in dicritical)
-        out.append(AdaptedCandidate(rho, sub, Staircase.from_slices(widths), lct))
-    return out
+        lct = min(Fraction(xa + ya, ea) for xa, ya, ea in points)
+        out.append(AdaptedCandidate(rho, sub, staircase, lct))
+    return e, out
 
 
 def lct_via_term_ideals(d: EnriquesDiagram) -> Fraction:
@@ -209,9 +181,10 @@ def _path_checks(
 def check_main_theorem(d: EnriquesDiagram) -> TheoremReport:
     """Verify that the cluster threshold equals the minimum over adapted
     term ideals, exactly; raise MainTheoremViolation otherwise."""
-    candidates = tuple(adapted_candidates(d))
+    e, candidates = _adapted(d)
+    candidates = tuple(candidates)
     lct_term = min(c.lct for c in candidates)
-    values = _thresholds(d.to_weighted_cluster()) if len(d) else []
+    values = _thresholds(d.tree.cluster, d.weights, e) if len(d) else []
     lct_direct = min(values, default=Fraction(1))  # 1 if smooth
     witnesses = tuple(a for a, v in enumerate(values) if v == lct_direct)
     witness_candidate = next((c for c in candidates if c.lct == lct_term), None)

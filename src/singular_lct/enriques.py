@@ -13,6 +13,10 @@ chain vertical (the mirrored convention).  A free chain with no satellites
 carries no such information, so the tree keeps an explicit `x_side` mark
 for root children whose pure slant chain runs along the x-axis; without the
 mark a chain is read as lying on the y-axis.
+
+The ideal of a binary unloaded diagram is one valuation rule,
+`_valuations`, read on the whole diagram by `diagram_to_staircase` and on
+each candidate's points by `engine.adapted_candidates`.
 """
 
 from __future__ import annotations
@@ -20,17 +24,17 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import gcd
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ._record import Record
 from .cluster import (
     Cluster,
     WeightedCluster,
+    _strict_from_total,
     intersection_inverse,
-    is_unloaded,
     log_discrepancies,
 )
-from .newton import Staircase, _add_rows, _merge_rows, newton_facets
+from .newton import Staircase, newton_facets
 
 SLANT = "s"
 HORIZONTAL = "h"
@@ -227,24 +231,6 @@ def _chain_axis(t: EnriquesTree, chain: Iterable[int]) -> Optional[str]:
             if t.kinds[k] == VERTICAL:
                 return "H"
     return None
-
-
-def _slant_chain(t: EnriquesTree, v: Optional[int]) -> Iterator[int]:
-    """The free chain from v down its slant children; in a binary diagram
-    each free point other than the root has at most one."""
-    while v is not None:
-        yield v
-        v = next((k for k in t.cluster._children[v] if t.kinds[k] == SLANT), None)
-
-
-def _misdrawn_satellite(vertex: int, kind: str, role: str) -> OrientationError:
-    """The error for a satellite off a free point that is drawn against the
-    axis of its chain; vertex is the free point's number in the diagram
-    being read."""
-    return OrientationError(
-        f"vertex {vertex}: satellite child drawn {kind!r} on "
-        f"the {'y' if role == 'V' else 'x'}-axis chain"
-    )
 
 
 def _free_path(t: EnriquesTree) -> List[bool]:
@@ -630,66 +616,94 @@ def verify_main_inequality(t: EnriquesTree, p2: int, q2: int) -> MainInequalityR
 # -- diagrams <-> staircases ------------------------------------------------------
 
 
+def _valuations(d: EnriquesDiagram) -> Tuple[List[int], Callable]:
+    """The monomial ideal of a binary diagram, {m X_a + n Y_a >= e_a} over
+    its dicritical points a, those with a positive branch coordinate
+    (Zariski); e, X and Y are the strict vectors of the weights, x and y.
+    x = 0 passes through the root and the y-axis free chain, and a strict
+    coordinate reads only the point's ancestors, so under a y-axis root
+    child X is the strict vector of every free point on a root path and Y
+    that of the root alone; under an x-axis one they swap.
+
+    Returns e and the reader of the sub-diagram on keep, a point set closed
+    under proximity, with every satellite child of its free points, that
+    lists each point after its parent.  The reader raises if the weights
+    are not unloaded on keep, if both root chains lie on one axis, and for
+    a satellite off a free point drawn against its chain's axis (the y-axis
+    chain first, numbered as in `d.restrict(keep)`); else it returns the
+    points (X_a, Y_a, e_a) and the staircase, row j the least m with
+    m X_a + j Y_a >= e_a at each of them."""
+    t, w = d.tree, d.weights
+    kinds, children, targets = t.kinds, t.cluster._children, t.cluster.targets
+    free_path = _free_path(t)
+    e = _strict_from_total(t.cluster, w)
+    along = _strict_from_total(t.cluster, [int(f) for f in free_path])
+    across = _strict_from_total(t.cluster, [int(v == 0) for v in range(len(d))])
+    under = list(range(len(d)))  # the root child a point lies under
+    for v in range(1, len(d)):
+        if t.parents[v]:
+            under[v] = under[t.parents[v]]
+
+    def read(keep: Sequence[int]) -> Tuple[List[Tuple[int, int, int]], Staircase]:
+        branch = {a: w[a] for a in keep}
+        for q in keep:
+            for a in targets[q]:
+                branch[a] -= w[q]
+        if any(b < 0 for b in branch.values()):
+            raise EnriquesError("diagram is not unloaded")
+        chains: Dict[int, List[int]] = {}
+        for v in keep:
+            if v and free_path[v]:
+                chains.setdefault(under[v], []).append(v)
+        # a chain lies on the axis _chain_axis reads; bare chains take the
+        # free axes, y first, and a binary root has at most two children
+        axis = {k: _chain_axis(t, chain) for k, chain in chains.items()}
+        free_axes = iter([a for a in ("V", "H") if a not in axis.values()])
+        axis = {k: a or next(free_axes) for k, a in axis.items()}
+        if len(set(axis.values())) != len(axis):
+            raise OrientationError("both root children lie on the same axis")
+        for k in sorted(axis, key=lambda k: axis[k] != "V"):
+            drawn = HORIZONTAL if axis[k] == "V" else VERTICAL
+            for u in chains[k]:
+                for s in children[u]:
+                    if kinds[s] not in (SLANT, drawn):
+                        raise OrientationError(
+                            f"vertex {sorted(keep).index(u)}: satellite child drawn "
+                            f"{kinds[s]!r} on the {'y' if drawn == HORIZONTAL else 'x'}"
+                            "-axis chain"
+                        )
+        on_x = {k for k, a in axis.items() if a == "H"}
+        points = [
+            (across[a], along[a], e[a]) if under[a] in on_x else (along[a], across[a], e[a])
+            for a, b in branch.items()
+            if b > 0
+        ]
+        rows: List[int] = []  # each point's rows, up to row e_a/Y_a, and their maxima
+        for xa, ya, ea in points:
+            own = [-((j * ya - ea) // xa) for j in range(-(-ea // ya))]
+            if len(own) > len(rows):
+                rows, own = own, rows
+            rows[: len(own)] = map(max, rows, own)
+        return points, Staircase.from_slices(rows)
+
+    return e, read
+
+
 def diagram_to_staircase(d: EnriquesDiagram) -> Staircase:
     """Staircase of the integrally closed monomial ideal cut out by a
-    binary unloaded diagram.
-
-    Induction on the root: with root weight c and the subschemes Z1 (child
-    on the y-axis side) and Z2 (x-axis side) after one blowup, the
-    staircase is the double slice sum (triangle(c) +v S(Z1)) +h S(Z2).
-    The roles propagate: the child of a vertex's own kind (slant for a free
-    point) keeps its role and the other child takes the other one.  A
-    binary diagram has no free point behind a satellite, so there is no
-    third child; a free point's satellite child must be drawn horizontal on
-    the y-side and vertical on the x-side.
+    binary unloaded diagram: {m X_a + n Y_a >= e_a} over its dicritical
+    points, as `_valuations` reads the whole diagram.  A binary diagram has
+    no free point behind a satellite, so every free point lies on one of at
+    most two root chains, each on its own axis; a free point's satellite
+    child must be drawn horizontal on the y-axis chain and vertical on the
+    x-axis one.
     """
     cls = classify(d.tree)
     if not cls.binary:
         raise EnriquesError(f"diagram is not binary: {dict(cls.witnesses)}")
-    if not is_unloaded(d.to_weighted_cluster()):
-        raise EnriquesError("diagram is not unloaded")
-    t, w = d.tree, d.weights
-
-    def split(v: int, role: str) -> Tuple[Optional[int], Optional[int]]:
-        kids = t.cluster._children[v]
-        if v == 0:
-            # a root child's chain lies on the axis _chain_axis reads; bare
-            # chains take the free axes, y first
-            axis = {k: _chain_axis(t, _slant_chain(t, k)) for k in kids}
-            free_axes = [a for a in ("V", "H") if a not in axis.values()]
-            for k in kids:
-                if axis[k] is None:
-                    if not free_axes:
-                        raise OrientationError("both root chains claim the same axis")
-                    axis[k] = free_axes.pop(0)
-            if len(set(axis.values())) != len(kids):
-                raise OrientationError("both root children lie on the same axis")
-            child_on = {a: k for k, a in axis.items()}
-            return child_on.get("V"), child_on.get("H")
-        own = t.kinds[v]
-        same = next((k for k in kids if t.kinds[k] == own), None)
-        other = next((k for k in kids if t.kinds[k] != own), None)
-        if own == SLANT and other is not None:
-            if t.kinds[other] != (HORIZONTAL if role == "V" else VERTICAL):
-                raise _misdrawn_satellite(v, t.kinds[other], role)
-        return (same, other) if role == "V" else (other, same)
-
-    # split every vertex in preorder, y-side child first, then sum the
-    # staircases children first, as lists of row widths; unloaded weights
-    # vanish below a zero one
-    order: List[Tuple[int, Optional[int], Optional[int]]] = []
-    stack = [(0, "V")] if len(d) else []
-    while stack:
-        v, role = stack.pop()
-        vchild, hchild = split(v, role)
-        order.append((v, vchild, hchild))
-        stack += [(k, r) for k, r in ((hchild, "H"), (vchild, "V")) if k is not None]
-    rows: Dict[int, List[int]] = {}
-    for v, vchild, hchild in reversed(order):
-        rv, rh = rows.pop(vchild, []), rows.pop(hchild, [])
-        if w[v]:
-            rows[v] = _add_rows(_merge_rows(range(w[v], 0, -1), rv), rh)
-    return Staircase.from_slices(rows.get(0, []))
+    _, read = _valuations(d)
+    _, staircase = read(range(len(d)))
+    return staircase
 
 
 def staircase_to_diagram(s: Staircase) -> EnriquesDiagram:

@@ -340,29 +340,23 @@ class Staircase(Record):
         return f"Staircase{self.slices() if self.is_finite() else self.generators}"
 
 
-def _add_rows(a: Sequence[int], b: Sequence[int]) -> List[int]:
-    """Row widths of a horizontal sum: the widths add row by row."""
-    return [x + y for x, y in zip_longest(a, b, fillvalue=0)]
-
-
-def _merge_rows(a: Sequence[int], b: Sequence[int]) -> List[int]:
-    """Row widths of a vertical sum: the column heights add, and the rows
-    of a sum of conjugates are the two row lists merged in decreasing
-    order."""
-    return sorted([*a, *b], reverse=True)
-
-
 def staircase_sum(a: Staircase, b: Staircase, direction: str) -> Staircase:
     """Slicewise sum of two finite staircases.
 
-    direction 'horizontal': row widths add; 'vertical': column heights add.
+    direction 'horizontal': row widths add; 'vertical': column heights add,
+    and the rows of a sum of conjugates are the two row lists merged in
+    decreasing order.
     """
     if direction not in ("horizontal", "vertical"):
         raise MonomialIdealError(f"unknown direction {direction!r}")
     if not (a.is_finite() and b.is_finite()):
         raise InfiniteStaircaseError("staircase sums require finite staircases")
-    rows = _add_rows if direction == "horizontal" else _merge_rows
-    return Staircase.from_slices(rows(a.slices(), b.slices()))
+    ra, rb = a.slices(), b.slices()
+    if direction == "horizontal":
+        rows = [x + y for x, y in zip_longest(ra, rb, fillvalue=0)]
+    else:
+        rows = sorted([*ra, *rb], reverse=True)
+    return Staircase.from_slices(rows)
 
 
 def triangle(c: int) -> Staircase:

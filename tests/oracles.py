@@ -48,12 +48,19 @@ and `trimmed_by_fixed_point_loop` are the earlier step-by-step forms of
 forms of `EnriquesTree.cluster` and of the free-chain flavor of a root
 child, which find children and L-branch targets by scanning the parent list.
 
-`tree_key_by_recursion`, `union_by_recursion`, `glue_at_root_by_recursion`
-and `diagram_to_staircase_by_recursion` are the earlier recursive forms of
-the nested canonical key behind tree and diagram equality, of `union` and
-the root gluing of `staircase_to_diagram` and of `diagram_to_staircase`:
-one Python frame per tree level, where the library walks one loop, so they
-overflow the interpreter's stack on deep chains.
+`tree_key_by_recursion`, `union_by_recursion` and `glue_at_root_by_recursion`
+are the earlier recursive forms of the nested canonical key behind tree and
+diagram equality, of `union` and of the root gluing of
+`staircase_to_diagram`: one Python frame per tree level, where the library
+walks one loop, so they overflow the interpreter's stack on deep chains.
+
+`diagram_to_staircase_by_recursion` is the slice-sum form of the dictionary
+from binary diagrams to monomial ideals, one frame per tree level: the
+staircase of a root of weight c is (triangle(c) +v S(Z1)) +h S(Z2), Z1 and
+Z2 the subschemes on the y- and x-axis sides.  It is the oracle of the
+library's valuation rule, `enriques._valuations`, which reads the ideal as
+{m X_a + n Y_a >= e_a} at the dicritical points for `diagram_to_staircase`
+and for the adapted candidates alike.
 
 `path_checks_by_restriction` is the earlier form of the path checks of
 `check_main_theorem`: for each root-to-leaf path through a witness, from
@@ -64,9 +71,10 @@ the library takes least values of the curve's own cluster along the path.
 `adapted_candidates_by_subdiagram` is the earlier form of
 `engine.adapted_candidates`: for each candidate it builds the sub-diagram's
 cluster and Enriques tree, classifies it, checks that it is unloaded, and
-reads the staircase from `diagram_to_staircase` and the threshold from its
-Newton polygon by `lct_monomial`, where the library reads both off the
-valuations of the curve's own cluster at the candidate's dicritical points.
+reads the staircase by the slice sums of `diagram_to_staircase_by_recursion`
+and the threshold from its Newton polygon by `lct_monomial`, where the
+library reads both off the valuations of the curve's own cluster at the
+candidate's dicritical points.
 
 `resolve_curve_by_recursion` is the earlier form of `resolve_curve`: two
 mutually recursive closures, two Python frames per infinitely near point.
@@ -152,7 +160,6 @@ from singular_lct.enriques import (
     _subtree_flavor,
     classify,
     cluster_to_tree,
-    diagram_to_staircase,
 )
 from singular_lct.newton import (
     InfiniteStaircaseError,
@@ -1081,7 +1088,7 @@ def adapted_candidates_by_subdiagram(d: EnriquesDiagram) -> List[AdaptedCandidat
         for u in keep:  # grows: the satellites hanging off the kept points
             keep.extend(k for k in children[u] if t.is_satellite(k))
         sub = d.restrict(keep)
-        stair = diagram_to_staircase(sub)
+        stair = diagram_to_staircase_by_recursion(sub)
         out.append(
             AdaptedCandidate(rho, sub, stair, lct_monomial(stair.to_ideal()))
         )

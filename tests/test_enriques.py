@@ -520,6 +520,66 @@ def test_orientation_conflict_detected():
         diagram_to_staircase(d)
 
 
+def test_staircase_errors_are_pinned():
+    from singular_lct import ClusterError, adapted_candidates
+
+    T, D = EnriquesTree, EnriquesDiagram
+    three = D(T((None, 0, 0, 0), (None, "s", "s", "s")), (3, 1, 1, 1))
+    degenerate = D(connected_sum(t_pq(2, 3).tree, t_pq(2, 3).tree), (4, 2, 2, 1, 1))
+    one_axis = D(T((None, 0, 1, 0, 3), (None, "s", "h", "s", "h")), (4, 1, 1, 1, 1))
+    # the first satellite off the chain draws it on the y-axis, vertex 3's
+    # is vertical; mirrored, the chain is on the x-axis and vertex 3's is
+    # horizontal
+    y_chain = D(T((None, 0, 1, 1, 3), (None, "s", "h", "s", "v")), (4, 3, 1, 1, 1))
+    x_chain = D(y_chain.tree.mirrored(), y_chain.weights)
+    # both root chains carry a misdrawn satellite: the y-axis one is reported
+    both = T([None, 0, 1, 1, 3, 0, 5, 5, 7], [None, "s", "h", "s", "v", "s", "v", "s", "h"])
+    weights = (8, 3, 1, 1, 1, 3, 1, 1, 1)
+    cases = [
+        (three, EnriquesError, "diagram is not binary: {'outdegree': 0, 'branching_vertex': 0}"),
+        (degenerate, EnriquesError, "diagram is not binary: {'degenerate_free_vertex': 3}"),
+        (D(t_pq(5, 7).tree, (1,) * 5), EnriquesError, "diagram is not unloaded"),
+        (one_axis, OrientationError, "both root children lie on the same axis"),
+        (y_chain, OrientationError, "vertex 3: satellite child drawn 'v' on the y-axis chain"),
+        (x_chain, OrientationError, "vertex 3: satellite child drawn 'h' on the x-axis chain"),
+        (
+            D(both, weights),
+            OrientationError,
+            "vertex 3: satellite child drawn 'v' on the y-axis chain",
+        ),
+        (
+            D(both.mirrored(), weights),
+            OrientationError,
+            "vertex 7: satellite child drawn 'v' on the y-axis chain",
+        ),
+    ]
+    for d, kind, message in cases:
+        with pytest.raises(EnriquesError) as info:
+            diagram_to_staircase(d)
+        assert (type(info.value), str(info.value)) == (kind, message)
+        assert _outcome(oracles.diagram_to_staircase_by_recursion, d) == (kind, message)
+    # vertex 4 of the whole diagram is vertex 3 of the candidate through it,
+    # which keeps the points 0, 2, 3, 4 and 5; the candidate at vertex 1 is sound
+    two = D(T((None, 0, 0, 2, 2, 4), (None, "s", "s", "h", "s", "v")), (5, 1, 3, 1, 1, 1))
+    message = "satellite child drawn 'v' on the y-axis chain"
+    with pytest.raises(OrientationError, match=f"^vertex 4: {message}$"):
+        diagram_to_staircase(two)
+    with pytest.raises(OrientationError, match=f"^vertex 3: {message}$"):
+        adapted_candidates(two)
+    with pytest.raises(OrientationError, match=f"^vertex 3: {message}$"):
+        check_main_theorem(two)
+    # each candidate keeps the root and one child, and is unloaded; the
+    # whole diagram is not, which the cluster route reports
+    loaded = D(T((None, 0, 0), (None, "s", "s")), (2, 2, 2))
+    assert [c.lct for c in adapted_candidates(loaded)] == [F(3, 4), F(3, 4)]
+    with pytest.raises(EnriquesError, match="^diagram is not unloaded$"):
+        diagram_to_staircase(loaded)
+    with pytest.raises(ClusterError) as info:
+        check_main_theorem(loaded)
+    assert type(info.value) is ClusterError
+    assert str(info.value) == "weights violate a proximity relation; unload the cluster first"
+
+
 def test_staircase_to_diagram_rejects_empty_and_infinite():
     with pytest.raises(EnriquesError):
         staircase_to_diagram(Staircase.empty())

@@ -146,8 +146,8 @@ def _curve(args) -> Tuple[WeightedCluster, EnriquesDiagram]:
 
 def _curve_cluster(args) -> WeightedCluster:
     """The curve's cluster alone, for the commands that read no diagram."""
-    from .resolution import MAX_POINTS, _resolve_cluster
-    return _resolve_cluster(BivariatePolynomial.parse(args.curve), MAX_POINTS)
+    from .resolution import _resolve_cluster
+    return _resolve_cluster(BivariatePolynomial.parse(args.curve))
 
 
 def _ideal(args) -> MonomialIdeal:

@@ -12,7 +12,9 @@ free chain along the y-axis are drawn horizontal, those off the x-axis
 chain vertical (the mirrored convention).  A free chain with no satellites
 carries no such information, so the tree keeps an explicit `x_side` mark
 for root children whose pure slant chain runs along the x-axis; without the
-mark a chain is read as lying on the y-axis.
+mark a chain is read as lying on the y-axis.  `_chain_axis` is the one
+reader of a root chain's axis, for the mark check, `mirrored`, `restrict`
+and `_valuations`; a restriction keeps each kept root chain's axis.
 
 The ideal of a binary unloaded diagram is one valuation rule,
 `_valuations`, read on the whole diagram by `diagram_to_staircase` and on
@@ -24,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import gcd
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ._record import Record
 from .cluster import (
@@ -102,6 +104,7 @@ class EnriquesTree(Record):
                 )
         object.__setattr__(self, "parents", parents)
         object.__setattr__(self, "kinds", kinds)
+        object.__setattr__(self, "x_side", frozenset())  # read the satellites alone
         object.__setattr__(self, "x_side", self._normalize_marks(x_side))
 
     def _normalize_marks(self, x_side) -> frozenset:
@@ -109,15 +112,15 @@ class EnriquesTree(Record):
         for v in x_side:
             if not (1 <= v < len(self.parents)) or self.parents[v] != 0:
                 raise EnriquesError(f"x_side mark {v} is not a root child")
-            flavor = _subtree_flavor(self, v)
-            if flavor is None:
+            axis = _chain_axis(self, v)
+            if axis is None:
                 keep.add(v)
-            elif flavor == "V":
+            elif axis == "V":
                 raise OrientationError(
                     f"root child {v} is marked x-side but its satellites are "
                     "drawn horizontal"
                 )
-            # flavor 'H': the kinds already say it; the mark is redundant
+            # axis 'H': the kinds already say it; the mark is redundant
         return frozenset(keep)
 
     def __len__(self) -> int:
@@ -152,7 +155,11 @@ class EnriquesTree(Record):
         return all(len(kids) <= 1 for kids in self.cluster._children)
 
     def restrict(self, keep: Sequence[int]) -> "EnriquesTree":
-        keep = sorted(keep)
+        """The subtree on keep, numbered in keep's order (parents first).
+        A kept root child keeps the axis it lies on in this tree: it is
+        marked if that is the x-axis, and the constructor drops the mark
+        where the kept satellites imply it and raises where they contradict
+        it."""
         pos = {old: new for new, old in enumerate(keep)}
         for v in keep:
             p = self.parents[v]
@@ -162,16 +169,14 @@ class EnriquesTree(Record):
             None if self.parents[v] is None else pos[self.parents[v]] for v in keep
         )
         kinds = tuple(self.kinds[v] for v in keep)
-        marks = frozenset(pos[v] for v in self.x_side if v in pos)
+        marks = [pos[v] for v in keep if self.parents[v] == 0 and _chain_axis(self, v) == "H"]
         return EnriquesTree(parents, kinds, marks)
 
     def mirrored(self) -> "EnriquesTree":
         """Swap the horizontal and vertical edge kinds (x <-> y)."""
         flip = {None: None, SLANT: SLANT, HORIZONTAL: VERTICAL, VERTICAL: HORIZONTAL}
         roots = self.cluster._children[0] if self.parents else ()
-        marks = frozenset(
-            v for v in roots if v not in self.x_side and _subtree_flavor(self, v) is None
-        )
+        marks = [v for v in roots if _chain_axis(self, v) is None]
         return EnriquesTree(self.parents, tuple(flip[k] for k in self.kinds), marks)
 
     def _key(self, weights=None) -> tuple:
@@ -203,33 +208,20 @@ class EnriquesTree(Record):
         return hash(self._key())
 
 
-def _subtree_flavor(t: EnriquesTree, child: int) -> Optional[str]:
-    """Which axis the free chain from a root child lies on, read off the
-    first satellite hanging on it: 'V' (y-axis) for horizontal satellites,
-    'H' (x-axis) for vertical ones, None for a bare chain."""
+def _chain_axis(t: EnriquesTree, child: int) -> Optional[str]:
+    """Which axis the free chain from a root child lies on: 'H' (x-axis) if
+    the child is marked x_side, else read off the first satellite off a free
+    point below it: 'V' (y-axis) for a horizontal one, 'H' for a vertical
+    one; None for a chain with no satellite."""
+    if child in t.x_side:
+        return "H"
     stack = [child]
     while stack:
         kids = t.cluster._children[stack.pop()]
-        sats = [i for i in kids if t.is_satellite(i)]
-        if sats:
-            return "V" if t.kinds[sats[0]] == HORIZONTAL else "H"
-        stack.extend(i for i in kids if t.kinds[i] == SLANT)
-    return None
-
-
-def _chain_axis(t: EnriquesTree, chain: Iterable[int]) -> Optional[str]:
-    """Which axis a free chain lies on, given its points from the root child
-    down: 'H' (x-axis) if the root child is marked x_side, else read off the
-    first satellite off a point of the chain: 'V' (y-axis) for a horizontal
-    one, 'H' for a vertical one; None for a chain with no satellite."""
-    for v in chain:
-        if v in t.x_side:  # only the root child can carry the mark
-            return "H"
-        for k in t.cluster._children[v]:
-            if t.kinds[k] == HORIZONTAL:
-                return "V"
-            if t.kinds[k] == VERTICAL:
-                return "H"
+        for k in kids:
+            if t.kinds[k] != SLANT:
+                return "V" if t.kinds[k] == HORIZONTAL else "H"
+        stack.extend(kids)
     return None
 
 
@@ -278,9 +270,7 @@ class EnriquesDiagram(Record):
 
     def restrict(self, keep: Sequence[int]) -> "EnriquesDiagram":
         keep = sorted(keep)
-        return EnriquesDiagram(
-            self.tree.restrict(keep), tuple(self.weights[v] for v in keep)
-        )
+        return EnriquesDiagram(self.tree.restrict(keep), [self.weights[v] for v in keep])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EnriquesDiagram):
@@ -643,6 +633,7 @@ def _valuations(d: EnriquesDiagram) -> Tuple[List[int], Callable]:
     for v in range(1, len(d)):
         if t.parents[v]:
             under[v] = under[t.parents[v]]
+    axes = {k: _chain_axis(t, k) for k in (children[0] if len(d) else ())}
 
     def read(keep: Sequence[int]) -> Tuple[List[Tuple[int, int, int]], Staircase]:
         branch = {a: w[a] for a in keep}
@@ -657,7 +648,7 @@ def _valuations(d: EnriquesDiagram) -> Tuple[List[int], Callable]:
                 chains.setdefault(under[v], []).append(v)
         # a chain lies on the axis _chain_axis reads; bare chains take the
         # free axes, y first, and a binary root has at most two children
-        axis = {k: _chain_axis(t, chain) for k, chain in chains.items()}
+        axis = {k: axes[k] for k in chains}
         free_axes = iter([a for a in ("V", "H") if a not in axis.values()])
         axis = {k: a or next(free_axes) for k, a in axis.items()}
         if len(set(axis.values())) != len(axis):

@@ -201,7 +201,7 @@ def _charts(g: BivariatePolynomial, m: int, a: int, b: int, directions):
     return out
 
 
-def _resolve_at(f: BivariatePolynomial, precision: int, max_points: int, unchecked=None):
+def _resolve_at(f: BivariatePolynomial, precision: int, unchecked=None):
     """Parents, targets, weights and exceptional multiplicities of the
     resolution of f, each point's equation carried modulo the ideal the
     module docstring derives, from f modulo (x^precision) at the root.
@@ -225,8 +225,8 @@ def _resolve_at(f: BivariatePolynomial, precision: int, max_points: int, uncheck
     exc_mult: List[int] = []  # multiplicity of E_i in the total transform
     while todo:
         g, a, b, axes, parent, parent_measure = todo.pop()
-        if len(parents) >= max_points:
-            raise ResolutionError(f"resolution exceeded {max_points} blowups")
+        if len(parents) >= MAX_POINTS:
+            raise ResolutionError(f"resolution exceeded {MAX_POINTS} blowups")
         m = g.multiplicity() if g else a + b
         if m >= a + b:  # a + b is the least degree in the ideal
             raise _Imprecise
@@ -271,9 +271,7 @@ def _resolve_at(f: BivariatePolynomial, precision: int, max_points: int, uncheck
     return parents, targets, weights, exc_mult
 
 
-def resolve_curve(
-    f: BivariatePolynomial, max_points: int = MAX_POINTS
-) -> Tuple[WeightedCluster, EnriquesDiagram]:
+def resolve_curve(f: BivariatePolynomial) -> Tuple[WeightedCluster, EnriquesDiagram]:
     """Weighted cluster and Enriques diagram of the minimal log resolution.
 
     Weights are the multiplicities of the strict transform at the blown-up
@@ -281,11 +279,11 @@ def resolve_curve(
     needs no blowup and yields the empty cluster.
     """
     from .enriques import EnriquesDiagram, cluster_to_tree
-    kl = _resolve_cluster(f, max_points)
+    kl = _resolve_cluster(f)
     return kl, EnriquesDiagram(cluster_to_tree(kl.cluster), kl.weights)
 
 
-def _resolve_cluster(f: BivariatePolynomial, max_points: int) -> WeightedCluster:
+def _resolve_cluster(f: BivariatePolynomial) -> WeightedCluster:
     """The weighted cluster of `resolve_curve`, without its diagram: all
     that the lct and the jumping numbers of the curve read."""
     if f.is_zero():
@@ -297,7 +295,7 @@ def _resolve_cluster(f: BivariatePolynomial, max_points: int) -> WeightedCluster
     precision = (_x_order(f) or f.degree()) + 1  # ord f(x, 0) >= 1, as f(0, 0) = 0
     while True:
         try:
-            parents, targets, weights, exc_mult = _resolve_at(f, precision, max_points, unchecked)
+            parents, targets, weights, exc_mult = _resolve_at(f, precision, unchecked)
             break
         except _Imprecise:
             precision *= 2

@@ -157,7 +157,6 @@ from singular_lct.enriques import (
     OrientationError,
     _free_path,
     _opposite,
-    _subtree_flavor,
     classify,
     cluster_to_tree,
 )
@@ -998,7 +997,10 @@ def diagram_to_staircase_by_recursion(d: EnriquesDiagram) -> Staircase:
         if v == 0:
             # a root child lies on the x-axis if marked so, else on the axis
             # its first satellite says; bare chains take the free axes, y first
-            axis = {k: "H" if k in t.x_side else _subtree_flavor(t, k) for k in kids}
+            axis = {
+                k: "H" if k in t.x_side else subtree_flavor_by_scan(t.parents, t.kinds, k)
+                for k in kids
+            }
             free_axes = [a for a in ("V", "H") if a not in axis.values()]
             for k in kids:
                 if axis[k] is None:

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
 
 from singular_lct import (
     BivariatePolynomial,
@@ -628,3 +630,77 @@ def test_cli_corpus_cusp_limit_is_bounded(capsys, monkeypatch):
     monkeypatch.setattr(corpus, "corpus_curves", lambda limit: limits.append(limit) or SPECIAL_CURVES[:1])
     code, _, _ = run_cli(capsys, "corpus", "--cusp-limit", "500")
     assert code == 0 and limits == [500]
+
+
+# -- malformed diagram files --------------------------------------------------------
+
+_JUNK = ("1", 1.5, True, None, [], {}, -1, 10**30, "s", [1])
+
+
+@st.composite
+def near_diagram_json(draw):
+    """Diagram JSON one or a few edits away from a valid tree: wrong types,
+    parents out of order, unknown kinds, satellites off the root, x_side
+    marks on non-root vertices, and marks that contradict their satellites."""
+    n = draw(st.integers(0, 6))
+    vertices = []
+    for i in range(1, n + 1):
+        parent = None if i == 1 else draw(st.integers(1, i - 1))
+        kind = None if i == 1 else "s" if parent == 1 else draw(st.sampled_from("shv"))
+        vertices.append({"id": i, "parent": parent, "kind": kind, "weight": draw(st.integers(0, 4))})
+    doc = {"vertices": vertices}
+    if draw(st.booleans()):
+        doc["x_side"] = draw(st.lists(st.integers(-1, n + 1), max_size=3))
+    for edit in draw(st.lists(st.integers(0, 6), max_size=3)):
+        i = draw(st.integers(1, n)) if n else 0  # the id the vertex was drawn with
+        v = vertices[i - 1] if n else {}
+        if edit == 0:  # a field of the wrong type, or missing
+            key = draw(st.sampled_from(("id", "parent", "kind", "weight")))
+            if draw(st.booleans()):
+                v[key] = draw(st.sampled_from(_JUNK))
+            else:
+                v.pop(key, None)
+        elif edit == 1:  # a parent at or after its child, or no vertex
+            v["parent"] = draw(st.sampled_from((i, i + 1, n + 1, 0, -1)))
+        elif edit == 2:  # an unknown kind
+            v["kind"] = draw(st.sampled_from(("x", "", "H", "slant", "s ")))
+        elif edit == 3:  # a satellite off the root, or a root with a kind
+            v["parent"], v["kind"] = draw(st.sampled_from(((1, "h"), (1, "v"), (None, "s"))))
+        elif edit == 4:  # a mark on any vertex, or an ill-typed x_side
+            doc["x_side"] = draw(
+                st.sampled_from(([i], [0], "1", [1.0], [True], {}, None))
+            )
+        elif edit == 5 and len(vertices) >= 3:  # a marked chain drawn horizontal
+            vertices[1].update(parent=1, kind="s")
+            vertices[2].update(parent=2, kind="h")
+            doc["x_side"] = [2]
+        elif edit == 6:  # a negative or huge weight
+            v["weight"] = draw(st.sampled_from((-1, 10**40)))
+    if draw(st.integers(0, 19)) == 7:  # the document is not a diagram object
+        doc = draw(st.sampled_from(([], "vertices", 3, {"vertex": []})))
+    return doc
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@seed(2807)
+@given(near_diagram_json(), near_diagram_json(), st.booleans())
+def test_union_of_malformed_diagram_files_exits_cleanly(tmp_path, first, second, as_json):
+    # a malformed file is an error (exit 2), never a traceback or exit 3
+    import contextlib
+    import io
+
+    paths = []
+    for name, doc in (("a.json", first), ("b.json", second)):
+        (tmp_path / name).write_text(json.dumps(doc))
+        paths.append(str(tmp_path / name))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["union", *paths, *(["--json"] if as_json else [])])
+    assert code in (0, 1, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert (code == 0) == (err.getvalue() == "")

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -471,11 +472,9 @@ def test_staircase_against_valuation_oracle():
         d = random_binary_diagram(rng)
         t = d.tree
         c = tree_to_cluster(t)
-        from singular_lct.enriques import _subtree_flavor
-
         kids = t.children(0)
         flavors = {
-            v: ("H" if v in t.x_side else _subtree_flavor(t, v))
+            v: ("H" if v in t.x_side else oracles.subtree_flavor_by_scan(t.parents, t.kinds, v))
             for v in kids
         }
         unassigned = [v for v in kids if flavors[v] is None]
@@ -595,6 +594,43 @@ def test_mirrored_involution():
         assert t.mirrored().mirrored() == t
 
 
+def _mirror(d: EnriquesDiagram) -> EnriquesDiagram:
+    return EnriquesDiagram(d.tree.mirrored(), d.weights)
+
+
+def test_restriction_keeps_the_axis():
+    # a kept root chain stays on its axis when the satellites that placed
+    # it are dropped, so restricting commutes with mirroring
+    rng = random.Random(7)
+    restrictions = 0
+    for _ in range(150):
+        d = random_binary_diagram(rng)
+        # dropping a subtree drops every point proximate to its points
+        for v in rng.sample(range(1, len(d)), min(3, len(d) - 1)):
+            below = {v}
+            for u in range(v + 1, len(d)):
+                if d.tree.parents[u] in below:
+                    below.add(u)
+            keep = [u for u in range(len(d)) if u not in below]
+            assert _mirror(d).restrict(keep) == _mirror(d.restrict(keep))
+            restrictions += 1
+    assert restrictions > 300
+    transpose = lambda s: tuple(sorted((n, m) for m, n in s.generators))
+    for q in range(2, 13):
+        for p in range(1, q):
+            if gcd(p, q) == 1:
+                pruned = prune_last(t_pq(p, q, mirror=True))
+                assert pruned == _mirror(prune_last(t_pq(p, q)))
+                assert diagram_to_staircase(pruned).generators == transpose(
+                    diagram_to_staircase(prune_last(t_pq(p, q)))
+                )
+    assert diagram_to_staircase(prune_last(t_pq(2, 3, mirror=True))).generators == (
+        (0, 2),
+        (1, 1),
+        (3, 0),
+    )
+
+
 # -- the tree's own proximity cluster against the parent scans ----------------------
 
 
@@ -636,18 +672,19 @@ def _trees_with_diagrams():
 
 
 def test_tree_cluster_matches_parent_scans():
-    from singular_lct.enriques import _subtree_flavor
+    from singular_lct.enriques import _chain_axis
 
     seen = 0
     for t, d in _trees_with_diagrams():
         n = len(t)
         assert tree_to_cluster(t) is t.cluster
         assert t.cluster == oracles.tree_to_cluster_by_scan(t)
+        unmarked = EnriquesTree(t.parents, t.kinds)  # the satellites' reading alone
         for v in range(n):
             assert t.children(v) == [i for i in range(n) if t.parents[i] == v]
-            assert _subtree_flavor(t, v) == oracles.subtree_flavor_by_scan(
-                t.parents, t.kinds, v
-            )
+            by_scan = oracles.subtree_flavor_by_scan(t.parents, t.kinds, v)
+            assert _chain_axis(unmarked, v) == by_scan
+            assert _chain_axis(t, v) == ("H" if v in t.x_side else by_scan)
         if d is not None:
             assert d.to_weighted_cluster().cluster is d.tree.cluster
         seen += 1

@@ -13,6 +13,7 @@ before it resolves, on the longest chain, the mixed errors and random germs.
 import random
 from fractions import Fraction
 from math import gcd, lcm
+from unittest import mock
 
 import sympy
 from hypothesis import HealthCheck, given, settings
@@ -204,9 +205,15 @@ def resolution_outcome(resolve, f, **kw):
     return kl, d, d.tree.parents, d.tree.kinds, d.tree.x_side
 
 
+def resolve_capped(f, max_points=resolution.MAX_POINTS):
+    """resolve_curve with its blowup limit set to max_points."""
+    with mock.patch.object(resolution, "MAX_POINTS", max_points):
+        return resolve_curve(f)
+
+
 def assert_loop_matches_recursion(f):
     for kw in ({}, {"max_points": 3}):
-        ours = resolution_outcome(resolve_curve, f, **kw)
+        ours = resolution_outcome(resolve_capped, f, **kw)
         assert ours == resolution_outcome(oracles.resolve_curve_by_recursion, f, **kw), str(f)
 
 
@@ -229,7 +236,7 @@ def test_resolution_at_local_precision_matches_the_exact_worklist():
         *((f, ({}, {"max_points": 3})) for f in MIXED),
     ):
         for kw in kws:
-            ours = resolution_outcome(resolve_curve, f, **kw)
+            ours = resolution_outcome(resolve_capped, f, **kw)
             assert ours == resolution_outcome(oracles.resolve_curve_by_blowups, f, **kw), str(f)
     assert len(resolution_outcome(resolve_curve, P("y^2 - x^997"))[0].cluster) == 500
     assert resolution_outcome(resolve_curve, P("y^2 - x^999")) == (
@@ -251,7 +258,7 @@ def test_resolution_matches_the_eager_reducedness_check_on_random_germs(f):
     # the gcd runs only when a trigger or an error needs it; the resolved
     # germs keep Noether's sum of m(m - 1) within d(d - 1)
     for kw in ({"max_points": 3}, {}):  # the default last: checked below
-        ours = resolution_outcome(resolve_curve, f, **kw)
+        ours = resolution_outcome(resolve_capped, f, **kw)
         assert ours == resolution_outcome(oracles.resolve_curve_by_blowups, f, **kw), str(f)
     if not isinstance(ours[0], type):
         d = f.degree()

@@ -273,7 +273,7 @@ def test_every_precision_gives_up_or_gives_the_exact_points():
         exact = oracles.resolution_points_by_blowups(f)
         for precision in range(1, f.degree() + 4):
             try:
-                points = resolution._resolve_at(f, precision, 500)
+                points = resolution._resolve_at(f, precision)
             except resolution._Imprecise:
                 points = None
             outcomes.add(points is None)
@@ -334,7 +334,7 @@ def test_the_ramphoid_cusp_retries_at_doubled_precision(capsys):
 
     f = P(RETRYING_GERM)
     with pytest.raises(resolution._Imprecise):
-        resolution._resolve_at(f, f.degree() + 1, 500)
+        resolution._resolve_at(f, f.degree() + 1)
     kl, d = resolve_curve(f)
     assert (kl, d) == oracles.resolve_curve_by_blowups(f)
     assert kl.weights == (4, 2, 2, 2, 2)
@@ -366,7 +366,7 @@ def test_the_resolution_starts_at_the_x_axis_order(monkeypatch):
     def attempts_from(f, precision):
         for k in range(1, 64):
             try:
-                resolve_at(f, precision << (k - 1), 500)
+                resolve_at(f, precision << (k - 1))
                 return k
             except resolution._Imprecise:
                 pass
@@ -492,11 +492,12 @@ def test_a_repeated_factor_keeps_its_error_when_only_a_trigger_finds_it(capsys):
     # no other error comes first on these germs: the point count finds the
     # repeated factor, or, with max_points=2, the error path does
     import oracles
+    from test_exact_algebra import resolve_capped
 
     for expr in ("(y^2 - x^3)^2", "(y - x^2)^2*(x^2 - y^3)"):
         for kw in ({}, {"max_points": 2}):
             with pytest.raises(NonReducedError) as ours:
-                resolve_curve(P(expr), **kw)
+                resolve_capped(P(expr), **kw)
             with pytest.raises(NonReducedError) as eager:
                 oracles.resolve_curve_by_blowups(P(expr), **kw)
             assert (type(ours.value), str(ours.value)) == (type(eager.value), str(eager.value))

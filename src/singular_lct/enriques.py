@@ -13,12 +13,14 @@ chain vertical (the mirrored convention).  A free chain with no satellites
 carries no such information, so the tree keeps an explicit `x_side` mark
 for root children whose pure slant chain runs along the x-axis; without the
 mark a chain is read as lying on the y-axis.  `_chain_axis` is the one
-reader of a root chain's axis, for the mark check, `mirrored`, `restrict`
-and `_valuations`; a restriction keeps each kept root chain's axis.
+reader of a root chain's axis, for the mark check, `mirrored`, `restrict`,
+`union` and `_valuations`, the last two placing bare chains by `_by_axis`.
 
 The ideal of a binary unloaded diagram is one valuation rule,
 `_valuations`, read on the whole diagram by `diagram_to_staircase` and on
-each candidate's points by `engine.adapted_candidates`.
+each candidate's points by `engine.adapted_candidates`.  On binary
+diagrams `union` cuts out the product of the ideals, so
+`staircase_to_diagram` is the union of its Newton facets' diagrams.
 """
 
 from __future__ import annotations
@@ -215,14 +217,25 @@ def _chain_axis(t: EnriquesTree, child: int) -> Optional[str]:
     one; None for a chain with no satellite."""
     if child in t.x_side:
         return "H"
+    children, kinds = t.cluster._children, t.kinds
     stack = [child]
     while stack:
-        kids = t.cluster._children[stack.pop()]
+        kids = children[stack.pop()]
         for k in kids:
-            if t.kinds[k] != SLANT:
-                return "V" if t.kinds[k] == HORIZONTAL else "H"
+            if kinds[k] != SLANT:
+                return "V" if kinds[k] == HORIZONTAL else "H"
         stack.extend(kids)
     return None
+
+
+def _by_axis(axes: Dict[int, Optional[str]]) -> Dict[str, int]:
+    """The root chains by the axis `_chain_axis` read, a bare one on a free
+    axis, y first; a chain is left out where two claim one axis."""
+    by = {a: k for k, a in axes.items() if a}
+    for k, a in axes.items():
+        if a is None:
+            by.setdefault("H" if "V" in by else "V", k)
+    return by
 
 
 def _free_path(t: EnriquesTree) -> List[bool]:
@@ -416,39 +429,48 @@ def t_pq(p: int, q: int, *, scale: int = 1, mirror: bool = False) -> EnriquesDia
     alternating horizontal / vertical, weights the remainders.
 
     scale multiplies all weights (the diagram of the d-fold thickened
-    staircase); mirror returns the mirrored tree, which marks a bare chain
-    (p = 1) as lying on the x-axis.
+    staircase); mirror gives the mirrored tree, horizontal and vertical
+    swapped and a bare chain (p = 1) marked as lying on the x-axis.
     """
     data = euclid_data(p, q)
     block = [j for j, aj in enumerate(data.a, start=1) for _ in range(aj)]
     # the edge into vertex i is edge number i, in block j
     kinds = [None] + [
-        SLANT if j == 1 else HORIZONTAL if j % 2 == 0 else VERTICAL for j in block[:-1]
+        SLANT if j == 1 else HORIZONTAL if (j % 2 == 0) != mirror else VERTICAL
+        for j in block[:-1]
     ]
     weights = [scale * data.r[j - 1] for j in block]
-    tree = EnriquesTree([None, *range(len(block) - 1)], kinds)
-    return EnriquesDiagram(tree.mirrored() if mirror else tree, weights)
+    tree = EnriquesTree([None, *range(len(block) - 1)], kinds, [1] if mirror else ())
+    return EnriquesDiagram(tree, weights)
 
 
 # -- union and connected sum -----------------------------------------------------
 
 
-def _walk_pairs(
-    d1: EnriquesDiagram, d2: EnriquesDiagram, *, glue: bool = False
-) -> EnriquesDiagram:
-    """Lay two diagrams over each other from their roots, in preorder.
-
-    Each stack entry (v1, v2, parent) pairs a vertex of d1 with one of d2,
-    either of which may be missing: -1, a sentinel vertex appended with no
-    kind, weight or children.  A pair adds its weights and matches its
-    children by edge kind; a single vertex copies its children in index
-    order.  With glue, the roots are paired but their children are not
-    matched: d1's come first, then d2's."""
+def union(d1: EnriquesDiagram, d2: EnriquesDiagram) -> EnriquesDiagram:
+    """Union of two diagrams: the maximal common subtrees are glued,
+    weights adding on the shared part, root chains matched by the axis
+    `_valuations` reads (an operand's must differ) and other points by
+    edge kind.  On binary diagrams it is the diagram of the product of
+    their ideals (Zariski).  A preorder walk: each stack entry (v1, v2,
+    parent) pairs a vertex of d1 with one of d2, either of which may be
+    -1, a sentinel with no kind, weight or children."""
+    roots = []
+    for t in (d1.tree, d2.tree):
+        kids = t.cluster._children[0] if len(t) else ()
+        roots.append(_by_axis({k: _chain_axis(t, k) for k in kids}))
+        if len(roots[-1]) < len(kids):
+            raise OrientationError("a union operand has two root chains on one axis")
+    if len(d1) == 0:
+        return d2
+    if len(d2) == 0:
+        return d1
     t1, t2 = d1.tree, d2.tree
     k1, w1, c1 = t1.kinds + (None,), d1.weights + (0,), t1.cluster._children + ((),)
     k2, w2, c2 = t2.kinds + (None,), d2.weights + (0,), t2.cluster._children + ((),)
-    parents, kinds, weights, marks = [], [], [], set()
-    stack: List[Tuple[int, int, Optional[int]]] = [(0, 0, None)]
+    parents, kinds, weights, marks = [None], [None], [w1[0] + w2[0]], set()
+    by1, by2 = roots  # the y-axis chain ends on top
+    stack = [(by1.get(a, -1), by2.get(a, -1), 0) for a in ("H", "V") if a in by1 or a in by2]
     while stack:
         v1, v2, parent = stack.pop()
         idx = len(parents)
@@ -457,34 +479,19 @@ def _walk_pairs(
         parents.append(parent)
         kinds.append(k1[v1] or k2[v2])
         weights.append(w1[v1] + w2[v2])
-        if v1 >= 0 and v2 >= 0 and not (glue and parent is None):
-            by1, by2 = {k1[k]: k for k in c1[v1]}, {k2[k]: k for k in c2[v2]}
-            if len(by1) < len(c1[v1]) or len(by2) < len(c2[v2]):
-                raise EnriquesError("union input has equal-kind siblings")
-            for kind in (VERTICAL, HORIZONTAL, SLANT):  # slant ends on top
-                if kind in by1 or kind in by2:
-                    stack.append((by1.get(kind, -1), by2.get(kind, -1), idx))
+        if v1 < 0 or v2 < 0:  # d1's first child ends on top
+            for k in reversed(c2[v2]):
+                stack.append((-1, k, idx))
+            for k in reversed(c1[v1]):
+                stack.append((k, -1, idx))
             continue
-        for k in reversed(c2[v2]):  # d1's first child ends on top
-            stack.append((-1, k, idx))
-        for k in reversed(c1[v1]):
-            stack.append((k, -1, idx))
+        by1, by2 = {k1[k]: k for k in c1[v1]}, {k2[k]: k for k in c2[v2]}
+        if len(by1) < len(c1[v1]) or len(by2) < len(c2[v2]):
+            raise EnriquesError("union input has equal-kind siblings")
+        for kind in (VERTICAL, HORIZONTAL, SLANT):  # slant ends on top
+            if kind in by1 or kind in by2:
+                stack.append((by1.get(kind, -1), by2.get(kind, -1), idx))
     return EnriquesDiagram(EnriquesTree(parents, kinds, frozenset(marks)), weights)
-
-
-def union(d1: EnriquesDiagram, d2: EnriquesDiagram) -> EnriquesDiagram:
-    """Union of two diagrams whose roots have degree <= 1: the maximal
-    common subtrees are glued, weights adding on the shared part.  The
-    merge is a greedy match of children by edge kind, which is the unique
-    maximal gluing because siblings carry distinct kinds."""
-    for d in (d1, d2):
-        if len(d) and len(d.tree.cluster._children[0]) > 1:
-            raise EnriquesError("union needs roots of degree at most 1")
-    if len(d1) == 0:
-        return d2
-    if len(d2) == 0:
-        return d1
-    return _walk_pairs(d1, d2)
 
 
 def connected_sum(t1: EnriquesTree, t2: EnriquesTree) -> EnriquesTree:
@@ -646,15 +653,11 @@ def _valuations(d: EnriquesDiagram) -> Tuple[List[int], Callable]:
         for v in keep:
             if v and free_path[v]:
                 chains.setdefault(under[v], []).append(v)
-        # a chain lies on the axis _chain_axis reads; bare chains take the
-        # free axes, y first, and a binary root has at most two children
-        axis = {k: axes[k] for k in chains}
-        free_axes = iter([a for a in ("V", "H") if a not in axis.values()])
-        axis = {k: a or next(free_axes) for k, a in axis.items()}
-        if len(set(axis.values())) != len(axis):
+        on = _by_axis({k: axes[k] for k in chains})
+        if len(on) < len(chains):
             raise OrientationError("both root children lie on the same axis")
-        for k in sorted(axis, key=lambda k: axis[k] != "V"):
-            drawn = HORIZONTAL if axis[k] == "V" else VERTICAL
+        for axis, k in sorted(on.items(), reverse=True):  # the y-axis chain first
+            drawn = HORIZONTAL if axis == "V" else VERTICAL
             for u in chains[k]:
                 for s in children[u]:
                     if kinds[s] not in (SLANT, drawn):
@@ -663,9 +666,9 @@ def _valuations(d: EnriquesDiagram) -> Tuple[List[int], Callable]:
                             f"{kinds[s]!r} on the {'y' if drawn == HORIZONTAL else 'x'}"
                             "-axis chain"
                         )
-        on_x = {k for k, a in axis.items() if a == "H"}
+        on_x = on.get("H")
         points = [
-            (across[a], along[a], e[a]) if under[a] in on_x else (along[a], across[a], e[a])
+            (across[a], along[a], e[a]) if under[a] == on_x else (along[a], across[a], e[a])
             for a, b in branch.items()
             if b > 0
         ]
@@ -700,22 +703,18 @@ def diagram_to_staircase(d: EnriquesDiagram) -> Staircase:
 def staircase_to_diagram(s: Staircase) -> EnriquesDiagram:
     """Binary unloaded diagram of the smallest integrally closed monomial
     ideal with the given staircase: the union of one thickened staircase
-    tree per Newton facet, steep facets (slope <= -1) drawn standard and
-    shallow ones mirrored, glued at the root."""
+    tree per Newton facet, in facet order, steep facets (slope < -1) drawn
+    standard on the y-axis, shallow ones mirrored on the x-axis and the
+    facet of slope -1 a single point.  The ideal is the product of the
+    facets' ideals, so its diagram is the union of theirs."""
     if s.is_empty():
         raise EnriquesError("the empty staircase has no diagram")
     if not s.is_finite():
         raise EnriquesError("only finite staircases correspond to diagrams")
-    steep: List[EnriquesDiagram] = []
-    shallow: List[EnriquesDiagram] = []
-    for f in newton_facets(s.to_ideal()):
-        if f.q < f.p:
-            shallow.append(t_pq(f.q, f.p, scale=f.d, mirror=True))
-        elif f.p < f.q:
-            steep.append(t_pq(f.p, f.q, scale=f.d))
-        else:  # the facet of slope -1: a single point of weight d
-            steep.append(EnriquesDiagram(EnriquesTree((None,), (None,)), (f.d,)))
-    # a mirrored tree already marks its bare chain, and union and the glue
-    # walk carry the marks
-    parts = [reduce(union, ps) for ps in (steep, shallow) if ps]
-    return parts[0] if len(parts) == 1 else _walk_pairs(*parts, glue=True)
+    parts = [
+        t_pq(min(f.p, f.q), max(f.p, f.q), scale=f.d, mirror=f.q < f.p)
+        if f.p != f.q
+        else EnriquesDiagram(EnriquesTree((None,), (None,)), (f.d,))
+        for f in newton_facets(s.to_ideal())
+    ]
+    return reduce(union, parts)

@@ -49,10 +49,12 @@ forms of `EnriquesTree.cluster` and of the free-chain flavor of a root
 child, which find children and L-branch targets by scanning the parent list.
 
 `tree_key_by_recursion`, `union_by_recursion` and `glue_at_root_by_recursion`
-are the earlier recursive forms of the nested canonical key behind tree and
-diagram equality, of `union` and of the root gluing of
-`staircase_to_diagram`: one Python frame per tree level, where the library
-walks one loop, so they overflow the interpreter's stack on deep chains.
+are recursive forms of the nested canonical key behind tree and diagram
+equality, of `union` (root chains matched by the axis `root_axes_by_scan`
+reads) and of its root gluing, the union of a diagram whose only root chain
+lies on the y-axis with one whose only root chain lies on the x-axis: one
+Python frame per tree level, where the library walks one loop, so they
+overflow the interpreter's stack on deep chains.
 
 `diagram_to_staircase_by_recursion` is the slice-sum form of the dictionary
 from binary diagrams to monomial ideals, one frame per tree level: the
@@ -921,14 +923,31 @@ def _assemble(out: _Parts) -> EnriquesDiagram:
     return EnriquesDiagram(EnriquesTree(parents, kinds, frozenset(marks)), weights)
 
 
+def root_axes_by_scan(t: EnriquesTree) -> Dict[str, int]:
+    """The root children of t by the axis their chains lie on: the x-axis
+    if marked, else the axis of the first satellite found by scanning, and
+    bare chains on the free axes, y first.  A root with more than two
+    children, or two chains on one axis, is refused."""
+    kids = [i for i in range(len(t)) if t.parents[i] == 0]
+    axis = {
+        k: "H" if k in t.x_side else subtree_flavor_by_scan(t.parents, t.kinds, k) for k in kids
+    }
+    free_axes = [a for a in ("V", "H") if a not in axis.values()]
+    for k in kids:
+        if axis[k] is None and free_axes:
+            axis[k] = free_axes.pop(0)
+    if len(kids) > 2 or len(set(axis.values())) != len(kids):
+        raise OrientationError("a union operand has two root chains on one axis")
+    return {a: k for k, a in axis.items()}
+
+
 def union_by_recursion(d1: EnriquesDiagram, d2: EnriquesDiagram) -> EnriquesDiagram:
-    """Union of two diagrams whose roots have degree <= 1: the maximal
-    common subtrees are glued, weights adding on the shared part.  The
-    merge is a greedy recursive match of children by edge kind, which is
-    the unique maximal gluing because siblings carry distinct kinds."""
-    for d in (d1, d2):
-        if len(d) and len(d.tree.cluster._children[0]) > 1:
-            raise EnriquesError("union needs roots of degree at most 1")
+    """Union of two diagrams: the maximal common subtrees are glued,
+    weights adding on the shared part.  Root children are matched by the
+    axis of their chains, the others by edge kind, in a greedy recursive
+    match that is the unique maximal gluing because siblings carry
+    distinct kinds."""
+    roots = [root_axes_by_scan(d.tree) for d in (d1, d2)]
     if len(d1) == 0:
         return d2
     if len(d2) == 0:
@@ -945,27 +964,32 @@ def union_by_recursion(d1: EnriquesDiagram, d2: EnriquesDiagram) -> EnriquesDiag
             by_kind[kind] = k
         return by_kind
 
-    def merge(v1: int, v2: int, parent: Optional[int], kind):
+    def merge(v1: int, v2: int, parent: Optional[int]):
         idx = len(parents)
         parents.append(parent)
-        kinds.append(kind)
+        kinds.append(d1.tree.kinds[v1])
         weights.append(d1.weights[v1] + d2.weights[v2])
         if parent == 0 and (v1 in d1.tree.x_side or v2 in d2.tree.x_side):
             marks.add(idx)
-        k1, k2 = kids_by_kind(d1, v1), kids_by_kind(d2, v2)
-        for kind_ in (SLANT, HORIZONTAL, VERTICAL):
-            if kind_ in k1 and kind_ in k2:
-                merge(k1[kind_], k2[kind_], idx, kind_)
-            elif kind_ in k1:
-                _copy_subtree(d1, k1[kind_], idx, out)
-            elif kind_ in k2:
-                _copy_subtree(d2, k2[kind_], idx, out)
+        if parent is None:  # the y-axis chain first
+            (k1, k2), order = roots, ("V", "H")
+        else:
+            k1, k2 = kids_by_kind(d1, v1), kids_by_kind(d2, v2)
+            order = (SLANT, HORIZONTAL, VERTICAL)
+        for key in order:
+            if key in k1 and key in k2:
+                merge(k1[key], k2[key], idx)
+            elif key in k1:
+                _copy_subtree(d1, k1[key], idx, out)
+            elif key in k2:
+                _copy_subtree(d2, k2[key], idx, out)
 
-    merge(0, 0, None, None)
+    merge(0, 0, None)
     return _assemble(out)
 
 
 def glue_at_root_by_recursion(dv: EnriquesDiagram, dh: EnriquesDiagram) -> EnriquesDiagram:
+    """The two diagrams glued at their roots alone, dv's children first."""
     out: _Parts = ([None], [None], [dv.weights[0] + dh.weights[0]], set())
     for d in (dv, dh):
         for k in d.tree.cluster._children[0]:

@@ -195,6 +195,22 @@ def test_cli_union_and_dot(tmp_path, capsys):
     assert text.startswith("digraph") and text.count("->") == 6
 
 
+def test_cli_union_keeps_a_y_and_an_x_chain_apart(tmp_path, capsys):
+    # the same bare chain on the y-axis and, marked, on the x-axis
+    code, out, _ = run_cli(capsys, "tpq", "1", "2", "--json")
+    chain = json.loads(out)["diagram"]
+    (tmp_path / "y.json").write_text(json.dumps(chain))
+    (tmp_path / "x.json").write_text(json.dumps({**chain, "x_side": [2]}))
+    code, out, _ = run_cli(capsys, "union", str(tmp_path / "y.json"), str(tmp_path / "x.json"))
+    assert (code, out) == (0, "weights [2, 1, 1]\n")
+    code, out, _ = run_cli(
+        capsys, "union", str(tmp_path / "y.json"), str(tmp_path / "x.json"), "--json"
+    )
+    vertices = json.loads(out)["diagram"]["vertices"]
+    assert vertices[0]["weight"] == 2
+    assert [v["weight"] for v in vertices if v["parent"] == 1] == [1, 1]
+
+
 def test_cli_diagram_dot_kinds(tmp_path, capsys):
     dot = tmp_path / "t57.gv"
     code, _, _ = run_cli(capsys, "tpq", "5", "7", "--dot", str(dot))

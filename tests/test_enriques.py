@@ -261,15 +261,61 @@ def test_union_associative_commutative_up_to_iso():
         assert union(union(a, b), c) == union(a, union(b, c))
 
 
-def test_union_requires_small_root_degree():
+def _product(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
+    return MonomialIdeal({(m + p, n + q) for m, n in a.generators for p, q in b.generators})
+
+
+def test_union_needs_root_chains_on_distinct_axes():
     # the ideal (x^3, xy, y^3) has facets on both sides of slope -1, so its
-    # diagram has two root children and is not a valid union operand
-    two_children = staircase_to_diagram(
-        Staircase.from_ideal(MonomialIdeal(((3, 0), (1, 1), (0, 3))))
-    )
+    # diagram has a root chain on each axis; its union is the product's diagram
+    a = MonomialIdeal(((3, 0), (1, 1), (0, 3)))
+    two_children = staircase_to_diagram(Staircase.from_ideal(a))
     assert len(two_children.tree.children(0)) == 2
-    with pytest.raises(EnriquesError):
-        union(two_children, t_pq(2, 3))
+    b = integral_closure(MonomialIdeal(((2, 0), (0, 3))))
+    assert diagram_to_staircase(t_pq(2, 3)) == Staircase.from_ideal(b)
+    product = Staircase.from_ideal(integral_closure(_product(a, b)))
+    u = union(two_children, t_pq(2, 3))
+    assert u == staircase_to_diagram(product) and diagram_to_staircase(u) == product
+    # the two branches of (y^2 - x^3)(x^2 - y^3) draw both root chains on the
+    # y-axis: no operand of a union
+    from singular_lct.resolution import resolve_curve
+
+    curve = resolve_curve(P("(y^2 - x^3)*(x^2 - y^3)"))[1]
+    assert len(curve.tree.children(0)) == 2
+    with pytest.raises(OrientationError, match="two root chains on one axis"):
+        union(curve, t_pq(2, 3))
+    with pytest.raises(OrientationError, match="two root chains on one axis"):
+        union(EnriquesDiagram(EnriquesTree((), ()), ()), curve)
+
+
+def test_union_of_a_y_and_an_x_chain_keeps_both():
+    # a bare chain lies on the y-axis, its mirror on the x-axis: the union is
+    # the diagram of (y^2, x) (x^2, y), whose closure is (x^3, xy, y^3)
+    u = union(t_pq(1, 2, mirror=True), t_pq(1, 2))
+    assert u.weights[0] == 2 and len(u.tree.children(0)) == 2
+    assert [u.weights[k] for k in u.tree.children(0)] == [1, 1]
+    assert diagram_to_staircase(u).generators == ((0, 3), (1, 1), (3, 0))
+
+
+def test_union_is_the_diagram_of_the_product():
+    # Zariski: the product of complete ideals is complete up to closure, and
+    # its diagram is the union of theirs, also across the two axes
+    rng = random.Random(2903)
+    both_sides = 0
+    for _ in range(300):
+        a, b = (random_closed_staircase(rng).to_ideal() for _ in range(2))
+        da, db = (staircase_to_diagram(Staircase.from_ideal(i)) for i in (a, b))
+        both_sides += len(da.tree.children(0)) == 2 or len(db.tree.children(0)) == 2
+        closure = Staircase.from_ideal(integral_closure(_product(a, b)))
+        u = union(da, db)
+        assert u == staircase_to_diagram(closure), (a, b)
+        assert diagram_to_staircase(u) == closure, (a, b)
+    assert both_sides > 30
+    for _ in range(150):  # diagrams as drawn, not only the canonical ones
+        da, db = random_binary_diagram(rng), random_binary_diagram(rng)
+        a, b = (diagram_to_staircase(d).to_ideal() for d in (da, db))
+        closure = Staircase.from_ideal(integral_closure(_product(a, b)))
+        assert diagram_to_staircase(union(da, db)) == closure, (da, db)
 
 
 # -- connected sum and pruning --------------------------------------------------------
@@ -652,7 +698,7 @@ def _trees_with_diagrams():
             if d.tree.parents[v] in keep and rng.random() < 0.8:
                 keep.append(v)
         diagrams += [d, d.restrict(keep), staircase_to_diagram(diagram_to_staircase(d))]
-        # the first root chain alone: union needs a root of degree 1
+        # the first root chain alone, doubled and joined to the previous one
         chain = [0]
         for v in range(1, len(d)):
             if d.tree.parents[v] in chain[1:] or v == d.tree.children(0)[0]:
@@ -660,10 +706,7 @@ def _trees_with_diagrams():
         first = d.restrict(chain)
         diagrams.append(union(first, first))
         if previous is not None:
-            try:
-                diagrams.append(union(first, previous))
-            except EnriquesError:  # the two chains cannot share a root
-                pass
+            diagrams.append(union(first, previous))
         previous = first
     out = [(d.tree, d) for d in diagrams]
     out += [(d.tree.mirrored(), None) for d in diagrams]
@@ -817,9 +860,16 @@ def _walk_inputs(rng):
     return out + [EnriquesDiagram(t, weights), EnriquesDiagram(t.mirrored(), weights)]
 
 
-def test_tree_walks_match_their_recursive_oracles():
-    from singular_lct.enriques import _walk_pairs
+def _only_axis(d: EnriquesDiagram):
+    """The axis of the diagram's only root chain, by the oracle's reading."""
+    try:
+        axes = oracles.root_axes_by_scan(d.tree)
+    except EnriquesError:
+        return None
+    return next(iter(axes)) if len(axes) == 1 else None
 
+
+def test_tree_walks_match_their_recursive_oracles():
     rng = random.Random(83)
     pool = _walk_inputs(rng)
     errors = set()
@@ -828,15 +878,19 @@ def test_tree_walks_match_their_recursive_oracles():
         assert got == _outcome(oracles.diagram_to_staircase_by_recursion, d)
         errors.add(got[0] if isinstance(got, tuple) else None)
     assert {None, OrientationError, EnriquesError} <= errors
+    glued = 0
     for _ in range(1500):
         d1, d2 = rng.choice(pool), rng.choice(pool)
         got = _exactly(_outcome(union, d1, d2))
         assert got == _exactly(_outcome(oracles.union_by_recursion, d1, d2))
-        errors.add(got[1] if got[0] is EnriquesError else None)
-        got = _exactly(_outcome(lambda a, b: _walk_pairs(a, b, glue=True), d1, d2))
-        assert got == _exactly(_outcome(oracles.glue_at_root_by_recursion, d1, d2))
+        errors.add(got[1] if got[0] in (EnriquesError, OrientationError) else None)
+        # a y-axis chain and an x-axis chain share only the root
+        if _only_axis(d1) == "V" and _only_axis(d2) == "H":
+            assert got == _exactly(_outcome(oracles.glue_at_root_by_recursion, d1, d2))
+            glued += 1
     assert "union input has equal-kind siblings" in errors
-    assert "union needs roots of degree at most 1" in errors
+    assert "a union operand has two root chains on one axis" in errors
+    assert glued > 20
 
 
 def test_deep_trees_do_not_depend_on_the_recursion_limit():

@@ -10,15 +10,15 @@ threshold can be computed two independent ways:
 An adapted choice is indexed by the endpoint rho of a maximal chain of
 free points: the associated subdiagram is the largest binary subdiagram
 whose free vertices lie on the root-to-rho path.  Its monomial ideal is
-the one `enriques._valuations` reads with the curve's own cluster, the
-rule `diagram_to_staircase` reads too: m X_a + n Y_a >= e_a at each
-dicritical point a of the subdiagram, X and Y the strict vectors of the
-two coordinate curves and e the curve's, and its threshold is the least
-(X_a + Y_a)/e_a (Howald).  That threshold is at least the lct and the
-minimum over the candidates equals it, but one candidate may lie above
-the term ideal's value: on the curve
-(x^2 + y^5)*(x^4 - (1/2)*y^5)*(y^3 - 2*x^4), rho = P2 gives 2/9 and the
-term ideal 3/14.  check_main_theorem verifies that the minimum and the
+the one `enriques._valuations` reads with the curve's own cluster and the
+chain on the axis the diagram places it on, the rule `diagram_to_staircase`
+reads too: m X_a + n Y_a >= e_a at each dicritical point a of the
+subdiagram, X and Y the strict vectors of the two coordinate curves and e
+the curve's, and its threshold is the least (X_a + Y_a)/e_a (Howald).
+That threshold is at least the lct and the minimum over the candidates
+equals it, but one candidate may lie above the term ideal's value: on the
+curve (x^2 + y^5)*(x^4 - (1/2)*y^5)*(y^3 - 2*x^4), rho = P2 gives 2/9
+and the term ideal 3/14.  check_main_theorem verifies that the minimum and the
 cluster route agree exactly, and that the threshold along every
 root-to-leaf path through a witness vertex, and along the non-degenerate
 part of that path, is the same value.  A root path is closed under
@@ -112,7 +112,8 @@ def adapted_candidates(d: EnriquesDiagram) -> List[AdaptedCandidate]:
     """One candidate per maximal all-free chain endpoint rho: the root path
     to rho and the satellites off it, a point set closed under proximity
     whose free points lie on that path, read by `enriques._valuations` with
-    the curve's own strict vectors.  Its dicritical points cut out the
+    the curve's own strict vectors on the axis the diagram places its chain
+    on, as `d.restrict(keep)` keeps it.  Its dicritical points cut out the
     complete ideal {m X_a + n Y_a >= e_a} (Zariski), whose threshold is
     min (X_a + Y_a)/e_a (Howald).  The errors are those of
     `diagram_to_staircase` and `lct_monomial` on the subdiagram, in their

@@ -10,11 +10,12 @@ Binary diagrams are exactly the ones realizable by monomial ideals.  The
 edge kinds then also record the realization: satellites hanging off the
 free chain along the y-axis are drawn horizontal, those off the x-axis
 chain vertical (the mirrored convention).  A free chain with no satellites
-carries no such information, so the tree keeps an explicit `x_side` mark
-for root children whose pure slant chain runs along the x-axis; without the
-mark a chain is read as lying on the y-axis.  `_chain_axis` is the one
-reader of a root chain's axis, for the mark check, `mirrored`, `restrict`,
-`union` and `_valuations`, the last two placing bare chains by `_by_axis`.
+carries no such information, so the tree may mark it with `x_side` as
+lying on the x-axis.  One rule places each root chain, `EnriquesTree._axes`:
+a marked chain on the x-axis, else the axis its first satellite says
+(`_chain_axis`), and a bare chain on a free axis, y first.  Equality,
+`mirrored`, `restrict`, `union` and `_valuations` read that placement, so
+equality is isomorphism that keeps each chain's axis.
 
 The ideal of a binary unloaded diagram is one valuation rule,
 `_valuations`, read on the whole diagram by `diagram_to_staircase` and on
@@ -63,8 +64,7 @@ class EnriquesTree(Record):
 
     parents[i] is the parent index (None for the root, vertex 0); kinds[i]
     is the kind of the edge ending at vertex i (None for the root).
-    x_side marks root children whose satellite-free slant chain lies on the
-    x-axis of the monomial realization.
+    x_side marks bare root chains on the x-axis; `_axes` places them all.
 
     The proximity cluster the tree determines is the attribute `cluster`,
     built on first use and not a field; every walk over the tree reads its
@@ -158,10 +158,9 @@ class EnriquesTree(Record):
 
     def restrict(self, keep: Sequence[int]) -> "EnriquesTree":
         """The subtree on keep, numbered in keep's order (parents first).
-        A kept root child keeps the axis it lies on in this tree: it is
-        marked if that is the x-axis, and the constructor drops the mark
-        where the kept satellites imply it and raises where they contradict
-        it."""
+        A kept root child keeps the axis `_axes` places it on: it is marked
+        if that is the x-axis, and the constructor drops the mark where the
+        kept satellites imply it."""
         pos = {old: new for new, old in enumerate(keep)}
         for v in keep:
             p = self.parents[v]
@@ -171,31 +170,42 @@ class EnriquesTree(Record):
             None if self.parents[v] is None else pos[self.parents[v]] for v in keep
         )
         kinds = tuple(self.kinds[v] for v in keep)
-        marks = [pos[v] for v in keep if self.parents[v] == 0 and _chain_axis(self, v) == "H"]
+        marks = [pos[v] for v in keep if self._axes.get(v) == "H"]
         return EnriquesTree(parents, kinds, marks)
 
     def mirrored(self) -> "EnriquesTree":
-        """Swap the horizontal and vertical edge kinds (x <-> y)."""
+        """Swap the horizontal and vertical edge kinds (x <-> y) and mark
+        the y-axis chains; the constructor drops a mark the kinds imply."""
         flip = {None: None, SLANT: SLANT, HORIZONTAL: VERTICAL, VERTICAL: HORIZONTAL}
-        roots = self.cluster._children[0] if self.parents else ()
-        marks = [v for v in roots if _chain_axis(self, v) is None]
+        marks = [v for v, axis in self._axes.items() if axis == "V"]
         return EnriquesTree(self.parents, tuple(flip[k] for k in self.kinds), marks)
+
+    @cached_property
+    def _axes(self) -> Dict[int, Optional[str]]:
+        """Each root child's axis, the one placement every reader uses: its
+        `_chain_axis`, a bare chain a free axis, y first, or None if none."""
+        kids = self.cluster._children[0] if self.parents else ()
+        axes = {k: _chain_axis(self, k) for k in kids}
+        for k in kids:
+            if axes[k] is None:
+                axes[k] = next((a for a in ("V", "H") if a not in axes.values()), None)
+        return axes
 
     def _key(self, weights=None) -> tuple:
         """Flat canonical form up to isomorphism: the postorder of (kind
-        rank, x-side mark, weight, child count), the children's subtrees in
+        rank, x-axis bit, weight, child count), the children's subtrees in
         sorted order.  One pass from the last vertex up, since parents
         precede children; an only child's list is extended in place, and a
         flat tuple compares without recursing, however deep the tree."""
-        parents, kinds, children = self.parents, self.kinds, self.cluster._children
+        kinds, children, axes = self.kinds, self.cluster._children, self._axes
         keys: Dict[int, list] = {}
-        for v in range(len(parents) - 1, -1, -1):
+        for v in range(len(kinds) - 1, -1, -1):
             kids = children[v]
             if len(kids) == 1:
                 key = keys.pop(kids[0])
             else:
                 key = sum(sorted([keys.pop(c) for c in kids]), [])
-            mark = 1 if (parents[v] == 0 and v in self.x_side) else 0
+            mark = 1 if axes.get(v) == "H" else 0
             w = 0 if weights is None else weights[v]
             key += (_KIND_RANK[kinds[v]], mark, w, len(kids))
             keys[v] = key
@@ -211,10 +221,9 @@ class EnriquesTree(Record):
 
 
 def _chain_axis(t: EnriquesTree, child: int) -> Optional[str]:
-    """Which axis the free chain from a root child lies on: 'H' (x-axis) if
-    the child is marked x_side, else read off the first satellite off a free
-    point below it: 'V' (y-axis) for a horizontal one, 'H' for a vertical
-    one; None for a chain with no satellite."""
+    """The axis a root child's free chain lies on: 'H' (x-axis) if marked,
+    else 'V' (y-axis) if the first satellite off a free point below it is
+    horizontal, 'H' if vertical; None for a chain with no satellite."""
     if child in t.x_side:
         return "H"
     children, kinds = t.cluster._children, t.kinds
@@ -226,16 +235,6 @@ def _chain_axis(t: EnriquesTree, child: int) -> Optional[str]:
                 return "V" if kinds[k] == HORIZONTAL else "H"
         stack.extend(kids)
     return None
-
-
-def _by_axis(axes: Dict[int, Optional[str]]) -> Dict[str, int]:
-    """The root chains by the axis `_chain_axis` read, a bare one on a free
-    axis, y first; a chain is left out where two claim one axis."""
-    by = {a: k for k, a in axes.items() if a}
-    for k, a in axes.items():
-        if a is None:
-            by.setdefault("H" if "V" in by else "V", k)
-    return by
 
 
 def _free_path(t: EnriquesTree) -> List[bool]:
@@ -449,18 +448,19 @@ def t_pq(p: int, q: int, *, scale: int = 1, mirror: bool = False) -> EnriquesDia
 
 def union(d1: EnriquesDiagram, d2: EnriquesDiagram) -> EnriquesDiagram:
     """Union of two diagrams: the maximal common subtrees are glued,
-    weights adding on the shared part, root chains matched by the axis
-    `_valuations` reads (an operand's must differ) and other points by
-    edge kind.  On binary diagrams it is the diagram of the product of
+    weights adding on the shared part, root chains matched by `_axes` (an
+    operand's must differ) and other points by edge kind (an operand's
+    must differ too).  On binary diagrams it is the diagram of the product of
     their ideals (Zariski).  A preorder walk: each stack entry (v1, v2,
     parent) pairs a vertex of d1 with one of d2, either of which may be
     -1, a sentinel with no kind, weight or children."""
     roots = []
     for t in (d1.tree, d2.tree):
-        kids = t.cluster._children[0] if len(t) else ()
-        roots.append(_by_axis({k: _chain_axis(t, k) for k in kids}))
-        if len(roots[-1]) < len(kids):
+        roots.append({a: k for k, a in t._axes.items() if a})
+        if len(roots[-1]) < len(t._axes):
             raise OrientationError("a union operand has two root chains on one axis")
+        if any(sum(t.kinds[k] == SLANT for k in kids) > 1 for kids in t.cluster._children[1:]):
+            raise EnriquesError("union input has equal-kind siblings")
     if len(d1) == 0:
         return d2
     if len(d2) == 0:
@@ -486,8 +486,6 @@ def union(d1: EnriquesDiagram, d2: EnriquesDiagram) -> EnriquesDiagram:
                 stack.append((k, -1, idx))
             continue
         by1, by2 = {k1[k]: k for k in c1[v1]}, {k2[k]: k for k in c2[v2]}
-        if len(by1) < len(c1[v1]) or len(by2) < len(c2[v2]):
-            raise EnriquesError("union input has equal-kind siblings")
         for kind in (VERTICAL, HORIZONTAL, SLANT):  # slant ends on top
             if kind in by1 or kind in by2:
                 stack.append((by1.get(kind, -1), by2.get(kind, -1), idx))
@@ -620,7 +618,9 @@ def _valuations(d: EnriquesDiagram) -> Tuple[List[int], Callable]:
     x = 0 passes through the root and the y-axis free chain, and a strict
     coordinate reads only the point's ancestors, so under a y-axis root
     child X is the strict vector of every free point on a root path and Y
-    that of the root alone; under an x-axis one they swap.
+    that of the root alone; under an x-axis one they swap.  A chain lies
+    where `_axes` places it in d and in `d.restrict(keep)`, or on the
+    y-axis if that leaves it none (a third root chain).
 
     Returns e and the reader of the sub-diagram on keep, a point set closed
     under proximity, with every satellite child of its free points, that
@@ -640,7 +640,6 @@ def _valuations(d: EnriquesDiagram) -> Tuple[List[int], Callable]:
     for v in range(1, len(d)):
         if t.parents[v]:
             under[v] = under[t.parents[v]]
-    axes = {k: _chain_axis(t, k) for k in (children[0] if len(d) else ())}
 
     def read(keep: Sequence[int]) -> Tuple[List[Tuple[int, int, int]], Staircase]:
         branch = {a: w[a] for a in keep}
@@ -653,7 +652,7 @@ def _valuations(d: EnriquesDiagram) -> Tuple[List[int], Callable]:
         for v in keep:
             if v and free_path[v]:
                 chains.setdefault(under[v], []).append(v)
-        on = _by_axis({k: axes[k] for k in chains})
+        on = {t._axes[k] or "V": k for k in chains}
         if len(on) < len(chains):
             raise OrientationError("both root children lie on the same axis")
         for axis, k in sorted(on.items(), reverse=True):  # the y-axis chain first

@@ -894,8 +894,9 @@ def subtree_flavor_by_scan(parents, kinds, child):
 
 def tree_key_by_recursion(t, v, weights=None):
     """Nested canonical key of the subtree at v: one frame per level, and
-    nested tuples that compare recursively."""
-    mark = 1 if (t.parents[v] == 0 and v in t.x_side) else 0
+    nested tuples that compare recursively.  A root child's mark bit says
+    whether `root_axes_by_scan` puts its chain on the x-axis."""
+    mark = 1 if (t.parents[v] == 0 and root_axes_by_scan(t).get("H") == v) else 0
     w = 0 if weights is None else weights[v]
     kids = tuple(sorted(tree_key_by_recursion(t, c, weights) for c in t.cluster._children[v]))
     return (_KIND_RANK[t.kinds[v]], mark, w, kids)
@@ -947,7 +948,13 @@ def union_by_recursion(d1: EnriquesDiagram, d2: EnriquesDiagram) -> EnriquesDiag
     axis of their chains, the others by edge kind, in a greedy recursive
     match that is the unique maximal gluing because siblings carry
     distinct kinds."""
-    roots = [root_axes_by_scan(d.tree) for d in (d1, d2)]
+    roots = []
+    for d in (d1, d2):
+        roots.append(root_axes_by_scan(d.tree))
+        t = d.tree
+        for v in range(1, len(t)):
+            if sum(t.parents[k] == v and t.kinds[k] == SLANT for k in range(len(t))) > 1:
+                raise EnriquesError("union input has equal-kind siblings")
     if len(d1) == 0:
         return d2
     if len(d2) == 0:
@@ -956,13 +963,7 @@ def union_by_recursion(d1: EnriquesDiagram, d2: EnriquesDiagram) -> EnriquesDiag
     parents, kinds, weights, marks = out
 
     def kids_by_kind(d: EnriquesDiagram, v: int) -> Dict[str, int]:
-        by_kind: Dict[str, int] = {}
-        for k in d.tree.cluster._children[v]:
-            kind = d.tree.kinds[k]
-            if kind in by_kind:
-                raise EnriquesError("union input has equal-kind siblings")
-            by_kind[kind] = k
-        return by_kind
+        return {d.tree.kinds[k]: k for k in d.tree.cluster._children[v]}
 
     def merge(v1: int, v2: int, parent: Optional[int]):
         idx = len(parents)

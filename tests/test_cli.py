@@ -227,6 +227,16 @@ def test_cli_check_theorem(capsys):
     assert code == 0 and data["equal"] and data["lct_direct"] == "12/35"
 
 
+def test_cli_check_theorem_reads_a_candidate_on_its_chain_s_axis(capsys):
+    # the smooth branches' bare root chain lies on the x-axis, beside the
+    # y-axis chain of the horizontal satellites, so candidate P3 reads its
+    # staircase there: the transpose of the one it reads on the y-axis
+    curve = "(x^2 - 1*y^7)*(y^1 - (1/2)*x^3)*(y^1 - (-2/3)*x^6)"
+    code, out, _ = run_cli(capsys, "check-theorem", "--curve", curve)
+    assert code == 0 and out.startswith("lct (cluster)     = 1/2\nlct (term ideals) = 1/2\n")
+    assert "  candidate rho=P3: lct 1/2, staircase [8, 5, 2, 1]\n" in out
+
+
 def test_cli_corpus_small(capsys):
     code, out, _ = run_cli(capsys, "corpus", "--cusp-limit", "5", "--json")
     data = json.loads(out)
@@ -657,7 +667,8 @@ _JUNK = ("1", 1.5, True, None, [], {}, -1, 10**30, "s", [1])
 def near_diagram_json(draw):
     """Diagram JSON one or a few edits away from a valid tree: wrong types,
     parents out of order, unknown kinds, satellites off the root, x_side
-    marks on non-root vertices, and marks that contradict their satellites."""
+    marks on non-root vertices, marks that contradict their satellites, and
+    two root chains, bare or beside one with a satellite, marked or not."""
     n = draw(st.integers(0, 6))
     vertices = []
     for i in range(1, n + 1):
@@ -667,7 +678,7 @@ def near_diagram_json(draw):
     doc = {"vertices": vertices}
     if draw(st.booleans()):
         doc["x_side"] = draw(st.lists(st.integers(-1, n + 1), max_size=3))
-    for edit in draw(st.lists(st.integers(0, 6), max_size=3)):
+    for edit in draw(st.lists(st.integers(0, 7), max_size=3)):
         i = draw(st.integers(1, n)) if n else 0  # the id the vertex was drawn with
         v = vertices[i - 1] if n else {}
         if edit == 0:  # a field of the wrong type, or missing
@@ -692,6 +703,11 @@ def near_diagram_json(draw):
             doc["x_side"] = [2]
         elif edit == 6:  # a negative or huge weight
             v["weight"] = draw(st.sampled_from((-1, 10**40)))
+        elif edit == 7 and len(vertices) >= 4:  # two root chains, marks on either
+            vertices[1].update(parent=1, kind="s")
+            vertices[2].update(parent=1, kind="s")
+            vertices[3].update(parent=draw(st.sampled_from((2, 3))), kind=draw(st.sampled_from("shv")))
+            doc["x_side"] = draw(st.lists(st.sampled_from((2, 3)), max_size=2))
     if draw(st.integers(0, 19)) == 7:  # the document is not a diagram object
         doc = draw(st.sampled_from(([], "vertices", 3, {"vertex": []})))
     return doc

@@ -30,10 +30,12 @@ from singular_lct import (
     verify_main_inequality,
 )
 from singular_lct.cluster import (
+    WeightedCluster,
     _strict_from_total,
     _total_from_branch,
     intersection_inverse,
     pi_inverse,
+    unload,
 )
 from singular_lct.corpus import coprime_pairs
 from singular_lct.poly import BivariatePolynomial
@@ -286,6 +288,16 @@ def test_union_needs_root_chains_on_distinct_axes():
         union(curve, t_pq(2, 3))
     with pytest.raises(OrientationError, match="two root chains on one axis"):
         union(EnriquesDiagram(EnriquesTree((), ()), ()), curve)
+
+
+def test_union_refuses_equal_kind_siblings_whatever_the_other_operand():
+    # below the root, union matches children by kind: two slant siblings
+    # are refused whichever axis the other operand's chain lies on
+    d = EnriquesDiagram(EnriquesTree((None, 0, 1, 1), (None, "s", "s", "s")), (2, 2, 1, 1))
+    for other in (t_pq(1, 2), t_pq(1, 2, mirror=True), EnriquesDiagram(EnriquesTree((), ()), ())):
+        for pair in ((d, other), (other, d)):
+            with pytest.raises(EnriquesError, match="union input has equal-kind siblings"):
+                union(*pair)
 
 
 def test_union_of_a_y_and_an_x_chain_keeps_both():
@@ -661,13 +673,12 @@ def test_restriction_keeps_the_axis():
             assert _mirror(d).restrict(keep) == _mirror(d.restrict(keep))
             restrictions += 1
     assert restrictions > 300
-    transpose = lambda s: tuple(sorted((n, m) for m, n in s.generators))
     for q in range(2, 13):
         for p in range(1, q):
             if gcd(p, q) == 1:
                 pruned = prune_last(t_pq(p, q, mirror=True))
                 assert pruned == _mirror(prune_last(t_pq(p, q)))
-                assert diagram_to_staircase(pruned).generators == transpose(
+                assert diagram_to_staircase(pruned).generators == _transposed(
                     diagram_to_staircase(prune_last(t_pq(p, q)))
                 )
     assert diagram_to_staircase(prune_last(t_pq(2, 3, mirror=True))).generators == (
@@ -675,6 +686,74 @@ def test_restriction_keeps_the_axis():
         (1, 1),
         (3, 0),
     )
+
+
+def _transposed(s: Staircase) -> tuple:
+    return tuple(sorted((n, m) for m, n in s.generators))
+
+
+def _placement_pool(rng, count):
+    """Binary diagrams of random clusters, some bare root chains marked on
+    the x-axis and the weights unloaded, with their staircases."""
+    from test_cluster import random_cluster
+
+    out = []
+    for _ in range(count):
+        t = cluster_to_tree(random_cluster(rng, max_points=6))
+        bare = [k for k in t.children(0) if not oracles.subtree_flavor_by_scan(t.parents, t.kinds, k)]
+        t = EnriquesTree(t.parents, t.kinds, [k for k in bare if rng.random() < 0.5])
+        w = unload(WeightedCluster(t.cluster, [rng.randint(0, 3) for _ in range(len(t))])).weights
+        d = EnriquesDiagram(t, w)
+        try:
+            out.append((d, diagram_to_staircase(d)))
+        except EnriquesError:
+            pass
+    return out
+
+
+def test_equal_diagrams_read_equal_staircases():
+    # two bare root chains lie on the free axes, y first, and equality keeps
+    # each chain's axis: a long chain on the x-axis is not one on the y-axis
+    weights = (2, 1, 1, 1)
+    long_x = EnriquesDiagram(EnriquesTree([None, 0, 0, 2], [None, "s", "s", "s"]), weights)
+    long_y = EnriquesDiagram(EnriquesTree([None, 0, 1, 0], [None, "s", "s", "s"]), weights)
+    assert diagram_to_staircase(long_x).slices() == (4, 1, 1)
+    assert diagram_to_staircase(long_y).slices() == (3, 1, 1, 1)
+    assert long_x != long_y and long_x.tree != long_y.tree
+    pool = _placement_pool(random.Random(3001), 400)
+    pool += [(d, diagram_to_staircase(d)) for d in (long_x, long_y)]
+    equal = 0
+    for i, (d1, s1) in enumerate(pool):
+        for d2, s2 in pool[:i]:
+            if d1 == d2:
+                assert hash(d1) == hash(d2) and s1 == s2
+                equal += 1
+    assert equal > 500
+
+
+def test_mirror_of_a_placed_bare_chain_is_the_transpose():
+    # the bare chain 3 lies on the x-axis, as vertex 1's horizontal
+    # satellite puts its chain on the y-axis; the mirror swaps the two
+    d = EnriquesDiagram(EnriquesTree([None, 0, 1, 0], [None, "s", "h", "s"]), (4, 2, 1, 1))
+    s = diagram_to_staircase(d)
+    assert diagram_to_staircase(_mirror(d)).generators == _transposed(s)
+    assert _mirror(_mirror(d)) == d
+
+
+def test_mirrors_and_restrictions_keep_the_placements():
+    rng = random.Random(3003)
+    pool = _placement_pool(rng, 500)
+    assert len(pool) > 300
+    for d, s in pool:
+        assert diagram_to_staircase(_mirror(d)).generators == _transposed(s)
+        assert _mirror(_mirror(d)) == d
+        axes = oracles.root_axes_by_scan(d.tree)
+        keep = [0]
+        for v in range(1, len(d)):
+            if d.tree.parents[v] in keep and rng.random() < 0.8:
+                keep.append(v)
+        kept = oracles.root_axes_by_scan(d.restrict(keep).tree)
+        assert kept == {a: keep.index(k) for a, k in axes.items() if k in keep}
 
 
 # -- the tree's own proximity cluster against the parent scans ----------------------
@@ -884,8 +963,10 @@ def test_tree_walks_match_their_recursive_oracles():
         got = _exactly(_outcome(union, d1, d2))
         assert got == _exactly(_outcome(oracles.union_by_recursion, d1, d2))
         errors.add(got[1] if got[0] in (EnriquesError, OrientationError) else None)
-        # a y-axis chain and an x-axis chain share only the root
-        if _only_axis(d1) == "V" and _only_axis(d2) == "H":
+        # a y-axis chain and an x-axis chain share only the root, where
+        # neither operand has equal-kind siblings (checked above by the oracle)
+        siblings = got[1] == "union input has equal-kind siblings"
+        if _only_axis(d1) == "V" and _only_axis(d2) == "H" and not siblings:
             assert got == _exactly(_outcome(oracles.glue_at_root_by_recursion, d1, d2))
             glued += 1
     assert "union input has equal-kind siblings" in errors

@@ -7,14 +7,14 @@ threshold can be computed two independent ways:
   * as the minimum, over the finitely many adapted coordinate choices, of
     the threshold of a monomial ideal read off the diagram.
 
-An adapted choice is indexed by the endpoint rho of a maximal chain of
-free points: the associated subdiagram is the largest binary subdiagram
-whose free vertices lie on the root-to-rho path.  Its monomial ideal is
+An adapted choice is indexed by the endpoint rho of a maximal chain of free
+points: the associated subdiagram is the largest binary subdiagram whose free
+vertices lie on the root-to-rho path, built on access.  Its monomial ideal is
 the one `enriques._valuations` reads with the curve's own cluster and the
 chain on the axis the diagram places it on, the rule `diagram_to_staircase`
-reads too: m X_a + n Y_a >= e_a at each dicritical point a of the
-subdiagram, X and Y the strict vectors of the two coordinate curves and e
-the curve's, and its threshold is the least (X_a + Y_a)/e_a (Howald).
+reads too: m X_a + n Y_a >= e_a at each dicritical point a of the subdiagram,
+X and Y the strict vectors of the two coordinate curves and e the curve's,
+and its threshold is the least (X_a + Y_a)/e_a (Howald).
 That threshold is at least the lct and the minimum over the candidates
 equals it, but one candidate may lie above the term ideal's value: on the
 curve (x^2 + y^5)*(x^4 - (1/2)*y^5)*(y^3 - 2*x^4), rho = P2 gives 2/9
@@ -61,12 +61,23 @@ class AdaptedCandidate(Record):
     which is at least the lct of the curve.  Staircase and lct are read
     off the valuations at the subdiagram's dicritical points by the rule
     `diagram_to_staircase` reads, so they are the values it and
-    `lct_monomial` give on the subdiagram."""
+    `lct_monomial` give on the subdiagram, built on first access."""
 
     rho: Optional[int]
     subdiagram: EnriquesDiagram
     staircase: Staircase
     lct: Fraction
+
+    @classmethod
+    def _on(cls, rho, d: EnriquesDiagram, keep, staircase, lct) -> "AdaptedCandidate":
+        c = cls.__new__(cls)  # its subdiagram, d.restrict(keep), is built on first access
+        c.__dict__.update(rho=rho, staircase=staircase, lct=lct, _keep=(d, keep))
+        return c
+
+    def __getattr__(self, name):  # reached only for a name not in __dict__
+        if name != "subdiagram" or "_keep" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        return self.__dict__.setdefault(name, EnriquesDiagram.restrict(*self._keep))
 
 
 class PathCheck(Record):
@@ -141,12 +152,11 @@ def _adapted(d: EnriquesDiagram) -> Tuple[List[int], List[AdaptedCandidate]]:
         keep.reverse()  # the root path, parents first
         for u in keep:  # grows: the satellites hanging off the kept points
             keep.extend(k for k in children[u] if t.is_satellite(k))
-        sub = d.restrict(keep)
         points, staircase = read(keep)
         if not points:
             raise UnitIdealError("the unit ideal has no log-canonical threshold")
         lct = min(Fraction(xa + ya, ea) for xa, ya, ea in points)
-        out.append(AdaptedCandidate(rho, sub, staircase, lct))
+        out.append(AdaptedCandidate._on(rho, d, keep, staircase, lct))
     return e, out
 
 
@@ -160,13 +170,13 @@ def _path_checks(
     """The least value (k+1)/e along each root-to-leaf path through a
     witness and along that path's non-degenerate prefix, the leaves below
     each witness in preorder.  Parents precede children, so one pass in
-    index order carries both minima down every path."""
-    keep = _nondegenerate(t)
-    path_min, core_min = list(values), list(values)
-    for v, p in enumerate(t.parents):
-        if p is not None:
-            path_min[v] = min(path_min[p], values[v])
-            core_min[v] = min(core_min[p], values[v]) if keep[v] else core_min[p]
+    index order carries the points of both minima, compared as integers."""
+    nd = [(f.numerator, f.denominator) for f in values]
+    path_at, core_at = list(range(len(values))), list(range(len(values)))
+    for v, (p, kept) in enumerate(zip(t.parents[1:], _nondegenerate(t)[1:]), 1):
+        (n, d), a, b = nd[v], path_at[p], core_at[p]
+        path_at[v] = v if n * nd[a][1] < nd[a][0] * d else a
+        core_at[v] = v if kept and n * nd[b][1] < nd[b][0] * d else b
     checks = []
     for w in witnesses:
         stack = [w]  # first child on top, so the leaves come out in preorder
@@ -174,7 +184,7 @@ def _path_checks(
             v = stack.pop()
             kids = t.cluster._children[v]
             if not kids:
-                checks.append(PathCheck(w, v, path_min[v], core_min[v]))
+                checks.append(PathCheck(w, v, values[path_at[v]], values[core_at[v]]))
             stack.extend(reversed(kids))
     return checks
 

@@ -27,7 +27,7 @@ diagrams `union` cuts out the product of the ideals, so
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from math import gcd
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -429,8 +429,14 @@ def t_pq(p: int, q: int, *, scale: int = 1, mirror: bool = False) -> EnriquesDia
 
     scale multiplies all weights (the diagram of the d-fold thickened
     staircase); mirror gives the mirrored tree, horizontal and vertical
-    swapped and a bare chain (p = 1) marked as lying on the x-axis.
-    """
+    swapped and a bare chain (p = 1) marked as lying on the x-axis.  Calls
+    with the same (p, q, mirror) share the tree, its cluster and its axes."""
+    tree, remainders = _t_pq_tree(p, q, mirror)
+    return EnriquesDiagram(tree, [scale * r for r in remainders])
+
+
+@lru_cache(maxsize=64, typed=True)  # a germ-theorem pass reads 27 distinct trees
+def _t_pq_tree(p: int, q: int, mirror: bool) -> Tuple[EnriquesTree, Tuple[int, ...]]:
     data = euclid_data(p, q)
     block = [j for j, aj in enumerate(data.a, start=1) for _ in range(aj)]
     # the edge into vertex i is edge number i, in block j
@@ -438,9 +444,8 @@ def t_pq(p: int, q: int, *, scale: int = 1, mirror: bool = False) -> EnriquesDia
         SLANT if j == 1 else HORIZONTAL if (j % 2 == 0) != mirror else VERTICAL
         for j in block[:-1]
     ]
-    weights = [scale * data.r[j - 1] for j in block]
     tree = EnriquesTree([None, *range(len(block) - 1)], kinds, [1] if mirror else ())
-    return EnriquesDiagram(tree, weights)
+    return tree, tuple(data.r[j - 1] for j in block)
 
 
 # -- union and connected sum -----------------------------------------------------

@@ -48,6 +48,10 @@ and `trimmed_by_fixed_point_loop` are the earlier step-by-step forms of
 forms of `EnriquesTree.cluster` and of the free-chain flavor of a root
 child, which find children and L-branch targets by scanning the parent list.
 
+`t_pq_by_euclid` is the earlier body of `enriques.t_pq`: it builds and
+validates a new tree on every call, where the library shares one tree per
+(p, q, mirror) between calls.
+
 `tree_key_by_recursion`, `union_by_recursion` and `glue_at_root_by_recursion`
 are recursive forms of the nested canonical key behind tree and diagram
 equality, of `union` (root chains matched by the axis `root_axes_by_scan`
@@ -161,6 +165,7 @@ from singular_lct.enriques import (
     _opposite,
     classify,
     cluster_to_tree,
+    euclid_data,
 )
 from singular_lct.newton import (
     InfiniteStaircaseError,
@@ -890,6 +895,23 @@ def subtree_flavor_by_scan(parents, kinds, child):
             return "V" if kinds[sats[0]] == HORIZONTAL else "H"
         stack.extend(i for i in kids if kinds[i] == SLANT)
     return None
+
+
+def t_pq_by_euclid(p: int, q: int, *, scale: int = 1, mirror: bool = False) -> EnriquesDiagram:
+    """The diagram of x^p - y^q, a new tree per call: one vertex block per
+    Euclid quotient, edge kinds slant then alternating horizontal /
+    vertical (swapped when mirrored, a bare chain marked on the x-axis),
+    weights the remainders times scale."""
+    data = euclid_data(p, q)
+    block = [j for j, aj in enumerate(data.a, start=1) for _ in range(aj)]
+    # the edge into vertex i is edge number i, in block j
+    kinds = [None] + [
+        SLANT if j == 1 else HORIZONTAL if (j % 2 == 0) != mirror else VERTICAL
+        for j in block[:-1]
+    ]
+    weights = [scale * data.r[j - 1] for j in block]
+    tree = EnriquesTree([None, *range(len(block) - 1)], kinds, [1] if mirror else ())
+    return EnriquesDiagram(tree, weights)
 
 
 def tree_key_by_recursion(t, v, weights=None):

@@ -8,6 +8,7 @@ from singular_lct import (
     EnriquesDiagram,
     EnriquesTree,
     MainTheoremViolation,
+    OrientationError,
     adapted_candidates,
     check_main_theorem,
     classify,
@@ -469,3 +470,80 @@ def test_adapted_candidates_match_the_subdiagram_oracle():
     assert candidates > 2000, candidates
     assert set(errors) == {EnriquesError, OrientationError, UnitIdealError}, errors
     assert min(errors.values()) > 50, errors
+
+
+def _kept_points(d, rho):
+    """The root path to rho and every satellite hanging off it, with their
+    satellites in turn."""
+    t = d.tree
+    keep, v = [], rho
+    while v is not None:
+        keep.append(v)
+        v = t.parents[v]
+    for u in keep:
+        keep.extend(k for k in t.children(u) if t.is_satellite(k))
+    return keep
+
+
+def _counting_restrictions(monkeypatch):
+    """Count the calls of `EnriquesDiagram.restrict` from here on."""
+    calls = []
+    restrict = EnriquesDiagram.restrict
+
+    def counted(self, keep):
+        calls.append(keep)
+        return restrict(self, keep)
+
+    monkeypatch.setattr(EnriquesDiagram, "restrict", counted)
+    return calls
+
+
+def test_a_candidate_builds_its_subdiagram_on_first_access(monkeypatch):
+    import random
+
+    rng = random.Random(3131)
+    diagrams = [resolve_curve(P(expr))[1] for _, expr in corpus_curves(12)]
+    diagrams += _oracle_diagrams(rng, 400)
+    calls = _counting_restrictions(monkeypatch)
+    built = 0
+    for d in diagrams:
+        try:
+            candidates = adapted_candidates(d)
+        except ValueError:
+            continue
+        assert calls == []
+        for cand in candidates:
+            if cand.rho is None:
+                assert cand.subdiagram is d
+                continue
+            sub = cand.subdiagram
+            assert len(calls) == 1
+            want = d.restrict(_kept_points(d, cand.rho))
+            assert sub == want and repr(sub) == repr(want)
+            assert cand.subdiagram is sub and len(calls) == 2  # built once
+            calls.clear()
+            built += 1
+    assert built > 400, built
+    # a branching free chain that draws its satellites both ways: the reader
+    # refuses the first candidate before any sub-diagram is built
+    t = EnriquesTree((None, 0, 1, 1, 3, 2), (None, "s", "s", "s", "v", "h"))
+    with pytest.raises(OrientationError, match="vertex 2: satellite child drawn 'h' on the x-axis"):
+        adapted_candidates(EnriquesDiagram(t, (2, 2, 1, 1, 1, 1)))
+    assert calls == []
+
+
+def test_the_theorem_check_builds_no_subdiagram(monkeypatch):
+    import importlib.util
+    import os
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.path.join(root, "bench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    # the germ-theorem benchmark's germs, seed 5
+    diagrams = [resolve_curve(P(text))[1] for text in workloads.GermTheorem(5).inputs]
+    calls = _counting_restrictions(monkeypatch)
+    reports = [check_main_theorem(d) for d in diagrams]
+    assert calls == []
+    assert sum(len(r.candidates) for r in reports) == 401

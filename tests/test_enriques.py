@@ -151,6 +151,44 @@ def test_t_pq_rejects_bad_pairs():
             t_pq(p, q)
 
 
+def test_t_pq_shares_its_tree_and_matches_the_euclid_oracle():
+    from singular_lct.enriques import _t_pq_tree
+
+    pairs = [(p, q) for q in range(2, 21) for p in range(1, q) if gcd(p, q) == 1]
+    keys = [(p, q, m) for p, q in pairs for m in (False, True)]
+    size = _t_pq_tree.cache_info().maxsize
+    assert len(keys) > size
+
+    def same_as_oracle(p, q, m, scale):
+        got = t_pq(p, q, scale=scale, mirror=m)
+        want = oracles.t_pq_by_euclid(p, q, scale=scale, mirror=m)
+        assert repr(got) == repr(want) and got == want, (p, q, m, scale)
+        return got
+
+    for p, q, m in keys:  # each key thrice in a row: built once, then shared
+        trees = {id(same_as_oracle(p, q, m, scale).tree) for scale in (1, 2, 1000)}
+        assert len(trees) == 1
+    # more distinct keys than the cache holds: every tree is built again
+    for scale in (1, 2, 1000):
+        for p, q, m in keys:
+            same_as_oracle(p, q, m, scale)
+    assert _t_pq_tree.cache_info().currsize == size
+    assert t_pq(5, 7) is not t_pq(5, 7) and t_pq(5, 7).tree is t_pq(5, 7, scale=3).tree
+    # bad pairs keep their errors, and none is cached: a float never reads
+    # the tree of the equal integer
+    t_pq(2, 3)
+    before = _t_pq_tree.cache_info()
+    for p, q in ((2, 2), (4, 6), (3, 2), (0, 5), (2.0, 3), (2, 3.0)):
+        for _ in range(2):
+            with pytest.raises((EnriquesError, TypeError)) as got:
+                t_pq(p, q)
+            with pytest.raises(got.type) as want:
+                oracles.t_pq_by_euclid(p, q)
+            assert str(got.value) == str(want.value)
+    after = _t_pq_tree.cache_info()
+    assert (after.hits, after.currsize) == (before.hits, before.currsize)
+
+
 def test_euclid_data_57():
     d = euclid_data(5, 7)
     assert d.a == (1, 2, 2) and d.r == (5, 2, 1)

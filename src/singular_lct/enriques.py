@@ -428,24 +428,24 @@ def t_pq(p: int, q: int, *, scale: int = 1, mirror: bool = False) -> EnriquesDia
     alternating horizontal / vertical, weights the remainders.
 
     scale multiplies all weights (the diagram of the d-fold thickened
-    staircase); mirror gives the mirrored tree, horizontal and vertical
-    swapped and a bare chain (p = 1) marked as lying on the x-axis.  Calls
-    with the same (p, q, mirror) share the tree, its cluster and its axes."""
-    tree, remainders = _t_pq_tree(p, q, mirror)
+    staircase); mirror, read by its truth value, gives the `mirrored()`
+    tree, horizontal and vertical swapped and a bare chain (p = 1) marked
+    as lying on the x-axis.  Calls with the same (p, q, mirror) share the
+    tree, its cluster and its axes."""
+    tree, remainders = _t_pq_tree(p, q, bool(mirror))
     return EnriquesDiagram(tree, [scale * r for r in remainders])
 
 
 @lru_cache(maxsize=64, typed=True)  # a germ-theorem pass reads 27 distinct trees
 def _t_pq_tree(p: int, q: int, mirror: bool) -> Tuple[EnriquesTree, Tuple[int, ...]]:
+    if mirror:
+        tree, remainders = _t_pq_tree(p, q, False)
+        return tree.mirrored(), remainders
     data = euclid_data(p, q)
     block = [j for j, aj in enumerate(data.a, start=1) for _ in range(aj)]
     # the edge into vertex i is edge number i, in block j
-    kinds = [None] + [
-        SLANT if j == 1 else HORIZONTAL if (j % 2 == 0) != mirror else VERTICAL
-        for j in block[:-1]
-    ]
-    tree = EnriquesTree([None, *range(len(block) - 1)], kinds, [1] if mirror else ())
-    return tree, tuple(data.r[j - 1] for j in block)
+    kinds = [None] + [SLANT if j == 1 else VERTICAL if j % 2 else HORIZONTAL for j in block[:-1]]
+    return EnriquesTree([None, *range(len(block) - 1)], kinds), tuple(data.r[j - 1] for j in block)
 
 
 # -- union and connected sum -----------------------------------------------------
@@ -704,6 +704,9 @@ def diagram_to_staircase(d: EnriquesDiagram) -> Staircase:
     return staircase
 
 
+_POINT = EnriquesTree((None,), (None,))  # the tree of every facet of slope -1
+
+
 def staircase_to_diagram(s: Staircase) -> EnriquesDiagram:
     """Binary unloaded diagram of the smallest integrally closed monomial
     ideal with the given staircase: the union of one thickened staircase
@@ -718,7 +721,7 @@ def staircase_to_diagram(s: Staircase) -> EnriquesDiagram:
     parts = [
         t_pq(min(f.p, f.q), max(f.p, f.q), scale=f.d, mirror=f.q < f.p)
         if f.p != f.q
-        else EnriquesDiagram(EnriquesTree((None,), (None,)), (f.d,))
+        else EnriquesDiagram(_POINT, (f.d,))
         for f in newton_facets(s.to_ideal())
     ]
     return reduce(union, parts)

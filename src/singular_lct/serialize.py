@@ -2,7 +2,9 @@
 
 Rationals are strings "num/den" (all arithmetic is exact, floats never
 appear).  Monomial ideals and staircases are arrays of [m, n] exponent
-pairs.  Clusters and diagrams use 1-based vertex ids in tree order.
+pairs.  Clusters and diagrams share one numbering rule: one object
+{"id", "parent", ...} per vertex, ids 1..r in tree order, each parent the
+id of the vertex's parent (null at the root); a reader sorts them by id.
 """
 
 from __future__ import annotations
@@ -64,17 +66,8 @@ def staircase_from_json(data) -> Staircase:
 
 
 def cluster_to_json(kl: WeightedCluster) -> dict:
-    points = []
-    for i in range(len(kl.cluster)):
-        parent = kl.cluster.parents[i]
-        points.append(
-            {
-                "id": i + 1,
-                "parent": None if parent is None else parent + 1,
-                "prox": [a + 1 for a in kl.cluster.targets[i]],
-            }
-        )
-    return {"points": points, "weights": list(kl.weights)}
+    prox = [[a + 1 for a in targets] for targets in kl.cluster.targets]
+    return {"points": _numbered_to_json(kl.cluster.parents, prox=prox), "weights": list(kl.weights)}
 
 
 def _is_int(x) -> bool:
@@ -103,37 +96,39 @@ def _field(obj, key: str, kind: str, where: str):
     return obj[key]
 
 
+def _numbered_to_json(parents, **columns) -> List[dict]:
+    """The numbering rule: one {"id", "parent", *columns} object per vertex."""
+    return [
+        {"id": i + 1, "parent": None if p is None else p + 1, **dict(zip(columns, row))}
+        for i, (p, *row) in enumerate(zip(parents, *columns.values()))
+    ]
+
+
+def _numbered_from_json(entries, what: str, noun: str, **columns: str):
+    """The numbering rule read back: each entry's "id", "parent" and columns
+    checked in turn against _JSON_TYPES, as "{what} {noun} n"; then the
+    entries sorted by id, which must be 1..r, and their 0-based parents."""
+    fields = {"id": "an integer", "parent": "an integer or null", **columns}
+    for n, entry in enumerate(entries, 1):
+        for key, kind in fields.items():
+            _field(entry, key, kind, f"{what} {noun} {n}")
+    entries = sorted(entries, key=lambda e: e["id"])
+    if [e["id"] for e in entries] != list(range(1, len(entries) + 1)):
+        raise ValueError(f"{what} ids must be 1..r")
+    return entries, [None if e["parent"] is None else e["parent"] - 1 for e in entries]
+
+
 def cluster_from_json(data) -> WeightedCluster:
     from .cluster import Cluster, WeightedCluster
     points = _field(data, "points", "an array", "cluster")
     weights = _field(data, "weights", "an array of integers", "cluster")
-    for n, p in enumerate(points, 1):
-        _field(p, "id", "an integer", f"cluster point {n}")
-        _field(p, "parent", "an integer or null", f"cluster point {n}")
-        _field(p, "prox", "an array of integers", f"cluster point {n}")
-    points = sorted(points, key=lambda p: p["id"])
-    ids = [p["id"] for p in points]
-    if ids != list(range(1, len(ids) + 1)):
-        raise ValueError("cluster ids must be 1..r")
-    parents = [None if p["parent"] is None else p["parent"] - 1 for p in points]
+    points, parents = _numbered_from_json(points, "cluster", "point", prox="an array of integers")
     targets = [tuple(a - 1 for a in p["prox"]) for p in points]
-    cluster = Cluster(parents, targets)
-    return WeightedCluster(cluster, weights)
+    return WeightedCluster(Cluster(parents, targets), weights)
 
 
 def diagram_to_json(d: EnriquesDiagram) -> dict:
-    vertices = []
-    for i in range(len(d)):
-        parent = d.tree.parents[i]
-        vertices.append(
-            {
-                "id": i + 1,
-                "parent": None if parent is None else parent + 1,
-                "kind": d.tree.kinds[i],
-                "weight": d.weights[i],
-            }
-        )
-    out = {"vertices": vertices}
+    out = {"vertices": _numbered_to_json(d.tree.parents, kind=d.tree.kinds, weight=d.weights)}
     if d.tree.x_side:
         out["x_side"] = sorted(v + 1 for v in d.tree.x_side)
     return out
@@ -142,20 +137,10 @@ def diagram_to_json(d: EnriquesDiagram) -> dict:
 def diagram_from_json(data) -> EnriquesDiagram:
     from .enriques import EnriquesDiagram, EnriquesTree
     vertices = _field(data, "vertices", "an array", "diagram")
-    x_side = []
-    if "x_side" in data:
-        x_side = _field(data, "x_side", "an array of integers", "diagram")
-    for n, v in enumerate(vertices, 1):
-        _field(v, "id", "an integer", f"diagram vertex {n}")
-        _field(v, "parent", "an integer or null", f"diagram vertex {n}")
-        _field(v, "kind", "a string or null", f"diagram vertex {n}")
-        _field(v, "weight", "an integer", f"diagram vertex {n}")
-    vertices = sorted(vertices, key=lambda v: v["id"])
-    ids = [v["id"] for v in vertices]
-    if ids != list(range(1, len(ids) + 1)):
-        raise ValueError("diagram ids must be 1..r")
-    parents = [None if v["parent"] is None else v["parent"] - 1 for v in vertices]
-    kinds = [v["kind"] for v in vertices]
-    weights = [v["weight"] for v in vertices]
+    x_side = _field(data, "x_side", "an array of integers", "diagram") if "x_side" in data else []
+    vertices, parents = _numbered_from_json(
+        vertices, "diagram", "vertex", kind="a string or null", weight="an integer"
+    )
     marks = frozenset(v - 1 for v in x_side)
-    return EnriquesDiagram(EnriquesTree(parents, kinds, marks), weights)
+    tree = EnriquesTree(parents, [v["kind"] for v in vertices], marks)
+    return EnriquesDiagram(tree, [v["weight"] for v in vertices])

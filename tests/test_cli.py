@@ -316,6 +316,72 @@ def test_cli_malformed_json_point_without_parent_exit_2(tmp_path, capsys):
     assert code == 2 and "vertex 1" in err and "'weight'" in err
 
 
+_POINT = {"id": 1, "parent": None, "prox": []}
+_VERTEX = {"id": 1, "parent": None, "kind": None, "weight": 1}
+
+
+def _cluster(*points):
+    return {"points": list(points), "weights": []}
+
+
+def _diagram(*vertices):
+    return {"vertices": list(vertices)}
+
+
+@pytest.mark.parametrize(
+    "reader, doc, message",
+    [
+        ("cluster", [], "cluster must be a JSON object"),
+        ("cluster", {"weights": []}, "cluster lacks the field 'points'"),
+        ("cluster", {"points": {}, "weights": []}, "cluster: field 'points' must be an array"),
+        ("cluster", {"points": [1]}, "cluster lacks the field 'weights'"),
+        ("cluster", {"points": [], "weights": [True]},
+         "cluster: field 'weights' must be an array of integers"),
+        ("cluster", _cluster(_POINT, 2), "cluster point 2 must be a JSON object"),
+        ("cluster", _cluster({"parent": "x"}), "cluster point 1 lacks the field 'id'"),
+        ("cluster", _cluster({"id": "1"}), "cluster point 1: field 'id' must be an integer"),
+        ("cluster", _cluster({"id": 1, "prox": 1}), "cluster point 1 lacks the field 'parent'"),
+        ("cluster", _cluster({**_POINT, "parent": True}),
+         "cluster point 1: field 'parent' must be an integer or null"),
+        ("cluster", _cluster({"id": 1, "parent": None}), "cluster point 1 lacks the field 'prox'"),
+        ("cluster", _cluster({**_POINT, "prox": [1.0]}),
+         "cluster point 1: field 'prox' must be an array of integers"),
+        ("cluster", _cluster(_POINT, {**_POINT, "id": 3}), "cluster ids must be 1..r"),
+        ("cluster", _cluster(_POINT, _POINT), "cluster ids must be 1..r"),
+        ("diagram", "vertices", "diagram must be a JSON object"),
+        ("diagram", {"x_side": []}, "diagram lacks the field 'vertices'"),
+        ("diagram", {"vertices": None}, "diagram: field 'vertices' must be an array"),
+        ("diagram", {"vertices": [1], "x_side": [True]},
+         "diagram: field 'x_side' must be an array of integers"),
+        ("diagram", {"vertices": [1], "x_side": 2},
+         "diagram: field 'x_side' must be an array of integers"),
+        ("diagram", _diagram(_VERTEX, []), "diagram vertex 2 must be a JSON object"),
+        ("diagram", _diagram({"parent": 1.5}), "diagram vertex 1 lacks the field 'id'"),
+        ("diagram", _diagram({**_VERTEX, "id": None}),
+         "diagram vertex 1: field 'id' must be an integer"),
+        ("diagram", _diagram({"id": 1, "kind": 1}), "diagram vertex 1 lacks the field 'parent'"),
+        ("diagram", _diagram({**_VERTEX, "parent": "1"}),
+         "diagram vertex 1: field 'parent' must be an integer or null"),
+        ("diagram", _diagram({"id": 1, "parent": None, "weight": 1}),
+         "diagram vertex 1 lacks the field 'kind'"),
+        ("diagram", _diagram({**_VERTEX, "kind": 0}),
+         "diagram vertex 1: field 'kind' must be a string or null"),
+        ("diagram", _diagram({"id": 1, "parent": None, "kind": None}),
+         "diagram vertex 1 lacks the field 'weight'"),
+        ("diagram", _diagram({**_VERTEX, "weight": False}),
+         "diagram vertex 1: field 'weight' must be an integer"),
+        ("diagram", _diagram({**_VERTEX, "id": 0}), "diagram ids must be 1..r"),
+    ],
+)
+def test_json_readers_pin_their_messages(reader, doc, message):
+    # the top-level fields are read first, then each entry's id, parent and
+    # own fields in turn, then the ids; every error is a plain ValueError
+    read = {"cluster": serialize.cluster_from_json, "diagram": serialize.diagram_from_json}
+    with pytest.raises(ValueError) as got:
+        read[reader](doc)
+    assert (type(got.value), str(got.value)) == (ValueError, message)
+
+
 def test_cli_ideal_json_is_type_checked(tmp_path, capsys):
     path = tmp_path / "ideal.json"
     bad = {
@@ -734,5 +800,80 @@ def test_union_of_malformed_diagram_files_exits_cleanly(tmp_path, first, second,
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["union", *paths, *(["--json"] if as_json else [])])
     assert code in (0, 1, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert (code == 0) == (err.getvalue() == "")
+
+
+# -- malformed cluster files --------------------------------------------------------
+
+
+@st.composite
+def near_cluster_json(draw):
+    """Cluster JSON one or a few edits away from a valid cluster: wrong,
+    missing or bool fields, ids not 1..r, parents at or after their child,
+    prox without the parent or with three targets, unreachable satellite
+    targets, repeated crossings, negative or huge weights, a weight count
+    that does not match, and documents that are not objects."""
+    n = draw(st.integers(0, 6))
+    points = []
+    for i in range(1, n + 1):
+        parent = None if i == 1 else draw(st.integers(1, i - 1))
+        prox = [] if parent is None else [parent]
+        grand = points[parent - 1]["parent"] if parent else None
+        if grand and draw(st.booleans()):  # a satellite on the grandparent's divisor
+            prox.append(grand)
+        points.append({"id": i, "parent": parent, "prox": prox})
+    weights = [draw(st.integers(0, 4)) for _ in range(n)]
+    doc = {"points": points, "weights": weights}
+    for edit in draw(st.lists(st.integers(0, 7), max_size=3)):
+        i = draw(st.integers(1, n)) if n else 0  # the id the point was drawn with
+        p = points[i - 1] if n else {}
+        if edit == 0:  # a field of the wrong type, a bool, or missing
+            key = draw(st.sampled_from(("id", "parent", "prox", "points", "weights")))
+            target = doc if key in ("points", "weights") else p
+            if draw(st.booleans()):
+                target[key] = draw(st.sampled_from(_JUNK + (False, [True])))
+            else:
+                target.pop(key, None)
+        elif edit == 1:  # ids that are not 1..r
+            p["id"] = draw(st.sampled_from((0, i + 1, n + 1, -1, 1)))
+        elif edit == 2:  # a parent at or after its child, or no point
+            p["parent"] = draw(st.sampled_from((i, i + 1, n + 1, 0, -1)))
+        elif edit == 3:  # prox without the parent, or with three targets
+            p["prox"] = draw(st.sampled_from(([], [i - 1, i - 2], [i - 1, 1, 2], [1, 2, 3])))
+        elif edit == 4:  # a satellite target that may be out of reach
+            p["prox"] = [p.get("parent"), draw(st.integers(1, max(i - 1, 1)))]
+        elif edit == 5 and n >= 4:  # two points on one crossing
+            points[1].update(parent=1, prox=[1])
+            points[2].update(parent=2, prox=[2, 1])
+            points[3].update(parent=2, prox=[2, 1])
+        elif edit == 6 and n and isinstance(weights, list):  # a negative or huge weight
+            weights[i - 1] = draw(st.sampled_from((-1, -(10**40), 10**40)))
+        elif edit == 7:  # a weight count that does not match
+            doc["weights"] = weights[:-1] if draw(st.booleans()) else weights + [1]
+    if draw(st.integers(0, 19)) == 7:  # the document is not a cluster object
+        doc = draw(st.sampled_from(([], "points", 3, None, {"point": []})))
+    return doc
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@seed(3203)
+@given(near_cluster_json(), st.booleans())
+def test_unload_of_malformed_cluster_files_exits_cleanly(tmp_path, doc, as_json):
+    # a malformed file is an error (exit 2), never a traceback
+    import contextlib
+    import io
+
+    path = tmp_path / "cluster.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["unload", "--file", str(path), *(["--json"] if as_json else [])])
+    assert code in (0, 2), err.getvalue()
     assert "Traceback" not in err.getvalue()
     assert (code == 0) == (err.getvalue() == "")

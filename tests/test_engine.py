@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import pytest
@@ -532,7 +533,9 @@ def test_a_candidate_builds_its_subdiagram_on_first_access(monkeypatch):
     assert calls == []
 
 
-def test_the_theorem_check_builds_no_subdiagram(monkeypatch):
+@functools.lru_cache(maxsize=1)
+def _germ_theorem_diagrams(seed):
+    """The diagrams of the germ-theorem benchmark's germs."""
     import importlib.util
     import os
 
@@ -541,9 +544,39 @@ def test_the_theorem_check_builds_no_subdiagram(monkeypatch):
     spec = importlib.util.spec_from_file_location("workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    # the germ-theorem benchmark's germs, seed 5
-    diagrams = [resolve_curve(P(text))[1] for text in workloads.GermTheorem(5).inputs]
+    return [resolve_curve(P(text))[1] for text in workloads.GermTheorem(seed).inputs]
+
+
+def test_the_theorem_check_builds_no_subdiagram(monkeypatch):
+    diagrams = _germ_theorem_diagrams(5)
     calls = _counting_restrictions(monkeypatch)
     reports = [check_main_theorem(d) for d in diagrams]
     assert calls == []
     assert sum(len(r.candidates) for r in reports) == 401
+
+
+def test_staircase_to_diagram_shares_the_point_of_a_slope_minus_one_facet(monkeypatch):
+    from singular_lct import newton_facets, staircase_to_diagram
+
+    staircases = [
+        c.staircase
+        for d in _germ_theorem_diagrams(5)
+        for c in check_main_theorem(d).candidates
+        if not c.staircase.is_empty()
+    ]
+    steps = [f.p == f.q for s in staircases for f in newton_facets(s.to_ideal())]
+    assert sum(steps) > 0
+    # a union or a t_pq tree has at least two vertices: a one-vertex tree
+    # built here would be the tree of a facet of slope -1
+    built = []
+    init = EnriquesTree.__init__
+
+    def counted(self, parents, kinds, x_side=frozenset()):
+        parents = tuple(parents)
+        built.append(len(parents))
+        init(self, parents, kinds, x_side)
+
+    monkeypatch.setattr(EnriquesTree, "__init__", counted)
+    diagrams = [staircase_to_diagram(s) for s in staircases]
+    assert 1 not in built
+    assert len({id(d.tree) for d in diagrams if len(d) == 1}) == 1  # one shared point

@@ -145,6 +145,15 @@ def test_mirrored_t_pq_swaps_the_satellite_kinds():
             assert m.tree.x_side == (frozenset({1}) if p == 1 else frozenset())
 
 
+def test_t_pq_reads_mirror_by_its_truth_value():
+    standard, mirrored = repr(t_pq(5, 7)), repr(t_pq(5, 7, mirror=True))
+    assert t_pq(5, 7).tree.kinds == (None, "s", "h", "h", "v")
+    for falsy in ("", 0, None):
+        assert repr(t_pq(5, 7, mirror=falsy)) == standard, falsy
+    for truthy in (2, "yes"):
+        assert repr(t_pq(5, 7, mirror=truthy)) == mirrored, truthy
+
+
 def test_t_pq_rejects_bad_pairs():
     for p, q in ((2, 2), (4, 6), (3, 2), (0, 5)):
         with pytest.raises(EnriquesError):

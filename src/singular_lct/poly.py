@@ -9,9 +9,8 @@ equal polynomials store equal data, every operation runs on integers, and a
 layout is dense in the exponents, so the public constructor and `monomial`
 reject an exponent above MAX_EXPONENT, as the parser does (below); the
 arithmetic, the blowup charts and the shifts build their results directly
-and are not bounded.  A shift y -> y + c packs each row into one integer
-(Kronecker substitution), so its arithmetic runs inside the interpreter's
-big-integer code.  Everything here is immutable by convention and all
+and are not bounded.  A shift y -> y + c runs synthetic division on each
+integer row.  Everything here is immutable by convention and all
 arithmetic is exact.
 
 A product adds each nonzero term pair straight into its output row (`_mul`
@@ -253,50 +252,23 @@ class BivariatePolynomial:
         """Substitute y -> y + c (recenter at a point on the y-axis line).
 
         For c = a/b and y-degree N, each row sum r_n y^n becomes
-        b^-N sum r_n b^(N-n) (b y + a)^n, by a packed (Kronecker) Taylor
-        shift: put y = 2^K, so a row is the one integer sum r_n Z_n with
-        Z_n = b^(N-n) (b 2^K + a)^n, whose signed base-2^K digits are the
-        shifted coefficients.  Each coefficient is at most R (N+1) (|a|+b)^N
-        in size, R the largest |r_n|, so K - 1 bits and a sign hold it;
-        adding 2^(K-1) to every digit makes the digits nonnegative, and
-        `to_bytes` splits them at once.  Z_n is built only for the n that
-        occur, in increasing n, and added into every row that uses it."""
+        b^-N sum_k s_k b^k y^k, where sum s_k z^k is sum r_n b^(N-n) z^n
+        shifted z -> z + a by synthetic division: the classical integer
+        Taylor shift (von zur Gathen and Gerhard, ISSAC 1997), O(N^2)
+        integer steps per row."""
         a, b = _ratio(c)
         rows = self._rows
         if not (a and rows):
             return self
         top = max(map(len, rows)) - 1
-        bits = max(map(abs, chain.from_iterable(rows))).bit_length() + (top + 1).bit_length()
-        k = (bits + top * (abs(a) + b).bit_length() + 8) & ~7  # K - 1 >= the bound's bits
-        uses: dict = {}  # n -> [(row index, r_n)] over the nonzero r_n
-        for i, row in enumerate(rows):
-            for n, r in enumerate(row):
-                if r:
-                    uses.setdefault(n, []).append((i, r))
-        base, power, at = (b << k) + a, 1, 0
-        packed = [0] * len(rows)
-        for n in sorted(uses):
-            power *= base ** (n - at)  # (b 2^K + a)^n
-            at = n
-            z = power * b ** (top - n) if b != 1 else power
-            for i, r in uses[n]:
-                packed[i] += r * z
-        half, width, lead = 1 << (k - 1), k // 8, b**top
-        bias = int.from_bytes(half.to_bytes(width, "little") * (top + 1), "little")
         out = []
-        for row, q in zip(rows, packed):
-            size = len(row) * width
-            data = (q + (bias >> (top + 1 - len(row)) * k)).to_bytes(size, "little")
-            new = [
-                int.from_bytes(data[j : j + width], "little") - half
-                for j in range(0, size, width)
-            ]
-            # the top digit is r_(L-1) b^N alone: a carry into it shows here
-            assert not row or new[-1] == row[-1] * lead, "packed shift overflowed its digits"
-            out.append(new)
-        if b == 1:  # y -> y + a is an automorphism of Z[x, y]: the content stands
-            return _wrap(out, self._den)
-        return _poly(out, self._den * lead)
+        for row in rows:
+            q = [r * b ** (top - n) for n, r in enumerate(row)]
+            for i in range(len(q) - 1):
+                for j in range(len(q) - 2, i - 1, -1):
+                    q[j] += a * q[j + 1]
+            out.append([s * b**k for k, s in enumerate(q)])
+        return _poly(out, self._den * b**top)
 
     def mod_monomial(self, a: int, b: int) -> "BivariatePolynomial":
         """The remainder modulo the monomial ideal (x^a y^b): the terms
@@ -382,13 +354,9 @@ class _Parser:
 
     def parse(self) -> BivariatePolynomial:
         result = self._expr()
-        self._skip_ws()
         if self.pos != len(self.text):
             raise ParseError("unexpected character", self.text, self.pos)
         return result
-
-    def _skip_ws(self):
-        self.pos = _space(self.text, self.pos).end()
 
     def _peek(self) -> str:
         self.pos = pos = _space(self.text, self.pos).end()
@@ -425,10 +393,10 @@ class _Parser:
             ch = self._peek()
             if ch == "*":
                 self.pos += 1
+                self._peek()
             elif not ch or not (ch.isdecimal() or ch in "xy("):
                 return result
             # an explicit '*', or implicit multiplication as in "x^5y" or "2(x+y)"
-            self._skip_ws()
             at = self.pos
             factor = self._factor()
             terms = _term_count(result) * _term_count(factor)
@@ -447,7 +415,7 @@ class _Parser:
         base = self._base()
         if self._peek() == "^":
             self.pos += 1
-            self._skip_ws()
+            self._peek()
             at = self.pos
             exp = self._integer("exponent expected")
             if exp > MAX_EXPONENT:
@@ -509,7 +477,7 @@ class _Parser:
         raise ParseError("expected a term", self.text, self.pos)
 
     def _integer(self, message: str) -> int:
-        self._skip_ws()
+        self._peek()
         start = self.pos
         self.pos = _digits(self.text, start).end()
         if start == self.pos:

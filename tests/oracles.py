@@ -104,10 +104,10 @@ integer rows; `smooth_measure` reads its axis orders the same way.
 `rational_roots_by_yun_sturm` is `poly.rational_roots` without its test
 for a single root of full multiplicity, c (t - r)^k.
 
-`shift_y_by_horner` is the earlier body of `BivariatePolynomial.shift_y`
-on the integer rows: one Horner step per power of y, a Python list
-operation per coefficient, where the library packs each row into one
-integer.
+`shift_y_by_horner` is an earlier body of `BivariatePolynomial.shift_y`
+on the integer rows: one Horner step per power of y, multiplying the
+whole accumulated row by b y + a, where the library shifts each scaled
+row by synthetic division.
 
 `minimal_antichain_by_scan` and `staircase_slices_by_min` are the earlier
 bodies of `newton._minimal_antichain` and `Staircase.slices`, which compare

@@ -877,3 +877,72 @@ def test_unload_of_malformed_cluster_files_exits_cleanly(tmp_path, doc, as_json)
     assert code in (0, 2), err.getvalue()
     assert "Traceback" not in err.getvalue()
     assert (code == 0) == (err.getvalue() == "")
+
+
+# -- malformed ideal files and bounds -----------------------------------------------
+
+
+@st.composite
+def near_ideal_text(draw):
+    """Ideal JSON text one or a few edits away from [[m, n], ...]: wrong
+    types, bools, floats, entries that are not pairs, negatives, an empty
+    array, the unit ideal, huge integers, documents that are not arrays, and
+    deep nesting."""
+    size = draw(st.integers(1, 4))
+    doc = [[draw(st.integers(0, 6)), draw(st.integers(0, 6))] for _ in range(size)]
+    depth = 0
+    for edit in draw(st.lists(st.integers(0, 5), max_size=3)):
+        i = draw(st.integers(0, len(doc) - 1)) if doc else None
+        pair = doc[i] if i is not None and isinstance(doc[i], list) and len(doc[i]) == 2 else None
+        k = draw(st.integers(0, 1))
+        if edit == 0 and pair:  # a wrong type, a bool or a float
+            pair[k] = draw(st.sampled_from(_JUNK + (False, 2.0, -0.5)))
+        elif edit == 1 and doc:  # an entry that is not a pair
+            doc[i] = draw(st.sampled_from(([1], [1, 2, 3], [], 5, "1,2", None, {"m": 1})))
+        elif edit == 2 and pair:  # a negative exponent
+            pair[k] = -draw(st.integers(1, 3))
+        elif edit == 3 and pair:  # a huge exponent
+            pair[k] = draw(st.sampled_from((10**40, 2**64)))
+        elif edit == 4:  # the empty array, or the unit ideal among the generators
+            doc = [] if draw(st.booleans()) else doc + [[0, 0]]
+        elif edit == 5:  # deep nesting, past the decoder's recursion limit or not
+            depth = draw(st.sampled_from((1, 3, 10**5)))
+    if draw(st.integers(0, 9)) == 7:  # the document is not an array
+        doc = draw(st.sampled_from(({}, "x^2", 3, None, True, {"ideal": [[1, 0]]})))
+    return "[" * depth + json.dumps(doc) + "]" * depth
+
+
+BOUNDS = st.one_of(
+    st.builds("{}/{}".format, st.integers(-3, 12), st.integers(0, 7)),  # with 1/0
+    st.builds("{}e{}".format, st.sampled_from(("1", "2.5", "-1", "0")), st.integers(-1002, 1002)),
+    st.sampled_from(("0", "0.0", "-1", "1", "0.5", "1.25", "-0.75", "1e", "e3", "abc")),
+)
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@seed(3311)
+@given(near_ideal_text(), BOUNDS, st.booleans())
+def test_ideal_commands_on_malformed_files_and_bounds_exit_cleanly(tmp_path, text, bound, as_json):
+    # a malformed file is an error (exit 2) and a bad bound a usage error
+    # (exit 1), never a traceback or exit 3
+    import contextlib
+    import io
+
+    path = tmp_path / "ideal.json"
+    path.write_text(text)
+    flags = ["--json"] if as_json else []
+    for argv in (
+        ["jumping", "--file", str(path), "--bound", bound, *flags],
+        ["monomial-lct", "--file", str(path), *flags],
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        assert (code == 0) == (err.getvalue() == ""), (argv, err.getvalue())

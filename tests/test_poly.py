@@ -359,14 +359,14 @@ SHIFTS = st.one_of(
 
 @settings(max_examples=40, deadline=None)
 @given(BIG_ROWS, st.integers(1, 10**6), SHIFTS)
-def test_packed_shift_matches_the_horner_oracle(rows, den, c):
+def test_shift_matches_the_horner_oracle(rows, den, c):
     f = BivariatePolynomial(
         {(m, n): Fraction(v, den) for m, row in enumerate(rows) for n, v in row.items()}
     )
     assert rows_of(f.shift_y(c)) == rows_of(oracles.shift_y_by_horner(f, c))
 
 
-def test_packed_shift_at_the_edges():
+def test_shift_at_the_edges():
     x, y = BivariatePolynomial.monomial(1, 0), BivariatePolynomial.monomial(0, 1)
     one = BivariatePolynomial.monomial(0, 0)
     cases = [
@@ -375,6 +375,8 @@ def test_packed_shift_at_the_edges():
         ((y - one) ** 40, Fraction(1)),  # every coefficient cancels but the top
         (y.scale(2**600) - y**2, Fraction(-(2**600), 3)),
         ((x + y) ** 12, Fraction(-5, 6)),
+        # one long shift: rows up to y^200, by a numerator of 41 digits
+        ((y - one.scale(3)) ** 200 + x * y**199, Fraction(10**40 + 7, 3)),
     ]
     for f, c in cases:
         assert rows_of(f.shift_y(c)) == rows_of(oracles.shift_y_by_horner(f, c)), (f, c)

@@ -172,6 +172,24 @@ def test_cusp_family_jumping_numbers_match_howald():
         assert curve == [x for x in mono if x < 1]
 
 
+def test_recentred_binomials_match_their_closed_forms():
+    # x -> x - g(y) is a change of coordinates at the origin and x^a - y^b is
+    # non-degenerate, so below 1 the multiplier ideals of (x - g)^a - y^b are
+    # those of its term ideal (Howald 2003), whose jumps are the i/a + j/b
+    # with i, j >= 1 (Howald, Trans. AMS 353, 2001); a and b need not be
+    # coprime, and g may have a linear term, a nonzero tangent direction
+    for g in ("y^2 + 3*y^3", "2*y - (1/2)*y^2", "(-2/3)*y + y^4", "5*y^3"):
+        for a in range(2, 7):
+            for b in range(a + 1, 3 * a + 8, 3):
+                sums = {F(i, a) + F(j, b) for i in range(1, a) for j in range(1, b)}
+                jumps = sorted(x for x in sums if x < 1)
+                mirror = g.replace("y", "x")
+                for text in (f"(x - ({g}))^{a} - y^{b}", f"(y - ({mirror}))^{a} - x^{b}"):
+                    kl, _ = resolve_curve(P(text))
+                    assert lct_cluster(kl)[0] == min(1, F(1, a) + F(1, b)), text
+                    assert jumping_numbers_curve(kl, 1) == jumps, text
+
+
 def test_errors_name_the_factor_in_the_polynomial_grammar(capsys):
     from singular_lct import parse_polynomial
 

@@ -14,8 +14,11 @@ integer row.  Everything here is immutable by convention and all
 arithmetic is exact.
 
 A product adds each nonzero term pair straight into its output row (`_mul`
-at level 1).  The parser builds x, y and constants as rows, bypassing the
-constructor, and its digits are the `str.isdecimal` ones, which `int` reads.
+at level 1).  The parser reads a lazy stream of tokens, each a digit run or
+one other non-space character, with one token of lookahead; its digits are
+the `str.isdecimal` ones, which `int` reads.  It builds x, y, constants and
+each power of one term (c^k x^(mk) y^(nk)) as rows, bypassing the
+constructor, and squares out only the powers of sums.
 
 The text grammar accepts integer or rational coefficients, the variables
 x and y, the operators + - * ^, parentheses, and implicit multiplication
@@ -58,8 +61,7 @@ MAX_NESTING = 100
 MAX_DIGITS = 4300  # of a literal, as the interpreter's default int limit
 _MAX_SIZE = 10**MAX_DIGITS  # every numerator and denominator a parse builds is below it
 _MAX_BITS = _MAX_SIZE.bit_length()  # 2^(_MAX_BITS - 1) <= _MAX_SIZE
-_space = re.compile(r"\s*").match  # \s matches exactly the str.isspace characters
-_digits = re.compile(r"\d*").match  # \d matches exactly the str.isdecimal characters
+_tokens = re.compile(r"\d+|\S").finditer  # \d, \s: exactly str.isdecimal, str.isspace
 
 
 class PolynomialError(ValueError):
@@ -223,6 +225,8 @@ class BivariatePolynomial:
         return _poly(_imul(self._rows, p, 1), self._den * q)
 
     def __pow__(self, k: int) -> "BivariatePolynomial":
+        if type(k) is not int:  # not even a bool
+            return NotImplemented
         if k < 0:
             raise PolynomialError("negative power")
         result, base = None, self
@@ -283,6 +287,8 @@ class BivariatePolynomial:
         """Partial derivative with respect to "x" or "y"."""
         if var == "x":
             return _poly(_diff(self._rows, 1), self._den)
+        if var != "y":
+            raise PolynomialError(f"no variable {var!r}: the variables are 'x' and 'y'")
         return _poly(_trim([_diff(row, 0) for row in self._rows]), self._den)
 
     # -- printing ----------------------------------------------------------
@@ -321,18 +327,23 @@ def _leading_form(f: BivariatePolynomial, mult: int) -> BivariatePolynomial:
     return _poly(_trim(rows), f._den)
 
 
-def _blowup_x_chart(f: BivariatePolynomial, mult: int) -> BivariatePolynomial:
-    # a shear of the rows, x^m y^n to x^(m+n-mult) y^n, so the content and
-    # _den stand; from the top row down, each new row fills in increasing n
-    out: list = []
-    for m, row in reversed(list(enumerate(f._rows))):
-        out += [[] for _ in range(m + len(row) - mult - len(out))]
-        for n, c in enumerate(row):
-            if c:
-                new = out[m + n - mult]
-                new += [0] * (n - len(new))
-                new.append(c)
-    return _wrap(out, f._den)
+def _blowup_x_chart(f: BivariatePolynomial, mult: int, c=None, b=0) -> BivariatePolynomial:
+    # a shear of the rows, x^m y^n to x^(m+n-mult) y^n, which keeps the content
+    # and _den; from the top row down, each new row fills in increasing n.  Cut
+    # at c, it places only the terms outside (x^c y^b), and _poly reduces them
+    rows, out, cut = f._rows, [], False
+    for m in range(len(rows) - 1, -1, -1):
+        row, r = rows[m], m - mult  # row m starts at out[r]
+        if c is not None and len(row) > (k := max(c + mult - m, b)):
+            row, cut = row[:k], True
+        out += [[] for _ in range(r + len(row) - len(out))]
+        for n, x in enumerate(row):
+            if x:
+                new = out[r + n]
+                if len(new) < n:
+                    new += [0] * (n - len(new))
+                new.append(x)
+    return _poly(_trim(out), f._den) if cut else _wrap(out, f._den)
 
 
 def _blowup_y_chart(f: BivariatePolynomial, mult: int) -> BivariatePolynomial:
@@ -345,56 +356,51 @@ def _blowup_y_chart(f: BivariatePolynomial, mult: int) -> BivariatePolynomial:
 
 
 class _Parser:
-    """Recursive-descent parser for the polynomial grammar."""
+    """Recursive-descent parser for the polynomial grammar: `tok` is the
+    current token, "" past the end, and `pos` its position or len(text)."""
 
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
+        self.tokens = _tokens(text)
         self.depth = 0  # open parentheses around the current position
+        self._next()
+
+    def _next(self):
+        m = next(self.tokens, None)
+        self.tok, self.pos = (m[0], m.start()) if m else ("", len(self.text))
 
     def parse(self) -> BivariatePolynomial:
         result = self._expr()
-        if self.pos != len(self.text):
+        if self.tok:
             raise ParseError("unexpected character", self.text, self.pos)
         return result
 
-    def _peek(self) -> str:
-        self.pos = pos = _space(self.text, self.pos).end()
-        return self.text[pos] if pos < len(self.text) else ""
-
     def _expr(self) -> BivariatePolynomial:
-        sign = 1
-        ch = self._peek()
-        if ch in ("+", "-"):
-            if ch == "-":
-                sign = -1
-            self.pos += 1
+        sign = self.tok
+        if sign in ("+", "-"):
+            self._next()
         result = self._term()
-        if sign < 0:
+        if sign == "-":
             result = -result
-        while True:
-            ch = self._peek()
-            if ch not in ("+", "-"):
-                return result
+        while (op := self.tok) in ("+", "-"):
             at = self.pos
-            self.pos += 1
+            self._next()
             term = self._term()
-            result = result + term if ch == "+" else result - term
+            result = result + term if op == "+" else result - term
             if max(_top(result), result._den) >= _MAX_SIZE:
                 raise ParseError(
                     f"sum has a coefficient of more than {MAX_DIGITS} digits", self.text, at
                 )
+        return result
 
     def _term(self) -> BivariatePolynomial:
         # the term count of the largest power of a sum that _factor accepts
         limit = (MAX_POWER_DEGREE + 1) * (MAX_POWER_DEGREE + 2) // 2
         result = self._factor()
         while True:
-            ch = self._peek()
-            if ch == "*":
-                self.pos += 1
-                self._peek()
-            elif not ch or not (ch.isdecimal() or ch in "xy("):
+            if self.tok == "*":
+                self._next()
+            elif not (self.tok.isdecimal() or self.tok in ("x", "y", "(")):
                 return result
             # an explicit '*', or implicit multiplication as in "x^5y" or "2(x+y)"
             at = self.pos
@@ -413,31 +419,33 @@ class _Parser:
 
     def _factor(self) -> BivariatePolynomial:
         base = self._base()
-        if self._peek() == "^":
-            self.pos += 1
-            self._peek()
-            at = self.pos
-            exp = self._integer("exponent expected")
-            if exp > MAX_EXPONENT:
-                raise ParseError(f"exponent exceeds {MAX_EXPONENT}", self.text, at)
-            terms = _term_count(base)
-            if terms > 1 and base.degree() * exp > MAX_POWER_DEGREE:
-                raise ParseError(
-                    f"power of degree {base.degree() * exp} exceeds {MAX_POWER_DEGREE}",
-                    self.text,
-                    at,
-                )
-            self._bound_exponents((d * exp for d in _extent(base)), at)
-            # size^exp bounds the numerators and the denominator of the
-            # power, exactly for one term
-            if _reaches(max(terms * _top(base), base._den), exp):
-                raise ParseError(
-                    f"power may have a coefficient of more than {MAX_DIGITS} digits",
-                    self.text,
-                    at,
-                )
+        if self.tok != "^":
+            return base
+        self._next()
+        at = self.pos
+        exp = self._integer("exponent expected")
+        if exp > MAX_EXPONENT:
+            raise ParseError(f"exponent exceeds {MAX_EXPONENT}", self.text, at)
+        terms = _term_count(base)
+        if terms > 1 and base.degree() * exp > MAX_POWER_DEGREE:
+            raise ParseError(
+                f"power of degree {base.degree() * exp} exceeds {MAX_POWER_DEGREE}",
+                self.text,
+                at,
+            )
+        self._bound_exponents((d * exp for d in _extent(base)), at)
+        # size^exp bounds the numerators and the denominator of the
+        # power, exactly for one term
+        if _reaches(max(terms * _top(base), base._den), exp):
+            raise ParseError(
+                f"power may have a coefficient of more than {MAX_DIGITS} digits",
+                self.text,
+                at,
+            )
+        if terms != 1:
             return base**exp
-        return base
+        ((m, n, c),) = base._entries()  # c x^m y^n: its power needs no squaring
+        return _wrap([[] for _ in range(m * exp)] + [[0] * (n * exp) + [c**exp]], base._den**exp)
 
     def _bound_exponents(self, exponents: Iterable[int], at: int):
         """A ParseError at `at` when the top exponent of x or of y exceeds
@@ -447,45 +455,45 @@ class _Parser:
                 raise ParseError(f"exponent {e} of {var} exceeds {MAX_EXPONENT}", self.text, at)
 
     def _base(self) -> BivariatePolynomial:
-        ch = self._peek()
-        if ch == "(":
+        if self.tok == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(f"nesting exceeds {MAX_NESTING}", self.text, self.pos)
-            self.pos += 1
+            self._next()
             self.depth += 1
             inner = self._expr()
-            if self._peek() != ")":
+            if self.tok != ")":
                 raise ParseError("missing ')'", self.text, self.pos)
-            self.pos += 1
+            self._next()
             self.depth -= 1
             return inner
-        if ch == "x":
-            self.pos += 1
+        if self.tok == "x":
+            self._next()
             return _wrap([[], [1]], 1)
-        if ch == "y":
-            self.pos += 1
+        if self.tok == "y":
+            self._next()
             return _wrap([[0, 1]], 1)
-        if ch.isdecimal():
+        if self.tok.isdecimal():
             num, den = self._integer("number expected"), 1
-            # a '/' directly after a number makes a rational coefficient
-            if self._peek() == "/":
-                self.pos += 1
+            # a '/' after a number makes a rational coefficient
+            if self.tok == "/":
+                self._next()
+                last = self.pos + len(self.tok) - 1  # the denominator's last digit
                 den = self._integer("denominator expected")
                 if den == 0:
-                    raise ParseError("zero denominator", self.text, self.pos - 1)
+                    raise ParseError("zero denominator", self.text, last)
             return _poly([[num]] if num else [], den)
         raise ParseError("expected a term", self.text, self.pos)
 
     def _integer(self, message: str) -> int:
-        self._peek()
-        start = self.pos
-        self.pos = _digits(self.text, start).end()
-        if start == self.pos:
-            raise ParseError(message, self.text, self.pos)
-        if self.pos - start > MAX_DIGITS:
+        """The current token as an integer: a digit run, as `_tokens` reads it."""
+        tok, start = self.tok, self.pos
+        if not tok.isdecimal():
+            raise ParseError(message, self.text, start)
+        if len(tok) > MAX_DIGITS:
             raise ParseError("number too long", self.text, start)
+        self._next()
         try:
-            return int(self.text[start : self.pos])
+            return int(tok)
         except ValueError:  # past the interpreter's limit on digits
             raise ParseError("number too long", self.text, start) from None
 

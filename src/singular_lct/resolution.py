@@ -34,7 +34,9 @@ At a point of multiplicity m < a + b, the least degree in the ideal, the
 ideal pulls back to (x^(a+b-m) y^b) in the x-chart and to (x^a y^(a+b-m))
 in the y-chart, and a shift y -> y + t, t != 0, maps (x^c y^b) into (x^c):
 so each child is cut to that ideal and its equation is still exact outside
-it.  The multiplicity and the tangent cone are read only when m < a + b.
+it.  The x-chart shear places only the terms outside (x^c y^b) when t = 0
+is a direction, else outside (x^c), and a t != 0 takes its rows below c.
+The multiplicity and the tangent cone are read only when m < a + b.
 The other decisions read the linear terms and the lowest terms along the
 axes through the point, in row 0 and column 0, which lie outside the
 ideal: a >= 1 throughout, and b >= 1 at a point on {y = 0}, since only a
@@ -186,18 +188,18 @@ def _charts(g: BivariatePolynomial, m: int, a: int, b: int, directions):
     with the ideal (x^a' y^b') it is known modulo, for g of multiplicity m
     known modulo (x^a y^b), m < a + b."""
     c = a + b - m  # the ideal's pullback, as the module docstring derives
-    x_chart = None  # shared by the rational roots
+    x_chart = None  # shared by the rational roots, cut to (x^c y^b) if 0 is one
     out = []
     for t in directions:
         if t is None:
             out.append((_blowup_y_chart(g, m).mod_monomial(a, c), a, c))
             continue
         if x_chart is None:
-            x_chart = _blowup_x_chart(g, m)
+            x_chart = _blowup_x_chart(g, m, c, b if 0 in directions else 0)
         if t:
             out.append((x_chart.mod_monomial(c, 0).shift_y(t), c, 0))
         else:
-            out.append((x_chart.mod_monomial(c, b), c, b))
+            out.append((x_chart, c, b))
     return out
 
 

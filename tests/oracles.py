@@ -189,6 +189,7 @@ from singular_lct.poly import (
     PolynomialError,
     Term,
     _add,
+    _blowup_y_chart,
     _extent,
     _icontent,
     _iquo,
@@ -1602,6 +1603,22 @@ def blowup_x_chart_by_terms(f: BivariatePolynomial, mult: int) -> BivariatePolyn
     """(x, y) -> (x, x y) divided by x^mult, one (m, n, numerator) term at a
     time."""
     return _poly_from(((m + n - mult, n, c) for m, n, c in f._entries()), f._den)
+
+
+def charts_by_shear_then_cut(g: BivariatePolynomial, m: int, a: int, b: int, directions):
+    """`resolution._charts` by the whole x-chart shear, term by term, each
+    child then cut to its ideal by `mod_monomial`."""
+    c = a + b - m
+    x_chart = blowup_x_chart_by_terms(g, m)
+    out = []
+    for t in directions:
+        if t is None:
+            out.append((_blowup_y_chart(g, m).mod_monomial(a, c), a, c))
+        elif t:
+            out.append((x_chart.mod_monomial(c, 0).shift_y(t), c, 0))
+        else:
+            out.append((x_chart.mod_monomial(c, b), c, b))
+    return out
 
 
 def leading_form_by_terms(f: BivariatePolynomial, mult: int) -> BivariatePolynomial:

@@ -16,6 +16,7 @@ from singular_lct import (
 )
 from singular_lct.cli import main
 from singular_lct import serialize
+from test_poly import near_grammatical
 
 
 # -- serialization round-trips -----------------------------------------------------
@@ -946,3 +947,46 @@ def test_ideal_commands_on_malformed_files_and_bounds_exit_cleanly(tmp_path, tex
         assert code in (0, 1, 2), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
         assert (code == 0) == (err.getvalue() == ""), (argv, err.getvalue())
+
+
+# -- near-grammatical polynomials ---------------------------------------------------
+
+
+class _Deadline(Exception):
+    pass
+
+
+def _past_deadline(signum, frame):
+    raise _Deadline
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@seed(3407)
+@given(near_grammatical())
+def test_polynomial_commands_on_near_grammatical_input_exit_cleanly(text):
+    # a curve the grammar or the resolution refuses is an error (exit 1 or
+    # 2) with a message, never a traceback or exit 3; each call has a deadline
+    import contextlib
+    import io
+    import signal
+
+    handler = signal.signal(signal.SIGALRM, _past_deadline)
+    try:
+        for argv in (["lct", "--curve", text], ["newton", "--json", "--poly", text]):
+            out, err = io.StringIO(), io.StringIO()
+            signal.alarm(20)
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+            finally:
+                signal.alarm(0)
+            assert code in (0, 1, 2), (argv, err.getvalue())
+            assert "Traceback" not in err.getvalue()
+            assert (code == 0) == (err.getvalue() == ""), (argv, err.getvalue())
+    finally:
+        signal.signal(signal.SIGALRM, handler)

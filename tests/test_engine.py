@@ -533,9 +533,8 @@ def test_a_candidate_builds_its_subdiagram_on_first_access(monkeypatch):
     assert calls == []
 
 
-@functools.lru_cache(maxsize=1)
-def _germ_theorem_diagrams(seed):
-    """The diagrams of the germ-theorem benchmark's germs."""
+def germ_theorem_inputs(seed):
+    """The germs of the germ-theorem benchmark, as it draws them for `seed`."""
     import importlib.util
     import os
 
@@ -544,7 +543,13 @@ def _germ_theorem_diagrams(seed):
     spec = importlib.util.spec_from_file_location("workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    return [resolve_curve(P(text))[1] for text in workloads.GermTheorem(seed).inputs]
+    return workloads.GermTheorem(seed).inputs
+
+
+@functools.lru_cache(maxsize=1)
+def _germ_theorem_diagrams(seed):
+    """The diagrams of the germ-theorem benchmark's germs."""
+    return [resolve_curve(P(text))[1] for text in germ_theorem_inputs(seed)]
 
 
 def test_the_theorem_check_builds_no_subdiagram(monkeypatch):

@@ -302,6 +302,28 @@ def test_powers_match_repeated_multiplication():
     for k in range(18):
         assert f**k == power and rows_of(f**k) == rows_of(power), k
         power = power * f
+    # the parser builds the power of one term straight from it
+    for base in ("x", "y", "(-2/3)", "(3*x^2*y)", "(-1/2*y^3)", "(7/4x)", "0", "(x + 0*y)"):
+        for k in range(18):
+            assert rows_of(P(f"{base}^{k}")) == rows_of(P(base) ** k), (base, k)
+
+
+def test_powers_take_only_ints():
+    # ** reports an operand it cannot take as a TypeError, a bool included
+    f = P("x - y")
+    for k in (True, 2.0, "2"):
+        with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for \*\*"):
+            f**k
+    with pytest.raises(PolynomialError, match="negative power"):
+        f**-1
+
+
+def test_derivatives_take_only_x_and_y():
+    f = P("x^2 - y^3")
+    assert (f.derivative("x"), f.derivative("y")) == (P("2*x"), P("-3*y^2"))
+    for var in ("z", "X", "", None):
+        with pytest.raises(PolynomialError, match=f"^no variable {var!r}"):
+            f.derivative(var)
 
 
 @settings(max_examples=150, deadline=None)
@@ -594,7 +616,7 @@ def near_grammatical(draw):
     if draw(st.integers(0, 3)) == 0:  # one edit breaks it, or not
         at = draw(st.integers(0, len(text)))
         if draw(st.booleans()):
-            text = text[:at] + draw(st.sampled_from("()^*/+-xyz0 \xa0")) + text[at:]
+            text = text[:at] + draw(st.sampled_from("()^*/+-xyz0 \t\xa0\u2003\x1c")) + text[at:]
         else:
             text = text[:at] + text[at + 1 :]
     return text
@@ -621,6 +643,23 @@ def test_parser_matches_the_char_scan_oracle(text):
     if not isinstance(ours[0], str):  # no parse builds a constant past a literal's digits
         (den, rows), _ = ours
         assert max([den, *map(abs, chain.from_iterable(rows))]) < 10**MAX_DIGITS
+
+
+def test_the_token_stream_is_read_lazily():
+    # a million x's fail at the 1001st, where x^1001 passes MAX_EXPONENT; the
+    # tokens are read one at a time, where a list of all of them would hold
+    # about 100 MB
+    import tracemalloc
+
+    text = "x" * 1_000_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="^exponent 1001 of x exceeds 1000 at position 1000:"):
+            P(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30 * 2**20, peak
 
 
 @pytest.mark.parametrize(

@@ -24,6 +24,7 @@ from singular_lct import (
 from singular_lct.cli import main
 from singular_lct.cluster import _strict_from_total
 from singular_lct.corpus import coprime_pairs, corpus_curves
+from test_exact_algebra import germs as exact_algebra_germs
 
 P = BivariatePolynomial.parse
 F = Fraction
@@ -403,6 +404,67 @@ def test_the_resolution_starts_at_the_x_axis_order(monkeypatch):
     precisions.clear()
     resolve_curve(P("y*(x^2 + y^3)"))  # y divides f: the root's equation is f
     assert precisions == [5]
+
+
+def charts_built(germs):
+    """Each `_charts` call that the resolutions of `germs` make, with the
+    charts it returned, failed attempts included."""
+    from singular_lct import resolution
+
+    charts, calls = resolution._charts, []
+
+    def record(*args):
+        calls.append((args, charts(*args)))
+        return calls[-1][1]
+
+    resolution._charts = record
+    try:
+        for f in germs:
+            try:
+                resolve_curve(f)
+            except ResolutionError:
+                pass
+    finally:
+        resolution._charts = charts
+    return calls
+
+
+def test_each_chart_matches_the_shear_then_cut_oracle():
+    # the x-chart is sheared only outside the ideal its children keep; the
+    # oracle shears it whole and cuts each child with mod_monomial
+    import oracles
+    from test_engine import germ_theorem_inputs
+
+    from singular_lct import resolution
+
+    texts = [text for _, text in corpus_curves(20)] + list(HIGH_CONTACT_GERMS)
+    texts += germ_theorem_inputs(5) + germ_theorem_inputs(2671)
+    calls = charts_built(map(P, texts))
+    for args, charts in calls:
+        assert charts == oracles.charts_by_shear_then_cut(*args), (str(args[0]), args[1:])
+    # the shear cut at (x^c y^b) beside t != 0, which reads its rows below c,
+    # and the shear cut at (x^c) alone
+    cuts = {(0 in d, any(t for t in d if t is not None), b > 0) for (*_, b, d), _ in calls}
+    assert {(True, True, True), (False, True, True), (True, False, True)} <= cuts
+    # a point of the resolution has no term in rows >= a, so there the cut
+    # at y^b keeps nothing; each (x^a y^b) its multiplicity can be read
+    # under leaves some, and the directions 0 and -1/2 read both parts
+    assert all(len(g._rows) <= a for (g, _, a, *_), _ in calls)
+    for (g, m, *_), _ in calls[::20]:
+        for a in range(1, 6):
+            for b in range(max(0, m + 1 - a), 5):
+                args = (g.mod_monomial(a, b), m, a, b, [F(0), F(-1, 2), None])
+                assert resolution._charts(*args) == oracles.charts_by_shear_then_cut(*args)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@seed(3407)
+@given(exact_algebra_germs())
+def test_charts_match_the_shear_then_cut_oracle_on_random_germs(f):
+    import oracles
+
+    for args, charts in charts_built([f]):
+        assert charts == oracles.charts_by_shear_then_cut(*args), (str(args[0]), args[1:])
 
 
 def test_the_axis_orders_match_the_support_oracles():

@@ -23,13 +23,20 @@ a strict vector e are its excess vector x = e . M, where M = Pi . Pi^t has
 diagonal 1 + |points proximate to a| and -1 exactly on the r - 1 edges of
 the dual tree of the exceptional divisors (it is the negated intersection
 matrix).  One kernel, `_repair`, unloads for `unload`, the multiplier
-clusters and the jumping numbers: rounds that read each visited point's
+clusters and the jump walk: rounds that read each visited point's
 excess from e on the dual tree, each visiting only the points bumped in
 the last round and their dual-tree neighbours, once each (by stamps).
-The jumping numbers carry the completed strict vector from one jump to the
-next; each jump is the least key (k + d + 1)/e . lcm(e) and raises only
-the points attaining it.  Every completion and every jump walk ends with
-an assertion that its result is unloaded.
+
+A binary cluster, whose free points lie on at most two chains from the
+root and whose other points are all satellites, cuts out a monomial
+ideal: {m X_a + n Y_a >= e_a} over its dicritical points a, with the
+chains' smooth germs as the axes (Zariski).  Its curve jumping numbers
+below 1 are that ideal's (Howald), read by the Newton module, which only
+this route imports.  Every other cluster runs the jump walk, which
+carries the completed strict vector from one jump to the next; each jump
+is the least key (k + d + 1)/e . lcm(e) and raises only the points
+attaining it.  Every completion and every jump walk ends with an
+assertion that its result is unloaded.
 """
 
 from __future__ import annotations
@@ -400,6 +407,103 @@ def _demand(e: Sequence[int], k: Sequence[int], n: int, m: int) -> List[int]:
     return [n * ea // m - ka for ea, ka in zip(e, k)]
 
 
+# -- binary clusters and their monomial ideals --------------------------------------
+
+
+def _free_path(c: Cluster) -> List[bool]:
+    """Whether each point and all its ancestors are free points."""
+    out = [False] * len(c)
+    for v, (p, t) in enumerate(zip(c.parents, c.targets)):
+        out[v] = len(t) < 2 and (p is None or out[p])
+    return out
+
+
+def _nondegenerate(c: Cluster) -> List[bool]:
+    """Whether each point lies in the non-degenerate part of the cluster: a
+    free point behind a satellite is cut, and so is everything below a cut
+    point; the kept points are closed under taking ancestors."""
+    free_path = _free_path(c)
+    keep = [False] * len(c)
+    for v, (p, t) in enumerate(zip(c.parents, c.targets)):
+        keep[v] = (p is None or keep[p]) and (free_path[v] or len(t) == 2)
+    return keep
+
+
+def _binary_witness(c: Cluster) -> Optional[Tuple[str, int]]:
+    """None for a binary cluster, else the first rule it breaks and a point
+    breaking it: 'degenerate_free_vertex' (the first point cut from the
+    non-degenerate part, a free one), 'outdegree' (three or more children)
+    or 'two_proximate_free' (a non-root point with two free children).  So
+    the free points of a binary cluster form at most two chains from the
+    root, and every other point is a satellite."""
+    cut = next((v for v, kept in enumerate(_nondegenerate(c)) if not kept), None)
+    if cut is not None:
+        return ("degenerate_free_vertex", cut)
+    targets = c.targets
+    for v, kids in enumerate(c._children):
+        if len(kids) > 2:
+            return ("outdegree", v)
+        if v and sum(len(targets[k]) < 2 for k in kids) > 1:
+            return ("two_proximate_free", v)
+    return None
+
+
+def _valuation_vectors(c: Cluster, w: Sequence[int], free_path: Sequence[bool]):
+    """What the monomial ideal of a binary cluster reads off the cluster:
+    e, the strict vector of the weights w; `along`, that of the smooth germ
+    through every free point on a root path; `across`, that of a smooth
+    germ through the root alone; and `under`, the root child each point
+    lies under (0 for the root).  A strict coordinate reads only the
+    point's ancestors, so under the root chain on the y-axis (x = 0) the
+    valuations of x and y are (along, across), and under the x-axis chain
+    (across, along)."""
+    e = _strict_from_total(c, w)
+    along = _strict_from_total(c, [int(f) for f in free_path])
+    across = _strict_from_total(c, [int(v == 0) for v in range(len(c))])
+    under = list(range(len(c)))
+    for v in range(1, len(c)):
+        if c.parents[v]:
+            under[v] = under[c.parents[v]]
+    return e, along, across, under
+
+
+def _dicritical(c: Cluster, w: Sequence[int], keep: Sequence[int]) -> Optional[List[int]]:
+    """The dicritical points of the sub-cluster on keep, a point set closed
+    under proximity: those with a positive branch coordinate there.  None if
+    a branch coordinate there is negative (the weights are not unloaded)."""
+    branch = {a: w[a] for a in keep}
+    for q in keep:
+        for a in c.targets[q]:
+            branch[a] -= w[q]
+    if any(b < 0 for b in branch.values()):
+        return None
+    return [a for a, b in branch.items() if b > 0]
+
+
+def _valuation_points(vectors, dicritical: Sequence[int], on_x) -> List[Tuple[int, int, int]]:
+    """Zariski's valuation ideal of a binary cluster, {m X_a + n Y_a >=
+    e_a} over its dicritical points a, as the triples (X_a, Y_a, e_a): the
+    root chain under the root child on_x lies on the x-axis, any other on
+    the y-axis (`_valuation_vectors`)."""
+    e, along, across, under = vectors
+    return [
+        (across[a], along[a], e[a]) if under[a] == on_x else (along[a], across[a], e[a])
+        for a in dicritical
+    ]
+
+
+def _valuation_rows(points: Sequence[Tuple[int, int, int]]) -> List[int]:
+    """The staircase of the ideal {m X_a + n Y_a >= e_a} by rows: row n is
+    the least m meeting every point, read up to row e_a / Y_a at each."""
+    rows: List[int] = []
+    for xa, ya, ea in points:
+        own = [-((j * ya - ea) // xa) for j in range(-(-ea // ya))]
+        if len(own) > len(rows):
+            rows, own = own, rows
+        rows[: len(own)] = map(max, rows, own)
+    return rows
+
+
 # -- invariants of curve clusters ------------------------------------------------
 
 
@@ -449,6 +553,79 @@ def jumping_numbers_curve(kl: WeightedCluster, bound: Fraction) -> List[Fraction
     """Jumping numbers of the curve divisor in (0, bound], bound <= 1;
     the integer jump at 1 (the strict transform's contribution) is excluded.
 
+    A binary cluster reads them off a monomial ideal by Howald's formula
+    (`_howald_jumps`).  Every other cluster takes the jump walk
+    (`_jump_walk`), and so does a binary one whose ideal would make the
+    monomial scan read more than `newton.MAX_LATTICE_POINTS` lattice points,
+    which is decided before the scan starts.  The monomial route is exact:
+
+    1. For 0 < xi < 1, J(f^xi) = pi_* O(K_pi - floor(xi sum_a e_a E_a)) on
+       the blowup pi of the cluster, since the strict transform of f enters
+       with coefficient floor(xi) = 0; so it depends only on the weighted
+       cluster.  The walk rests on this too (Alberich-Carramiñana, Àlvarez
+       Montaner and Dachs-Cadefau, Michigan Math. J. 2016).
+    2. The same sheaf is J(I_K^xi) for the complete ideal I_K of the
+       unloaded cluster K, because blowing up K principalizes I_K to
+       O(-sum_a e_a E_a) (Lipman, "Rational singularities...", Publ. Math.
+       IHÉS 36, 1969; Casas-Alvero, "Singularities of Plane Curves", 2000,
+       ch. 8).  So f and I_K have the same jumping numbers below 1.
+    3. In a binary cluster the free points form at most two chains from
+       the root, and every other point is a satellite.  Take the smooth
+       germs through the two chains as the axes.  Then every point of K is
+       fixed by the torus, so I_K is monomial: Zariski's valuation ideal
+       {m X_a + n Y_a >= e_a} over the dicritical points a, X and Y the
+       strict vectors of the axes (`_valuation_points`).  Which chain lies
+       on which axis does not matter: the jumps are symmetric in x <-> y.
+    4. Howald gives the jumping numbers of a monomial ideal ("Multiplier
+       ideals of monomial ideals", Trans. AMS 353, 2001;
+       `newton.jumping_numbers_monomial`), and those below 1 are f's.
+    """
+    bound = Fraction(bound)
+    if bound > 1:
+        raise ClusterError("curve jumping numbers are only computed up to 1")
+    if bound <= 0:
+        raise ClusterError("bound must be positive")
+    if not is_unloaded(kl):
+        raise ClusterError("curve cluster must satisfy the proximity relations")
+    if kl.is_empty():  # no points, or the zero divisor
+        return []
+    jumps = _howald_jumps(kl, bound)
+    return _jump_walk(kl, bound) if jumps is None else jumps
+
+
+def _howald_jumps(kl: WeightedCluster, bound: Fraction) -> Optional[List[Fraction]]:
+    """The jumping numbers in (0, bound] of a non-empty unloaded binary
+    cluster, read off its monomial ideal with one root chain on the
+    x-axis; None for a cluster that is not binary or whose ideal's scan
+    would pass `newton.MAX_LATTICE_POINTS`.  The ideal's top exponents are
+    the least m with m X_a >= e_a and the least n with n Y_a >= e_a at
+    every dicritical point, so the scan is sized before the ideal is
+    built."""
+    c, w = kl.cluster, kl.weights
+    if _binary_witness(c) is not None:
+        return None
+    from . import newton  # only this route reads monomial ideals
+
+    vectors = _valuation_vectors(c, w, _free_path(c))
+    on_x = c._children[0][0] if c._children[0] else None
+    points = _valuation_points(vectors, _dicritical(c, w, range(len(c))), on_x)
+    m_top = max(-(-ea // xa) for xa, _, ea in points)
+    n_top = max(-(-ea // ya) for _, ya, ea in points)
+    if newton._scan_size(m_top, n_top, bound) > newton.MAX_LATTICE_POINTS:
+        return None
+    rows = _valuation_rows(points)  # non-increasing
+    ideal = newton.MonomialIdeal([*zip(rows, range(len(rows))), (0, len(rows))])
+    assert ideal.max_exponents() == (m_top, n_top), "the scan was sized on other exponents"
+    jumps = newton.jumping_numbers_monomial(ideal, bound)
+    if jumps and jumps[-1] == 1:  # the ideal's jump at 1 is not the curve's
+        jumps.pop()
+    return jumps
+
+
+def _jump_walk(kl: WeightedCluster, bound: Fraction) -> List[Fraction]:
+    """The jumping numbers in (0, bound] of a non-empty unloaded weighted
+    cluster, 0 < bound <= 1, one at a time.
+
     Next-jump iteration (Alberich-Carramiñana, Àlvarez Montaner and
     Dachs-Cadefau, "Multiplier ideals in two-dimensional local rings with
     rational singularities", Michigan Math. J. 2016).  Let d be the
@@ -466,15 +643,6 @@ def jumping_numbers_curve(kl: WeightedCluster, bound: Fraction) -> List[Fraction
     e_0 >= 1, so the values are compared as integer keys over L = lcm(e),
     (k_a + d_a + 1) * (L // e_a), and each jump builds one `Fraction`.
     """
-    bound = Fraction(bound)
-    if bound > 1:
-        raise ClusterError("curve jumping numbers are only computed up to 1")
-    if bound <= 0:
-        raise ClusterError("bound must be positive")
-    if not is_unloaded(kl):
-        raise ClusterError("curve cluster must satisfy the proximity relations")
-    if kl.is_empty():  # no points, or the zero divisor
-        return []
     c = kl.cluster
     e = _strict_from_total(c, kl.weights)
     k1 = [ka + 1 for ka in log_discrepancies(c).entries]

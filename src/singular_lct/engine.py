@@ -32,14 +32,8 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from ._record import Record
-from .cluster import _thresholds
-from .enriques import (
-    EnriquesDiagram,
-    EnriquesTree,
-    _free_path,
-    _nondegenerate,
-    _valuations,
-)
+from .cluster import _free_path, _nondegenerate, _thresholds
+from .enriques import EnriquesDiagram, EnriquesTree, _valuations
 from .newton import Staircase, UnitIdealError
 
 
@@ -116,7 +110,7 @@ def nondegenerate_part(d: EnriquesDiagram) -> EnriquesDiagram:
     """Maximal subdiagram whose free vertices all have all-free root paths:
     free vertices behind a satellite are cut, satellites are kept as long
     as their ancestors are."""
-    return d.restrict([v for v, kept in enumerate(_nondegenerate(d.tree)) if kept])
+    return d.restrict([v for v, kept in enumerate(_nondegenerate(d.tree.cluster)) if kept])
 
 
 def adapted_candidates(d: EnriquesDiagram) -> List[AdaptedCandidate]:
@@ -138,7 +132,7 @@ def _adapted(d: EnriquesDiagram) -> Tuple[List[int], List[AdaptedCandidate]]:
         return [], [AdaptedCandidate(None, d, Staircase.empty(), Fraction(1))]
     t = d.tree
     children = t.cluster._children
-    free_path = _free_path(t)
+    free_path = _free_path(t.cluster)
     e, read = _valuations(d)
     out = []
     for rho, kids in enumerate(children):
@@ -173,7 +167,7 @@ def _path_checks(
     index order carries the points of both minima, compared as integers."""
     nd = [(f.numerator, f.denominator) for f in values]
     path_at, core_at = list(range(len(values))), list(range(len(values)))
-    for v, (p, kept) in enumerate(zip(t.parents[1:], _nondegenerate(t)[1:]), 1):
+    for v, (p, kept) in enumerate(zip(t.parents[1:], _nondegenerate(t.cluster)[1:]), 1):
         (n, d), a, b = nd[v], path_at[p], core_at[p]
         path_at[v] = v if n * nd[a][1] < nd[a][0] * d else a
         core_at[v] = v if kept and n * nd[b][1] < nd[b][0] * d else b

@@ -19,7 +19,10 @@ equality is isomorphism that keeps each chain's axis.
 
 The ideal of a binary unloaded diagram is one valuation rule,
 `_valuations`, read on the whole diagram by `diagram_to_staircase` and on
-each candidate's points by `engine.adapted_candidates`.  On binary
+each candidate's points by `engine.adapted_candidates`.  Its cluster side
+(the strict vectors, the dicritical points, the rows) lives in `cluster`,
+where the jumping numbers of a binary cluster read it with no drawing;
+this module adds the axis each chain is drawn on and the drawing checks.  On binary
 diagrams `union` cuts out the product of the ideals, so
 `staircase_to_diagram` is the union of its Newton facets' diagrams.
 """
@@ -35,7 +38,12 @@ from ._record import Record
 from .cluster import (
     Cluster,
     WeightedCluster,
-    _strict_from_total,
+    _binary_witness,
+    _dicritical,
+    _free_path,
+    _valuation_points,
+    _valuation_rows,
+    _valuation_vectors,
     intersection_inverse,
     log_discrepancies,
 )
@@ -237,25 +245,6 @@ def _chain_axis(t: EnriquesTree, child: int) -> Optional[str]:
     return None
 
 
-def _free_path(t: EnriquesTree) -> List[bool]:
-    """Whether each vertex and all its ancestors are free points."""
-    out = [False] * len(t)
-    for v, p in enumerate(t.parents):
-        out[v] = t.is_free(v) and (p is None or out[p])
-    return out
-
-
-def _nondegenerate(t: EnriquesTree) -> List[bool]:
-    """Whether each vertex lies in the non-degenerate part of the tree: a
-    free vertex behind a satellite is cut, and so is everything below a cut
-    vertex; the kept vertices are closed under taking ancestors."""
-    free_path = _free_path(t)
-    keep = [False] * len(t)
-    for v, p in enumerate(t.parents):
-        keep[v] = (p is None or keep[p]) and (free_path[v] or t.is_satellite(v))
-    return keep
-
-
 class EnriquesDiagram(Record):
     """Weighted Enriques tree; equality is up to isomorphism."""
 
@@ -336,31 +325,20 @@ class TreeClassification(Record):
 
 def classify(t: EnriquesTree) -> TreeClassification:
     """Free/satellite status and the non-degenerate / binary / unibranch
-    predicates, with a violating vertex as witness where one fails."""
+    predicates, with a violating vertex as witness where one fails; the
+    first two are the cluster's rules (`cluster._binary_witness`)."""
     free = tuple(t.is_free(v) for v in range(len(t)))
     witnesses: List[Tuple[str, int]] = []
-    children = t.cluster._children
-    # the first vertex cut from the non-degenerate part is a free one
-    cut = next((v for v, kept in enumerate(_nondegenerate(t)) if not kept), None)
-    non_deg = cut is None
-    if not non_deg:
-        witnesses.append(("degenerate_free_vertex", cut))
-    binary = non_deg
-    if binary:
-        for v, kids in enumerate(children):
-            if len(kids) > 2:
-                binary = False
-                witnesses.append(("outdegree", v))
-                break
-            if v != 0 and sum(1 for k in kids if t.kinds[k] == SLANT) > 1:
-                binary = False
-                witnesses.append(("two_proximate_free", v))
-                break
+    broken = _binary_witness(t.cluster)
+    if broken is not None:
+        witnesses.append(broken)
+    non_deg = broken is None or broken[0] != "degenerate_free_vertex"
     unibranch = t.is_path()
     if not unibranch:
+        children = t.cluster._children
         branching = next(v for v, kids in enumerate(children) if len(kids) > 1)
         witnesses.append(("branching_vertex", branching))
-    return TreeClassification(free, non_deg, binary, unibranch, tuple(witnesses))
+    return TreeClassification(free, non_deg, broken is None, unibranch, tuple(witnesses))
 
 
 # -- Euclid data and the staircase trees -----------------------------------------
@@ -619,13 +597,10 @@ def verify_main_inequality(t: EnriquesTree, p2: int, q2: int) -> MainInequalityR
 def _valuations(d: EnriquesDiagram) -> Tuple[List[int], Callable]:
     """The monomial ideal of a binary diagram, {m X_a + n Y_a >= e_a} over
     its dicritical points a, those with a positive branch coordinate
-    (Zariski); e, X and Y are the strict vectors of the weights, x and y.
-    x = 0 passes through the root and the y-axis free chain, and a strict
-    coordinate reads only the point's ancestors, so under a y-axis root
-    child X is the strict vector of every free point on a root path and Y
-    that of the root alone; under an x-axis one they swap.  A chain lies
-    where `_axes` places it in d and in `d.restrict(keep)`, or on the
-    y-axis if that leaves it none (a third root chain).
+    (Zariski); e, X and Y are the strict vectors of the weights, x and y,
+    as `cluster._valuation_vectors` reads them off the tree's cluster.  A
+    chain lies where `_axes` places it in d and in `d.restrict(keep)`, or
+    on the y-axis if that leaves it none (a third root chain).
 
     Returns e and the reader of the sub-diagram on keep, a point set closed
     under proximity, with every satellite child of its free points, that
@@ -636,22 +611,14 @@ def _valuations(d: EnriquesDiagram) -> Tuple[List[int], Callable]:
     points (X_a, Y_a, e_a) and the staircase, row j the least m with
     m X_a + j Y_a >= e_a at each of them."""
     t, w = d.tree, d.weights
-    kinds, children, targets = t.kinds, t.cluster._children, t.cluster.targets
-    free_path = _free_path(t)
-    e = _strict_from_total(t.cluster, w)
-    along = _strict_from_total(t.cluster, [int(f) for f in free_path])
-    across = _strict_from_total(t.cluster, [int(v == 0) for v in range(len(d))])
-    under = list(range(len(d)))  # the root child a point lies under
-    for v in range(1, len(d)):
-        if t.parents[v]:
-            under[v] = under[t.parents[v]]
+    kinds, children = t.kinds, t.cluster._children
+    free_path = _free_path(t.cluster)
+    vectors = _valuation_vectors(t.cluster, w, free_path)
+    under = vectors[3]
 
     def read(keep: Sequence[int]) -> Tuple[List[Tuple[int, int, int]], Staircase]:
-        branch = {a: w[a] for a in keep}
-        for q in keep:
-            for a in targets[q]:
-                branch[a] -= w[q]
-        if any(b < 0 for b in branch.values()):
+        dicritical = _dicritical(t.cluster, w, keep)
+        if dicritical is None:
             raise EnriquesError("diagram is not unloaded")
         chains: Dict[int, List[int]] = {}
         for v in keep:
@@ -670,21 +637,10 @@ def _valuations(d: EnriquesDiagram) -> Tuple[List[int], Callable]:
                             f"{kinds[s]!r} on the {'y' if drawn == HORIZONTAL else 'x'}"
                             "-axis chain"
                         )
-        on_x = on.get("H")
-        points = [
-            (across[a], along[a], e[a]) if under[a] == on_x else (along[a], across[a], e[a])
-            for a, b in branch.items()
-            if b > 0
-        ]
-        rows: List[int] = []  # each point's rows, up to row e_a/Y_a, and their maxima
-        for xa, ya, ea in points:
-            own = [-((j * ya - ea) // xa) for j in range(-(-ea // ya))]
-            if len(own) > len(rows):
-                rows, own = own, rows
-            rows[: len(own)] = map(max, rows, own)
-        return points, Staircase.from_slices(rows)
+        points = _valuation_points(vectors, dicritical, on.get("H"))
+        return points, Staircase.from_slices(_valuation_rows(points))
 
-    return e, read
+    return vectors[0], read
 
 
 def diagram_to_staircase(d: EnriquesDiagram) -> Staircase:

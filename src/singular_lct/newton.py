@@ -220,6 +220,13 @@ def howald_multiplier(a: MonomialIdeal, xi: Fraction) -> MonomialIdeal:
     return _level_set(a, xi, True, 1, xi.numerator * a.max_exponents()[1] // xi.denominator)
 
 
+def _scan_size(m_top: int, n_top: int, bound: Fraction) -> int:
+    """The most lattice points `jumping_numbers_monomial` reads up to a
+    positive bound on an ideal with top exponents (m_top, n_top)."""
+    n, d = bound.numerator, bound.denominator
+    return (n * m_top // d + 2) * (n * n_top // d + 3)
+
+
 def jumping_numbers_monomial(a: MonomialIdeal, bound: Fraction) -> List[Fraction]:
     """All jumping numbers of the monomial ideal up to and including bound.
 
@@ -239,8 +246,7 @@ def jumping_numbers_monomial(a: MonomialIdeal, bound: Fraction) -> List[Fraction
         raise MonomialIdealError("bound must be positive")
     if a.is_unit():
         raise UnitIdealError("the unit ideal has no jumping numbers")
-    m_top, n_top = a.max_exponents()
-    work = (int(bound * m_top) + 2) * (int(bound * n_top) + 3)
+    work = _scan_size(*a.max_exponents(), bound)
     if work > MAX_LATTICE_POINTS:
         raise JumpingBoundError(
             f"bound {bound} may read {work} lattice points, more than {MAX_LATTICE_POINTS}"

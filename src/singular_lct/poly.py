@@ -225,8 +225,12 @@ class BivariatePolynomial:
         return _poly(_imul(self._rows, p, 1), self._den * q)
 
     def __pow__(self, k: int) -> "BivariatePolynomial":
-        if type(k) is not int:  # not even a bool
-            return NotImplemented
+        if type(k) is not int:  # not even a bool; and raised here, since
+            # NotImplemented would let the exponent's __rpow__ answer
+            raise TypeError(
+                "unsupported operand type(s) for ** or pow(): "
+                f"'{type(self).__name__}' and '{type(k).__name__}'"
+            )
         if k < 0:
             raise PolynomialError("negative power")
         result, base = None, self

@@ -144,6 +144,7 @@ from singular_lct.cluster import (
     UnloadingError,
     WeightedCluster,
     _demand,
+    _free_path,
     _strict_from_total,
     _total_from_strict,
     is_unloaded,
@@ -161,7 +162,6 @@ from singular_lct.enriques import (
     EnriquesError,
     EnriquesTree,
     OrientationError,
-    _free_path,
     _opposite,
     classify,
     cluster_to_tree,
@@ -1122,7 +1122,7 @@ def adapted_candidates_by_subdiagram(d: EnriquesDiagram) -> List[AdaptedCandidat
         ]
     t = d.tree
     children = t.cluster._children
-    free_path = _free_path(t)
+    free_path = _free_path(t.cluster)
     endpoints = [
         v
         for v, kids in enumerate(children)

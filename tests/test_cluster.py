@@ -577,6 +577,12 @@ def test_jumping_smooth_germs_and_empty_cluster(capsys):
     assert capsys.readouterr().out.strip() == ""
 
 
+def walk(kl, bound):
+    """The jump walk, which `jumping_numbers_curve` runs on every cluster
+    that is not binary, on any unloaded cluster: [] on an empty one."""
+    return [] if kl.is_empty() else cluster_mod._jump_walk(kl, F(bound))
+
+
 def test_next_jump_matches_candidate_scan():
     resolved = lambda expr: resolve_curve(BivariatePolynomial.parse(expr))[0]
     cases = [
@@ -588,6 +594,7 @@ def test_next_jump_matches_candidate_scan():
     assert len(cases) == 2 * 108 + len(corpus_curves(12))
     for kl, bound in cases:
         expected = oracles.curve_jumps_by_candidate_scan(kl, bound)
+        assert walk(kl, bound) == expected, (kl, bound)
         assert jumping_numbers_curve(kl, bound) == expected, (kl, bound)
         assert oracles.curve_jumps_by_excess_vector(kl, bound) == expected
 
@@ -637,7 +644,7 @@ def test_jumping_matches_warm_completions():
             if bound > 1:
                 continue
             expected = oracles.curve_jumps_by_warm_completions(kl, bound)
-            assert jumping_numbers_curve(kl, bound) == expected, (kl, bound)
+            assert walk(kl, bound) == expected, (kl, bound)
             assert oracles.curve_jumps_by_excess_vector(kl, bound) == expected
 
 
@@ -647,17 +654,19 @@ def test_each_jump_raises_only_the_points_attaining_it():
         c = kl.cluster
         e = _strict_from_total(c, kl.weights)
         k = log_discrepancies(c).entries
-        d = [0] * len(c)
+        d, xis = [0] * len(c), []
         while True:
             xi = min(F(ka + da + 1, ea) for ka, da, ea in zip(k, d, e))
             if xi >= 1:
                 break
+            xis.append(xi)
             n, m = xi.numerator, xi.denominator
             attained = [F(ka + da + 1, ea) == xi for ka, da, ea in zip(k, d, e)]
             start = [max(x, y) for x, y in zip(_demand(e, k, n, m), d)]
             assert start == [da + at for da, at in zip(d, attained)]
             raised += sum(attained)
             d = oracles.complete_strict_by_sweeps(c, start)
+        assert walk(kl, F(1)) == xis, kl
     assert raised > 1000
 
 
@@ -678,7 +687,7 @@ def test_jumping_keys_over_a_large_lcm_and_at_the_bound_edges():
     assert len(set(e)) == len(e) == 20 and lcm(*e).bit_length() == 104
     singular = [kl for kl in jump_cases() if lct_cluster(kl)[0] < 1]  # a jump below 1
     for kl in (many, WeightedCluster(cusp57_cluster(), (5, 2, 2, 1, 1)), *singular[::8]):
-        jumps = jumping_numbers_curve(kl, F(1))
+        jumps = walk(kl, F(1))
         assert jumps == oracles.curve_jumps_by_warm_completions(kl, F(1))
         lct = lct_cluster(kl)[0]
         assert jumps[0] == lct
@@ -692,6 +701,7 @@ def test_jumping_keys_over_a_large_lcm_and_at_the_bound_edges():
         if i + 1 < len(jumps):  # strictly between two jumps
             cases.append(((jumps[i] + jumps[i + 1]) / 2, jumps[: i + 1]))
         for bound, expected in cases:
+            assert walk(kl, bound) == expected, (kl, bound)
             assert jumping_numbers_curve(kl, bound) == expected, (kl, bound)
             assert oracles.curve_jumps_by_warm_completions(kl, bound) == expected
 
@@ -702,7 +712,83 @@ def test_jumping_deep_chain_closed_form():
     kl = resolve_curve(BivariatePolynomial.parse("y^2 - x^401"))[0]
     assert len(kl.cluster) == 202
     expected = [F(1, 2) + F(b, 401) for b in range(1, 201)]
+    assert walk(kl, F(1)) == expected
     assert jumping_numbers_curve(kl, F(1)) == expected
+
+
+def test_binary_clusters_read_their_jumps_off_the_monomial_ideal(monkeypatch):
+    # a binary cluster takes Howald's route, any other the walk, and both
+    # give the same jumps at every bound: the walk's own, its jumps and the
+    # midpoints between them, and the lct with a point just below it
+    resolved = lambda expr: resolve_curve(BivariatePolynomial.parse(expr))[0]
+    cusps = {(p, q): resolved(f"x^{p} - y^{q}") for p, q in coprime_pairs(20)}
+    named = {
+        # two root chains, each with satellites
+        "(x^2 - y^3)*(x^3 - y^2)": [F(1, 2), F(7, 10), F(9, 10)],
+        # degenerate in its own coordinates, but its cluster is binary
+        "(y - x^2)^2 - x^5": [F(7, 10), F(9, 10)],
+    }
+    rng = random.Random(35)
+    clusters = [  # corpus_curves(20): the cusps, then the special curves
+        *cusps.values(),
+        *(resolved(expr) for expr in named),
+        *(resolved(expr) for _, expr in corpus_curves(20)[len(cusps) :]),
+        *(random_unloaded(rng, 12) for _ in range(600)),
+    ]
+    walked = []
+    real_walk = cluster_mod._jump_walk
+    monkeypatch.setattr(
+        cluster_mod, "_jump_walk", lambda kl, bound: walked.append(kl) or real_walk(kl, bound)
+    )
+    binary = 0
+    for kl in clusters:
+        if kl.is_empty():
+            continue
+        full = real_walk(kl, F(1))
+        lct = lct_cluster(kl)[0]
+        fixed = [b for b in (F(1), F(1, 2), F(7, 9), lct, lct - F(1, 10**40)) if b <= 1]
+        for bound in fixed:
+            assert real_walk(kl, bound) == [x for x in full if x <= bound], (kl, bound)
+        midpoints = [(a + b) / 2 for a, b in zip(full, full[1:])]
+        walked.clear()
+        for bound in {*fixed, *full, *midpoints}:
+            got = jumping_numbers_curve(kl, bound)
+            assert got == [x for x in full if x <= bound], (kl, bound)
+        is_binary = cluster_mod._binary_witness(kl.cluster) is None
+        assert bool(walked) != is_binary, kl  # no scan here passes the lattice limit
+        binary += is_binary
+    assert 300 < binary < len(clusters) - 300, binary
+    for (p, q), kl in cusps.items():  # Howald: a/p + b/q below 1, a, b >= 1
+        howald = {F(a, p) + F(b, q) for a in range(1, p) for b in range(1, q)}
+        assert jumping_numbers_curve(kl, F(1)) == sorted(x for x in howald if x < 1)
+    for expr, jumps in named.items():
+        walked.clear()
+        assert jumping_numbers_curve(resolved(expr), F(1)) == jumps and not walked, expr
+    for expr in ("(y^2 - x^3)^2 - x^7", "(x^3 - y^2)^2 - x^5*y"):
+        kl = resolved(expr)
+        walked.clear()
+        assert jumping_numbers_curve(kl, F(1)) == real_walk(kl, F(1)) and walked, expr
+        assert cluster_mod._binary_witness(kl.cluster) is not None
+
+
+def test_a_scan_past_the_lattice_limit_falls_back_to_the_walk(monkeypatch):
+    # the limit is read off the valuations before any ideal is built
+    from singular_lct import newton
+
+    kl = resolve_curve(BivariatePolynomial.parse("y^2 - x^401"))[0]
+    expected = walk(kl, F(1))
+    scanned = []
+    real_scan = newton.jumping_numbers_monomial
+    monkeypatch.setattr(
+        newton, "jumping_numbers_monomial", lambda a, b: scanned.append(a) or real_scan(a, b)
+    )
+    assert jumping_numbers_curve(kl, F(1)) == expected and len(scanned) == 1
+    # the scan reads (401 + 2) * (2 + 3) points at bound 1, (300 + 2) * (1 + 3) at 3/4
+    monkeypatch.setattr(newton, "MAX_LATTICE_POINTS", 403 * 5 - 1)
+    assert jumping_numbers_curve(kl, F(1)) == expected and len(scanned) == 1
+    below = [x for x in expected if x <= F(3, 4)]
+    assert len(below) == 100 and jumping_numbers_curve(kl, F(3, 4)) == below
+    assert len(scanned) == 2
 
 
 def sub_clusters(c: Cluster):

@@ -128,7 +128,7 @@ def test_candidate_through_path_core_endpoint_attains_minimum():
     # along any root-to-leaf path through a witness vertex, the last vertex
     # of the all-free prefix points at an adapted candidate computing the
     # threshold
-    from singular_lct.enriques import _free_path
+    from singular_lct.cluster import _free_path
 
     for name, expr in corpus_curves(10):
         _, d = resolve_curve(P(expr))
@@ -136,7 +136,7 @@ def test_candidate_through_path_core_endpoint_attains_minimum():
             continue
         direct, witnesses = lct_cluster(d.to_weighted_cluster())
         candidates = adapted_candidates(d)
-        free_path = _free_path(d.tree)
+        free_path = _free_path(d.tree.cluster)
         for w in witnesses:
             for path in oracles.path_to_leaf_through_by_recursion(d, w):
                 endpoint = max(v for v in path if free_path[v])
@@ -352,12 +352,12 @@ def test_path_minima_read_the_non_degenerate_prefix():
 def test_nondegenerate_rule_is_the_one_classify_reads():
     import random
 
-    from singular_lct.enriques import _nondegenerate
+    from singular_lct.cluster import _nondegenerate
 
     kinds = set()
     for d in _random_diagrams(random.Random(31), 1000):
         t = d.tree
-        keep = _nondegenerate(t)
+        keep = _nondegenerate(t.cluster)
         assert keep == [not _cut_by_definition(t, v) for v in range(len(t))]
         cls = classify(t)
         assert cls.non_degenerate == all(keep)

@@ -309,9 +309,10 @@ def test_powers_match_repeated_multiplication():
 
 
 def test_powers_take_only_ints():
-    # ** reports an operand it cannot take as a TypeError, a bool included
+    # ** reports an exponent that is not an int as a TypeError, a bool included,
+    # and a Fraction too, whose __rpow__ would otherwise square the polynomial
     f = P("x - y")
-    for k in (True, 2.0, "2"):
+    for k in (True, 2.0, "2", Fraction(2), Fraction(1, 2)):
         with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for \*\*"):
             f**k
     with pytest.raises(PolynomialError, match="negative power"):

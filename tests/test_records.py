@@ -219,9 +219,12 @@ def _loaded_after(calls, modules):
 
 
 def test_a_cli_command_imports_only_the_modules_it_runs():
-    # the lct and the jumping numbers of a curve read its cluster alone
-    curve = [["lct", "--curve", "y^2 - x^3"], ["jumping", "--curve", "y^2 - x^3", "--bound", "1"]]
-    assert _loaded_after(curve, ("enriques", "newton", "engine", "corpus")) == "[]"
+    # the lct of a curve reads its cluster alone
+    lct = [["lct", "--curve", "y^2 - x^3"]]
+    assert _loaded_after(lct, ("enriques", "newton", "engine", "corpus")) == "[]"
+    # its jumping numbers read a binary cluster's monomial ideal, never a diagram
+    jumping = [["jumping", "--curve", "y^2 - x^3", "--bound", "1"]]
+    assert _loaded_after(jumping, ("enriques", "newton", "engine", "corpus")) == "['newton']"
     newton = [["newton", "--json", "--poly", "x^2 - y^3"]]
     assert _loaded_after(newton, ("cluster", "enriques", "resolution", "engine")) == "[]"
     # the check itself: a command that runs the engine loads it

@@ -14,7 +14,9 @@ integer row.  Everything here is immutable by convention and all
 arithmetic is exact.
 
 A product adds each nonzero term pair straight into its output row (`_mul`
-at level 1).  The parser reads a lazy stream of tokens, each a digit run or
+at level 1); in the parser, a product by one term moves and scales the
+rows of the other factor instead, and the product's term count is carried
+from factor to factor.  The parser reads a lazy stream of tokens, each a digit run or
 one other non-space character, with one token of lookahead; its digits are
 the `str.isdecimal` ones, which `int` reads.  It builds x, y, constants and
 each power of one term (c^k x^(mk) y^(nk)) as rows, bypassing the
@@ -49,7 +51,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from math import gcd, isqrt, lcm
 from typing import Iterable, List, Mapping, Sequence, Tuple
 
@@ -250,11 +252,11 @@ class BivariatePolynomial:
         This is the strict transform in the chart where the exceptional
         curve is {x = 0}.  Pure exponent bookkeeping, no expansion.
         """
-        return _blowup_x_chart(self, self.multiplicity())
+        return _mapped(self, (1, 1, 0, 1, self.multiplicity(), 0))
 
     def blowup_y_chart(self) -> "BivariatePolynomial":
         """Substitute (x, y) -> (x*y, y) and divide by y^mult."""
-        return _blowup_y_chart(self, self.multiplicity())
+        return _mapped(self, (1, 0, 1, 1, 0, self.multiplicity()))
 
     def shift_y(self, c) -> "BivariatePolynomial":
         """Substitute y -> y + c (recenter at a point on the y-axis line).
@@ -320,7 +322,9 @@ def _printed(f: BivariatePolynomial) -> str:
 
 # -- the tangent cone and the charts, for f of multiplicity mult --------------
 #
-# The resolution reads each point's multiplicity once and hands it on.
+# The resolution walks its charts on the Newton boundary (`_boundary`) and
+# builds a polynomial through a composed chart map (`_mapped`) only where
+# it recentres.
 
 
 def _leading_form(f: BivariatePolynomial, mult: int) -> BivariatePolynomial:
@@ -331,32 +335,61 @@ def _leading_form(f: BivariatePolynomial, mult: int) -> BivariatePolynomial:
     return _poly(_trim(rows), f._den)
 
 
-def _blowup_x_chart(f: BivariatePolynomial, mult: int, c=None, b=0) -> BivariatePolynomial:
-    # a shear of the rows, x^m y^n to x^(m+n-mult) y^n, which keeps the content
-    # and _den; from the top row down, each new row fills in increasing n.  Cut
-    # at c, it places only the terms outside (x^c y^b), and _poly reduces them
-    rows, out, cut = f._rows, [], False
+def _mapped(f: BivariatePolynomial, chart: Tuple[int, ...], cut=None) -> BivariatePolynomial:
+    """f through the exponent map chart = (p, q, r, s, u, v), each term
+    x^m y^n moved to x^(p m + q n - u) y^(r m + s n - v), modulo (x^cut)
+    when a cut is given: only the terms whose new x-exponent is below it
+    are placed.  The blowup charts and their composites are such maps, with
+    nonnegative entries and ps - qr = 1, so each term of the image is one
+    term of f; the caller keeps the new exponents nonnegative."""
+    # from the top row down, each new row fills in increasing n: two terms
+    # sent to one row i, from rows m' < m, have n' > n and a new exponent of
+    # y larger by (m - m')/q (q = 0 sends row m to its own row alone)
+    p, q, r, s, u, v = chart
+    rows, out, dropped = f._rows, [], False
     for m in range(len(rows) - 1, -1, -1):
-        row, r = rows[m], m - mult  # row m starts at out[r]
-        if c is not None and len(row) > (k := max(c + mult - m, b)):
-            row, cut = row[:k], True
-        out += [[] for _ in range(r + len(row) - len(out))]
+        row, i, j = rows[m], p * m - u, r * m - v  # the image of x^m
+        if cut is not None and row and (i >= cut or (q and len(row) > (k := -((i - cut) // q)))):
+            row, dropped = (row[:k] if i < cut else []), True
+        if not row:
+            continue
+        out += [[] for _ in range(i + q * (len(row) - 1) + 1 - len(out))]
         for n, x in enumerate(row):
             if x:
-                new = out[r + n]
-                if len(new) < n:
-                    new += [0] * (n - len(new))
+                new, at = out[i + q * n], j + s * n
+                if len(new) < at:
+                    new += [0] * (at - len(new))
                 new.append(x)
-    return _poly(_trim(out), f._den) if cut else _wrap(out, f._den)
+    return _poly(_trim(out), f._den) if dropped else _wrap(out, f._den)
 
 
-def _blowup_y_chart(f: BivariatePolynomial, mult: int) -> BivariatePolynomial:
-    # row m moves by m - mult; below mult - m it holds only zeros
-    rows = [
-        row[mult - m :] if m < mult or not row else [0] * (m - mult) + row
-        for m, row in enumerate(f._rows)
-    ]
-    return _wrap(rows, f._den)
+def _leads(f: BivariatePolynomial):
+    """(m, n, numerator) for the first term x^m y^n of each nonzero row of
+    f, the only terms of f that can lie on its Newton boundary."""
+    for m, row in enumerate(f._rows):
+        if row:
+            c = next(filter(None, row))
+            yield m, row.index(c), c
+
+
+def _boundary(terms: Iterable[Tuple[int, int, int]]) -> list:
+    """The terms (m, n, c) on the compact faces of the Newton polygon of
+    `terms` (the Newton boundary), by increasing m: those where some
+    w1 m + w2 n with w1, w2 > 0 is least.  A term on or above the row of a
+    term left of it is not one; of the others, the lower convex chain keeps
+    the terms on its segments, from the least m to the least n."""
+    hull: list = []
+    for t in sorted(terms):
+        m, n, _ = t
+        if hull and n >= hull[-1][1]:
+            continue
+        while len(hull) > 1 and (
+            (hull[-1][1] - hull[-2][1]) * (m - hull[-2][0])
+            > (n - hull[-2][1]) * (hull[-1][0] - hull[-2][0])
+        ):
+            hull.pop()  # strictly above the segment from hull[-2] to t
+        hull.append(t)
+    return hull
 
 
 class _Parser:
@@ -401,6 +434,7 @@ class _Parser:
         # the term count of the largest power of a sum that _factor accepts
         limit = (MAX_POWER_DEGREE + 1) * (MAX_POWER_DEGREE + 2) // 2
         result = self._factor()
+        count = _term_count(result)  # carried, so a chain of letters reads no row twice
         while True:
             if self.tok == "*":
                 self._next()
@@ -409,14 +443,22 @@ class _Parser:
             # an explicit '*', or implicit multiplication as in "x^5y" or "2(x+y)"
             at = self.pos
             factor = self._factor()
-            terms = _term_count(result) * _term_count(factor)
+            counts = count, _term_count(factor)
+            terms = count * counts[1]
             if terms > limit:
                 raise ParseError(
                     f"product of {terms} term pairs exceeds {limit}", self.text, at
                 )
-            self._bound_exponents(map(sum, zip(_extent(result), _extent(factor))), at)
-            result = result * factor
-            if max(_top(result), result._den) >= _MAX_SIZE:
+            self._bound_exponents(map(sum, zip(_extent(result, count), _extent(factor))), at)
+            if terms and 1 in counts:  # one term moves the other side's rows
+                f, g = (factor, result) if counts[0] == 1 else (result, factor)
+                if counts == (1, 1) and len(f._rows) > len(g._rows):
+                    f, g = g, f
+                result, count = _times_term(f, g), terms
+            else:
+                result = result * factor
+                count = _term_count(result)
+            if max(_top(result, count), result._den) >= _MAX_SIZE:
                 raise ParseError(
                     f"product has a coefficient of more than {MAX_DIGITS} digits", self.text, at
                 )
@@ -507,11 +549,27 @@ def parse_polynomial(text: str) -> BivariatePolynomial:
 
 
 def _term_count(f: BivariatePolynomial) -> int:
-    return sum(len(row) - row.count(0) for row in f._rows)
+    return sum(map(len, f._rows)) - sum(map(list.count, f._rows, repeat(0)))
 
 
-def _top(f: BivariatePolynomial) -> int:
-    """The largest |numerator| of f."""
+def _times_term(f: BivariatePolynomial, g: BivariatePolynomial) -> BivariatePolynomial:
+    """f times g = c x^m y^n, one term, the last of its last row: the rows
+    of f moved down by m and right by n and scaled, with no product kernel.
+    The content of f times c meets the denominator in k, so the rows are
+    scaled by c/k over the denominator over k; rows are never changed once
+    built, so the m empty rows on top may be one list."""
+    m, n, c = len(g._rows) - 1, len(g._rows[-1]) - 1, g._rows[-1][-1]
+    den = f._den * g._den
+    k = gcd(_icontent(f._rows, 1) * c, den)
+    rows = [[0] * n + [a * c // k for a in row] if row else [] for row in f._rows]
+    return _wrap([[]] * m + rows, den // k)
+
+
+def _top(f: BivariatePolynomial, count: int = 0) -> int:
+    """The largest |numerator| of f, read off its last entry when its term
+    count is known to be 1."""
+    if count == 1:
+        return abs(f._rows[-1][-1])
     return max(map(abs, chain.from_iterable(f._rows)), default=0)
 
 
@@ -520,8 +578,11 @@ def _reaches(size: int, exp: int) -> bool:
     return exp * (size.bit_length() - 1) >= _MAX_BITS or size**exp >= _MAX_SIZE
 
 
-def _extent(f: BivariatePolynomial) -> Tuple[int, int]:
-    """The top exponents of x and of y in f, -1 for the zero polynomial."""
+def _extent(f: BivariatePolynomial, count: int = 0) -> Tuple[int, int]:
+    """The top exponents of x and of y in f, -1 for the zero polynomial,
+    read off its last row when its term count is known to be 1."""
+    if count == 1:
+        return len(f._rows) - 1, len(f._rows[-1]) - 1
     return len(f._rows) - 1, max(map(len, f._rows), default=0) - 1
 
 

@@ -11,13 +11,13 @@ two exceptional components, or tangent to one, gets one more blowup, which
 yields the minimal log resolution.
 
 So the directions to follow are read off the tangent cone F before any
-chart is built.  Row 0 of the x-chart is F(1, y) and column 0 of the
+child is made.  Row 0 of the x-chart is F(1, y) and column 0 of the
 y-chart is F(x, 1), so the strict transform meets the new component E in
 direction t with intersection multiplicity k, the multiplicity of t as a
 root of F.  For k >= 2 it is singular or tangent to E there; for k = 1 it
 is smooth and transverse to E, and the point needs a blowup only as a
 corner, t = 0 on {y = 0} or t = infinity on {x = 0}.  Only the followed
-directions get a chart, each of which asserts that it needs the blowup.
+directions get a child, each of which asserts that it needs the blowup.
 
 Branches whose tangent direction is irrational are only tolerated while
 they need no further blowup (a simple, hence smooth and transverse, factor
@@ -26,26 +26,54 @@ NonRationalTangentError, naming the offending form.
 
 The resolution reads only the multiplicity and the tangent cone at each
 point, and near the exceptional axes the lowest terms along them, so each
-point carries its equation only modulo a monomial ideal (x^a y^b), cut
-there.  The root is f modulo (x^P), first for P = e + 1, e the order of
-f(x, 0) (the curve's intersection number with y = 0), which bounds the
-root's multiplicity, or for P = deg f + 1, f itself, when y divides f.
-At a point of multiplicity m < a + b, the least degree in the ideal, the
-ideal pulls back to (x^(a+b-m) y^b) in the x-chart and to (x^a y^(a+b-m))
-in the y-chart, and a shift y -> y + t, t != 0, maps (x^c y^b) into (x^c):
-so each child is cut to that ideal and its equation is still exact outside
-it.  The x-chart shear places only the terms outside (x^c y^b) when t = 0
-is a direction, else outside (x^c), and a t != 0 takes its rows below c.
-The multiplicity and the tangent cone are read only when m < a + b.
-The other decisions read the linear terms and the lowest terms along the
-axes through the point, in row 0 and column 0, which lie outside the
-ideal: a >= 1 throughout, and b >= 1 at a point on {y = 0}, since only a
-y-chart puts it there and a shift takes it away.  When m < a + b fails,
-the attempt gives up and the resolution starts again from the root with
-P doubled.  So every decision, error and assertion is the one the exact
-equations give, and only the cost depends on P.  Success is monotone in
-P, as a larger P gives every point a smaller ideal, so a germ of degree d
-takes at most ceil(log2((d + 1)/(e + 1))) more attempts than from d + 1.
+point carries its equation only modulo a monomial ideal (x^a y^b).  The
+root is f modulo (x^P), first for P = e + 1, e the order of f(x, 0) (the
+curve's intersection number with y = 0), which bounds the root's
+multiplicity, or for P = deg f + 1, f itself, when y divides f.  At a
+point of multiplicity m < a + b, the least degree in the ideal, the ideal
+pulls back to (x^(a+b-m) y^b) in the x-chart and to (x^a y^(a+b-m)) in
+the y-chart, and a shift y -> y + t, t != 0, maps (x^c y^b) into (x^c):
+so each child's equation is exact outside that ideal.  The multiplicity
+and the tangent cone are read only when m < a + b.  The other decisions
+read the linear terms and the lowest terms along the axes through the
+point, in row 0 and column 0, which lie outside the ideal: a >= 1
+throughout, and b >= 1 at a point on {y = 0}, since only a y-chart puts it
+there and a shift takes it away.  When m < a + b fails, the attempt gives
+up and the resolution starts again from the root with P doubled.  So
+every decision, error and assertion is the one the exact equations give,
+and only the cost depends on P.  Success is monotone in P, as a larger P
+gives every point a smaller ideal, so a germ of degree d takes at most
+ceil(log2((d + 1)/(e + 1))) more attempts than from d + 1.
+
+Between two recentrings the resolution is toric, and it walks there on
+the Newton boundary (Oka 1997; Duval, Compositio Math. 70, 1989).  Call
+the root and each point reached by a shift t != 0 an anchor, with its
+equation G known modulo its ideal.  A point reached from its anchor by
+t = 0 x-charts and y-charts alone has the equation x^-u y^-v G(x^p y^r,
+x^q y^s), the exponent map (m, n) -> (p m + q n - u, r m + s n - v)
+composed of the charts (m, n) -> (m + n - mult, n) and (m, n) ->
+(m, m + n - mult); its entries are nonnegative and ps - qr = 1.  The point
+carries G, that map and its Newton boundary: the terms on the compact
+faces of its Newton polygon, read off the anchor's boundary terms under
+the maps.  This is exact and decides everything the point reads:
+- The map sends the Newton polyhedron of G onto that of the point, and a
+  functional w > 0 on the image is w' = (p w1 + r w2, q w1 + s w2) > 0 on
+  G, so the face where w is least is the image of the compact face where
+  w' is least.  So the boundary of each point is the image of part of its
+  parent's, and each point recomputes its own from its parent's.
+- Every decision is a least value of a functional w > 0 or a term where one
+  is least: the multiplicity and the tangent cone (w = (1, 1)), the orders
+  along the axes and the linear terms (the vertices on the axes).
+- The ideals nest: a term of G inside its ideal maps into the point's, as
+  the pullbacks above show, so one cut at the end gives the successive
+  cuts, and the terms of degree below a + b, the least degree in the
+  point's ideal, are those of the cut equation.  So m >= a + b holds on
+  the boundary exactly when it holds on the cut equation, and below it the
+  two have the same tangent cone.  The other reads lie outside the ideal.
+A polynomial is built only where a root t != 0 is followed: G through the
+composed map of the point's x-chart, in one pass that places only the
+terms outside the child's ideal (x^c), then shifted; the child is the
+next anchor.  A cone of one term x^i y^j needs no root finding.
 
 A resolution that finishes proves the germ reduced: a reduced germ of
 degree d has sum m(m - 1) <= d(d - 1) over its points (Bezout bounds its
@@ -64,9 +92,9 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 from .cluster import Cluster, WeightedCluster, _strict_from_total, is_unloaded
 from .poly import (
     BivariatePolynomial,
-    _blowup_x_chart,
-    _blowup_y_chart,
-    _leading_form,
+    _boundary,
+    _leads,
+    _mapped,
     _poly_from,
     _printed,
     polynomial_gcd,
@@ -153,17 +181,37 @@ def _tangent_roots(form: BivariatePolynomial) -> Tuple[List[Tuple[Fraction, int]
     return sorted(roots + found), inf_mult
 
 
-def _smooth_measure(f: BivariatePolynomial, axes) -> Tuple[int, int]:
-    """Progress measure at a smooth point of the strict transform: the
-    intersection order with the exceptional components through the point,
-    then the number of missing components.  Decreases strictly along every
-    smooth chain of blowups (a tangency drops by one, or a tangent point
-    becomes a corner, whose single successor is transverse)."""
+def _directions(cone: list, den: int, axes) -> list:
+    """The tangent directions to blow up at a point on the exceptional
+    components `axes`, from its tangent cone, the terms (m, n, numerator)
+    over den of its least degree: each rational t of the x-chart, and None
+    for x = 0 in the y-chart.  A cone of one term x^i y^j has the roots
+    0 (j times) and infinity (i times); a simple root is a smooth point
+    transverse to the new component, followed only at a corner (module
+    docstring)."""
+    if len(cone) == 1:
+        ((i, j, _),) = cone
+        roots, inf_mult = [(Fraction(0), j)] if j else [], i
+    else:
+        roots, inf_mult = _tangent_roots(_poly_from(cone, den))
+    directions = [t for t, k in roots if k >= 2 or (t == 0 and "y" in axes)]
+    if inf_mult >= 2 or (inf_mult == 1 and "x" in axes):
+        directions.append(None)
+    return directions
+
+
+def _smooth_measure(terms: list, axes) -> Tuple[int, int]:
+    """Progress measure at a smooth point of the strict transform, from its
+    Newton boundary `terms`: the intersection order with the exceptional
+    components through the point, then the number of missing components.
+    Decreases strictly along every smooth chain of blowups (a tangency
+    drops by one, or a tangent point becomes a corner, whose single
+    successor is transverse)."""
     contact = 0
-    if "x" in axes:  # the component {x = 0}: order of f(0, y), along row 0
-        contact += next(n for n, c in enumerate(f._rows[0]) if c)
-    if "y" in axes:  # {y = 0}: order of f(x, 0), down column 0
-        contact += _x_order(f)
+    if "x" in axes:  # the component {x = 0}: order of f(0, y), a vertex
+        contact += next(n for m, n, _ in terms if not m)
+    if "y" in axes:  # {y = 0}: order of f(x, 0), the other end
+        contact += next(m for m, n, _ in terms if not n)
     return (contact, 2 - len(axes))
 
 
@@ -172,35 +220,19 @@ def _x_order(f: BivariatePolynomial) -> Optional[int]:
     return next((m for m, row in enumerate(f._rows) if row and row[0]), None)
 
 
-def _needs_blowup(g: BivariatePolynomial, axes) -> bool:
-    """Is the point of the strict transform g, on the exceptional components
-    `axes`, still unresolved?  A corner of two components is.  On a single
-    component, a point is singular or tangent to it exactly when g has no
-    linear term transverse to it: y on {x = 0}, x on {y = 0}."""
+def _needs_blowup(terms: list, axes) -> bool:
+    """Is the point of the strict transform with Newton boundary `terms`, on
+    the exceptional components `axes`, still unresolved?  A corner of two
+    components is.  On a single component, a point is singular or tangent
+    to it exactly when it has no linear term transverse to it: y on
+    {x = 0}, x on {y = 0}, each a vertex of the boundary when present."""
     if len(axes) == 2:
         return True
-    return not (g.coefficient(0, 1) if "x" in axes else g.coefficient(1, 0))
+    linear = (0, 1) if "x" in axes else (1, 0)
+    return all((m, n) != linear for m, n, _ in terms)
 
 
-def _charts(g: BivariatePolynomial, m: int, a: int, b: int, directions):
-    """The equation of the point in each tangent direction of g, a rational
-    t in the x-chart recentred at y = t or None for x = 0 in the y-chart,
-    with the ideal (x^a' y^b') it is known modulo, for g of multiplicity m
-    known modulo (x^a y^b), m < a + b."""
-    c = a + b - m  # the ideal's pullback, as the module docstring derives
-    x_chart = None  # shared by the rational roots, cut to (x^c y^b) if 0 is one
-    out = []
-    for t in directions:
-        if t is None:
-            out.append((_blowup_y_chart(g, m).mod_monomial(a, c), a, c))
-            continue
-        if x_chart is None:
-            x_chart = _blowup_x_chart(g, m, c, b if 0 in directions else 0)
-        if t:
-            out.append((x_chart.mod_monomial(c, 0).shift_y(t), c, 0))
-        else:
-            out.append((x_chart, c, b))
-    return out
+_IDENTITY = (1, 0, 0, 1, 0, 0)  # the exponent map (p, q, r, s, u, v) of an anchor
 
 
 def _resolve_at(f: BivariatePolynomial, precision: int, unchecked=None):
@@ -213,23 +245,26 @@ def _resolve_at(f: BivariatePolynomial, precision: int, unchecked=None):
     unchecked = [f] if unchecked is None else unchecked
     d = f.degree()
     noether = 0  # sum of m(m - 1) so far
-    # one entry per point still to blow up: its local equation, known
-    # modulo (x^a y^b), the exceptional components through it (axis ->
-    # (ancestor index, multiplicity of that component in the total
-    # transform of the curve)), its parent and the parent's smooth
-    # measure; popped in preorder
+    # one entry per point still to blow up: its anchor (the equation of its
+    # nearest recentred ancestor, or of the root), the exponent map from the
+    # anchor's terms to its own, its Newton boundary (the anchor's boundary
+    # terms under that map), the ideal (x^a y^b) it is known modulo, the
+    # exceptional components through it (axis -> (ancestor index,
+    # multiplicity of that component in the total transform of the curve)),
+    # its parent and the parent's smooth measure; popped in preorder
     todo = []
     if f.multiplicity() >= 2:
-        todo.append((f.mod_monomial(precision, 0), precision, 0, {}, None, None))
+        root = f.mod_monomial(precision, 0)
+        todo.append((root, _IDENTITY, _boundary(_leads(root)), precision, 0, {}, None, None))
     parents: List[Optional[int]] = []
     targets: List[Tuple[int, ...]] = []
     weights: List[int] = []
     exc_mult: List[int] = []  # multiplicity of E_i in the total transform
     while todo:
-        g, a, b, axes, parent, parent_measure = todo.pop()
+        anchor, chart, terms, a, b, axes, parent, parent_measure = todo.pop()
         if len(parents) >= MAX_POINTS:
             raise ResolutionError(f"resolution exceeded {MAX_POINTS} blowups")
-        m = g.multiplicity() if g else a + b
+        m = min((i + j for i, j, _ in terms), default=a + b)
         if m >= a + b:  # a + b is the least degree in the ideal
             raise _Imprecise
         noether += m * (m - 1)
@@ -237,7 +272,7 @@ def _resolve_at(f: BivariatePolynomial, precision: int, unchecked=None):
             _require_reduced(unchecked.pop())
         if parent is not None:
             assert m <= weights[parent], "multiplicity grew under blowup"
-        measure = _smooth_measure(g, axes) if m == 1 else None
+        measure = _smooth_measure(terms, axes) if m == 1 else None
         if measure is not None and parent_measure is not None:
             assert measure < parent_measure, (
                 "no progress along a smooth chain of blowups"
@@ -249,27 +284,37 @@ def _resolve_at(f: BivariatePolynomial, precision: int, unchecked=None):
         e_here = m + sum(mult for _, mult in axes.values())
         exc_mult.append(e_here)
 
-        roots, inf_mult = _tangent_roots(_leading_form(g, m))
-        # a simple root of the cone is a smooth point transverse to the new
-        # component, followed only at a corner (module docstring)
-        directions = [t for t, k in roots if k >= 2 or (t == 0 and "y" in axes)]
-        if inf_mult >= 2 or (inf_mult == 1 and "x" in axes):
-            directions.append(None)
+        cone = [(i, j, k) for i, j, k in terms if i + j == m]
+        directions = _directions(cone, anchor._den, axes)
+        c = a + b - m  # the ideal's pullback, as the module docstring derives
+        p, q, r, s, u, v = chart
+        x_chart = (p + r, q + s, r, s, u + v + m, v)  # (x, y) -> (x, x y), over x^m
+        recentred = None  # the x-chart modulo (x^c), shared by the roots t != 0
         # pushed last to first, so that the first direction is popped first
-        for t, (h, ha, hb) in reversed(list(zip(directions, _charts(g, m, a, b, directions)))):
-            if t is None:
+        for t in reversed(directions):
+            if t is None:  # the y-chart
                 child_axes = {"y": (idx, e_here)}
                 if "x" in axes:
                     child_axes["x"] = axes["x"]
+                h, h_chart, ha, hb = anchor, (p, q, p + r, q + s, u, u + v + m), a, c
+                h_terms = _boundary([(i, i + j - m, k) for i, j, k in terms])
+            elif t:  # the x-chart recentred at y = t: the next anchor
+                child_axes = {"x": (idx, e_here)}
+                if recentred is None:
+                    recentred = _mapped(anchor, x_chart, c)
+                h, h_chart, ha, hb = recentred.shift_y(t), _IDENTITY, c, 0
+                h_terms = _boundary(_leads(h))
             else:
                 child_axes = {"x": (idx, e_here)}
-                if t == 0 and "y" in axes:
+                if "y" in axes:
                     child_axes["y"] = axes["y"]
+                h, h_chart, ha, hb = anchor, x_chart, c, b
+                h_terms = _boundary([(i + j - m, j, k) for i, j, k in terms])
             # row 0 and, on {y = 0}, column 0 lie outside the ideal, so the
             # linear terms and the orders along the axes are known
             assert ha >= 1 and (hb >= 1 or "y" not in child_axes)
-            assert _needs_blowup(h, child_axes), "followed a resolved direction"
-            todo.append((h, ha, hb, child_axes, idx, measure))
+            assert _needs_blowup(h_terms, child_axes), "followed a resolved direction"
+            todo.append((h, h_chart, h_terms, ha, hb, child_axes, idx, measure))
     return parents, targets, weights, exc_mult
 
 

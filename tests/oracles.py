@@ -88,6 +88,13 @@ mutually recursive closures, two Python frames per infinitely near point.
 every point's whole strict transform through the charts and shifts, with
 the exact `smooth_measure` and `needs_blowup` tests; the library carries
 each equation only modulo the monomial ideal its decisions cannot read.
+`resolve_cluster_by_charts` and `resolve_at_by_charts` are the form before
+the library's walk on the Newton boundary: every point carries its cut
+equation as a polynomial, and its children are built by
+`charts_by_shear_then_cut` (equal to the library's earlier `_charts`), the
+whole x-chart shear then a cut per child.  `mapped_by_shear_then_cut`
+replays a composed chart map of the walk one chart at a time on whole
+equations, then cuts.
 
 `require_reduced_by_sympy` and `tangent_roots_by_sympy` are the earlier
 sympy forms of the reducedness check and of the tangent-cone roots of
@@ -189,10 +196,10 @@ from singular_lct.poly import (
     PolynomialError,
     Term,
     _add,
-    _blowup_y_chart,
     _extent,
     _icontent,
     _iquo,
+    _leading_form,
     _poly,
     _poly_from,
     _quo,
@@ -201,12 +208,15 @@ from singular_lct.poly import (
     _sturm_rational_roots,
     _trim,
 )
+from singular_lct import resolution
 from singular_lct.resolution import (
     NonRationalTangentError,
     NonReducedError,
     ResolutionError,
+    _Imprecise,
     _require_reduced,
     _tangent_roots,
+    _x_order,
 )
 
 
@@ -1605,6 +1615,12 @@ def blowup_x_chart_by_terms(f: BivariatePolynomial, mult: int) -> BivariatePolyn
     return _poly_from(((m + n - mult, n, c) for m, n, c in f._entries()), f._den)
 
 
+def blowup_y_chart_by_terms(f: BivariatePolynomial, mult: int) -> BivariatePolynomial:
+    """(x, y) -> (x y, y) divided by y^mult, one (m, n, numerator) term at a
+    time."""
+    return _poly_from(((m, m + n - mult, c) for m, n, c in f._entries()), f._den)
+
+
 def charts_by_shear_then_cut(g: BivariatePolynomial, m: int, a: int, b: int, directions):
     """`resolution._charts` by the whole x-chart shear, term by term, each
     child then cut to its ideal by `mod_monomial`."""
@@ -1613,12 +1629,156 @@ def charts_by_shear_then_cut(g: BivariatePolynomial, m: int, a: int, b: int, dir
     out = []
     for t in directions:
         if t is None:
-            out.append((_blowup_y_chart(g, m).mod_monomial(a, c), a, c))
+            out.append((blowup_y_chart_by_terms(g, m).mod_monomial(a, c), a, c))
         elif t:
             out.append((x_chart.mod_monomial(c, 0).shift_y(t), c, 0))
         else:
             out.append((x_chart.mod_monomial(c, b), c, b))
     return out
+
+
+def mapped_by_terms(f: BivariatePolynomial, chart, cut=None) -> BivariatePolynomial:
+    """`poly._mapped`: each (m, n, numerator) term moved by the exponent map
+    chart = (p, q, r, s, u, v) one at a time, the images at x-exponent cut
+    or above dropped."""
+    p, q, r, s, u, v = chart
+    moved = ((p * m + q * n - u, r * m + s * n - v, c) for m, n, c in f._entries())
+    return _poly_from(((i, j, c) for i, j, c in moved if cut is None or i < cut), f._den)
+
+
+def newton_boundary_by_normals(terms) -> list:
+    """`poly._boundary` by brute force: the terms where w1 m + w2 n is least
+    for some w1, w2 > 0, trying the normal of every pair of terms and the
+    two lexicographic orders (the ends of the boundary)."""
+    terms = list(terms)
+    on = {min(terms)[:2], min(terms, key=lambda t: (t[1], t[0]))[:2]}
+    for m1, n1, _ in terms:
+        for m2, n2, _ in terms:
+            w1, w2 = n1 - n2, m2 - m1
+            if w1 > 0 and w2 > 0:
+                least = min(w1 * m + w2 * n for m, n, _ in terms)
+                on |= {(m, n) for m, n, _ in terms if w1 * m + w2 * n == least}
+    return sorted(t for t in terms if t[:2] in on)
+
+
+def chart_steps(chart) -> List[str]:
+    """The x- and y-charts a composed chart map of the resolution walk is
+    made of, outermost first, read off its matrix: the outermost is the
+    x-chart when its first row is the larger."""
+    p, q, r, s, *_ = chart
+    steps = []
+    while (p, q, r, s) != (1, 0, 0, 1):
+        if p >= r and q >= s:
+            steps.append("x")
+            p, q = p - r, q - s
+        else:
+            steps.append("y")
+            r, s = r - p, s - q
+    return steps
+
+
+def mapped_by_shear_then_cut(anchor: BivariatePolynomial, chart, cut: int) -> BivariatePolynomial:
+    """`poly._mapped(anchor, chart, cut)` for a chart the resolution walk
+    composes: each chart of `chart_steps` is applied to the whole equation
+    at its own multiplicity, the divisions they make must add up to the
+    chart's (u, v), and the result is cut at (x^cut) by `mod_monomial`."""
+    u, v = chart[4:]
+    g, divided = anchor, (0, 0)
+    for step in reversed(chart_steps(chart)):
+        m = g.multiplicity()
+        if step == "x":
+            g, divided = blowup_x_chart_by_terms(g, m), (sum(divided) + m, divided[1])
+        else:
+            g, divided = blowup_y_chart_by_terms(g, m), (divided[0], sum(divided) + m)
+    assert divided == (u, v), (chart, divided)
+    return g.mod_monomial(cut, 0)
+
+
+def resolve_at_by_charts(f: BivariatePolynomial, precision: int, unchecked=None):
+    """`resolution._resolve_at` before the walk on the Newton boundary: each
+    point carries its equation modulo (x^a y^b) as a polynomial, and its
+    children are built by `charts_by_shear_then_cut`."""
+    unchecked = [f] if unchecked is None else unchecked
+    d = f.degree()
+    noether = 0  # sum of m(m - 1) so far
+    todo = []
+    if f.multiplicity() >= 2:
+        todo.append((f.mod_monomial(precision, 0), precision, 0, {}, None, None))
+    parents: List[Optional[int]] = []
+    targets: List[Tuple[int, ...]] = []
+    weights: List[int] = []
+    exc_mult: List[int] = []  # multiplicity of E_i in the total transform
+    while todo:
+        g, a, b, axes, parent, parent_measure = todo.pop()
+        if len(parents) >= resolution.MAX_POINTS:
+            raise ResolutionError(f"resolution exceeded {resolution.MAX_POINTS} blowups")
+        m = g.multiplicity() if g else a + b
+        if m >= a + b:  # a + b is the least degree in the ideal
+            raise _Imprecise
+        noether += m * (m - 1)
+        if unchecked and (len(parents) >= d or noether > d * (d - 1)):
+            resolution._require_reduced(unchecked.pop())
+        if parent is not None:
+            assert m <= weights[parent], "multiplicity grew under blowup"
+        measure = smooth_measure(g, axes) if m == 1 else None
+        if measure is not None and parent_measure is not None:
+            assert measure < parent_measure, (
+                "no progress along a smooth chain of blowups"
+            )
+        idx = len(parents)
+        parents.append(parent)
+        targets.append(tuple(sorted(anc for anc, _ in axes.values())))
+        weights.append(m)
+        e_here = m + sum(mult for _, mult in axes.values())
+        exc_mult.append(e_here)
+
+        roots, inf_mult = _tangent_roots(_leading_form(g, m))
+        directions = [t for t, k in roots if k >= 2 or (t == 0 and "y" in axes)]
+        if inf_mult >= 2 or (inf_mult == 1 and "x" in axes):
+            directions.append(None)
+        charts = charts_by_shear_then_cut(g, m, a, b, directions)
+        for t, (h, ha, hb) in reversed(list(zip(directions, charts))):
+            if t is None:
+                child_axes = {"y": (idx, e_here)}
+                if "x" in axes:
+                    child_axes["x"] = axes["x"]
+            else:
+                child_axes = {"x": (idx, e_here)}
+                if t == 0 and "y" in axes:
+                    child_axes["y"] = axes["y"]
+            assert ha >= 1 and (hb >= 1 or "y" not in child_axes)
+            linear = h.coefficient(0, 1) if "x" in child_axes else h.coefficient(1, 0)
+            assert len(child_axes) == 2 or not linear, "followed a resolved direction"
+            todo.append((h, ha, hb, child_axes, idx, measure))
+    return parents, targets, weights, exc_mult
+
+
+def resolve_cluster_by_charts(f: BivariatePolynomial) -> WeightedCluster:
+    """`resolution._resolve_cluster` on `resolve_at_by_charts`: the same
+    precision ladder and the same one reducedness check."""
+    if f.is_zero():
+        raise ResolutionError("cannot resolve the zero curve")
+    if f.coefficient(0, 0):
+        raise ResolutionError("the curve does not pass through the origin")
+    unchecked = [f]
+    precision = (_x_order(f) or f.degree()) + 1
+    while True:
+        try:
+            parents, targets, weights, exc_mult = resolve_at_by_charts(f, precision, unchecked)
+            break
+        except _Imprecise:
+            precision *= 2
+        except ResolutionError:
+            if unchecked:
+                resolution._require_reduced(unchecked.pop())
+            raise
+    cluster = Cluster(parents, targets)
+    kl = WeightedCluster(cluster, weights)
+    assert is_unloaded(kl), "curve multiplicities violated a proximity relation"
+    assert _strict_from_total(cluster, weights) == exc_mult, (
+        "chart bookkeeping disagrees with the proximity recursion"
+    )
+    return kl
 
 
 def leading_form_by_terms(f: BivariatePolynomial, mult: int) -> BivariatePolynomial:

@@ -970,14 +970,21 @@ def _past_deadline(signum, frame):
 @given(near_grammatical())
 def test_polynomial_commands_on_near_grammatical_input_exit_cleanly(text):
     # a curve the grammar or the resolution refuses is an error (exit 1 or
-    # 2) with a message, never a traceback or exit 3; each call has a deadline
+    # 2) with a message, never a traceback or exit 3; each call has a
+    # deadline.  resolve and diagram reach the resolution's walk and the
+    # diagram it builds
     import contextlib
     import io
     import signal
 
     handler = signal.signal(signal.SIGALRM, _past_deadline)
     try:
-        for argv in (["lct", "--curve", text], ["newton", "--json", "--poly", text]):
+        for argv in (
+            ["lct", "--curve", text],
+            ["newton", "--json", "--poly", text],
+            ["resolve", "--json", "--curve", text],
+            ["diagram", "--json", "--curve", text],
+        ):
             out, err = io.StringIO(), io.StringIO()
             signal.alarm(20)
             try:

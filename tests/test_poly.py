@@ -497,7 +497,7 @@ def random_rows(rng):
 def test_row_reads_match_the_term_stream_oracles():
     import random
 
-    from singular_lct.poly import _blowup_x_chart, _leading_form
+    from singular_lct.poly import _boundary, _leading_form, _leads, _mapped
 
     rng = random.Random(20)
     for _ in range(400):
@@ -510,11 +510,22 @@ def test_row_reads_match_the_term_stream_oracles():
             continue
         mult = f.multiplicity()
         assert mult == min(m + n for m, n in f.support())
-        # x^k divides f(x, x y) for every k <= mult
+        # x^k divides f(x, x y) and y^k divides f(x y, y) for every k <= mult
         for k in range(max(mult - 2, 0), mult + 1):
-            assert rows_of(_blowup_x_chart(f, k)) == rows_of(oracles.blowup_x_chart_by_terms(f, k))
+            for chart in ((1, 1, 0, 1, k, 0), (1, 0, 1, 1, 0, k)):
+                assert rows_of(_mapped(f, chart)) == rows_of(oracles.mapped_by_terms(f, chart))
+        # a composite of charts, cut at (x^c): the map and the place of the cut
+        p, q, r, s = 1, 0, 0, 1
+        for _ in range(rng.randint(0, 5)):
+            p, q, r, s = (p + r, q + s, r, s) if rng.random() < 0.5 else (p, q, p + r, q + s)
+        u = min(p * m + q * n for m, n in f.support()) - rng.randint(0, 2)
+        v = min(r * m + s * n for m, n in f.support()) - rng.randint(0, 2)
+        chart, cut = (p, q, r, s, u, v), rng.randint(0, 40)
+        assert rows_of(_mapped(f, chart, cut)) == rows_of(oracles.mapped_by_terms(f, chart, cut))
         for k in range(f.degree() + 2):
             assert rows_of(_leading_form(f, k)) == rows_of(oracles.leading_form_by_terms(f, k))
+        boundary = oracles.newton_boundary_by_normals(f._entries())
+        assert _boundary(f._entries()) == _boundary(_leads(f)) == boundary
 
 
 def test_flat_product_matches_the_row_pair_oracle():
@@ -661,6 +672,31 @@ def test_the_token_stream_is_read_lazily():
     finally:
         tracemalloc.stop()
     assert peak < 30 * 2**20, peak
+
+
+def test_a_product_by_one_term_moves_rows_without_the_product_kernel(monkeypatch):
+    # a chain of letters multiplies by one term at every factor: the rows
+    # of the other side move and scale, no _mul runs, and the term count is
+    # carried, so 2,000 letters cost no row list per factor; every parse,
+    # the products by zero among them, equals the char-scan oracle's
+    from singular_lct import poly
+
+    calls = []
+    mul = poly._mul
+    monkeypatch.setattr(poly, "_mul", lambda f, g, u: calls.append(u) or mul(f, g, u))
+    chains = {"x" * 1000 + "y" * 1000: (1000, 1000), "xy" * 1000: (1000, 1000)}
+    chains["y" * 1000 + "x" * 999] = (999, 1000)
+    for text, (m, n) in chains.items():
+        assert P(text) == BivariatePolynomial.monomial(m, n) and calls == []
+    short = ["(-2/3)x*(9/4)y^3*6y", "x*(1/2)*(x - 2y)*(2/3)*y^2", "(x + y)*x*y*(1/2)"]
+    short += ["3(x - 2y) x^998 y", "(1/2)" + "x" * 20 + "(x + (1/3)y)"]
+    ours = [P(text) for text in short]
+    assert calls == []
+    monkeypatch.undo()
+    for text, f in zip(short, ours):
+        assert rows_of(f) == rows_of(oracles.parse_by_char_scan(text)), text
+    for text in ("x*0*y", "0*x^5", "(x - x)*y*(x + y)", "2*(x + y)*(x - y)"):
+        assert rows_of(P(text)) == rows_of(oracles.parse_by_char_scan(text)), text
 
 
 @pytest.mark.parametrize(

@@ -302,12 +302,16 @@ def test_every_precision_gives_up_or_gives_the_exact_points():
 
 def test_each_chart_is_exact_outside_its_ideal(monkeypatch):
     # every point the exact worklist visits on the corpus, known modulo each
-    # small (x^a y^b) its multiplicity can be read under: each child that
-    # _charts builds from it agrees with the child of the whole equation
-    # outside the ideal it claims, and holds no term inside; an ideal one
-    # term too small fails here
+    # small (x^a y^b) its multiplicity can be read under, taken as an
+    # anchor: each child the walk makes from it agrees with the child of the
+    # whole equation outside the ideal it claims.  A child by t = 0 or in
+    # the y-chart is the anchor through the chart map, uncut, whose Newton
+    # boundary the walk reads off the anchor's; a recentred child is cut at
+    # (x^c) before its shift and holds no term inside.  An ideal one term
+    # too small fails here
     import oracles
     from singular_lct import resolution
+    from singular_lct.poly import _boundary, _leads, _mapped
 
     points = []
 
@@ -331,9 +335,20 @@ def test_each_chart_is_exact_outside_its_ideal(monkeypatch):
         whole = [g.blowup_y_chart() if t is None else g.blowup_x_chart().shift_y(t) for t in directions]
         for a in range(1, 7):
             for b in range(max(0, m + 1 - a), 6):
-                charts = resolution._charts(g.mod_monomial(a, b), m, a, b, directions)
-                for (h, ha, hb), child in zip(charts, whole, strict=True):
-                    assert h == child.mod_monomial(ha, hb), (str(g), a, b)
+                anchor, c = g.mod_monomial(a, b), a + b - m
+                terms = _boundary(_leads(anchor))
+                for t, child in zip(directions, whole, strict=True):
+                    if t:
+                        h = _mapped(anchor, (1, 1, 0, 1, m, 0), c).shift_y(t)
+                        assert h == child.mod_monomial(c, 0), (str(g), a, b)
+                        checked += 1
+                        continue
+                    chart, ideal = ((1, 0, 1, 1, 0, m), (a, c)) if t is None else ((1, 1, 0, 1, m, 0), (c, b))
+                    h = _mapped(anchor, chart)
+                    assert h.mod_monomial(*ideal) == child.mod_monomial(*ideal), (str(g), a, b)
+                    p, q, r, s, u, v = chart
+                    moved = [(p * i + q * j - u, r * i + s * j - v, k) for i, j, k in terms]
+                    assert _boundary(moved) == _boundary(_leads(h)), (str(g), a, b)
                     checked += 1
     assert checked > 5000
 
@@ -406,18 +421,18 @@ def test_the_resolution_starts_at_the_x_axis_order(monkeypatch):
     assert precisions == [5]
 
 
-def charts_built(germs):
-    """Each `_charts` call that the resolutions of `germs` make, with the
-    charts it returned, failed attempts included."""
+def polynomials_built(germs):
+    """Each `_mapped` call that the resolutions of `germs` make, with the
+    polynomial it returned, failed attempts included."""
     from singular_lct import resolution
 
-    charts, calls = resolution._charts, []
+    mapped, calls = resolution._mapped, []
 
     def record(*args):
-        calls.append((args, charts(*args)))
+        calls.append((args, mapped(*args)))
         return calls[-1][1]
 
-    resolution._charts = record
+    resolution._mapped = record
     try:
         for f in germs:
             try:
@@ -425,36 +440,35 @@ def charts_built(germs):
             except ResolutionError:
                 pass
     finally:
-        resolution._charts = charts
+        resolution._mapped = mapped
     return calls
 
 
 def test_each_chart_matches_the_shear_then_cut_oracle():
-    # the x-chart is sheared only outside the ideal its children keep; the
-    # oracle shears it whole and cuts each child with mod_monomial
+    # the walk builds a polynomial only where it recentres, in one pass
+    # through the composed chart map that places only the terms outside the
+    # child's ideal (x^c); the oracle applies each chart of the map to the
+    # whole equation in turn, checks the divisions add up to the map's, and
+    # cuts at the end
     import oracles
     from test_engine import germ_theorem_inputs
 
-    from singular_lct import resolution
+    from singular_lct.poly import _mapped
 
     texts = [text for _, text in corpus_curves(20)] + list(HIGH_CONTACT_GERMS)
     texts += germ_theorem_inputs(5) + germ_theorem_inputs(2671)
-    calls = charts_built(map(P, texts))
-    for args, charts in calls:
-        assert charts == oracles.charts_by_shear_then_cut(*args), (str(args[0]), args[1:])
-    # the shear cut at (x^c y^b) beside t != 0, which reads its rows below c,
-    # and the shear cut at (x^c) alone
-    cuts = {(0 in d, any(t for t in d if t is not None), b > 0) for (*_, b, d), _ in calls}
-    assert {(True, True, True), (False, True, True), (True, False, True)} <= cuts
-    # a point of the resolution has no term in rows >= a, so there the cut
-    # at y^b keeps nothing; each (x^a y^b) its multiplicity can be read
-    # under leaves some, and the directions 0 and -1/2 read both parts
-    assert all(len(g._rows) <= a for (g, _, a, *_), _ in calls)
-    for (g, m, *_), _ in calls[::20]:
-        for a in range(1, 6):
-            for b in range(max(0, m + 1 - a), 5):
-                args = (g.mod_monomial(a, b), m, a, b, [F(0), F(-1, 2), None])
-                assert resolution._charts(*args) == oracles.charts_by_shear_then_cut(*args)
+    calls = polynomials_built(map(P, texts))
+    for args, built in calls:
+        assert built == oracles.mapped_by_shear_then_cut(*args), (str(args[0]), args[1:])
+    # the x-chart of an anchor itself, and of points one or more t = 0
+    # x-charts and y-charts below it; over a third of the cuts drop terms
+    steps = {tuple(map(oracles.chart_steps(chart).count, "xy")) for (_, chart, _), _ in calls}
+    assert {(1, 0), (2, 0), (5, 0), (1, 1), (2, 1)} <= steps, steps
+    assert 3 * sum(_mapped(g, chart) != built for (g, chart, _), built in calls) > len(calls)
+    # other cuts of the same maps, down to the empty polynomial
+    for (g, chart, c), _ in calls[::20]:
+        for cut in range(max(c - 3, 0), c + 3):
+            assert _mapped(g, chart, cut) == oracles.mapped_by_shear_then_cut(g, chart, cut)
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -463,8 +477,8 @@ def test_each_chart_matches_the_shear_then_cut_oracle():
 def test_charts_match_the_shear_then_cut_oracle_on_random_germs(f):
     import oracles
 
-    for args, charts in charts_built([f]):
-        assert charts == oracles.charts_by_shear_then_cut(*args), (str(args[0]), args[1:])
+    for args, built in polynomials_built([f]):
+        assert built == oracles.mapped_by_shear_then_cut(*args), (str(args[0]), args[1:])
 
 
 def test_the_axis_orders_match_the_support_oracles():
@@ -474,6 +488,7 @@ def test_the_axis_orders_match_the_support_oracles():
     from test_poly import random_rows
 
     from singular_lct import resolution
+    from singular_lct.poly import _boundary, _leads
 
     rng = random.Random(20)
     for _ in range(400):
@@ -488,7 +503,8 @@ def test_the_axis_orders_match_the_support_oracles():
         along = {"x": any(m == 0 for m, _ in f.support()), "y": b is not None}
         for axes in ((), ("x",), ("y",), ("x", "y")):
             if all(along[a] for a in axes):
-                assert resolution._smooth_measure(f, axes) == oracles.smooth_measure(f, axes), f
+                boundary = _boundary(_leads(f))
+                assert resolution._smooth_measure(boundary, axes) == oracles.smooth_measure(f, axes), f
 
 
 def noether_sum(kl):
@@ -514,29 +530,29 @@ def test_resolved_germs_keep_the_milnor_noether_bound():
 
 
 def test_the_reducedness_gcd_runs_only_when_the_resolution_needs_it(monkeypatch):
-    # each gcd call records the points its attempt has resolved, one
-    # tangent cone each
+    # each gcd call records the points its attempt has resolved, one set of
+    # tangent directions each
     from singular_lct import resolution
 
     cones, calls = [], []
     resolve_at = resolution._resolve_at
-    tangent_roots = resolution._tangent_roots
+    directions = resolution._directions
     require_reduced = resolution._require_reduced
 
     def attempt(*args):
         cones.clear()
         return resolve_at(*args)
 
-    def count_cones(form):
-        cones.append(form)
-        return tangent_roots(form)
+    def count_cones(*args):
+        cones.append(args)
+        return directions(*args)
 
     def count_calls(f):
         calls.append(len(cones))
         return require_reduced(f)
 
     monkeypatch.setattr(resolution, "_resolve_at", attempt)
-    monkeypatch.setattr(resolution, "_tangent_roots", count_cones)
+    monkeypatch.setattr(resolution, "_directions", count_cones)
     monkeypatch.setattr(resolution, "_require_reduced", count_calls)
     for _, text in corpus_curves(20):
         resolve_curve(P(text))
@@ -623,20 +639,20 @@ def test_followed_directions_match_the_exact_worklist():
 
 
 def test_charts_are_built_only_for_the_points_they_become(monkeypatch):
-    # in the attempt that succeeds, every chart built is a point of the
-    # cluster; the exact worklist builds one for every direction and asks
-    # needs_blowup of each
+    # in the attempt that succeeds, every Newton boundary the walk reads
+    # belongs to a point of the cluster, the root's among them; the exact
+    # worklist builds a chart for every direction and asks needs_blowup of
+    # each
     import oracles
     from singular_lct import resolution
 
-    charts, resolve_at = resolution._charts, resolution._resolve_at
+    boundary, resolve_at = resolution._boundary, resolution._resolve_at
     needs_blowup = oracles.needs_blowup
     built, every = [], []
 
-    def counted(*args):
-        out = charts(*args)
-        built.append(len(out))
-        return out
+    def counted(terms):
+        built.append(terms)
+        return boundary(terms)
 
     def attempt(*args):
         built.clear()
@@ -646,17 +662,67 @@ def test_charts_are_built_only_for_the_points_they_become(monkeypatch):
         every.append(h)
         return needs_blowup(h, axes)
 
-    monkeypatch.setattr(resolution, "_charts", counted)
+    monkeypatch.setattr(resolution, "_boundary", counted)
     monkeypatch.setattr(resolution, "_resolve_at", attempt)
     monkeypatch.setattr(oracles, "needs_blowup", asked)
     for text in CORNER_GERMS + tuple(text for _, text in corpus_curves(12)):
         f = P(text)
         every.clear()
         kl, _ = resolve_curve(f)
-        assert sum(built) == max(len(kl.cluster) - 1, 0), text
+        assert len(built) == len(kl.cluster), text
         assert tuple(oracles.resolution_points_by_blowups(f)[2]) == kl.weights, text
         if text in CORNER_GERMS[3:]:  # each has a simple direction off a corner
-            assert len(every) > sum(built), text
+            assert len(every) > len(built) - 1, text
+
+
+def test_the_walk_builds_a_polynomial_only_where_it_recentres(monkeypatch):
+    # a cusp x^p - y^q is toric all the way down: after the root's equation
+    # no polynomial is built.  On other germs each polynomial the walk
+    # builds is shifted, and in the attempt that succeeds it shifts once
+    # per nonzero root followed, as the chart-by-chart oracle does
+    import oracles
+    from test_engine import germ_theorem_inputs
+
+    from singular_lct import resolution
+
+    mapped, shift_y = resolution._mapped, BivariatePolynomial.shift_y
+    built, shifted = [], []
+
+    def counted_map(*args):
+        built.append(mapped(*args))
+        return built[-1]
+
+    def counted_shift(g, t):
+        shifted.append(g)
+        return shift_y(g, t)
+
+    monkeypatch.setattr(resolution, "_mapped", counted_map)
+    monkeypatch.setattr(BivariatePolynomial, "shift_y", counted_shift)
+    for p, q in coprime_pairs(20):
+        resolve_curve(P(f"x^{p} - y^{q}"))
+    assert (built, shifted) == ([], [])
+    texts = [text for _, text in corpus_curves(20)] + germ_theorem_inputs(5)
+    texts += list(HIGH_CONTACT_GERMS) + [RETRYING_GERM, "y^2 - x^997", "(y - x^5)^2 - x^997"]
+    recentring = 0
+    for text in texts:
+        f = P(text)
+        precision = (resolution._x_order(f) or f.degree()) + 1
+        while True:  # the precision at which the resolution succeeds
+            try:
+                resolution._resolve_at(f, precision)
+                break
+            except resolution._Imprecise:
+                precision *= 2
+        built.clear()
+        shifted.clear()
+        points = resolution._resolve_at(f, precision)
+        assert all(any(g is h for h in shifted) for g in built), text
+        walked = len(shifted)
+        shifted.clear()
+        assert oracles.resolve_at_by_charts(f, precision) == points
+        assert walked == len(shifted), text
+        recentring += walked > 0
+    assert recentring == 76, recentring
 
 
 @st.composite
@@ -684,3 +750,58 @@ def test_products_of_tangent_branches_match_the_exact_worklist(branches):
     assert resolution_outcome(resolve_curve, f) == resolution_outcome(
         oracles.resolve_curve_by_blowups, f
     ), str(f)
+
+
+# the deep germs: 500-point chains, one reached after a recentring, and
+# one bound by its 220 shifts; and the germs whose reducedness gcd or
+# error comes at a known point (the gcd test above)
+DEEP_GERMS = ("y^2 - x^997", "x^499 - y^500", "(y - x^5)^2 - x^997", "(x - y^2 - 3*y^3)^5 - y^400")
+ERROR_GERMS = (
+    "(y - x^2)^4",
+    "(y^2 - x^3)^2",
+    "(y - x^2)^2*(x^2 - y^3)",
+    "(x^2-y^3)*(y^2-2*x^2)^2",
+    "(y^2 - 2*x^2)^2 - x^5",
+    "y^2 - x^999",
+)
+
+
+def cluster_outcome(resolve, f):
+    try:
+        kl = resolve(f)
+    except ResolutionError as exc:
+        return type(exc), str(exc)
+    return kl.cluster.parents, kl.cluster.targets, kl.weights
+
+
+def test_the_walk_matches_the_chart_by_chart_resolution():
+    # every point, error type and message of the walk on the Newton boundary
+    # is that of the resolution that carries each point's polynomial
+    import oracles
+    from test_engine import germ_theorem_inputs
+
+    from singular_lct.resolution import _resolve_cluster
+
+    texts = [text for _, text in corpus_curves(20)] + list(ERROR_GERMS)
+    for text in texts:  # the exact worklist too, where it is cheap
+        f = P(text)
+        exact = cluster_outcome(lambda f: oracles.resolve_curve_by_blowups(f)[0], f)
+        assert cluster_outcome(_resolve_cluster, f) == exact, text
+    texts += germ_theorem_inputs(5) + germ_theorem_inputs(2671)
+    texts += list(HIGH_CONTACT_GERMS) + [RETRYING_GERM] + list(DEEP_GERMS)
+    for text in texts:
+        f = P(text)
+        ours = cluster_outcome(_resolve_cluster, f)
+        assert ours == cluster_outcome(oracles.resolve_cluster_by_charts, f), text
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@seed(3631)
+@given(exact_algebra_germs())
+def test_the_walk_matches_the_chart_by_chart_resolution_on_random_germs(f):
+    import oracles
+
+    from singular_lct.resolution import _resolve_cluster
+
+    ours = cluster_outcome(_resolve_cluster, f)
+    assert ours == cluster_outcome(oracles.resolve_cluster_by_charts, f), str(f)

@@ -15,10 +15,11 @@ arithmetic is exact.
 
 A product adds each nonzero term pair straight into its output row (`_mul`
 at level 1); in the parser, a product by one term moves and scales the
-rows of the other factor instead, and the product's term count is carried
-from factor to factor.  The parser reads a lazy stream of tokens, each a digit run or
-one other non-space character, with one token of lookahead; its digits are
-the `str.isdecimal` ones, which `int` reads.  It builds x, y, constants and
+rows of the other factor instead, and the product's term count, top
+exponents and largest numerator are carried from factor to factor.  The
+parser reads a lazy stream of tokens, each a digit run or one other
+non-space character, with one token of lookahead; its digits are the
+`str.isdecimal` ones, which `int` reads.  It builds x, y, constants and
 each power of one term (c^k x^(mk) y^(nk)) as rows, bypassing the
 constructor, and squares out only the powers of sums.
 
@@ -434,7 +435,8 @@ class _Parser:
         # the term count of the largest power of a sum that _factor accepts
         limit = (MAX_POWER_DEGREE + 1) * (MAX_POWER_DEGREE + 2) // 2
         result = self._factor()
-        count = _term_count(result)  # carried, so a chain of letters reads no row twice
+        # carried from factor to factor, so a chain of letters reads no row twice
+        count, extent, top = _term_count(result), _extent(result), _top(result)
         while True:
             if self.tok == "*":
                 self._next()
@@ -443,22 +445,27 @@ class _Parser:
             # an explicit '*', or implicit multiplication as in "x^5y" or "2(x+y)"
             at = self.pos
             factor = self._factor()
-            counts = count, _term_count(factor)
-            terms = count * counts[1]
+            factor_count = _term_count(factor)
+            terms = count * factor_count
             if terms > limit:
                 raise ParseError(
                     f"product of {terms} term pairs exceeds {limit}", self.text, at
                 )
-            self._bound_exponents(map(sum, zip(_extent(result, count), _extent(factor))), at)
-            if terms and 1 in counts:  # one term moves the other side's rows
-                f, g = (factor, result) if counts[0] == 1 else (result, factor)
-                if counts == (1, 1) and len(f._rows) > len(g._rows):
-                    f, g = g, f
-                result, count = _times_term(f, g), terms
+            # the top exponents of a nonzero product add
+            extent = tuple(map(sum, zip(extent, _extent(factor))))
+            self._bound_exponents(extent, at)
+            if terms and 1 in (count, factor_count):  # one term moves the other side's rows
+                # the factor's when the product so far is one term, but the
+                # fewer when both are
+                if count == 1 and (factor_count > 1 or len(factor._rows) <= len(result._rows)):
+                    result, top = _times_term(factor, _top(factor), result)
+                else:
+                    result, top = _times_term(result, top, factor)
+                count = terms
             else:
                 result = result * factor
-                count = _term_count(result)
-            if max(_top(result, count), result._den) >= _MAX_SIZE:
+                count, extent, top = _term_count(result), _extent(result), _top(result)
+            if max(top, result._den) >= _MAX_SIZE:
                 raise ParseError(
                     f"product has a coefficient of more than {MAX_DIGITS} digits", self.text, at
                 )
@@ -552,24 +559,24 @@ def _term_count(f: BivariatePolynomial) -> int:
     return sum(map(len, f._rows)) - sum(map(list.count, f._rows, repeat(0)))
 
 
-def _times_term(f: BivariatePolynomial, g: BivariatePolynomial) -> BivariatePolynomial:
-    """f times g = c x^m y^n, one term, the last of its last row: the rows
-    of f moved down by m and right by n and scaled, with no product kernel.
-    The content of f times c meets the denominator in k, so the rows are
-    scaled by c/k over the denominator over k; rows are never changed once
-    built, so the m empty rows on top may be one list."""
+def _times_term(
+    f: BivariatePolynomial, top: int, g: BivariatePolynomial
+) -> Tuple[BivariatePolynomial, int]:
+    """f times g = c x^m y^n, one term, the last of its last row, and the
+    product's largest |numerator|, from top, that of f: the rows of f moved
+    down by m and right by n and scaled, with no product kernel.  The
+    content of f times c meets the denominator in k, so the rows are scaled
+    by c/k over the denominator over k; rows are never changed once built,
+    so the m empty rows on top may be one list."""
     m, n, c = len(g._rows) - 1, len(g._rows[-1]) - 1, g._rows[-1][-1]
     den = f._den * g._den
     k = gcd(_icontent(f._rows, 1) * c, den)
     rows = [[0] * n + [a * c // k for a in row] if row else [] for row in f._rows]
-    return _wrap([[]] * m + rows, den // k)
+    return _wrap([[]] * m + rows, den // k), top * abs(c) // k
 
 
-def _top(f: BivariatePolynomial, count: int = 0) -> int:
-    """The largest |numerator| of f, read off its last entry when its term
-    count is known to be 1."""
-    if count == 1:
-        return abs(f._rows[-1][-1])
+def _top(f: BivariatePolynomial) -> int:
+    """The largest |numerator| of f."""
     return max(map(abs, chain.from_iterable(f._rows)), default=0)
 
 
@@ -578,11 +585,8 @@ def _reaches(size: int, exp: int) -> bool:
     return exp * (size.bit_length() - 1) >= _MAX_BITS or size**exp >= _MAX_SIZE
 
 
-def _extent(f: BivariatePolynomial, count: int = 0) -> Tuple[int, int]:
-    """The top exponents of x and of y in f, -1 for the zero polynomial,
-    read off its last row when its term count is known to be 1."""
-    if count == 1:
-        return len(f._rows) - 1, len(f._rows[-1]) - 1
+def _extent(f: BivariatePolynomial) -> Tuple[int, int]:
+    """The top exponents of x and of y in f, -1 for the zero polynomial."""
     return len(f._rows) - 1, max(map(len, f._rows), default=0) - 1
 
 

@@ -73,7 +73,7 @@ the maps.  This is exact and decides everything the point reads:
 A polynomial is built only where a root t != 0 is followed: G through the
 composed map of the point's x-chart, in one pass that places only the
 terms outside the child's ideal (x^c), then shifted; the child is the
-next anchor.  A cone of one term x^i y^j needs no root finding.
+next anchor.
 
 A resolution that finishes proves the germ reduced: a reduced germ of
 degree d has sum m(m - 1) <= d(d - 1) over its points (Bezout bounds its
@@ -157,18 +157,22 @@ def _require_reduced(f: BivariatePolynomial):
         raise NonReducedError(g, f)
 
 
-def _tangent_roots(form: BivariatePolynomial) -> Tuple[List[Tuple[Fraction, int]], int]:
+def _tangent_roots(cone: list, den: int) -> Tuple[List[Tuple[Fraction, int]], int]:
     """Rational roots (with multiplicity) of F(1, t) for a homogeneous form
-    F, plus the multiplicity of the direction x = 0 (the t = infinity root).
-    A repeated irrational factor aborts: it would force blowups at
-    irrational points."""
-    rows = form._rows  # row m holds at most the term x^m y^(deg - m)
-    inf_mult = next(m for m, row in enumerate(rows) if row)
-    zero_mult = len(rows[-1]) - 1  # F(1, t) = t^zero_mult phi(t)
+    F, the terms (m, n, numerator) over den of `cone`, plus the multiplicity
+    of the direction x = 0 (the t = infinity root).  A form of one term
+    x^i y^j has only the roots 0 (j times) and infinity (i times), and no
+    polynomial is built for it.  A repeated irrational factor aborts: it
+    would force blowups at irrational points."""
+    inf_mult = min(m for m, _, _ in cone)
+    top = max(m for m, _, _ in cone)
+    zero_mult = min(n for _, n, _ in cone)  # F(1, t) = t^zero_mult phi(t)
     roots = [(Fraction(0), zero_mult)] if zero_mult else []
-    if inf_mult == len(rows) - 1:
+    if inf_mult == top:
         return roots, inf_mult
-    phi = [row[-1] if row else 0 for row in reversed(rows[inf_mult:])]  # times _den
+    phi = [0] * (top - inf_mult + 1)  # times den, which the roots ignore
+    for m, _, c in cone:
+        phi[top - m] = c
     found, irrational = rational_roots(phi)
     for part, mult in irrational:
         if mult >= 2:
@@ -176,7 +180,7 @@ def _tangent_roots(form: BivariatePolynomial) -> Tuple[List[Tuple[Fraction, int]
             # have any degree, past the constructor's MAX_EXPONENT
             k = len(part) - 1
             factor = _poly_from(((k - j, j, a) for j, a in enumerate(part) if a), 1)
-            raise NonRationalTangentError(form, factor)
+            raise NonRationalTangentError(_poly_from(cone, den), factor)
         # simple irrational factors: smooth transverse branches, no blowup
     return sorted(roots + found), inf_mult
 
@@ -185,15 +189,9 @@ def _directions(cone: list, den: int, axes) -> list:
     """The tangent directions to blow up at a point on the exceptional
     components `axes`, from its tangent cone, the terms (m, n, numerator)
     over den of its least degree: each rational t of the x-chart, and None
-    for x = 0 in the y-chart.  A cone of one term x^i y^j has the roots
-    0 (j times) and infinity (i times); a simple root is a smooth point
-    transverse to the new component, followed only at a corner (module
-    docstring)."""
-    if len(cone) == 1:
-        ((i, j, _),) = cone
-        roots, inf_mult = [(Fraction(0), j)] if j else [], i
-    else:
-        roots, inf_mult = _tangent_roots(_poly_from(cone, den))
+    for x = 0 in the y-chart.  A simple root is a smooth point transverse
+    to the new component, followed only at a corner (module docstring)."""
+    roots, inf_mult = _tangent_roots(cone, den)
     directions = [t for t, k in roots if k >= 2 or (t == 0 and "y" in axes)]
     if inf_mult >= 2 or (inf_mult == 1 and "x" in axes):
         directions.append(None)

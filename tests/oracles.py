@@ -1239,6 +1239,11 @@ def tangent_roots_by_sympy(form: BivariatePolynomial) -> Tuple[List[Tuple[Fracti
     return roots, inf_mult
 
 
+def tangent_roots(form: BivariatePolynomial):
+    """`resolution._tangent_roots` of a whole homogeneous form."""
+    return _tangent_roots(list(form._entries()), form._den)
+
+
 def smooth_measure(f: BivariatePolynomial, axes) -> Tuple[int, int]:
     """Progress measure at a smooth point of the strict transform: the
     intersection order with the exceptional components through the point,
@@ -1306,7 +1311,7 @@ def resolution_points_by_blowups(f: BivariatePolynomial, max_points: int = 500):
         e_here = m + sum(mult for _, mult in axes.values())
         exc_mult.append(e_here)
 
-        roots, inf_mult = _tangent_roots(g.leading_form())
+        roots, inf_mult = tangent_roots(g.leading_form())
         children = []
         x_chart = g.blowup_x_chart() if roots else None  # shared by the roots
         for t, _ in roots:
@@ -1389,7 +1394,7 @@ def resolve_curve_by_recursion(
         exc_mult.append(e_here)
 
         form = chart.f.leading_form()
-        roots, inf_mult = _tangent_roots(form)
+        roots, inf_mult = tangent_roots(form)
         for t, _ in roots:
             g = chart.f.blowup_x_chart().shift_y(t)
             axes: Dict[str, Tuple[int, int]] = {"x": (idx, e_here)}
@@ -1732,7 +1737,7 @@ def resolve_at_by_charts(f: BivariatePolynomial, precision: int, unchecked=None)
         e_here = m + sum(mult for _, mult in axes.values())
         exc_mult.append(e_here)
 
-        roots, inf_mult = _tangent_roots(_leading_form(g, m))
+        roots, inf_mult = tangent_roots(_leading_form(g, m))
         directions = [t for t, k in roots if k >= 2 or (t == 0 and "y" in axes)]
         if inf_mult >= 2 or (inf_mult == 1 and "x" in axes):
             directions.append(None)

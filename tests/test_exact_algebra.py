@@ -29,7 +29,7 @@ from singular_lct import (
 )
 from singular_lct import poly, resolution
 from singular_lct.corpus import SPECIAL_CURVES, coprime_pairs, corpus_curves
-from singular_lct.poly import polynomial_gcd, rational_roots
+from singular_lct.poly import _poly_from, polynomial_gcd, rational_roots
 
 P = BivariatePolynomial.parse
 X = BivariatePolynomial.monomial(1, 0)
@@ -94,7 +94,7 @@ def assert_reducedness_agrees(f):
 
 
 def assert_roots_agree(form):
-    ours = outcome(resolution._tangent_roots, form)
+    ours = outcome(oracles.tangent_roots, form)
     theirs = outcome(oracles.tangent_roots_by_sympy, form)
     assert ours[0] == theirs[0], str(form)
     if ours[0] == "ok":
@@ -121,9 +121,9 @@ def visited_forms(f):
     forms = []
     original = resolution._tangent_roots
 
-    def record(form):
-        forms.append(form)
-        return original(form)
+    def record(cone, den):
+        forms.append(_poly_from(cone, den))
+        return original(cone, den)
 
     resolution._tangent_roots = record
     try:

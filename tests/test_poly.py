@@ -676,10 +676,12 @@ def test_the_token_stream_is_read_lazily():
 
 def test_a_product_by_one_term_moves_rows_without_the_product_kernel(monkeypatch):
     # a chain of letters multiplies by one term at every factor: the rows
-    # of the other side move and scale, no _mul runs, and the term count is
-    # carried, so 2,000 letters cost no row list per factor; every parse,
-    # the products by zero among them, equals the char-scan oracle's
+    # of the other side move and scale, no _mul runs, and the term count,
+    # top exponents and largest numerator are carried, so 2,000 letters cost
+    # no row list per factor; every parse or error, the products by zero
+    # among them, equals the char-scan oracle's
     from singular_lct import poly
+    from singular_lct.poly import MAX_DIGITS
 
     calls = []
     mul = poly._mul
@@ -697,6 +699,12 @@ def test_a_product_by_one_term_moves_rows_without_the_product_kernel(monkeypatch
         assert rows_of(f) == rows_of(oracles.parse_by_char_scan(text)), text
     for text in ("x*0*y", "0*x^5", "(x - x)*y*(x + y)", "2*(x + y)*(x - y)"):
         assert rows_of(P(text)) == rows_of(oracles.parse_by_char_scan(text)), text
+    # a zero product starts the extent again; the carried top bounds digits
+    big = "9" * (MAX_DIGITS // 2 + 1)
+    edges = ["x^600*0*x^600", "x^600*(x - x)*x^600", "x^600*x^600*0", "(x + y)x^999y^1000x"]
+    edges += [f"{big}x*{big}", f"({big}x + y)*y*{big}", f"(1/{big})*x*(1/{big})", f"{big}*0*{big}"]
+    for text in edges:
+        assert parse_outcome(P, text) == parse_outcome(oracles.parse_by_char_scan, text), text
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,10 @@ spanned by the v with nu(v + (1,1)) > xi (Howald, "Multiplier ideals of
 monomial ideals").  So every proper nonzero monomial ideal gets its values,
 whether or not it contains a pure power of each variable; only the unit
 ideal, which has no rows, is rejected.
+
+The generators and facets are read off `poly`'s one Newton boundary: its
+staircase pass `_antichain` and its lower hull `_boundary`, which the
+resolution walks without importing this module.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from math import gcd, lcm
 from typing import List, Sequence, Tuple
 
 from ._record import Record
-from .poly import BivariatePolynomial
+from .poly import BivariatePolynomial, _antichain, _boundary, _leads
 
 Point = Tuple[int, int]
 
@@ -46,23 +50,13 @@ class InfiniteStaircaseError(MonomialIdealError):
     """A finite staircase was required."""
 
 
-def _minimal_antichain(points) -> Tuple[Point, ...]:
-    # in lex order a point lies above a kept one exactly when its n is not
-    # below the last kept n, the least so far
-    keep: List[Point] = []
-    for p in sorted(set(points)):
-        if not keep or p[1] < keep[-1][1]:
-            keep.append(p)
-    return tuple(keep)
-
-
 class MonomialIdeal(Record):
     """Monomial ideal given by its minimal generators (sorted antichain)."""
 
     generators: Tuple[Point, ...]
 
     def __init__(self, generators):
-        gens = _minimal_antichain(generators)
+        gens = tuple(_antichain(set(generators)))  # an unhashable point is a TypeError
         if not gens:
             raise MonomialIdealError("the zero ideal has no staircase data")
         if any(m < 0 or n < 0 for m, n in gens):
@@ -128,29 +122,27 @@ class NewtonFacet(Record):
 
 
 def term_ideal(f: BivariatePolynomial) -> MonomialIdeal:
-    """Monomial ideal generated by the monomials of f."""
+    """Monomial ideal generated by the monomials of f, of which the row
+    leads are enough."""
     if f.is_zero():
         raise MonomialIdealError("term ideal of the zero polynomial")
-    return MonomialIdeal(f.support())
+    return MonomialIdeal((m, n) for m, n, _ in _leads(f))
 
 
 def newton_facets(a: MonomialIdeal) -> List[NewtonFacet]:
-    """Compact facets of Newt(a), steepest slope first: the edges of the
-    lower-left hull of the generators (m ascending, so n descending)."""
-    verts: List[Point] = []
-    for p in a.generators:
-        while len(verts) >= 2:
-            (ax, ay), (bx, by) = verts[-2], verts[-1]
-            if (bx - ax) * (p[1] - ay) > (by - ay) * (p[0] - ax):
-                break
-            verts.pop()  # non-convex or collinear: drop the middle point
-        verts.append(p)
-    facets = []
-    for (m0, n0), (m1, n1) in zip(verts, verts[1:]):
-        dm, dn = m1 - m0, n0 - n1
-        d = gcd(dm, dn)
-        facets.append(NewtonFacet(p=dm // d, q=dn // d, d=d, start=(m0, n0), end=(m1, n1)))
-    return facets
+    """Compact facets of Newt(a), steepest slope first: the segments of the
+    Newton boundary of the generators (m ascending, so n descending), each
+    run of collinear segments one facet."""
+    runs: list = []  # (p, q, d, start, end) of each facet
+    hull = _boundary(a.generators)
+    for (m0, n0), (m1, n1) in zip(hull, hull[1:]):
+        d = gcd(m1 - m0, n0 - n1)
+        p, q = (m1 - m0) // d, (n0 - n1) // d
+        if runs and runs[-1][:2] == (p, q):  # collinear: one facet
+            _, _, before, (m0, n0), _ = runs.pop()
+            d += before
+        runs.append((p, q, d, (m0, n0), (m1, n1)))
+    return [NewtonFacet(*run) for run in runs]
 
 
 def _rows(a: MonomialIdeal) -> List[Tuple[int, int, int]]:
@@ -278,7 +270,7 @@ class Staircase(Record):
     generators: Tuple[Point, ...]
 
     def __init__(self, generators):
-        object.__setattr__(self, "generators", _minimal_antichain(generators))
+        object.__setattr__(self, "generators", tuple(_antichain(set(generators))))
         if not self.generators:
             raise MonomialIdealError("staircase of the zero ideal is all of N^2")
         if any(m < 0 or n < 0 for m, n in self.generators):

@@ -23,6 +23,10 @@ non-space character, with one token of lookahead; its digits are the
 each power of one term (c^k x^(mk) y^(nk)) as rows, bypassing the
 constructor, and squares out only the powers of sums.
 
+The Newton boundary is built here, once: `_antichain` is the staircase pass
+and `_boundary` the lower hull on it, read by the resolution's walk and by
+`newton`; the multiplicity and the tangent cone read the row leads.
+
 The text grammar accepts integer or rational coefficients, the variables
 x and y, the operators + - * ^, parentheses, and implicit multiplication
 ("x^5y" means x^5 * y).  Powers are bounded before they are expanded: an
@@ -182,23 +186,20 @@ class BivariatePolynomial:
         return hash((self._den, *map(tuple, self._rows)))
 
     def multiplicity(self) -> int:
-        """Order of vanishing at the origin (min total degree of a term)."""
+        """Order of vanishing at the origin (min total degree of a term), the
+        least m + n over the row leads."""
         if not self._rows:
             raise PolynomialError("multiplicity of the zero polynomial")
-        least = len(self._rows) + max(map(len, self._rows))
-        for m, row in enumerate(self._rows):
-            if m >= least:  # every term further down has degree >= m
-                break
-            if row:
-                least = min(least, m + next(n for n, c in enumerate(row) if c))
-        return least
+        return min(m + n for m, n, _ in _leads(self))
 
     def degree(self) -> int:
         return max((m + len(row) - 1 for m, row in enumerate(self._rows) if row), default=-1)
 
     def leading_form(self) -> "BivariatePolynomial":
-        """Sum of the terms of minimal total degree (the tangent cone)."""
-        return _leading_form(self, self.multiplicity())
+        """Sum of the terms of minimal total degree (the tangent cone): the
+        row leads of that degree, as a term of least degree leads its row."""
+        mult = self.multiplicity()
+        return _poly_from(((m, n, c) for m, n, c in _leads(self) if m + n == mult), self._den)
 
     def evaluate(self, xv, yv) -> Fraction:
         xv, yv = Fraction(xv), Fraction(yv)
@@ -321,19 +322,11 @@ def _printed(f: BivariatePolynomial) -> str:
         return "(a polynomial with a coefficient too long to print)"
 
 
-# -- the tangent cone and the charts, for f of multiplicity mult --------------
+# -- the charts and the Newton boundary ---------------------------------------
 #
 # The resolution walks its charts on the Newton boundary (`_boundary`) and
 # builds a polynomial through a composed chart map (`_mapped`) only where
 # it recentres.
-
-
-def _leading_form(f: BivariatePolynomial, mult: int) -> BivariatePolynomial:
-    rows = [  # the anti-diagonal rows[m][mult - m]
-        [0] * (mult - m) + [row[mult - m]] if len(row) > mult - m and row[mult - m] else []
-        for m, row in enumerate(f._rows[: mult + 1])
-    ]
-    return _poly(_trim(rows), f._den)
 
 
 def _mapped(f: BivariatePolynomial, chart: Tuple[int, ...], cut=None) -> BivariatePolynomial:
@@ -373,17 +366,27 @@ def _leads(f: BivariatePolynomial):
             yield m, row.index(c), c
 
 
-def _boundary(terms: Iterable[Tuple[int, int, int]]) -> list:
-    """The terms (m, n, c) on the compact faces of the Newton polygon of
-    `terms` (the Newton boundary), by increasing m: those where some
-    w1 m + w2 n with w1, w2 > 0 is least.  A term on or above the row of a
-    term left of it is not one; of the others, the lower convex chain keeps
-    the terms on its segments, from the least m to the least n."""
-    hull: list = []
+def _antichain(terms: Iterable[tuple]) -> list:
+    """The terms (m, n) or (m, n, c) that lie on or above no other term
+    (m' <= m and n' <= n), one of each repeated (m, n), by increasing m: the
+    staircase pass.  In lex order a term lies on or above a kept one exactly
+    when its n is not below the last kept n, the least so far."""
+    keep: list = []
     for t in sorted(terms):
-        m, n, _ = t
-        if hull and n >= hull[-1][1]:
-            continue
+        if not keep or t[1] < keep[-1][1]:
+            keep.append(t)
+    return keep
+
+
+def _boundary(terms: Iterable[tuple]) -> list:
+    """The terms (m, n) or (m, n, c) on the compact faces of the Newton
+    polygon of `terms` (the Newton boundary), by increasing m: those where
+    some w1 m + w2 n with w1, w2 > 0 is least.  Of the staircase pass's
+    terms, the lower convex chain keeps those on its segments, collinear
+    ones too, from the least m to the least n."""
+    hull: list = []
+    for t in _antichain(terms):
+        m, n = t[0], t[1]
         while len(hull) > 1 and (
             (hull[-1][1] - hull[-2][1]) * (m - hull[-2][0])
             > (n - hull[-2][1]) * (hull[-1][0] - hull[-2][0])

@@ -9,7 +9,11 @@ recession orthant), with exact Fraction arithmetic throughout.
 `howald_multiplier_by_facets` and `jumping_numbers_monomial_by_box_scan`
 are the earlier forms of the Newton-function kernel of `newton`: one
 Fraction support value per facet, and per point of a box for the jumps.
-The lct and the jumps there require a pure power of each variable.
+The lct and the jumps there require a pure power of each variable.  They
+and `jumping_numbers` read their facets off `newton_facets_by_hull`, the
+earlier body of `newton_facets` with its own hull loop, which drops
+collinear points where the library merges the collinear segments of
+`poly._boundary`.
 
 `complete_strict_by_sweeps` is the earlier form of the completion kernel
 `cluster._complete_strict`: every sweep visits every point, and the whole
@@ -117,8 +121,8 @@ whole accumulated row by b y + a, where the library shifts each scaled
 row by synthetic division.
 
 `minimal_antichain_by_scan` and `staircase_slices_by_min` are the earlier
-bodies of `newton._minimal_antichain` and `Staircase.slices`, which compare
-each point with every kept one and take a minimum per row.
+bodies of the staircase pass `poly._antichain` and of `Staircase.slices`,
+which compare each point with every kept one and take a minimum per row.
 
 `mul_by_row_pairs` is the earlier level-1 branch of `poly._mul`: one level-0
 product and one `_add` per pair of rows.  `parse_by_char_scan` is the
@@ -140,7 +144,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from math import ceil, lcm
+from math import ceil, gcd, lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from singular_lct.cluster import (
@@ -178,11 +182,11 @@ from singular_lct.newton import (
     InfiniteStaircaseError,
     MonomialIdeal,
     MonomialIdealError,
+    NewtonFacet,
     Point,
     Staircase,
     UnitIdealError,
     lct_monomial,
-    newton_facets,
     staircase_sum,
     triangle,
 )
@@ -199,7 +203,6 @@ from singular_lct.poly import (
     _extent,
     _icontent,
     _iquo,
-    _leading_form,
     _poly,
     _poly_from,
     _quo,
@@ -303,7 +306,7 @@ def jumping_numbers(gens, bound):
     The candidates are the facet support values at v + (1,1) over a box,
     plus k/m_min and k/n_min for the unbounded faces off the axes."""
     bound = Fraction(bound)
-    facets = newton_facets(MonomialIdeal(gens))
+    facets = newton_facets_by_hull(MonomialIdeal(gens))
     m_min, n_min = MonomialIdeal(gens).min_exponents()
     mx = max(max(m for m, _ in gens), max(n for _, n in gens))
     size = mx + ceil(bound * mx)
@@ -328,13 +331,32 @@ def jumping_numbers(gens, bound):
     return jumps
 
 
+def newton_facets_by_hull(a: MonomialIdeal) -> List[NewtonFacet]:
+    """Compact facets of Newt(a), steepest slope first: the edges of the
+    lower-left hull of the generators (m ascending, so n descending)."""
+    verts: List[Point] = []
+    for p in a.generators:
+        while len(verts) >= 2:
+            (ax, ay), (bx, by) = verts[-2], verts[-1]
+            if (bx - ax) * (p[1] - ay) > (by - ay) * (p[0] - ax):
+                break
+            verts.pop()  # non-convex or collinear: drop the middle point
+        verts.append(p)
+    facets = []
+    for (m0, n0), (m1, n1) in zip(verts, verts[1:]):
+        dm, dn = m1 - m0, n0 - n1
+        d = gcd(dm, dn)
+        facets.append(NewtonFacet(p=dm // d, q=dn // d, d=d, start=(m0, n0), end=(m1, n1)))
+    return facets
+
+
 class CosupportError(MonomialIdealError):
     """The ideal's cosupport is not the origin (no pure power on an axis)."""
 
 
 def integral_closure_by_facets(a: MonomialIdeal) -> MonomialIdeal:
     """Minimal generators of the monomials lying in Newt(a)."""
-    facets = newton_facets(a)
+    facets = newton_facets_by_hull(a)
     m_min, n_min = a.min_exponents()
     n_top = max(n for _, n in a.generators)
 
@@ -367,7 +389,7 @@ def lct_monomial_by_facets(a: MonomialIdeal) -> Fraction:
             f"cosupport of {a} is not the origin; a pure power of each "
             "variable is required"
         )
-    return min(f.support(1, 1) for f in newton_facets(a))
+    return min(f.support(1, 1) for f in newton_facets_by_hull(a))
 
 
 def howald_multiplier_by_facets(a: MonomialIdeal, xi: Fraction) -> MonomialIdeal:
@@ -378,7 +400,7 @@ def howald_multiplier_by_facets(a: MonomialIdeal, xi: Fraction) -> MonomialIdeal
     if xi <= 0:
         raise MonomialIdealError("scaling factor must be positive")
     num, den = xi.numerator, xi.denominator
-    facets = newton_facets(a)
+    facets = newton_facets_by_hull(a)
     m_min, n_min = a.min_exponents()
 
     # strict inequalities, integer cross-multiplied:
@@ -425,7 +447,7 @@ def jumping_numbers_monomial_by_box_scan(a: MonomialIdeal, bound: Fraction) -> L
         raise UnitIdealError("the unit ideal has no jumping numbers")
     if a.min_exponents() != (0, 0):
         raise CosupportError(f"cosupport of {a} is not the origin")
-    facets = newton_facets(a)
+    facets = newton_facets_by_hull(a)
     max_exp = max(a.max_exponents())
     size = max_exp + ceil(bound * max_exp)
     jumps = set()
@@ -1737,7 +1759,7 @@ def resolve_at_by_charts(f: BivariatePolynomial, precision: int, unchecked=None)
         e_here = m + sum(mult for _, mult in axes.values())
         exc_mult.append(e_here)
 
-        roots, inf_mult = tangent_roots(_leading_form(g, m))
+        roots, inf_mult = tangent_roots(leading_form_by_terms(g, m))
         directions = [t for t, k in roots if k >= 2 or (t == 0 and "y" in axes)]
         if inf_mult >= 2 or (inf_mult == 1 and "x" in axes):
             directions.append(None)

@@ -972,7 +972,8 @@ def test_polynomial_commands_on_near_grammatical_input_exit_cleanly(text):
     # a curve the grammar or the resolution refuses is an error (exit 1 or
     # 2) with a message, never a traceback or exit 3; each call has a
     # deadline.  resolve and diagram reach the resolution's walk and the
-    # diagram it builds
+    # diagram it builds, jumping the cluster's jumps and check-theorem the
+    # engine and the staircase round trips
     import contextlib
     import io
     import signal
@@ -984,6 +985,8 @@ def test_polynomial_commands_on_near_grammatical_input_exit_cleanly(text):
             ["newton", "--json", "--poly", text],
             ["resolve", "--json", "--curve", text],
             ["diagram", "--json", "--curve", text],
+            ["jumping", "--curve", text, "--bound", "1"],
+            ["check-theorem", "--curve", text],
         ):
             out, err = io.StringIO(), io.StringIO()
             signal.alarm(20)

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import zip_longest
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from singular_lct import (
     triangle,
 )
 from singular_lct import newton
+from singular_lct.poly import _antichain
 
 P = BivariatePolynomial.parse
 F = Fraction
@@ -133,6 +135,53 @@ def test_facets_steepness_order():
         fs = newton_facets(random_ideal(rng))
         slopes = [f.slope for f in fs]
         assert slopes == sorted(slopes)
+
+
+def _ideal_with_collinear_runs(rng):
+    # a convex chain of one to three segments, steepest first, each keeping
+    # some of its inner lattice points, and perhaps one random point besides
+    steps = ((rng.randint(1, 4), rng.randint(1, 4)) for _ in range(3))
+    chain = {(p // gcd(p, q), q // gcd(p, q)) for p, q in steps}
+    runs = [(p, q, rng.randint(2, 4)) for p, q in sorted(chain, key=lambda d: F(-d[1], d[0]))]
+    m, n = rng.randint(0, 3), sum(q * k for _, q, k in runs) + rng.randint(0, 3)
+    gens = [(m, n)]
+    for p, q, k in runs:
+        inner = [i for i in range(1, k) if rng.random() < 0.6] or [rng.randint(1, k - 1)]
+        gens += [(m + i * p, n - i * q) for i in inner] + [(m + k * p, n - k * q)]
+        m, n = m + k * p, n - k * q
+    gens += [(rng.randint(0, 24), rng.randint(0, 24)) for _ in range(rng.randint(0, 1))]
+    return MonomialIdeal(gens)
+
+
+def test_the_facets_merge_the_collinear_runs_of_the_one_boundary():
+    # newton_facets reads poly's Newton boundary, which keeps the terms
+    # inside a collinear run, and merges each run into one facet: it agrees
+    # with the earlier hull loop, and its facet ends are the corners of the
+    # boundary the resolution walks
+    from test_engine import germ_theorem_inputs
+
+    from singular_lct.corpus import corpus_curves
+    from singular_lct.poly import _boundary, _leads
+
+    rng = random.Random(37)
+    ideals = [
+        _ideal_with_collinear_runs(rng) if i % 3 == 0 else random_ideal(rng, 8, 16, i % 2 == 0)
+        for i in range(3000)
+    ]
+    runs = sum(len(_boundary(a.generators)) > len(newton_facets(a)) + 1 for a in ideals)
+    assert runs >= 900, runs
+    corpus = [P(text) for _, text in corpus_curves(20)]
+    for a in ideals + [term_ideal(f) for f in corpus]:
+        assert newton_facets(a) == oracles.newton_facets_by_hull(a), a
+    for f in corpus + [P(text) for text in germ_theorem_inputs(5)]:
+        hull = [t[:2] for t in _boundary(_leads(f))]
+        corners = {
+            b for a, b, c in zip(hull, hull[1:], hull[2:])
+            if (b[0] - a[0]) * (c[1] - b[1]) != (b[1] - a[1]) * (c[0] - b[0])
+        }
+        facets = newton_facets(term_ideal(f))
+        ends = {g.start for g in facets} | {g.end for g in facets}
+        assert ends == (corners | {hull[0], hull[-1]} if len(hull) > 1 else set()), str(f)
 
 
 # -- lct -------------------------------------------------------------------------
@@ -454,7 +503,7 @@ POINTS = st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=15
 @settings(max_examples=200, deadline=None)
 @given(POINTS, st.integers(0, 12), st.integers(0, 12))
 def test_linear_antichain_and_slices_match_the_scans(points, h, w):
-    assert newton._minimal_antichain(points) == oracles.minimal_antichain_by_scan(points)
+    assert tuple(_antichain(points)) == oracles.minimal_antichain_by_scan(points)
     s = Staircase(points + [(0, h), (w, 0)])
     assert s.slices() == oracles.staircase_slices_by_min(s)
     flipped = Staircase(tuple((n, m) for m, n in s.generators))

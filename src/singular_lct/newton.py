@@ -13,6 +13,14 @@ monomial ideals").  So every proper nonzero monomial ideal gets its values,
 whether or not it contains a pure power of each variable; only the unit
 ideal, which has no rows, is rejected.
 
+The jumping numbers are the values of nu at the lattice points m, n >= 1,
+read as integer keys nu * L, L the lcm of the row levels.  On a row of
+fixed n each face is least on one range of m, where its keys form one
+arithmetic progression, so the scan adds one range per facet and row and
+one per axis face, and it stops at the first row whose facets and
+horizontal face have no key within the bound (`jumping_numbers_monomial`
+gives the proof).
+
 The generators and facets are read off `poly`'s one Newton boundary: its
 staircase pass `_antichain` and its lower hull `_boundary`, which the
 resolution walks without importing this module.
@@ -132,17 +140,21 @@ def term_ideal(f: BivariatePolynomial) -> MonomialIdeal:
 def newton_facets(a: MonomialIdeal) -> List[NewtonFacet]:
     """Compact facets of Newt(a), steepest slope first: the segments of the
     Newton boundary of the generators (m ascending, so n descending), each
-    run of collinear segments one facet."""
-    runs: list = []  # (p, q, d, start, end) of each facet
-    hull = _boundary(a.generators)
-    for (m0, n0), (m1, n1) in zip(hull, hull[1:]):
+    run of collinear segments one facet.  A boundary point collinear with
+    the two corners before it (a zero cross product) replaces the last of
+    them, and each facet then takes one gcd."""
+    corners: List[Point] = []
+    for m, n in _boundary(a.generators):
+        if len(corners) > 1:
+            (m0, n0), (m1, n1) = corners[-2], corners[-1]
+            if (m1 - m0) * (n - n1) == (n1 - n0) * (m - m1):  # collinear: one facet
+                corners.pop()
+        corners.append((m, n))
+    facets = []
+    for (m0, n0), (m1, n1) in zip(corners, corners[1:]):
         d = gcd(m1 - m0, n0 - n1)
-        p, q = (m1 - m0) // d, (n0 - n1) // d
-        if runs and runs[-1][:2] == (p, q):  # collinear: one facet
-            _, _, before, (m0, n0), _ = runs.pop()
-            d += before
-        runs.append((p, q, d, (m0, n0), (m1, n1)))
-    return [NewtonFacet(*run) for run in runs]
+        facets.append(NewtonFacet((m1 - m0) // d, (n0 - n1) // d, d, (m0, n0), (m1, n1)))
+    return facets
 
 
 def _rows(a: MonomialIdeal) -> List[Tuple[int, int, int]]:
@@ -219,19 +231,50 @@ def _scan_size(m_top: int, n_top: int, bound: Fraction) -> int:
     return (n * m_top // d + 2) * (n * n_top // d + 3)
 
 
+def _keys(first: int, last: int, step: int) -> range:
+    """The keys first, first + step, ... up to last that a face reads on a
+    row: every key the jump scan reads passes through here."""
+    return range(first, last + 1, step)
+
+
 def jumping_numbers_monomial(a: MonomialIdeal, bound: Fraction) -> List[Fraction]:
     """All jumping numbers of the monomial ideal up to and including bound.
 
     The multiplier ideal loses v exactly at xi = nu(v + (1,1)), so the jumps
-    are these values.  Rows n + 1 = 1, 2, ... are read up to the row start
-    for bound; a row held down by the horizontal face (no row start) is read
-    until its value stops changing.  Values only grow with n, so the scan
-    ends at an empty row or at a row equal to the one before it, whose
-    values the vertical face holds from then on.
+    are the values nu(m, n) <= bound with m, n >= 1.  They are read as
+    integer keys K = nu * L, L the lcm of the facet levels and of the
+    nonzero m_min and n_min: each face (c, d, level) gives (c L / level) m +
+    (d L / level) n, and K is the least of these.  Let (a_0, b_0), ...,
+    (a_k, b_k) be the corners of Newt(a), m ascending.  On row n the
+    vertical face is least for m <= n a_0 / b_0, the facet from corner i to
+    corner i + 1 for n a_i / b_i < m <= n a_(i+1) / b_(i+1), and the
+    horizontal face for m > n a_k / b_k (a ratio over 0 is infinite).  These
+    ranges split the row, and on each a facet's keys are one arithmetic
+    progression with step alpha = q L / level, capped at floor(bound L).
+    The vertical face's key m L / m_min does not depend on n, nor the
+    horizontal face's n L / n_min on m.  A facet's keys on row n lie in the
+    class beta n mod alpha, beta = p L / level, which is the class of row
+    n' exactly when n = n' mod q; within a class both ends of the range grow
+    with n, so a row adds only the keys above the last added in its class.
 
-    The scan reads at most (floor(bound M) + 2) (floor(bound N) + 3) points,
-    (M, N) the top exponents of the generators, so a larger count than
-    MAX_LATTICE_POINTS raises JumpingBoundError before it starts.
+    Stop rule: the scan ends at the first row n* on which no facet and not
+    the horizontal face has a key up to the cap.  If one of them has
+    nu(m, n + 1) <= bound, then m / n > m / (n + 1) > a_0 / b_0, so (m, n)
+    lies outside the vertical range of row n, and nu(m, n) <= nu(m, n + 1),
+    since nu only grows with n: row n has such a key too.  So no row past
+    n* has one.  For n > n* and m <= n a_0 / b_0 with m L / m_min within the
+    cap, (m, n*) lies in the vertical range of row n*, or else row n* would
+    have nu(m, n*) <= nu(m, n) <= bound off it.  So the vertical face's keys
+    are those with m <= n* a_0 / b_0, added once at the end, and the
+    horizontal face's are the multiples of L / n_min up to the cap.
+
+    Each key a facet reads is a lattice point (m, n) with m <= bound M and
+    n <= bound N, (M, N) the top exponents of the generators, and the
+    vertical and horizontal faces read at most floor(bound M) and
+    floor(bound N) keys.  So the scan reads fewer than (floor(bound M) + 2)
+    (floor(bound N) + 3) keys, the lattice points the earlier scan of nu
+    one point at a time could read; a larger count than MAX_LATTICE_POINTS
+    raises JumpingBoundError before the scan starts.
     """
     bound = Fraction(bound)
     if bound <= 0:
@@ -243,23 +286,36 @@ def jumping_numbers_monomial(a: MonomialIdeal, bound: Fraction) -> List[Fraction
         raise JumpingBoundError(
             f"bound {bound} may read {work} lattice points, more than {MAX_LATTICE_POINTS}"
         )
-    rows, jumps, previous = _rows(a), set(), None
+    facets = newton_facets(a)
+    (a0, b0), (_, bk) = a.generators[0], a.generators[-1]
+    common = lcm(*(f.level for f in facets), a0 or 1, bk or 1)
+    cap = bound.numerator * common // bound.denominator
+    # per facet: alpha and beta, q, its two corners, and the last key added
+    # in each class, by n mod q
+    faces = [
+        (f.q * common // f.level, f.p * common // f.level, f.q, *f.start, *f.end, {})
+        for f in facets
+    ]
+    last_row = cap * bk // common  # the horizontal face has keys up to here
+    keys: set = set()
     for n in count(1):
-        end = row_start(rows, n, bound, True)
-        row: List[Tuple[int, int]] = []
-        for m in count(1) if end is None else range(1, end):
-            value = _nu(rows, m, n)
-            if row and value == row[-1]:  # held by the horizontal face from here
-                break
-            row.append(value)
-        if not row or row == previous:
-            # in the order of the integers v * common, common the lcm of the
-            # denominators: no Fraction comparisons
-            common = lcm(*(den for _, den in jumps))
-            ordered = sorted(jumps, key=lambda v: v[0] * (common // v[1]))
-            return [Fraction(*v) for v in ordered]
-        jumps.update(row)
-        previous = row
+        read = False
+        for alpha, beta, q, m0, n0, m1, n1, tops in faces:
+            first = alpha * (n * m0 // n0 + 1) + beta * n
+            last = min(alpha * (n * m1 // n1) + beta * n, cap) if n1 else cap
+            if first <= last:
+                read, top = True, tops.get(n % q, 0)
+                if top < last:  # first and top lie in one class mod alpha
+                    keys.update(_keys(first if first > top else top + alpha, last, alpha))
+                    tops[n % q] = last
+        if not read and n > last_row:
+            break
+    if a0:  # the vertical face: m <= n* a0 / b0, every m when b0 = 0
+        step = common // a0
+        keys.update(_keys(step, min(step * (n * a0 // b0), cap) if b0 else cap, step))
+    if bk:
+        keys.update(_keys(common // bk, cap, common // bk))
+    return [Fraction(k, common) for k in sorted(keys)]
 
 
 class Staircase(Record):

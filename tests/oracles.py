@@ -15,6 +15,12 @@ earlier body of `newton_facets` with its own hull loop, which drops
 collinear points where the library merges the collinear segments of
 `poly._boundary`.
 
+`jumping_numbers_monomial_by_nu_scan` is the earlier body of
+`jumping_numbers_monomial`: it evaluates nu with `_nu` at each lattice point
+of each row up to the row start for the bound, a gcd and a pair per point,
+and ends at an empty row or one equal to the row before it, where the
+library reads one progression of integer keys per facet and row.
+
 `complete_strict_by_sweeps` is the earlier form of the completion kernel
 `cluster._complete_strict`: every sweep visits every point, and the whole
 total vector is recomputed after each one.
@@ -144,6 +150,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
+from itertools import count
 from math import ceil, gcd, lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -179,14 +186,20 @@ from singular_lct.enriques import (
     euclid_data,
 )
 from singular_lct.newton import (
+    MAX_LATTICE_POINTS,
     InfiniteStaircaseError,
+    JumpingBoundError,
     MonomialIdeal,
     MonomialIdealError,
     NewtonFacet,
     Point,
     Staircase,
     UnitIdealError,
+    _nu,
+    _rows,
+    _scan_size,
     lct_monomial,
+    row_start,
     staircase_sum,
     triangle,
 )
@@ -457,6 +470,49 @@ def jumping_numbers_monomial_by_box_scan(a: MonomialIdeal, bound: Fraction) -> L
             if xi <= bound:
                 jumps.add(xi)
     return sorted(jumps)
+
+
+def jumping_numbers_monomial_by_nu_scan(a: MonomialIdeal, bound: Fraction) -> List[Fraction]:
+    """All jumping numbers of the monomial ideal up to and including bound.
+
+    The multiplier ideal loses v exactly at xi = nu(v + (1,1)), so the jumps
+    are these values.  Rows n + 1 = 1, 2, ... are read up to the row start
+    for bound; a row held down by the horizontal face (no row start) is read
+    until its value stops changing.  Values only grow with n, so the scan
+    ends at an empty row or at a row equal to the one before it, whose
+    values the vertical face holds from then on.
+
+    The scan reads at most (floor(bound M) + 2) (floor(bound N) + 3) points,
+    (M, N) the top exponents of the generators, so a larger count than
+    MAX_LATTICE_POINTS raises JumpingBoundError before it starts.
+    """
+    bound = Fraction(bound)
+    if bound <= 0:
+        raise MonomialIdealError("bound must be positive")
+    if a.is_unit():
+        raise UnitIdealError("the unit ideal has no jumping numbers")
+    work = _scan_size(*a.max_exponents(), bound)
+    if work > MAX_LATTICE_POINTS:
+        raise JumpingBoundError(
+            f"bound {bound} may read {work} lattice points, more than {MAX_LATTICE_POINTS}"
+        )
+    rows, jumps, previous = _rows(a), set(), None
+    for n in count(1):
+        end = row_start(rows, n, bound, True)
+        row: List[Tuple[int, int]] = []
+        for m in count(1) if end is None else range(1, end):
+            value = _nu(rows, m, n)
+            if row and value == row[-1]:  # held by the horizontal face from here
+                break
+            row.append(value)
+        if not row or row == previous:
+            # in the order of the integers v * common, common the lcm of the
+            # denominators: no Fraction comparisons
+            common = lcm(*(den for _, den in jumps))
+            ordered = sorted(jumps, key=lambda v: v[0] * (common // v[1]))
+            return [Fraction(*v) for v in ordered]
+        jumps.update(row)
+        previous = row
 
 
 def staircase_slices_from_valuations(x_vals, y_vals, e_vals):

@@ -395,6 +395,39 @@ def test_kernel_hand_checked_values():
         jumping_numbers_monomial(ideal((0, 0)), F(1))
 
 
+def test_the_key_scan_matches_the_scan_of_nu(monkeypatch):
+    # one arithmetic progression of keys per face and row gives exactly the
+    # jumps of the scan of nu one lattice point at a time
+    from singular_lct.corpus import coprime_pairs, corpus_curves
+
+    rng = random.Random(38)
+    cases = [
+        (random_ideal(rng, origin_cosupport=i % 2 == 0), F(rng.randint(1, 24), rng.randint(1, 8)))
+        for i in range(400)
+    ]
+    for m in range(7):  # x^m y^n, (x^m) and (y^n)
+        for n in range(7):
+            if m or n:
+                cases += [(ideal((m, n)), bound) for bound in (F(1), F(5, 2), F(3, 7))]
+    cases += [(ideal((p, 0), (0, q)), F(1)) for p, q in coprime_pairs(20)]
+    built, scan = [], newton.jumping_numbers_monomial
+    monkeypatch.setattr(
+        newton, "jumping_numbers_monomial", lambda a, b: built.append((a, b)) or scan(a, b)
+    )
+    for _, text in corpus_curves(12):  # the ideals of the binary clusters
+        jumping_numbers_curve(resolve_curve(P(text))[0], F(1))
+    monkeypatch.undo()
+    assert len(built) > 40, len(built)
+    for a, bound in cases + built:
+        expected = oracles.jumping_numbers_monomial_by_nu_scan(a, bound)
+        assert jumping_numbers_monomial(a, bound) == expected, (a, bound)
+    # the horizontal face reads on after the vertical face has filled its cap
+    assert jumping_numbers_monomial(ideal((3, 4)), F(3, 5)) == [F(1, 4), F(1, 3), F(1, 2)]
+    # a row on which the vertical face reads nothing does not end the scan
+    expected = [F(k, 71) for k in (15, 22, 23, 29, 30)]
+    assert jumping_numbers_monomial(ideal((1, 9), (8, 1)), F(3, 7)) == expected
+
+
 def test_curve_jumps_equal_term_ideal_jumps_when_non_degenerate():
     # Howald: for a germ non-degenerate with respect to its Newton polygon,
     # the jumps below 1 are those of its term ideal, convenient or not
@@ -515,16 +548,19 @@ def test_linear_antichain_and_slices_match_the_scans(points, h, w):
 
 
 def test_the_monomial_jump_scan_reads_no_more_points_than_its_bound(monkeypatch):
-    # the count the bound check reads off the generators holds on random
-    # ideals, with or without pure powers, at integer and fractional bounds
+    # every key the scan reads comes in a range from `_keys`, and their count
+    # stays within the lattice points the bound check reads off the
+    # generators, on random ideals, with or without pure powers, at integer
+    # and fractional bounds
     rng = random.Random(23)
-    nu, reads = newton._nu, [0]
+    keys, reads = newton._keys, [0]
 
     def counted(*args):
-        reads[0] += 1
-        return nu(*args)
+        read = keys(*args)
+        reads[0] += len(read)
+        return read
 
-    monkeypatch.setattr(newton, "_nu", counted)
+    monkeypatch.setattr(newton, "_keys", counted)
     for _ in range(600):
         a = ideal(*((rng.randint(0, 9), rng.randint(0, 9)) for _ in range(rng.randint(1, 4))))
         if a.is_unit():
@@ -532,12 +568,13 @@ def test_the_monomial_jump_scan_reads_no_more_points_than_its_bound(monkeypatch)
         bound = Fraction(rng.randint(1, 40), rng.randint(1, 8))
         m_top, n_top = a.max_exponents()
         reads[0] = 0
-        jumping_numbers_monomial(a, bound)
+        jumps = jumping_numbers_monomial(a, bound)
+        assert len(jumps) <= reads[0], (a, bound)
         assert reads[0] <= (int(bound * m_top) + 2) * (int(bound * n_top) + 3), (a, bound)
 
 
 def test_a_bound_past_the_lattice_limit_is_refused_before_the_scan(monkeypatch):
-    monkeypatch.setattr(newton, "_nu", None)  # any read would fail
+    monkeypatch.setattr(newton, "_keys", None)  # any read would fail
     limit = newton.MAX_LATTICE_POINTS
     for a, bound in (
         (ideal((2, 0), (0, 3)), Fraction(10**8)),
